@@ -27,6 +27,7 @@ from .discrete_calculus import GridFunction
 from .errors import HahnPolyError
 from .expansion import (
     BOUND_SLACK,
+    CoefficientVector,
     IntervalMap,
     decay_report,
     eval_expansion,
@@ -153,6 +154,29 @@ def _header(command: str, **fields: object) -> list[str]:
     return lines
 
 
+def _project_sets(fn: Fn, imap: IntervalMap, sets: list[tuple[float, float]],
+                  top: int, normalized: bool = True) -> list[CoefficientVector]:
+    grids = [GridFunction.from_callable(fn, HahnParams(al, be, imap.N), imap.to_interval)
+             for al, be in sets]
+    return [project(u, top, normalized=normalized) for u in grids]
+
+
+def _pointwise(fn: Fn, imap: IntervalMap, ts: np.ndarray, sets: list[tuple[float, float]],
+               vectors: list[CoefficientVector]) -> tuple[list[np.ndarray], list[str]]:
+    """Signed errors of each family's reconstruction at the samples ts, and
+    the CSV block of a t,target,approx_*,error_* row per sample."""
+    target = np.array([fn(t) for t in ts])
+    recons = [eval_expansion(v, imap.to_grid(ts)) for v in vectors]
+    errors = [rec - target for rec in recons]
+    lines = ["t,target," + ",".join(f"approx_{al}_{be},error_{al}_{be}" for al, be in sets)]
+    for i, t in enumerate(ts):
+        row = [_fmt(t), _fmt(target[i])]
+        for rec, err in zip(recons, errors):
+            row += [_fmt(rec[i]), _fmt(err[i])]
+        lines.append(",".join(row))
+    return errors, lines
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
@@ -223,7 +247,7 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
         except ValueError:
             raise click.UsageError(f"bad point list {points!r}")
     scale = math.sqrt(norm_sq_closed(degree, p)) if normalized else 1.0
-    vals = [hahn_eval_all(degree, x, p)[degree] / scale for x in xs]
+    vals = hahn_eval_all(degree, np.array(xs), p)[degree] / scale
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")
@@ -261,11 +285,7 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     imap = IntervalMap(a, b, grid_n)
-    vectors = []
-    for al, be in sets:
-        p = HahnParams(al, be, grid_n)
-        u = GridFunction.from_callable(fn, p, imap.to_interval)
-        vectors.append(project(u, top, normalized=normalized))
+    vectors = _project_sets(fn, imap, sets, top, normalized)
     lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{a},{b}",
                     params=";".join(f"{al},{be}" for al, be in sets),
                     normalized=normalized)
@@ -276,20 +296,8 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
             row += [_fmt(v.coeffs[n]), _fmt(abs(v.coeffs[n]))]
         lines.append(",".join(row))
     if pointwise:
-        ts = np.linspace(a, b, samples)
-        target = np.array([fn(t) for t in ts])
-        recons = [
-            np.array([eval_expansion(v, imap.to_grid(t)) for t in ts])
-            for v in vectors
-        ]
         lines.append("# pointwise reconstruction")
-        lines.append("t,target,"
-                     + ",".join(f"approx_{al}_{be},error_{al}_{be}" for al, be in sets))
-        for i, t in enumerate(ts):
-            row = [_fmt(t), _fmt(target[i])]
-            for rec in recons:
-                row += [_fmt(rec[i]), _fmt(rec[i] - target[i])]
-            lines.append(",".join(row))
+        lines += _pointwise(fn, imap, np.linspace(a, b, samples), sets, vectors)[1]
     _emit(lines, out)
 
 
@@ -362,31 +370,17 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
         _checked_family(al, be, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
-    fn = lambda t: 1.0 / (1.0 + 25.0 * t * t)
+    _, fn = _parse_fn("runge")
     imap = IntervalMap(a, b, grid_n)
     ts = np.linspace(a, b, samples)
-    recons = []
-    for al, be in sets:
-        p = HahnParams(al, be, grid_n)
-        u = GridFunction.from_callable(fn, p, imap.to_interval)
-        c = project(u, top)
-        recons.append(np.array([eval_expansion(c, imap.to_grid(t)) for t in ts]))
-    target = np.array([fn(t) for t in ts])
+    errors, table = _pointwise(fn, imap, ts, sets, _project_sets(fn, imap, sets, top))
     lines = _header("runge", N=grid_n, m=top, samples=samples,
                     interval=f"{a},{b}",
                     params=";".join(f"{al},{be}" for al, be in sets))
-    for (al, be), rec in zip(sets, recons):
-        err = np.abs(rec - target)
-        i = int(np.argmax(err))
-        lines.append(f"# max_error_{al}_{be}: {_fmt(err[i])} at t = {_fmt(ts[i])}")
-    cols = [f"approx_{al}_{be},error_{al}_{be}" for al, be in sets]
-    lines.append("t,target," + ",".join(cols))
-    for i, t in enumerate(ts):
-        row = [_fmt(t), _fmt(target[i])]
-        for rec in recons:
-            row += [_fmt(rec[i]), _fmt(rec[i] - target[i])]
-        lines.append(",".join(row))
-    _emit(lines, out)
+    for (al, be), err in zip(sets, errors):
+        i = int(np.argmax(np.abs(err)))
+        lines.append(f"# max_error_{al}_{be}: {_fmt(abs(err[i]))} at t = {_fmt(ts[i])}")
+    _emit(lines + table, out)
 
 
 @main.command("compare-legendre")
@@ -450,3 +444,7 @@ def verify_cmd(alpha: float, beta: float, grid_n: int, orders: str, out: str) ->
     if bad:
         click.echo(f"{len(bad)} check(s) failed", err=True)
         sys.exit(4)
+
+
+if __name__ == "__main__":
+    main()

@@ -104,6 +104,9 @@ class DecayEntry:
 # is exact in real arithmetic
 BOUND_SLACK = 1e-8
 
+# points per off-grid recurrence sweep in eval_expansion
+_EVAL_BLOCK = 1024
+
 
 def inner_product(f: GridFunction, g: GridFunction, table: WeightTable) -> float:
     """Weighted inner product sum_x f(x) g(x) w(x).
@@ -145,13 +148,36 @@ def project(
     return CoefficientVector(p, coeffs, normalized)
 
 
-def eval_expansion(c: CoefficientVector, x: float) -> float:
-    """Value of the expansion at a real point x (off-grid allowed)."""
+def _weighted_terms(c: CoefficientVector, x: float | np.ndarray) -> np.ndarray:
+    # c_n q_n(x), shape (m+1,) + shape(x), in the sweep's own array: the
+    # norm division comes before the coefficient product, as for one point
     m = c.degree
-    q = hahn_eval_all(m, x, c.params)
+    col = (slice(None),) + (None,) * np.ndim(x)
+    terms = hahn_eval_all(m, x, c.params)
     if c.normalized:
-        q = q / np.array(_sqrt_norms(c.params, m))
-    return math.fsum(c.coeffs * q)
+        terms /= np.array(_sqrt_norms(c.params, m))[col]
+    terms *= c.coeffs[col]
+    return terms
+
+
+def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:
+    """Value of the expansion at a real point x (off-grid allowed), or at
+    each point of an array x.
+
+    Array points are swept together, _EVAL_BLOCK (1024) at a time, so the
+    transient basis table stays (m+1) x 1024 doubles however many points
+    there are.  Every value is the exact sum (math.fsum) of its
+    terms, rounded once, and equals a one-point call to the bit.
+    """
+    if np.ndim(x) == 0:
+        return math.fsum(_weighted_terms(c, x))
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, len(flat), _EVAL_BLOCK):
+        terms = _weighted_terms(c, flat[start:start + _EVAL_BLOCK])
+        out[start:start + _EVAL_BLOCK] = [math.fsum(t.tolist()) for t in terms.T]
+    return out.reshape(xs.shape)
 
 
 def decay_report(

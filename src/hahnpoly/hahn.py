@@ -7,6 +7,11 @@ eigen-data (eigenvalue and difference-operator coefficients) attached to
 each degree.  Both evaluation routes run in double-double arithmetic; at
 N = 30 the plain-double recurrence can be wrong in the leading digit at
 the grid ends, while the compensated version stays near 1e-14 relative.
+
+The recurrence sweep also takes an array of points and sweeps them all
+at once.  Its dd operations are elementwise float arithmetic, which numpy
+rounds exactly as Python floats do, so each point's values are the same
+to the bit as a sweep of that point alone.
 """
 
 from __future__ import annotations
@@ -120,13 +125,6 @@ def recurrence_coefficients(n: int, params: HahnParams) -> tuple[float, float]:
     return A, C
 
 
-def _sum_dd(*parts: dd.DD) -> dd.DD:
-    out = parts[0]
-    for p in parts[1:]:
-        out = dd.dd_add(out, p)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _step_coefficients(params: HahnParams, m: int) -> tuple[tuple[dd.DD, dd.DD], ...]:
     """Double-double (A_j, C_j) for j = 1..m-1; x-independent, so cached
@@ -153,22 +151,31 @@ def _step_coefficients(params: HahnParams, m: int) -> tuple[tuple[dd.DD, dd.DD],
     return tuple(out)
 
 
-def _recurrence_sweep(m: int, x: float, params: HahnParams) -> list[dd.DD]:
-    """Double-double values of Q_0(x) .. Q_m(x) from one upward sweep."""
-    a, N = params.alpha, params.N
-    out = [dd.dd_from(1.0)]
+def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
+    """Q_0(x) .. Q_m(x) from one upward double-double sweep, each rounded
+    to a double; shape (m+1,) + shape(x).
+
+    Every dd operation is elementwise float arithmetic, so an array x
+    sweeps all its points at once with exactly the rounding of a sweep
+    per point.  Only the two dd levels the recurrence reads stay alive.
+    """
+    out = np.empty((m + 1,) + np.shape(x))
+    out[0] = 1.0
     if m == 0:
         return out
+    a, N = params.alpha, params.N
     # Q_1 = 1 - (alpha+beta+2) x / ((alpha+1) N), the n = 1 series closed form
     ab = dd.two_sum(a, params.beta)
     t = dd.dd_mul_d(dd.dd_add(ab, dd.dd_from(2.0)), x)
     t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
-    out.append(dd.dd_sub(dd.dd_from(1.0), t))
+    prev, cur = dd.dd_from(1.0), dd.dd_sub(dd.dd_from(1.0), t)
+    out[1] = cur[0] + cur[1]
     for j, (A, C) in enumerate(_step_coefficients(params, m), start=1):
         # Q_{j+1} = ((A + C - x) Q_j - C Q_{j-1}) / A
         w = dd.dd_sub(dd.dd_add(A, C), dd.dd_from(x))
-        q = dd.dd_sub(dd.dd_mul(w, out[j]), dd.dd_mul(C, out[j - 1]))
-        out.append(dd.dd_div(q, A))
+        q = dd.dd_sub(dd.dd_mul(w, cur), dd.dd_mul(C, prev))
+        prev, cur = cur, dd.dd_div(q, A)
+        out[j + 1] = cur[0] + cur[1]
     return out
 
 
@@ -176,15 +183,18 @@ def hahn_eval_recurrence(n: int, x: float, params: HahnParams) -> float:
     """Q_n(x) from the three-term recurrence, seeded with Q_0 = 1 and the
     degree-one closed form."""
     _check_degree(n, params)
-    q = _recurrence_sweep(n, x, params)[n]
-    return q[0] + q[1]
+    return float(_recurrence_sweep(n, x, params)[n])
 
 
-def hahn_eval_all(m: int, x: float, params: HahnParams) -> np.ndarray:
-    """Q_0(x) .. Q_m(x) in one recurrence sweep (cheaper than m+1 calls)."""
+def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
+    """Q_0(x) .. Q_m(x) in one recurrence sweep (cheaper than m+1 calls).
+
+    x is a float or an array of points; the result has shape
+    (m+1,) + shape(x), and each point's values equal those of a call with
+    that point alone, bit for bit.
+    """
     _check_degree(m, params)
-    qs = _recurrence_sweep(m, x, params)
-    return np.array([hi + lo for hi, lo in qs])
+    return _recurrence_sweep(m, x, params)
 
 
 def weight_table(params: HahnParams) -> WeightTable:

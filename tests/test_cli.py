@@ -1,11 +1,17 @@
 """CLI behaviour: output format, exit codes, determinism, and the
 no-partial-file rule."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import hahnpoly
 from hahnpoly.cli import main
 
 
@@ -196,3 +202,32 @@ def test_poly_function_spec():
     # a quadratic target needs only degrees 0..2
     tail = [abs(float(r[1])) for r in data[3:]]
     assert max(tail) < 1e-12
+
+
+# sha256 of stdout for README commands at N = 30, recorded before the
+# pointwise sweeps were vectorised; any change to these bytes is a change
+# of output, not a refactor
+GOLDEN_STDOUT = {
+    "project --N 30 --m 10 --fn runge --pointwise --samples 201":
+        "60ff27f7a30deb5303570502b539beb1a421cb22e61d38fa75e57fa13218d988",
+    "runge --N 30 --m 10 --samples 201":
+        "44317340d418bd5e6f3fd77565c5c27cb1cb1fdf19b9054c8c184ef0d3b86544",
+    "eval --n 5 --N 30 --points 0,7.5,30 --normalized false":
+        "45374b17dac0e528384240d7a845d961874fe6f8025ede08f8094d75d2533b35",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command):
+    res = run(*command.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_module_entry_point():
+    src = str(Path(hahnpoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "hahnpoly.cli", "--version"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert "0.1.0" in out.stdout

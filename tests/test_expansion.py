@@ -15,6 +15,7 @@ from hahnpoly.errors import (
     ZeroLambdaError,
 )
 from hahnpoly.expansion import (
+    _EVAL_BLOCK,
     CoefficientVector,
     IntervalMap,
     decay_report,
@@ -181,6 +182,53 @@ def test_eval_expansion_classical_convention():
     for x in (0.0, 4.0, 11.5):
         assert eval_expansion(cc, x) == pytest.approx(eval_expansion(cn, x),
                                                       rel=1e-10, abs=1e-12)
+
+
+BENCH_FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)]
+
+
+def _runge_coeffs(p: HahnParams, m: int, normalized: bool) -> CoefficientVector:
+    imap = IntervalMap(-1.0, 1.0, p.N)
+    u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
+                                   imap.to_interval)
+    return project(u, m, normalized=normalized)
+
+
+@pytest.mark.parametrize("N", [30, 100, 200])
+@pytest.mark.parametrize("alpha,beta", BENCH_FAMILIES)
+def test_eval_expansion_array_equals_point_loop(N, alpha, beta):
+    # grid nodes and sample points between them, swept together, in both
+    # coefficient conventions; lower degrees truncate the full projection
+    p = HahnParams(alpha, beta, N)
+    imap = IntervalMap(-1.0, 1.0, N)
+    xs = np.concatenate([np.arange(0.0, N + 1, max(1, N // 10)),
+                         imap.to_grid(np.linspace(-1.0, 1.0, 23))])
+    for normalized in (True, False):
+        full = _runge_coeffs(p, N, normalized).coeffs
+        for m in (0, 1, N // 2, N):
+            c = CoefficientVector(p, full[: m + 1], normalized)
+            got = eval_expansion(c, xs)
+            loop = np.array([eval_expansion(c, float(x)) for x in xs])
+            assert got.shape == xs.shape
+            assert np.array_equal(got, loop, equal_nan=True)
+
+
+def test_eval_expansion_array_longer_than_block():
+    # more points than one block, and not a multiple of it
+    p = HahnParams(0.5, 0.5, 100)
+    imap = IntervalMap(-1.0, 1.0, 100)
+    xs = imap.to_grid(np.linspace(-1.0, 1.0, 2500))
+    assert len(xs) > 2 * _EVAL_BLOCK and len(xs) % _EVAL_BLOCK != 0
+    c = _runge_coeffs(p, 40, True)
+    got = eval_expansion(c, xs)
+    assert np.array_equal(got, np.array([eval_expansion(c, float(x)) for x in xs]))
+
+
+def test_eval_expansion_scalar_returns_float():
+    c = _runge_coeffs(HahnParams(0.0, 0.0, 30), 10, True)
+    assert type(eval_expansion(c, 7.5)) is float
+    assert type(eval_expansion(c, np.float64(7.5))) is float
+    assert eval_expansion(c, 7.5) == eval_expansion(c, np.array([7.5]))[0]
 
 
 def test_parseval_small_grid():

@@ -82,6 +82,35 @@ def test_eval_all_consistent_with_single():
         assert vals[n] == hahn_eval_recurrence(n, 7.0, p)
 
 
+def _sweep_points(N):
+    # every few grid points with both ends, midpoints between nodes, and
+    # shifted sample points, the last one just past N
+    grid = np.unique(np.append(np.arange(0, N + 1, max(1, N // 12)), N)).astype(float)
+    off = (np.arange(16) + 0.5) * N / 16
+    mapped = N * (np.linspace(-1.0, 1.0, 9) + 0.013 + 1.0) / 2.0
+    return np.concatenate([grid, off, mapped])
+
+
+@pytest.mark.parametrize("N", [30, 100, 200])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)])
+def test_eval_all_array_equals_point_loop(N, alpha, beta):
+    # the array sweep rounds exactly as one sweep per point, to the bit
+    p = HahnParams(alpha, beta, N)
+    xs = _sweep_points(N)
+    for m in (0, 1, N // 2, N):
+        got = hahn_eval_all(m, xs, p)
+        assert got.shape == (m + 1, len(xs))
+        loop = np.stack([hahn_eval_all(m, float(x), p) for x in xs], axis=1)
+        assert np.array_equal(got, loop, equal_nan=True)
+        assert hahn_eval_all(m, xs[:1], p).shape == (m + 1, 1)
+
+
+def test_recurrence_scalar_returns_float():
+    p = HahnParams(0.5, 0.5, 20)
+    assert type(hahn_eval_recurrence(7, 3.5, p)) is float
+    assert hahn_eval_all(20, 3.5, p).shape == (21,)
+
+
 @pytest.mark.parametrize("alpha,beta", PARAM_SETS)
 def test_value_one_at_zero(alpha, beta):
     p = HahnParams(alpha, beta, 30)
