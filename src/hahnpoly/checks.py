@@ -19,7 +19,6 @@ from .hahn import (
     HahnParams,
     eigen_data,
     hahn_eval_all,
-    hahn_eval_recurrence,
     hahn_eval_series,
     normalized_grid_matrix,
     recurrence_coefficients,
@@ -52,54 +51,60 @@ def check_orthonormality(params: HahnParams) -> list[CheckResult]:
     ]
 
 
+def _worst(err: np.ndarray) -> float:
+    # largest entry, NaN entries skipped and 0.0 when none is left: what a
+    # running `worst = max(worst, err)` from 0.0 gives
+    return float(np.fmax.reduce(err, axis=None, initial=0.0))
+
+
+def _series_table(params: HahnParams) -> np.ndarray:
+    """Series-route Q_n(x), row n = 0..N, column x = 0..N, in one sweep."""
+    degrees = np.arange(params.N + 1)[:, None]
+    return hahn_eval_series(degrees, params.grid(), params)
+
+
 def check_path_agreement(params: HahnParams) -> CheckResult:
     """Series route vs recurrence route over every degree and grid point."""
-    worst = 0.0
-    for x in range(params.N + 1):
-        rec = hahn_eval_all(params.N, float(x), params)
-        for n in range(params.N + 1):
-            ser = hahn_eval_series(n, float(x), params)
-            err = abs(ser - rec[n]) / max(1.0, abs(ser))
-            worst = max(worst, err)
-    return CheckResult("series-vs-recurrence", worst, 1e-9)
+    ser = _series_table(params)
+    rec = hahn_eval_all(params.N, params.grid(), params)
+    err = np.abs(ser - rec) / np.fmax(1.0, np.abs(ser))
+    return CheckResult("series-vs-recurrence", _worst(err), 1e-9)
 
 
 def check_recurrence_identity(params: HahnParams) -> CheckResult:
     """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1} using
     series-route values, so the identity is tested against an independent
     evaluation path."""
-    worst = 0.0
-    for x in range(params.N + 1):
-        xf = float(x)
-        q = [hahn_eval_series(n, xf, params) for n in range(params.N + 1)]
-        for n in range(1, params.N):
-            A, C = recurrence_coefficients(n, params)
-            lhs = -xf * q[n]
-            rhs = A * q[n + 1] - (A + C) * q[n] + C * q[n - 1]
-            scale = max(1.0, abs(A * q[n + 1]) + abs((A + C) * q[n]) + abs(C * q[n - 1]))
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return CheckResult("three-term-recurrence", worst, 1e-8)
+    q = _series_table(params)
+    qm, q0, qp = q[:-2], q[1:-1], q[2:]
+    steps = np.array(
+        [recurrence_coefficients(n, params) for n in range(1, params.N)]
+    ).reshape(-1, 2)
+    A, C = steps[:, :1], steps[:, 1:]
+    lhs = -params.grid() * q0
+    rhs = A * qp - (A + C) * q0 + C * qm
+    scale = np.fmax(1.0, np.abs(A * qp) + np.abs((A + C) * q0) + np.abs(C * qm))
+    return CheckResult("three-term-recurrence", _worst(np.abs(lhs - rhs) / scale), 1e-8)
 
 
 def check_eigen_equation(params: HahnParams, max_degree: int = 20) -> CheckResult:
     """Pointwise defect of B(x) Q_n(x+1) - (B(x)+D(x)) Q_n(x) + D(x) Q_n(x-1)
     = lam_n Q_n(x); a polynomial identity, checked on the grid.  (The
     weighted-flux form of the same operator carries the opposite sign.)"""
-    worst = 0.0
     top = min(max_degree, params.N)
-    for n in range(top + 1):
-        ed = eigen_data(n, params)
-        for x in range(params.N + 1):
-            xf = float(x)
-            qm = hahn_eval_recurrence(n, xf - 1.0, params)
-            q0 = hahn_eval_recurrence(n, xf, params)
-            qp = hahn_eval_recurrence(n, xf + 1.0, params)
-            b, d = ed.b(xf), ed.d(xf)
-            lhs = b * qp - (b + d) * q0 + d * qm
-            rhs = ed.lam * q0
-            scale = max(1.0, abs(b * qp) + abs((b + d) * q0) + abs(d * qm), abs(rhs))
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return CheckResult("eigen-difference-equation", worst, 1e-7)
+    # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
+    q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
+    qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
+    eds = [eigen_data(n, params) for n in range(top + 1)]
+    lam = np.array([ed.lam for ed in eds])[:, None]
+    x = params.grid()
+    b, d = eds[0].b(x), eds[0].d(x)  # B and D do not depend on the degree
+    lhs = b * qp - (b + d) * q0 + d * qm
+    rhs = lam * q0
+    scale = np.fmax(
+        np.fmax(1.0, np.abs(b * qp) + np.abs((b + d) * q0) + np.abs(d * qm)), np.abs(rhs)
+    )
+    return CheckResult("eigen-difference-equation", _worst(np.abs(lhs - rhs) / scale), 1e-7)
 
 
 def check_self_adjoint_form(params: HahnParams, max_degree: int = 20) -> CheckResult:

@@ -144,7 +144,7 @@ def project(
     wu = u.values * table.values
     coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
     if not normalized:
-        coeffs /= np.array(_sqrt_norms(p, m))
+        coeffs /= _sqrt_norms(p)[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
 
 
@@ -155,7 +155,7 @@ def _weighted_terms(c: CoefficientVector, x: float | np.ndarray) -> np.ndarray:
     col = (slice(None),) + (None,) * np.ndim(x)
     terms = hahn_eval_all(m, x, c.params)
     if c.normalized:
-        terms /= np.array(_sqrt_norms(c.params, m))[col]
+        terms /= _sqrt_norms(c.params)[: m + 1][col]
     terms *= c.coeffs[col]
     return terms
 

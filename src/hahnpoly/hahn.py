@@ -8,10 +8,11 @@ each degree.  Both evaluation routes run in double-double arithmetic; at
 N = 30 the plain-double recurrence can be wrong in the leading digit at
 the grid ends, while the compensated version stays near 1e-14 relative.
 
-The recurrence sweep also takes an array of points and sweeps them all
-at once.  Its dd operations are elementwise float arithmetic, which numpy
-rounds exactly as Python floats do, so each point's values are the same
-to the bit as a sweep of that point alone.
+Both routes also take arrays and sweep every entry at once: the
+recurrence an array of points, the series arrays of degrees and points
+that broadcast together.  Their dd operations are elementwise float
+arithmetic, which numpy rounds exactly as Python floats do, so each
+entry's value is the same to the bit as a call with that entry alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     DegreeOutOfRangeError,
     DomainError,
 )
-from .specfun import binomial_weight, terminating_3f2
+from .specfun import binomial_weights, terminating_3f2
 
 _MAX_N = 200
 
@@ -95,18 +96,37 @@ class EigenData:
     d: Callable[[float], float]
 
 
-def _check_degree(n: int, params: HahnParams) -> None:
+def _check_degree(n: int | np.ndarray, params: HahnParams) -> None:
+    if np.ndim(n):
+        n = np.asarray(n)
+        outside = n[(n < 0) | (n > params.N)]
+        if not outside.size:
+            return
+        n = outside[0]
     if not 0 <= n <= params.N:
         raise DegreeOutOfRangeError(f"degree {n} outside 0..{params.N}")
 
 
-def hahn_eval_series(n: int, x: float, params: HahnParams) -> float:
+def hahn_eval_series(
+    n: int | np.ndarray, x: float | np.ndarray, params: HahnParams
+) -> float | np.ndarray:
     """Q_n(x) summed as the terminating series
-    3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1)."""
+    3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1).
+
+    n and x may be arrays that broadcast together, e.g. a column of
+    degrees against a row of points; the whole table is summed in one
+    array sweep, each entry equal to a scalar call bit for bit.  Scalar
+    arguments return a float.
+    """
     _check_degree(n, params)
     a, b, N = params.alpha, params.beta, params.N
+    if np.ndim(n) or np.ndim(x):
+        n = np.asarray(n)
+        lead, x = (-n).astype(float), np.asarray(x, dtype=float)
+    else:
+        lead, x = float(-n), float(x)
     return terminating_3f2(
-        (float(-n), n + a + b + 1.0, -float(x)),
+        (lead, n + a + b + 1.0, -x),
         (a + 1.0, float(-N)),
     )
 
@@ -198,10 +218,7 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
 
 
 def weight_table(params: HahnParams) -> WeightTable:
-    vals = np.array(
-        [binomial_weight(x, params.alpha, params.beta, params.N)
-         for x in range(params.N + 1)]
-    )
+    vals = np.array(binomial_weights(params.alpha, params.beta, params.N))
     return WeightTable(params, vals, math.fsum(vals))
 
 
@@ -236,8 +253,12 @@ def norm_sq_closed(n: int, params: HahnParams) -> float:
 
 
 @lru_cache(maxsize=64)
-def _sqrt_norms(params: HahnParams, m: int) -> tuple[float, ...]:
-    return tuple(math.sqrt(norm_sq_closed(n, params)) for n in range(m + 1))
+def _sqrt_norms(params: HahnParams) -> np.ndarray:
+    """||Q_n||_w for n = 0..N, computed once per family; read-only, and
+    callers take the prefix [: m + 1] they need."""
+    out = np.array([math.sqrt(norm_sq_closed(n, params)) for n in range(params.N + 1)])
+    out.setflags(write=False)
+    return out
 
 
 def normalized_eval(n: int, x: float, params: HahnParams) -> float:
@@ -249,7 +270,7 @@ def normalized_eval(n: int, x: float, params: HahnParams) -> float:
 def _full_grid_matrix(params: HahnParams) -> np.ndarray:
     cols = [hahn_eval_all(params.N, float(x), params) for x in range(params.N + 1)]
     mat = np.array(cols).T
-    mat /= np.array(_sqrt_norms(params, params.N))[:, None]
+    mat /= _sqrt_norms(params)[:, None]
     mat.setflags(write=False)
     return mat
 

@@ -204,24 +204,38 @@ def test_poly_function_spec():
     assert max(tail) < 1e-12
 
 
-# sha256 of stdout for README commands at N = 30, recorded before the
-# pointwise sweeps were vectorised; any change to these bytes is a change
-# of output, not a refactor
+# exit code and sha256 of stdout for the README commands at N = 30, and
+# one verify past where the series route is accurate (exit 4), each
+# recorded on the code before the change that pinned it; any change to
+# these bytes is a change of output, not a refactor
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
-        "60ff27f7a30deb5303570502b539beb1a421cb22e61d38fa75e57fa13218d988",
+        (0, "60ff27f7a30deb5303570502b539beb1a421cb22e61d38fa75e57fa13218d988"),
     "runge --N 30 --m 10 --samples 201":
-        "44317340d418bd5e6f3fd77565c5c27cb1cb1fdf19b9054c8c184ef0d3b86544",
+        (0, "44317340d418bd5e6f3fd77565c5c27cb1cb1fdf19b9054c8c184ef0d3b86544"),
     "eval --n 5 --N 30 --points 0,7.5,30 --normalized false":
-        "45374b17dac0e528384240d7a845d961874fe6f8025ede08f8094d75d2533b35",
+        (0, "45374b17dac0e528384240d7a845d961874fe6f8025ede08f8094d75d2533b35"),
+    "weights --alpha 0.5 --beta 0.5 --N 30":
+        (0, "09703b6be620bb0b30a5f5dd5340faa4bf6e0a30bffd2ea74600f247a84ef715"),
+    "project --N 30 --m 10 --fn sin-pi --params 0,0;0.5,0.5;5,0":
+        (0, "49d397cf88b693509cbde4ffa0d56df7477e63c7397759dbbe8691c25637a051"),
+    "decay --N 30 --m 20 --k 1,2,3 --fn sin-pi":
+        (0, "6ca13d74e5947e52beff642bf5c1ab5c03d62eb24cfd5e4c0d7c8b3343b87811"),
+    "compare-legendre --N 30 --m 10":
+        (0, "d2aeaff2dcccc3b1165be5c7ebae9eae4afe11abd82a754f44d889620f7429dc"),
+    "verify --alpha 0.5 --beta 0.5 --N 30":
+        (0, "84de33c61c059bfcf63314bdc37c8f8106117e80943ae93db9ff3c391e1c681b"),
+    "verify --alpha -0.5 --beta 3 --N 60":
+        (4, "6dbc7482e8507f76952f911ec19c366f6089fcfc24813ca9edf05395f3c3efc2"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_golden_stdout(command):
+    code, digest = GOLDEN_STDOUT[command]
     res = run(*command.split())
-    assert res.exit_code == 0
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    assert res.exit_code == code
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 def test_module_entry_point():

@@ -105,6 +105,29 @@ def test_eval_all_array_equals_point_loop(N, alpha, beta):
         assert hahn_eval_all(m, xs[:1], p).shape == (m + 1, 1)
 
 
+@pytest.mark.parametrize("N", [30, 60, 100])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)])
+def test_series_table_equals_scalar_calls(N, alpha, beta):
+    # one (degree x point) sweep runs N terms for every entry; each entry
+    # still equals its own scalar call, to the bit
+    p = HahnParams(alpha, beta, N)
+    xs = np.concatenate([p.grid(), [0.5, N / 3 + 0.25, N - 0.5]])
+    table = hahn_eval_series(np.arange(N + 1)[:, None], xs, p)
+    assert table.shape == (N + 1, len(xs))
+    cols = list(range(0, N + 1, N // 10)) + [N - 1, N, N + 1, N + 2, N + 3]
+    for n in sorted({0, 1, 2, N // 2, N - 1, N}):
+        loop = np.array([hahn_eval_series(n, float(xs[c]), p) for c in cols])
+        assert np.array_equal(table[n, cols].view(np.int64), loop.view(np.int64))
+    # one array argument broadcasts against a scalar one
+    assert np.array_equal(hahn_eval_series(N // 2, xs, p), table[N // 2])
+    assert np.array_equal(hahn_eval_series(np.arange(N + 1), xs[7], p), table[:, 7])
+
+
+def test_series_scalar_returns_float():
+    p = HahnParams(0.5, 0.5, 20)
+    assert type(hahn_eval_series(7, 3.0, p)) is float
+
+
 def test_recurrence_scalar_returns_float():
     p = HahnParams(0.5, 0.5, 20)
     assert type(hahn_eval_recurrence(7, 3.5, p)) is float
@@ -133,6 +156,10 @@ def test_degree_out_of_range():
     p = HahnParams(0.0, 0.0, 10)
     with pytest.raises(DegreeOutOfRangeError):
         hahn_eval_series(11, 0.0, p)
+    # one degree out of range in an array is enough
+    for bad in (11, -1):
+        with pytest.raises(DegreeOutOfRangeError):
+            hahn_eval_series(np.array([0, 5, bad, 10]), p.grid()[:4], p)
     with pytest.raises(DegreeOutOfRangeError):
         hahn_eval_recurrence(11, 0.0, p)
     with pytest.raises(DegreeOutOfRangeError):
@@ -164,6 +191,17 @@ def test_norm_closed_matches_oracle(alpha, beta):
     for n in range(N + 1):
         exact = float(exact_norm_sq(n, fa, fb, N))
         assert norm_sq_closed(n, p) == pytest.approx(exact, rel=1e-12)
+
+
+def test_sqrt_norms_once_per_family():
+    # one read-only table of all N + 1 norms; callers slice the prefix
+    from hahnpoly.hahn import _sqrt_norms
+
+    p = HahnParams(-0.5, 3.0, 40)
+    norms = _sqrt_norms(p)
+    assert norms is _sqrt_norms(p)
+    assert not norms.flags.writeable
+    assert norms.tolist() == [math.sqrt(norm_sq_closed(n, p)) for n in range(41)]
 
 
 def test_norm_flat_weight_degree_zero():

@@ -4,11 +4,12 @@ exact rational oracle and a handful of hand values."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hahnpoly.errors import DomainError, NonTerminatingError, ZeroDenominatorError
 from hahnpoly.oracle_exact import exact_pochhammer, exact_weight
-from hahnpoly.specfun import binomial_weight, pochhammer, terminating_3f2
+from hahnpoly.specfun import binomial_weight, binomial_weights, pochhammer, terminating_3f2
 
 
 def test_pochhammer_values():
@@ -86,6 +87,36 @@ def test_3f2_series_too_long_raises():
         terminating_3f2((-500.0, 1.0, 1.0), (1.0, 1000.0))
 
 
+def test_3f2_array_equals_scalar_calls():
+    # broadcast numerators, z != 1 included: a sweep of max(n) terms gives
+    # each entry exactly its own scalar call, to the bit
+    lead = -np.arange(13.0)[:, None]
+    a2 = np.linspace(0.5, 7.5, 13)[:, None]
+    a3 = -np.array([0.0, 1.5, 4.0, 9.25, 12.0])
+    den = (1.25, -12.0)
+    for z in (1.0, 0.5, -3.0):
+        got = terminating_3f2((lead, a2, a3), den, z)
+        assert got.shape == (13, 5)
+        loop = np.array([
+            [terminating_3f2((float(l), float(b), float(c)), den, z) for c in a3]
+            for l, b in zip(lead[:, 0], a2[:, 0])
+        ])
+        assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+    assert type(terminating_3f2((-3.0, 1.0, 1.0), (2.0, 3.0))) is float
+
+
+def test_3f2_array_with_one_bad_entry_raises():
+    good = -np.arange(5.0)
+    for bad in (-2.5, 2.0, math.nan, -math.inf):
+        with pytest.raises(NonTerminatingError):
+            terminating_3f2((np.append(good, bad), 1.0, 1.0), (2.0, 3.0))
+    # only the n = 3 entry reaches the zero of b1 + k at k = 2
+    with pytest.raises(ZeroDenominatorError):
+        terminating_3f2((np.array([0.0, -1.0, -2.0, -3.0]), 1.0, 1.0), (-2.0, 5.0))
+    with pytest.raises(DomainError):
+        terminating_3f2((np.append(good, -500.0), 1.0, 1.0), (1.0, 1000.0))
+
+
 def test_weight_integer_fast_path():
     # (alpha=5, beta=0, N=30): w(1) = C(6,1) = 6, exactly
     assert binomial_weight(1, 5.0, 0.0, 30) == 6.0
@@ -102,12 +133,14 @@ def test_weight_matches_oracle_fractional(x):
 
 
 def test_weight_product_route_matches_comb_route():
-    # the dd product at integer arguments reproduces the exact binomials
-    from hahnpoly.specfun import _binomial_dd
+    # the dd prefix product at integer arguments reproduces the exact
+    # binomials at every step
+    from hahnpoly.specfun import _binomial_prefix_dd
 
     for a in (2.0, 5.0):
-        for k in range(12):
-            hi, lo = _binomial_dd(a, k)
+        prefix = _binomial_prefix_dd(a, 11)
+        assert len(prefix) == 12
+        for k, (hi, lo) in enumerate(prefix):
             assert hi + lo == float(math.comb(int(a) + k, k))
 
 
@@ -124,3 +157,14 @@ def test_weight_domain_errors():
         binomial_weight(-1, 0.0, 0.0, 4)
     with pytest.raises(DomainError):
         binomial_weight(1, -1.0, 0.0, 4)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (-0.5, 3.0), (0.3, 7.25), (5.0, 0.0)])
+def test_weight_row_equals_scalar_weights(alpha, beta):
+    # the running prefix products give every grid point's own product
+    for N in (1, 30, 200):
+        row = np.array(binomial_weights(alpha, beta, N))
+        loop = np.array([binomial_weight(x, alpha, beta, N) for x in range(N + 1)])
+        assert np.array_equal(row.view(np.int64), loop.view(np.int64))
+    with pytest.raises(DomainError):
+        binomial_weights(-1.0, 0.0, 4)
