@@ -121,11 +121,7 @@ def test_series_table_equals_scalar_calls(N, alpha, beta):
     # one array argument broadcasts against a scalar one
     assert np.array_equal(hahn_eval_series(N // 2, xs, p), table[N // 2])
     assert np.array_equal(hahn_eval_series(np.arange(N + 1), xs[7], p), table[:, 7])
-
-
-def test_series_scalar_returns_float():
-    p = HahnParams(0.5, 0.5, 20)
-    assert type(hahn_eval_series(7, 3.0, p)) is float
+    assert type(hahn_eval_series(N // 2, xs[7], p)) is float
 
 
 def test_recurrence_scalar_returns_float():
