@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,10 +58,14 @@ def _worst(err: np.ndarray) -> float:
     return float(np.fmax.reduce(err, axis=None, initial=0.0))
 
 
+@lru_cache(maxsize=4)
 def _series_table(params: HahnParams) -> np.ndarray:
-    """Series-route Q_n(x), row n = 0..N, column x = 0..N, in one sweep."""
+    """Series-route Q_n(x), row n = 0..N, column x = 0..N, in one sweep;
+    read-only and summed once per family for both checks that read it."""
     degrees = np.arange(params.N + 1)[:, None]
-    return hahn_eval_series(degrees, params.grid(), params)
+    out = hahn_eval_series(degrees, params.grid(), params)
+    out.setflags(write=False)
+    return out
 
 
 def check_path_agreement(params: HahnParams) -> CheckResult:

@@ -13,6 +13,12 @@ recurrence an array of points, the series arrays of degrees and points
 that broadcast together.  Their dd operations are elementwise float
 arithmetic, which numpy rounds exactly as Python floats do, so each
 entry's value is the same to the bit as a call with that entry alone.
+
+A recurrence step is one call of the fused kernel
+`_compensated.dd_three_term_step`, which computes what the composed dd
+primitives would, to the bit, without their call overhead; its
+x-independent coefficients (A_n, A_n + C_n, C_n) are computed once per
+family.
 """
 
 from __future__ import annotations
@@ -146,13 +152,13 @@ def recurrence_coefficients(n: int, params: HahnParams) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _step_coefficients(params: HahnParams, m: int) -> tuple[tuple[dd.DD, dd.DD], ...]:
-    """Double-double (A_j, C_j) for j = 1..m-1; x-independent, so cached
-    per parameter set and reused across evaluation points."""
+def _step_coefficients(params: HahnParams) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
+    """Double-double (A_j, A_j + C_j, C_j) for j = 1..N-1; x-independent,
+    so cached per family, and a degree-m sweep reads the first m-1."""
     a, b, N = params.alpha, params.beta, params.N
     ab = dd.two_sum(a, b)
     out = []
-    for j in range(1, m):
+    for j in range(1, N):
         # assembled factor by factor in dd
         f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
         f2 = dd.two_sum(a, j + 1.0)                      # j+alpha+1
@@ -167,7 +173,7 @@ def _step_coefficients(params: HahnParams, m: int) -> tuple[tuple[dd.DD, dd.DD],
         C = dd.dd_div(num, dd.dd_mul(g0, g1))
         if A[0] == 0.0:
             raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
-        out.append((A, C))
+        out.append((A, dd.dd_add(A, C), C))
     return tuple(out)
 
 
@@ -190,11 +196,9 @@ def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.n
     t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
     prev, cur = dd.dd_from(1.0), dd.dd_sub(dd.dd_from(1.0), t)
     out[1] = cur[0] + cur[1]
-    for j, (A, C) in enumerate(_step_coefficients(params, m), start=1):
+    for j, (A, AC, C) in enumerate(_step_coefficients(params)[: m - 1], start=1):
         # Q_{j+1} = ((A + C - x) Q_j - C Q_{j-1}) / A
-        w = dd.dd_sub(dd.dd_add(A, C), dd.dd_from(x))
-        q = dd.dd_sub(dd.dd_mul(w, cur), dd.dd_mul(C, prev))
-        prev, cur = cur, dd.dd_div(q, A)
+        prev, cur = cur, dd.dd_three_term_step(A, AC, C, x, cur, prev)
         out[j + 1] = cur[0] + cur[1]
     return out
 

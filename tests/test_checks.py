@@ -3,6 +3,7 @@ stays quick, and the array-swept checks against their scalar loops."""
 
 import pytest
 
+from hahnpoly import checks
 from hahnpoly.checks import (
     check_eigen_equation,
     check_path_agreement,
@@ -106,3 +107,20 @@ def test_swept_checks_smallest_grid():
     assert check_path_agreement(p).value == _loop_path_agreement(p, series)
     assert check_recurrence_identity(p).value == 0.0 == _loop_recurrence_identity(p, series)
     assert check_eigen_equation(p).value == _loop_eigen_equation(p)
+
+
+def test_series_table_once_per_family(monkeypatch):
+    # both series checks read one read-only table, summed once per family
+    calls = []
+
+    def counted(n, x, params):
+        calls.append(params)
+        return hahn_eval_series(n, x, params)
+
+    monkeypatch.setattr(checks, "hahn_eval_series", counted)
+    checks._series_table.cache_clear()
+    p = HahnParams(0.5, 0.5, 20)
+    check_path_agreement(p)
+    check_recurrence_identity(p)
+    assert calls == [p]
+    assert not checks._series_table(p).flags.writeable

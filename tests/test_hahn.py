@@ -200,6 +200,25 @@ def test_sqrt_norms_once_per_family():
     assert norms.tolist() == [math.sqrt(norm_sq_closed(n, p)) for n in range(41)]
 
 
+def test_step_coefficients_once_per_family():
+    # one tuple of all N - 1 steps (A, A + C, C); a degree-m sweep reads a
+    # prefix of it, so a low-degree sweep is a prefix of the full one
+    from hahnpoly._compensated import dd_add
+    from hahnpoly.hahn import _step_coefficients
+
+    p = HahnParams(-0.5, 3.0, 40)
+    steps = _step_coefficients(p)
+    assert steps is _step_coefficients(p)
+    assert len(steps) == 39
+    for n, (A, AC, C) in enumerate(steps, start=1):
+        assert AC == dd_add(A, C)
+        assert (A[0], C[0]) == pytest.approx(recurrence_coefficients(n, p), rel=1e-14)
+    xs = np.array([-1.0, 0.0, 12.5, 40.0, 41.0])
+    full = hahn_eval_all(40, xs, p)
+    for m in (0, 1, 2, 17, 39):
+        assert np.array_equal(hahn_eval_all(m, xs, p), full[: m + 1])
+
+
 def test_norm_flat_weight_degree_zero():
     # ||Q_0||^2 = sum of the flat weight = N + 1
     p = HahnParams(0.0, 0.0, 30)
