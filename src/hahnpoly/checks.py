@@ -18,12 +18,12 @@ from .discrete_calculus import GridFunction, l_disk_apply, sbp_residual
 from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
 from .hahn import (
     HahnParams,
+    basis,
     eigen_data,
     hahn_eval_all,
     hahn_eval_series,
     normalized_grid_matrix,
     recurrence_coefficients,
-    weight_table,
 )
 
 DEFAULT_SEED = 20240901
@@ -42,9 +42,8 @@ class CheckResult:
 
 def check_orthonormality(params: HahnParams) -> list[CheckResult]:
     """Gram matrix of the full orthonormal family against the identity."""
-    qmat = normalized_grid_matrix(params.N, params)
-    w = weight_table(params).values
-    gram = (qmat * w) @ qmat.T
+    b = basis(params)
+    gram = (b.grid * b.weights.values) @ b.grid.T
     off = gram - np.diag(np.diag(gram))
     return [
         CheckResult("orthonormality-offdiag", float(np.abs(off).max()), 1e-7),
@@ -114,13 +113,12 @@ def check_eigen_equation(params: HahnParams, max_degree: int = 20) -> CheckResul
 
 def check_self_adjoint_form(params: HahnParams, max_degree: int = 20) -> CheckResult:
     """L Q~_n = -lam_n Q~_n with L applied through the weighted-flux form."""
-    table = weight_table(params)
     top = min(max_degree, params.N)
     qmat = normalized_grid_matrix(top, params)
     worst = 0.0
     for n in range(top + 1):
         q = GridFunction(params, qmat[n])
-        lq = l_disk_apply(q, table)
+        lq = l_disk_apply(q)
         lam = eigen_data(n, params).lam
         resid = np.abs(lq.values + lam * q.values)
         scale = max(1.0, float(np.max(np.abs(lam * q.values))))
@@ -131,21 +129,19 @@ def check_self_adjoint_form(params: HahnParams, max_degree: int = 20) -> CheckRe
 def check_operator_symmetry(params: HahnParams, seed: int = DEFAULT_SEED) -> CheckResult:
     """<L u, v>_w = <u, L v>_w on random grid functions."""
     rng = np.random.default_rng(seed)
-    table = weight_table(params)
     u = GridFunction(params, rng.standard_normal(params.N + 1))
     v = GridFunction(params, rng.standard_normal(params.N + 1))
-    a = inner_product(l_disk_apply(u, table), v, table)
-    b = inner_product(u, l_disk_apply(v, table), table)
+    a = inner_product(l_disk_apply(u), v)
+    b = inner_product(u, l_disk_apply(v))
     return CheckResult("operator-symmetry", abs(a - b) / max(1.0, abs(a), abs(b)), 1e-9)
 
 
 def check_spectral_multiplier(params: HahnParams, seed: int = DEFAULT_SEED) -> CheckResult:
     """Applying L multiplies coefficient n by -lam_n, coefficient-wise."""
     rng = np.random.default_rng(seed)
-    table = weight_table(params)
     u = GridFunction(params, rng.standard_normal(params.N + 1))
-    cu = project(u, params.N, table).coeffs
-    clu = project(l_disk_apply(u, table), params.N, table).coeffs
+    cu = project(u, params.N).coeffs
+    clu = project(l_disk_apply(u), params.N).coeffs
     lams = np.array([eigen_data(n, params).lam for n in range(params.N + 1)])
     scale = np.maximum(np.abs(lams * cu), 1e-6 * float(np.max(np.abs(lams * cu))))
     worst = float(np.max(np.abs(clu + lams * cu) / np.where(scale == 0.0, 1.0, scale)))
@@ -155,11 +151,10 @@ def check_spectral_multiplier(params: HahnParams, seed: int = DEFAULT_SEED) -> C
 def check_parseval(params: HahnParams, seed: int = DEFAULT_SEED) -> CheckResult:
     """Full-degree coefficient energy equals the weighted norm of u."""
     rng = np.random.default_rng(seed)
-    table = weight_table(params)
     u = GridFunction(params, rng.standard_normal(params.N + 1))
-    c = project(u, params.N, table).coeffs
+    c = project(u, params.N).coeffs
     lhs = math.fsum(c * c)
-    rhs = inner_product(u, u, table)
+    rhs = inner_product(u, u)
     return CheckResult("parseval", abs(lhs - rhs) / rhs, 1e-8)
 
 
@@ -183,11 +178,10 @@ def check_decay_bound(
     u = GridFunction.from_callable(
         lambda t: math.sin(math.pi * t), params, imap.to_interval
     )
-    table = weight_table(params)
     top = min(max_degree, params.N)
     out = []
     for k in ks:
-        rows = decay_report(u, k, range(1, top + 1), table)
+        rows = decay_report(u, k, range(1, top + 1))
         overshoot = max((abs(r.coeff) - r.bound) / r.bound for r in rows)
         out.append(CheckResult(f"decay-bound-k{k}", max(overshoot, 0.0), BOUND_SLACK))
         out.append(

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .checks import run_all
 from .discrete_calculus import GridFunction
-from .errors import HahnPolyError
+from .errors import DomainError, HahnPolyError
 from .expansion import (
     BOUND_SLACK,
     CoefficientVector,
@@ -246,8 +246,14 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
             xs = [float(s) for s in points.split(",")]
         except ValueError:
             raise click.UsageError(f"bad point list {points!r}")
+        if not all(map(math.isfinite, xs)):
+            raise click.UsageError(f"points must be finite, got {points!r}")
     scale = math.sqrt(norm_sq_closed(degree, p)) if normalized else 1.0
-    vals = hahn_eval_all(degree, np.array(xs), p)[degree] / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = hahn_eval_all(degree, np.array(xs), p)[degree] / scale
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DomainError(f"Q_{degree}({xs[bad[0]]!r}) is not finite in double precision")
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")
@@ -323,16 +329,17 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     a, b = _checked_interval(interval)
     ks = _checked_orders(orders)
     p = _checked_family(alpha, beta, grid_n)
+    if top < 1:
+        raise click.UsageError(f"m must be at least 1, got {top}")
     _checked_degree(top, grid_n)
     imap = IntervalMap(a, b, grid_n)
     u = GridFunction.from_callable(fn, p, imap.to_interval)
-    table = weight_table(p)
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
                     fn=label, interval=f"{a},{b}")
     lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
     rows = []
     for k in ks:
-        rows += decay_report(u, k, range(1, top + 1), table)
+        rows += decay_report(u, k, range(1, top + 1))
     for r in rows:
         lines.append(
             f"{r.k},{r.n},{_fmt(abs(r.coeff))},{_fmt(r.bound)},"

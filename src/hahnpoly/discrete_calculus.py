@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, LengthMismatchError, TooShortError
-from .hahn import HahnParams, WeightTable, eigen_data, weight_table
+from .hahn import HahnParams, WeightTable, basis, eigen_data
 
 
 @dataclass(eq=False)
@@ -86,7 +86,7 @@ def l_disk_apply(u: GridFunction, table: WeightTable | None = None) -> GridFunct
     """
     p = u.params
     if table is None:
-        table = weight_table(p)
+        table = basis(p).weights
     elif table.params != p:
         raise LengthMismatchError("weight table belongs to a different grid")
     d = eigen_data(0, p).d
@@ -102,8 +102,6 @@ def l_disk_power(u: GridFunction, k: int, table: WeightTable | None = None) -> G
     """k-fold application of the operator; k = 0 returns a copy of u."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"power must be a nonnegative integer, got {k!r}")
-    if table is None:
-        table = weight_table(u.params)
     out = GridFunction(u.params, u.values.copy())
     for _ in range(k):
         out = l_disk_apply(out, table)

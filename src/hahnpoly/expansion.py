@@ -28,11 +28,10 @@ from .errors import (
 from .hahn import (
     HahnParams,
     WeightTable,
-    _sqrt_norms,
+    basis,
     eigen_data,
     hahn_eval_all,
     normalized_grid_matrix,
-    weight_table,
 )
 
 
@@ -108,13 +107,15 @@ BOUND_SLACK = 1e-8
 _EVAL_BLOCK = 1024
 
 
-def inner_product(f: GridFunction, g: GridFunction, table: WeightTable) -> float:
-    """Weighted inner product sum_x f(x) g(x) w(x).
+def inner_product(f: GridFunction, g: GridFunction, table: WeightTable | None = None) -> float:
+    """Weighted inner product sum_x f(x) g(x) w(x), w the family's by default.
 
     The products are split error-free before the exact sum, so the only
     rounding left is the final one; orthogonality residuals then sit at
     the level of the stored values' own accuracy, not the term sizes.
     """
+    if table is None:
+        table = basis(f.params).weights
     if f.params != g.params or table.params != f.params:
         raise LengthMismatchError("inner product needs matching grids")
     parts: list[float] = []
@@ -137,14 +138,14 @@ def project(
     if not 0 <= m <= p.N:
         raise DegreeOutOfRangeError(f"degree {m} outside 0..{p.N}")
     if table is None:
-        table = weight_table(p)
+        table = basis(p).weights
     elif table.params != p:
         raise LengthMismatchError("weight table belongs to a different grid")
     qmat = normalized_grid_matrix(m, p)
     wu = u.values * table.values
     coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
     if not normalized:
-        coeffs /= _sqrt_norms(p)[: m + 1]
+        coeffs /= basis(p).sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
 
 
@@ -155,7 +156,7 @@ def _weighted_terms(c: CoefficientVector, x: float | np.ndarray) -> np.ndarray:
     col = (slice(None),) + (None,) * np.ndim(x)
     terms = hahn_eval_all(m, x, c.params)
     if c.normalized:
-        terms /= _sqrt_norms(c.params)[: m + 1][col]
+        terms /= basis(c.params).sqrt_norms[: m + 1][col]
     terms *= c.coeffs[col]
     return terms
 
@@ -203,8 +204,6 @@ def decay_report(
         if 0 in n_range and k >= 1:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
-    if table is None:
-        table = weight_table(p)
     top = n_range[-1]
     coeffs = project(u, top, table).coeffs
     lku = l_disk_power(u, k, table)

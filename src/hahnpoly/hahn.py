@@ -1,31 +1,29 @@
 """Hahn polynomials Q_n(x) on the integer grid 0..N with weight
 w(x) = C(alpha+x, x) C(beta+N-x, N-x).
 
-Two independent evaluation routes are provided, a terminating series and a
-three-term recurrence sweep, plus the closed-form squared norms and the
-eigen-data (eigenvalue and difference-operator coefficients) attached to
-each degree.  Both evaluation routes run in double-double arithmetic; at
-N = 30 the plain-double recurrence can be wrong in the leading digit at
-the grid ends, while the compensated version stays near 1e-14 relative.
-
-Both routes also take arrays and sweep every entry at once: the
-recurrence an array of points, the series arrays of degrees and points
+Two independent evaluation routes, a terminating series and a three-term
+recurrence sweep, both in double-double arithmetic: at N = 30 the
+plain-double recurrence can be wrong in the leading digit at the grid
+ends, while the compensated one stays near 1e-14 relative.  Both take
+arrays, the recurrence of points and the series of degrees and points
 that broadcast together.  Their dd operations are elementwise float
-arithmetic, which numpy rounds exactly as Python floats do, so each
-entry's value is the same to the bit as a call with that entry alone.
+arithmetic, which numpy rounds as Python floats do, so every entry equals
+a call with that entry alone, to the bit.  A recurrence step is one call
+of the fused kernel `_compensated.dd_three_term_step`.
 
-A recurrence step is one call of the fused kernel
-`_compensated.dd_three_term_step`, which computes what the composed dd
-primitives would, to the bit, without their call overhead; its
-x-independent coefficients (A_n, A_n + C_n, C_n) are computed once per
-family.
+Closed-form squared norms and per-degree eigen-data complete the module.
+What depends on the family alone lives in its one `HahnBasis`, from the
+`basis(params)` cache: the weights, the step coefficients (A_n, A_n + C_n,
+C_n), the norms and the orthonormal grid matrix, each computed on first
+read and read-only after.  So the grid matrix lives as long as the norms
+and steps it is made of, and off-grid sweeps never build it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -69,7 +67,7 @@ class HahnParams:
         return np.arange(self.N + 1, dtype=float)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WeightTable:
     """Weight values w(0..N) and their sum.
 
@@ -100,6 +98,61 @@ class EigenData:
     lam: float
     b: Callable[[float], float]
     d: Callable[[float], float]
+
+
+@dataclass(frozen=True, eq=False)
+class HahnBasis:
+    """One family's shared data, each field computed on first read, then read-only."""
+
+    params: HahnParams
+    weights = cached_property(lambda self: weight_table(self.params))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
+        """Double-double (A_j, A_j + C_j, C_j), j = 1..N-1; degree m reads m-1."""
+        a, b, N = self.params.alpha, self.params.beta, self.params.N
+        ab = dd.two_sum(a, b)
+        out = []
+        for j in range(1, N):
+            # assembled factor by factor in dd
+            f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
+            f2 = dd.two_sum(a, j + 1.0)                      # j+alpha+1
+            num = dd.dd_mul_d(dd.dd_mul(f1, f2), float(N - j))
+            g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))    # 2j+alpha+beta+1
+            g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
+            A = dd.dd_div(num, dd.dd_mul(g1, g2))
+            h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))      # j+alpha+beta+N+1
+            h2 = dd.two_sum(b, float(j))                     # j+beta
+            num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
+            g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))          # 2j+alpha+beta
+            C = dd.dd_div(num, dd.dd_mul(g0, g1))
+            if A[0] == 0.0:
+                raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
+            out.append((A, dd.dd_add(A, C), C))
+        return tuple(out)
+
+    @cached_property
+    def sqrt_norms(self) -> np.ndarray:
+        """||Q_n||_w for n = 0..N; callers take the prefix [: m + 1]."""
+        p = self.params
+        out = np.array([math.sqrt(norm_sq_closed(n, p)) for n in range(p.N + 1)])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Orthonormal Q~_n(x), row n, column x, one sweep per grid point."""
+        p = self.params
+        mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
+        mat /= self.sqrt_norms[:, None]
+        mat.setflags(write=False)
+        return mat
+
+
+@lru_cache(maxsize=64)
+def basis(params: HahnParams) -> HahnBasis:
+    """The family's one cached `HahnBasis`."""
+    return HahnBasis(params)
 
 
 def _check_degree(n: int | np.ndarray, params: HahnParams) -> None:
@@ -151,32 +204,6 @@ def recurrence_coefficients(n: int, params: HahnParams) -> tuple[float, float]:
     return A, C
 
 
-@lru_cache(maxsize=64)
-def _step_coefficients(params: HahnParams) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
-    """Double-double (A_j, A_j + C_j, C_j) for j = 1..N-1; x-independent,
-    so cached per family, and a degree-m sweep reads the first m-1."""
-    a, b, N = params.alpha, params.beta, params.N
-    ab = dd.two_sum(a, b)
-    out = []
-    for j in range(1, N):
-        # assembled factor by factor in dd
-        f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
-        f2 = dd.two_sum(a, j + 1.0)                      # j+alpha+1
-        num = dd.dd_mul_d(dd.dd_mul(f1, f2), float(N - j))
-        g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))    # 2j+alpha+beta+1
-        g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
-        A = dd.dd_div(num, dd.dd_mul(g1, g2))
-        h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))      # j+alpha+beta+N+1
-        h2 = dd.two_sum(b, float(j))                     # j+beta
-        num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
-        g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))          # 2j+alpha+beta
-        C = dd.dd_div(num, dd.dd_mul(g0, g1))
-        if A[0] == 0.0:
-            raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
-        out.append((A, dd.dd_add(A, C), C))
-    return tuple(out)
-
-
 def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
     """Q_0(x) .. Q_m(x) from one upward double-double sweep, each rounded
     to a double; shape (m+1,) + shape(x).
@@ -196,7 +223,7 @@ def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.n
     t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
     prev, cur = dd.dd_from(1.0), dd.dd_sub(dd.dd_from(1.0), t)
     out[1] = cur[0] + cur[1]
-    for j, (A, AC, C) in enumerate(_step_coefficients(params)[: m - 1], start=1):
+    for j, (A, AC, C) in enumerate(basis(params).steps[: m - 1], start=1):
         # Q_{j+1} = ((A + C - x) Q_j - C Q_{j-1}) / A
         prev, cur = cur, dd.dd_three_term_step(A, AC, C, x, cur, prev)
         out[j + 1] = cur[0] + cur[1]
@@ -223,6 +250,7 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
 
 def weight_table(params: HahnParams) -> WeightTable:
     vals = np.array(binomial_weights(params.alpha, params.beta, params.N))
+    vals.setflags(write=False)
     return WeightTable(params, vals, math.fsum(vals))
 
 
@@ -244,24 +272,14 @@ def norm_sq_closed(n: int, params: HahnParams) -> float:
     num += [float(i) for i in range(2, N - n + 1)]    # (N-n)!
     den: list[float] = [a + 1.0 + i for i in range(n)]
     den += [float(i) for i in range(2, N + 1)] * 2    # N! twice
-    out = 1.0
-    i = j = 0
-    while i < len(num) or j < len(den):
-        if j >= len(den) or (i < len(num) and out <= 1.0):
+    out, i, top = 1.0, 0, len(num)
+    for d in den:
+        while i < top and out <= 1.0:
             out *= num[i]
             i += 1
-        else:
-            out /= den[j]
-            j += 1
-    return out
-
-
-@lru_cache(maxsize=64)
-def _sqrt_norms(params: HahnParams) -> np.ndarray:
-    """||Q_n||_w for n = 0..N, computed once per family; read-only, and
-    callers take the prefix [: m + 1] they need."""
-    out = np.array([math.sqrt(norm_sq_closed(n, params)) for n in range(params.N + 1)])
-    out.setflags(write=False)
+        out /= d
+    for f in num[i:]:
+        out *= f
     return out
 
 
@@ -270,23 +288,14 @@ def normalized_eval(n: int, x: float, params: HahnParams) -> float:
     return hahn_eval_recurrence(n, x, params) / math.sqrt(norm_sq_closed(n, params))
 
 
-@lru_cache(maxsize=8)
-def _full_grid_matrix(params: HahnParams) -> np.ndarray:
-    cols = [hahn_eval_all(params.N, float(x), params) for x in range(params.N + 1)]
-    mat = np.array(cols).T
-    mat /= _sqrt_norms(params)[:, None]
-    mat.setflags(write=False)
-    return mat
-
-
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:
     """Matrix of orthonormal values, shape (m+1, N+1), row n = Q~_n on 0..N.
 
-    Returns a read-only view of a cached full-degree table, so repeated
-    projections on the same family pay the recurrence sweeps only once.
+    A read-only view of the family's cached `HahnBasis.grid`, so the
+    projections on one family pay the recurrence sweeps once.
     """
     _check_degree(m, params)
-    return _full_grid_matrix(params)[: m + 1]
+    return basis(params).grid[: m + 1]
 
 
 def eigen_data(n: int, params: HahnParams) -> EigenData:

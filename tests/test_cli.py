@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,10 @@ def test_exit_code_config_validation():
     res = run("weights", "--N", "0")
     assert res.exit_code == 2
     assert "N must be" in res.stderr
+    # a decay report needs at least one nonzero degree
+    res = run("decay", "--m", "0")
+    assert res.exit_code == 2
+    assert "m must be at least 1" in res.stderr
 
 
 def test_exit_code_domain_error():
@@ -172,6 +177,24 @@ def test_exit_code_domain_error():
     res = run("eval", "--N", "30", "--n", "31")
     assert res.exit_code == 3
     assert "degree" in res.stderr
+
+
+def test_eval_rejects_non_finite_points():
+    for points in ("nan", "inf", "0.5,-inf"):
+        res = run("eval", "--N", "30", "--n", "3", "--points", points)
+        assert res.exit_code == 2, points
+        assert "points" in res.stderr
+
+
+def test_eval_overflow_is_domain_error():
+    # Q_30(1e300) overflows a double: refused with the point named, no nan
+    # printed and no numpy warning raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("eval", "--n", "30", "--N", "30", "--points", "2.5,1e300")
+    assert res.exit_code == 3
+    assert "1e+300" in res.stderr
+    assert "nan" not in res.output
 
 
 def test_out_file_roundtrip(tmp_path):

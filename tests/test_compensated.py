@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hahnpoly import _compensated as dd
-from hahnpoly.hahn import HahnParams, _step_coefficients, hahn_eval_all
+from hahnpoly.hahn import HahnParams, basis, hahn_eval_all
 
 FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0)]
 
@@ -32,7 +32,7 @@ def _walk(params, x):
     # chain's values, Q_0 = 1 and Q_1 rounded to a double as the seeds
     q1 = hahn_eval_all(1, x, params)[1]
     prev, cur = dd.dd_from(1.0), dd.dd_from(q1 if np.ndim(x) else float(q1))
-    for A, AC, C in _step_coefficients(params):
+    for A, AC, C in basis(params).steps:
         want = _composed_step(A, C, x, cur, prev)
         got = dd.dd_three_term_step(A, AC, C, x, cur, prev)
         _assert_same(got, want)
@@ -45,7 +45,7 @@ def test_fused_step_equals_composition(N, alpha, beta):
     # x = -1 and x = N + 1 are read by the eigen-equation check; the sweep
     # values there grow far past those on the grid
     p = HahnParams(alpha, beta, N)
-    assert len(_step_coefficients(p)) == N - 1
+    assert len(basis(p).steps) == N - 1
     for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 1.0):
         _walk(p, x)
     _walk(p, np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)]))

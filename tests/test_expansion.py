@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hahnpoly import hahn
 from hahnpoly.discrete_calculus import GridFunction
 from hahnpoly.errors import (
     DegenerateIntervalError,
@@ -26,6 +28,7 @@ from hahnpoly.expansion import (
 )
 from hahnpoly.hahn import (
     HahnParams,
+    basis,
     normalized_grid_matrix,
     weight_table,
 )
@@ -342,3 +345,39 @@ def test_golden_spectra_full_size(alpha, beta, N):
         _digest([(r.coeff, r.bound, r.bound_degree_only, r.identity_residual) for r in rows]),
     )
     assert got == GOLDEN_SPECTRA[alpha, beta, N]
+
+
+SESSION_FAMILIES = [HahnParams(alpha, beta, N) for N in (30, 100, 200)
+                    for alpha, beta in [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)]]
+
+
+def test_session_builds_each_grid_once(monkeypatch):
+    # a session cycling 12 families keeps every family's basis: the grid
+    # matrix (one scalar sweep per grid point) is built once per family
+    sweeps = Counter()
+    sweep = hahn.hahn_eval_all
+
+    def counted(m, x, params):
+        if np.ndim(x) == 0:
+            sweeps[params] += 1
+        return sweep(m, x, params)
+
+    monkeypatch.setattr(hahn, "hahn_eval_all", counted)
+    basis.cache_clear()
+    rounds = []
+    for _ in range(2):
+        coeffs = []
+        for p in SESSION_FAMILIES:
+            u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
+                                           IntervalMap(-1.0, 1.0, p.N).to_interval)
+            coeffs.append(project(u, p.N).coeffs)
+        rounds.append(coeffs)
+    assert sweeps == {p: p.N + 1 for p in SESSION_FAMILIES}
+    for first, second in zip(*rounds):
+        assert np.array_equal(first.view(np.int64), second.view(np.int64))
+    for p in SESSION_FAMILIES:
+        b = basis(p)
+        assert b is basis(p)
+        assert isinstance(b.steps, tuple)
+        for arr in (b.weights.values, b.sqrt_norms, b.grid):
+            assert not arr.flags.writeable

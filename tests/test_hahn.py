@@ -189,13 +189,49 @@ def test_norm_closed_matches_oracle(alpha, beta):
         assert norm_sq_closed(n, p) == pytest.approx(exact, rel=1e-12)
 
 
+def _norm_sq_interleaved(n, params):
+    # reference for norm_sq_closed: the same factors in one loop that
+    # tests both list lengths at every step
+    a, b, N = params.alpha, params.beta, params.N
+    s = a + b
+    num = [n + s + 1.0 + j for j in range(N + 1) if j != n]
+    num += [b + 1.0 + i for i in range(n)]
+    num += [float(i) for i in range(2, n + 1)]
+    num += [float(i) for i in range(2, N - n + 1)]
+    den = [a + 1.0 + i for i in range(n)]
+    den += [float(i) for i in range(2, N + 1)] * 2
+    out = 1.0
+    i = j = 0
+    while i < len(num) or j < len(den):
+        if j >= len(den) or (i < len(num) and out <= 1.0):
+            out *= num[i]
+            i += 1
+        else:
+            out /= den[j]
+            j += 1
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 30, 100, 200])
+def test_norm_sq_closed_equals_interleaved_loop(N):
+    families = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0),
+                (-0.9, -0.9), (1.25, 0.75)]
+    # every degree up to 30, a spread of them above
+    degrees = sorted({*range(min(N, 30) + 1), *range(0, N + 1, 7), N - 1, N})
+    for alpha, beta in families:
+        p = HahnParams(alpha, beta, N)
+        got = np.array([norm_sq_closed(n, p) for n in degrees])
+        want = np.array([_norm_sq_interleaved(n, p) for n in degrees])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (alpha, beta)
+
+
 def test_sqrt_norms_once_per_family():
     # one read-only table of all N + 1 norms; callers slice the prefix
-    from hahnpoly.hahn import _sqrt_norms
+    from hahnpoly.hahn import basis
 
     p = HahnParams(-0.5, 3.0, 40)
-    norms = _sqrt_norms(p)
-    assert norms is _sqrt_norms(p)
+    norms = basis(p).sqrt_norms
+    assert norms is basis(p).sqrt_norms
     assert not norms.flags.writeable
     assert norms.tolist() == [math.sqrt(norm_sq_closed(n, p)) for n in range(41)]
 
@@ -204,11 +240,11 @@ def test_step_coefficients_once_per_family():
     # one tuple of all N - 1 steps (A, A + C, C); a degree-m sweep reads a
     # prefix of it, so a low-degree sweep is a prefix of the full one
     from hahnpoly._compensated import dd_add
-    from hahnpoly.hahn import _step_coefficients
+    from hahnpoly.hahn import basis
 
     p = HahnParams(-0.5, 3.0, 40)
-    steps = _step_coefficients(p)
-    assert steps is _step_coefficients(p)
+    steps = basis(p).steps
+    assert steps is basis(p).steps
     assert len(steps) == 39
     for n, (A, AC, C) in enumerate(steps, start=1):
         assert AC == dd_add(A, C)
