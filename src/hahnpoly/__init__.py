@@ -24,15 +24,12 @@ from .expansion import (
     project,
 )
 from .hahn import (
-    EigenData,
     HahnParams,
     WeightTable,
-    eigen_data,
     hahn_eval_all,
     hahn_eval_recurrence,
     hahn_eval_series,
     norm_sq_closed,
-    normalized_eval,
     normalized_grid_matrix,
     recurrence_coefficients,
     weight_table,
@@ -49,7 +46,6 @@ __all__ = [
     "__version__",
     "CoefficientVector",
     "DecayEntry",
-    "EigenData",
     "GridFunction",
     "HahnParams",
     "IntervalMap",
@@ -57,7 +53,6 @@ __all__ = [
     "WeightTable",
     "backward_diff",
     "decay_report",
-    "eigen_data",
     "eval_expansion",
     "forward_diff",
     "gauss_legendre_rule",
@@ -71,7 +66,6 @@ __all__ = [
     "legendre_eval",
     "binomial_weight",
     "norm_sq_closed",
-    "normalized_eval",
     "normalized_grid_matrix",
     "pochhammer",
     "project",

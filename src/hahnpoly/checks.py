@@ -19,7 +19,6 @@ from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, pr
 from .hahn import (
     HahnParams,
     basis,
-    eigen_data,
     hahn_eval_all,
     hahn_eval_series,
     normalized_grid_matrix,
@@ -99,10 +98,8 @@ def check_eigen_equation(params: HahnParams, max_degree: int = 20) -> CheckResul
     # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
     q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
     qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
-    eds = [eigen_data(n, params) for n in range(top + 1)]
-    lam = np.array([ed.lam for ed in eds])[:, None]
-    x = params.grid()
-    b, d = eds[0].b(x), eds[0].d(x)  # B and D do not depend on the degree
+    hb = basis(params)
+    lam, b, d = hb.lam[: top + 1, None], hb.b, hb.d
     lhs = b * qp - (b + d) * q0 + d * qm
     rhs = lam * q0
     scale = np.fmax(
@@ -115,11 +112,12 @@ def check_self_adjoint_form(params: HahnParams, max_degree: int = 20) -> CheckRe
     """L Q~_n = -lam_n Q~_n with L applied through the weighted-flux form."""
     top = min(max_degree, params.N)
     qmat = normalized_grid_matrix(top, params)
+    lams = basis(params).lam.tolist()
     worst = 0.0
     for n in range(top + 1):
         q = GridFunction(params, qmat[n])
         lq = l_disk_apply(q)
-        lam = eigen_data(n, params).lam
+        lam = lams[n]
         resid = np.abs(lq.values + lam * q.values)
         scale = max(1.0, float(np.max(np.abs(lam * q.values))))
         worst = max(worst, float(resid.max()) / scale)
@@ -142,7 +140,7 @@ def check_spectral_multiplier(params: HahnParams, seed: int = DEFAULT_SEED) -> C
     u = GridFunction(params, rng.standard_normal(params.N + 1))
     cu = project(u, params.N).coeffs
     clu = project(l_disk_apply(u), params.N).coeffs
-    lams = np.array([eigen_data(n, params).lam for n in range(params.N + 1)])
+    lams = basis(params).lam
     scale = np.maximum(np.abs(lams * cu), 1e-6 * float(np.max(np.abs(lams * cu))))
     worst = float(np.max(np.abs(clu + lams * cu) / np.where(scale == 0.0, 1.0, scale)))
     return CheckResult("spectral-multiplier", worst, 1e-7)

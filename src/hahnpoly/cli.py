@@ -55,6 +55,8 @@ def _parse_fn(text: str) -> tuple[str, Fn]:
             raise click.UsageError(f"bad polynomial spec {text!r}")
         if not cs:
             raise click.UsageError(f"bad polynomial spec {text!r}")
+        if not all(map(math.isfinite, cs)):
+            raise click.UsageError(f"fn coefficients must be finite, got {text!r}")
 
         def poly(t: float, cs: tuple[float, ...] = tuple(cs)) -> float:
             out = 0.0
@@ -64,33 +66,6 @@ def _parse_fn(text: str) -> tuple[str, Fn]:
 
         return text, poly
     raise click.UsageError(f"unknown function {text!r}; use sin-pi, runge, or poly:c0,c1,...")
-
-
-def _parse_interval(text: str) -> tuple[float, float]:
-    try:
-        a, b = (float(s) for s in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad interval {text!r}, expected a,b")
-    return a, b
-
-
-def _parse_param_sets(text: str) -> list[tuple[float, float]]:
-    out = []
-    for chunk in text.split(";"):
-        try:
-            a, b = (float(s) for s in chunk.split(","))
-        except ValueError:
-            raise click.UsageError(f"bad parameter list {text!r}, expected a,b[;a,b...]")
-        out.append((a, b))
-    return out
-
-
-def _parse_orders(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad order list {text!r}, expected k[,k...]")
-    return ks
 
 
 # configuration checks: every flag value is vetted here, with the field
@@ -108,6 +83,17 @@ def _checked_family(alpha: float, beta: float, grid_n: int) -> HahnParams:
     return HahnParams(alpha, beta, grid_n)
 
 
+def _checked_families(text: str, grid_n: int) -> list[HahnParams]:
+    sets = []
+    for chunk in text.split(";"):
+        try:
+            a, b = (float(s) for s in chunk.split(","))
+        except ValueError:
+            raise click.UsageError(f"bad parameter list {text!r}, expected a,b[;a,b...]")
+        sets.append((a, b))
+    return [_checked_family(a, b, grid_n) for a, b in sets]
+
+
 def _checked_degree(m: int, grid_n: int) -> int:
     if m < 0:
         raise click.UsageError(f"m must be nonnegative, got {m}")
@@ -117,9 +103,14 @@ def _checked_degree(m: int, grid_n: int) -> int:
 
 
 def _checked_interval(text: str) -> tuple[float, float]:
-    a, b = _parse_interval(text)
+    try:
+        a, b = (float(s) for s in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad interval {text!r}, expected a,b")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise click.UsageError(f"interval must satisfy a < b, got {a},{b}")
+    if not math.isfinite(b - a):
+        raise click.UsageError(f"interval width b - a must be finite, got {a},{b}")
     return a, b
 
 
@@ -130,7 +121,10 @@ def _checked_samples(samples: int) -> int:
 
 
 def _checked_orders(text: str) -> tuple[int, ...]:
-    ks = _parse_orders(text)
+    try:
+        ks = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad order list {text!r}, expected k[,k...]")
     for k in ks:
         if k < 0:
             raise click.UsageError(f"k must be nonnegative, got {k}")
@@ -154,21 +148,21 @@ def _header(command: str, **fields: object) -> list[str]:
     return lines
 
 
-def _project_sets(fn: Fn, imap: IntervalMap, sets: list[tuple[float, float]],
+def _project_sets(fn: Fn, imap: IntervalMap, families: list[HahnParams],
                   top: int, normalized: bool = True) -> list[CoefficientVector]:
-    grids = [GridFunction.from_callable(fn, HahnParams(al, be, imap.N), imap.to_interval)
-             for al, be in sets]
+    grids = [GridFunction.from_callable(fn, p, imap.to_interval) for p in families]
     return [project(u, top, normalized=normalized) for u in grids]
 
 
-def _pointwise(fn: Fn, imap: IntervalMap, ts: np.ndarray, sets: list[tuple[float, float]],
+def _pointwise(fn: Fn, imap: IntervalMap, ts: np.ndarray,
                vectors: list[CoefficientVector]) -> tuple[list[np.ndarray], list[str]]:
     """Signed errors of each family's reconstruction at the samples ts, and
     the CSV block of a t,target,approx_*,error_* row per sample."""
     target = np.array([fn(t) for t in ts])
     recons = [eval_expansion(v, imap.to_grid(ts)) for v in vectors]
     errors = [rec - target for rec in recons]
-    lines = ["t,target," + ",".join(f"approx_{al}_{be},error_{al}_{be}" for al, be in sets)]
+    tags = [f"{v.params.alpha}_{v.params.beta}" for v in vectors]
+    lines = ["t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)]
     for i, t in enumerate(ts):
         row = [_fmt(t), _fmt(target[i])]
         for rec, err in zip(recons, errors):
@@ -285,17 +279,19 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     """Projection coefficients of a sampled function."""
     label, fn = _parse_fn(fn_spec)
     a, b = _checked_interval(interval)
-    sets = _parse_param_sets(param_sets) if param_sets else [(alpha, beta)]
-    for al, be in sets:
-        _checked_family(al, be, grid_n)
+    if param_sets:
+        families = _checked_families(param_sets, grid_n)
+    else:
+        families = [_checked_family(alpha, beta, grid_n)]
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     imap = IntervalMap(a, b, grid_n)
-    vectors = _project_sets(fn, imap, sets, top, normalized)
+    vectors = _project_sets(fn, imap, families, top, normalized)
     lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{a},{b}",
-                    params=";".join(f"{al},{be}" for al, be in sets),
+                    params=";".join(f"{p.alpha},{p.beta}" for p in families),
                     normalized=normalized)
-    lines.append("n," + ",".join(f"coeff_{al}_{be},abs_{al}_{be}" for al, be in sets))
+    lines.append("n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}"
+                                 for p in families))
     for n in range(top + 1):
         row = [str(n)]
         for v in vectors:
@@ -303,7 +299,7 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
         lines.append(",".join(row))
     if pointwise:
         lines.append("# pointwise reconstruction")
-        lines += _pointwise(fn, imap, np.linspace(a, b, samples), sets, vectors)[1]
+        lines += _pointwise(fn, imap, np.linspace(a, b, samples), vectors)[1]
     _emit(lines, out)
 
 
@@ -372,21 +368,20 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
               param_sets: str, out: str) -> None:
     """Pointwise error of projections of 1/(1+25 t^2)."""
     a, b = _checked_interval(interval)
-    sets = _parse_param_sets(param_sets)
-    for al, be in sets:
-        _checked_family(al, be, grid_n)
+    families = _checked_families(param_sets, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     _, fn = _parse_fn("runge")
     imap = IntervalMap(a, b, grid_n)
     ts = np.linspace(a, b, samples)
-    errors, table = _pointwise(fn, imap, ts, sets, _project_sets(fn, imap, sets, top))
+    errors, table = _pointwise(fn, imap, ts, _project_sets(fn, imap, families, top))
     lines = _header("runge", N=grid_n, m=top, samples=samples,
                     interval=f"{a},{b}",
-                    params=";".join(f"{al},{be}" for al, be in sets))
-    for (al, be), err in zip(sets, errors):
+                    params=";".join(f"{p.alpha},{p.beta}" for p in families))
+    for p, err in zip(families, errors):
         i = int(np.argmax(np.abs(err)))
-        lines.append(f"# max_error_{al}_{be}: {_fmt(abs(err[i]))} at t = {_fmt(ts[i])}")
+        lines.append(f"# max_error_{p.alpha}_{p.beta}: {_fmt(abs(err[i]))} "
+                     f"at t = {_fmt(ts[i])}")
     _emit(lines + table, out)
 
 

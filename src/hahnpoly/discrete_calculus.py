@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, LengthMismatchError, TooShortError
-from .hahn import HahnParams, WeightTable, basis, eigen_data
+from .hahn import HahnParams, basis
 
 
 @dataclass(eq=False)
@@ -43,13 +43,18 @@ class GridFunction:
         transform: Callable[[float], float] | None = None,
     ) -> "GridFunction":
         """Sample fn on the grid, optionally through a coordinate transform
-        applied to each grid index first."""
+        applied to each grid index first.  A sample that is not finite
+        raises DomainError naming its grid index."""
         pts = params.grid()
         if transform is not None:
             args = [transform(float(i)) for i in pts]
         else:
             args = list(pts)
-        return cls(params, np.array([fn(t) for t in args]))
+        vals = np.array([fn(t) for t in args], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise DomainError(f"sample at grid index {bad[0]} is not finite: {vals[bad[0]]}")
+        return cls(params, vals)
 
 
 def _same_grid(f: GridFunction, g: GridFunction) -> None:
@@ -77,7 +82,7 @@ def backward_diff(f: GridFunction) -> GridFunction:
     return GridFunction(f.params, out)
 
 
-def l_disk_apply(u: GridFunction, table: WeightTable | None = None) -> GridFunction:
+def l_disk_apply(u: GridFunction) -> GridFunction:
     """Apply L u = (1/w) Delta(-D w nabla u) on the grid.
 
     Flux at x = 0 vanishes because D(0) = 0, and flux at x = N+1 vanishes
@@ -85,26 +90,21 @@ def l_disk_apply(u: GridFunction, table: WeightTable | None = None) -> GridFunct
     read.  The orthonormal basis functions satisfy L Q~_n = -lam_n Q~_n.
     """
     p = u.params
-    if table is None:
-        table = basis(p).weights
-    elif table.params != p:
-        raise LengthMismatchError("weight table belongs to a different grid")
-    d = eigen_data(0, p).d
-    w = table.values
+    hb = basis(p)
+    w = hb.weights.values
     # flux[i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; flux[0] = flux[N+1] = 0
     flux = np.zeros(p.N + 2)
-    xs = np.arange(1, p.N + 1, dtype=float)
-    flux[1 : p.N + 1] = -d(xs) * w[1:] * np.diff(u.values)
+    flux[1 : p.N + 1] = -hb.d[1:] * w[1:] * np.diff(u.values)
     return GridFunction(p, (flux[1:] - flux[:-1]) / w)
 
 
-def l_disk_power(u: GridFunction, k: int, table: WeightTable | None = None) -> GridFunction:
+def l_disk_power(u: GridFunction, k: int) -> GridFunction:
     """k-fold application of the operator; k = 0 returns a copy of u."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"power must be a nonnegative integer, got {k!r}")
     out = GridFunction(u.params, u.values.copy())
     for _ in range(k):
-        out = l_disk_apply(out, table)
+        out = l_disk_apply(out)
     return out
 
 

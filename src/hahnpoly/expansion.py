@@ -25,14 +25,7 @@ from .errors import (
     LengthMismatchError,
     ZeroLambdaError,
 )
-from .hahn import (
-    HahnParams,
-    WeightTable,
-    basis,
-    eigen_data,
-    hahn_eval_all,
-    normalized_grid_matrix,
-)
+from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +38,10 @@ class IntervalMap:
     N: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)) or self.b <= self.a:
-            raise DegenerateIntervalError(f"need a < b, got [{self.a}, {self.b}]")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise DegenerateIntervalError(
+                f"need a < b and a finite b - a, got [{self.a}, {self.b}]"
+            )
         if self.N < 1:
             raise DomainError(f"need N >= 1, got {self.N}")
 
@@ -107,19 +102,17 @@ BOUND_SLACK = 1e-8
 _EVAL_BLOCK = 1024
 
 
-def inner_product(f: GridFunction, g: GridFunction, table: WeightTable | None = None) -> float:
-    """Weighted inner product sum_x f(x) g(x) w(x), w the family's by default.
+def inner_product(f: GridFunction, g: GridFunction) -> float:
+    """Weighted inner product sum_x f(x) g(x) w(x), w the family's weight.
 
     The products are split error-free before the exact sum, so the only
     rounding left is the final one; orthogonality residuals then sit at
     the level of the stored values' own accuracy, not the term sizes.
     """
-    if table is None:
-        table = basis(f.params).weights
-    if f.params != g.params or table.params != f.params:
+    if f.params != g.params:
         raise LengthMismatchError("inner product needs matching grids")
     parts: list[float] = []
-    for fv, gv, wv in zip(f.values, g.values, table.values):
+    for fv, gv, wv in zip(f.values, g.values, basis(f.params).weights.values):
         hi, lo = two_prod(float(fv), float(gv))
         hi2, lo2 = two_prod(hi, float(wv))
         parts.append(hi2)
@@ -127,22 +120,13 @@ def inner_product(f: GridFunction, g: GridFunction, table: WeightTable | None = 
     return math.fsum(parts)
 
 
-def project(
-    u: GridFunction,
-    m: int,
-    table: WeightTable | None = None,
-    normalized: bool = True,
-) -> CoefficientVector:
+def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
     """Projection coefficients of u for degrees 0..m."""
     p = u.params
     if not 0 <= m <= p.N:
         raise DegreeOutOfRangeError(f"degree {m} outside 0..{p.N}")
-    if table is None:
-        table = basis(p).weights
-    elif table.params != p:
-        raise LengthMismatchError("weight table belongs to a different grid")
     qmat = normalized_grid_matrix(m, p)
-    wu = u.values * table.values
+    wu = u.values * basis(p).weights.values
     coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
@@ -181,12 +165,7 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     return out.reshape(xs.shape)
 
 
-def decay_report(
-    u: GridFunction,
-    k: int,
-    n_range: range,
-    table: WeightTable | None = None,
-) -> list[DecayEntry]:
+def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     """Per-degree decay diagnostics for the normalized coefficients of u.
 
     For each n in n_range the report carries |u_n|, the operator bound
@@ -205,13 +184,14 @@ def decay_report(
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
     top = n_range[-1]
-    coeffs = project(u, top, table).coeffs
-    lku = l_disk_power(u, k, table)
-    s_k = math.sqrt(inner_product(lku, lku, table))
-    lku_coeffs = project(lku, top, table).coeffs
+    coeffs = project(u, top).coeffs
+    lku = l_disk_power(u, k)
+    s_k = math.sqrt(inner_product(lku, lku))
+    lku_coeffs = project(lku, top).coeffs
+    lams = basis(p).lam.tolist()
     out = []
     for n in n_range:
-        lam = eigen_data(n, p).lam
+        lam = lams[n]
         resid = abs(coeffs[n] * (-lam) ** k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0
         out.append(
             DecayEntry(

@@ -11,12 +11,13 @@ arithmetic, which numpy rounds as Python floats do, so every entry equals
 a call with that entry alone, to the bit.  A recurrence step is one call
 of the fused kernel `_compensated.dd_three_term_step`.
 
-Closed-form squared norms and per-degree eigen-data complete the module.
-What depends on the family alone lives in its one `HahnBasis`, from the
-`basis(params)` cache: the weights, the step coefficients (A_n, A_n + C_n,
-C_n), the norms and the orthonormal grid matrix, each computed on first
-read and read-only after.  So the grid matrix lives as long as the norms
-and steps it is made of, and off-grid sweeps never build it.
+Closed-form squared norms complete the module.  What depends on the family
+alone lives in its one `HahnBasis`, from the `basis(params)` cache: the
+weights, the step coefficients (A_n, A_n + C_n, C_n), the norms, the
+orthonormal grid matrix and the difference operator's eigenvalues and
+coefficients B(x), D(x), each computed on first read and read-only after.
+So the grid matrix lives as long as the norms and steps it is made of,
+and off-grid sweeps never build it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from .errors import (
 from .specfun import binomial_weights, terminating_3f2
 
 _MAX_N = 200
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,35 +74,11 @@ class HahnParams:
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Weight values w(0..N) and their sum.
-
-    `padded` appends the conventional w(N+1) = 0 entry used by the
-    difference operator, so flux terms one past the grid vanish without
-    ever reading off-grid data.
-    """
+    """Weight values w(0..N), read-only, and their sum."""
 
     params: HahnParams
     values: np.ndarray
     total: float
-
-    @property
-    def padded(self) -> np.ndarray:
-        return np.append(self.values, 0.0)
-
-
-@dataclass(frozen=True)
-class EigenData:
-    """Eigenvalue lam = n(n+alpha+beta+1) and the difference-operator
-    coefficient functions b, d for degree n.
-
-    b(x) = (x+alpha+1)(x-N) and d(x) = x(x-beta-N-1); d(0) = 0, which is
-    what closes the operator at the left end of the grid.
-    """
-
-    degree: int
-    lam: float
-    b: Callable[[float], float]
-    d: Callable[[float], float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +116,8 @@ class HahnBasis:
     def sqrt_norms(self) -> np.ndarray:
         """||Q_n||_w for n = 0..N; callers take the prefix [: m + 1]."""
         p = self.params
-        out = np.array([math.sqrt(norm_sq_closed(n, p)) for n in range(p.N + 1)])
-        out.setflags(write=False)
-        return out
+        norms = [math.sqrt(norm_sq_closed(n, p)) for n in range(p.N + 1)]
+        return _read_only(np.array(norms))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -145,8 +125,29 @@ class HahnBasis:
         p = self.params
         mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
         mat /= self.sqrt_norms[:, None]
-        mat.setflags(write=False)
-        return mat
+        return _read_only(mat)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Difference-operator eigenvalues lam_n = n(n+alpha+beta+1), n = 0..N."""
+        p = self.params
+        n = np.arange(p.N + 1, dtype=float)
+        return _read_only(n * (n + p.alpha + p.beta + 1.0))
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """Operator coefficient B(x) = (x+alpha+1)(x-N) on the grid; B(N) = 0."""
+        p = self.params
+        x = p.grid()
+        return _read_only((x + p.alpha + 1.0) * (x - p.N))
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Operator coefficient D(x) = x(x-beta-N-1) on the grid; D(0) = 0,
+        which is what closes the operator at the left end of the grid."""
+        p = self.params
+        x = p.grid()
+        return _read_only(x * (x - p.beta - p.N - 1.0))
 
 
 @lru_cache(maxsize=64)
@@ -249,8 +250,7 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
 
 
 def weight_table(params: HahnParams) -> WeightTable:
-    vals = np.array(binomial_weights(params.alpha, params.beta, params.N))
-    vals.setflags(write=False)
+    vals = _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
     return WeightTable(params, vals, math.fsum(vals))
 
 
@@ -283,11 +283,6 @@ def norm_sq_closed(n: int, params: HahnParams) -> float:
     return out
 
 
-def normalized_eval(n: int, x: float, params: HahnParams) -> float:
-    """Orthonormal evaluation Q_n(x) / ||Q_n||_w."""
-    return hahn_eval_recurrence(n, x, params) / math.sqrt(norm_sq_closed(n, params))
-
-
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:
     """Matrix of orthonormal values, shape (m+1, N+1), row n = Q~_n on 0..N.
 
@@ -297,16 +292,3 @@ def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:
     _check_degree(m, params)
     return basis(params).grid[: m + 1]
 
-
-def eigen_data(n: int, params: HahnParams) -> EigenData:
-    _check_degree(n, params)
-    a, b, N = params.alpha, params.beta, params.N
-    lam = n * (n + a + b + 1.0)
-
-    def bfun(x: float) -> float:
-        return (x + a + 1.0) * (x - N)
-
-    def dfun(x: float) -> float:
-        return x * (x - b - N - 1.0)
-
-    return EigenData(n, lam, bfun, dfun)

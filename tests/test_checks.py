@@ -12,7 +12,6 @@ from hahnpoly.checks import (
 )
 from hahnpoly.hahn import (
     HahnParams,
-    eigen_data,
     hahn_eval_all,
     hahn_eval_recurrence,
     hahn_eval_series,
@@ -69,18 +68,20 @@ def _loop_recurrence_identity(params, series):
 
 
 def _loop_eigen_equation(params, max_degree=20):
+    # lam_n, B(x) and D(x) from their scalar formulas, not the basis arrays
+    a, be, N = params.alpha, params.beta, params.N
     worst = 0.0
-    top = min(max_degree, params.N)
+    top = min(max_degree, N)
     for n in range(top + 1):
-        ed = eigen_data(n, params)
-        for x in range(params.N + 1):
+        lam = n * (n + a + be + 1.0)
+        for x in range(N + 1):
             xf = float(x)
             qm = hahn_eval_recurrence(n, xf - 1.0, params)
             q0 = hahn_eval_recurrence(n, xf, params)
             qp = hahn_eval_recurrence(n, xf + 1.0, params)
-            b, d = ed.b(xf), ed.d(xf)
+            b, d = (xf + a + 1.0) * (xf - N), xf * (xf - be - N - 1.0)
             lhs = b * qp - (b + d) * q0 + d * qm
-            rhs = ed.lam * q0
+            rhs = lam * q0
             scale = max(1.0, abs(b * qp) + abs((b + d) * q0) + abs(d * qm), abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
     return worst

@@ -197,6 +197,32 @@ def test_eval_overflow_is_domain_error():
     assert "nan" not in res.output
 
 
+def test_non_finite_targets_refused():
+    # non-finite poly coefficients are a configuration error naming fn;
+    # finite ones whose grid samples overflow are a domain error naming
+    # the grid index; neither prints nan, a traceback or a numpy warning
+    cases = [(("project", "--N", "6", "--m", "3", "--fn", "poly:nan,1"), 2, "fn"),
+             (("compare-legendre", "--N", "6", "--m", "3", "--fn", "poly:inf"), 2, "fn"),
+             (("project", "--N", "6", "--m", "3", "--fn", "poly:1e308,1e308"), 3,
+              "grid index 6")]
+    for args, code, named in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(*args)
+        assert res.exit_code == code, args
+        assert named in res.stderr
+        assert res.stdout == ""
+        assert "Traceback" not in res.output
+
+
+def test_interval_width_must_be_finite():
+    res = run("project", "--N", "6", "--m", "2", "--fn", "runge",
+              "--interval=-1e308,1e308", "--pointwise", "--samples", "3")
+    assert res.exit_code == 2
+    assert "interval" in res.stderr
+    assert res.stdout == ""
+
+
 def test_out_file_roundtrip(tmp_path):
     out = tmp_path / "w.csv"
     res = run("weights", "--N", "6", "--out", str(out))

@@ -1,6 +1,8 @@
 """Difference operators, the weighted-flux operator, and summation by
 parts, on small hand-checkable grids plus spectral identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,7 @@ from hahnpoly.discrete_calculus import (
     sbp_residual,
 )
 from hahnpoly.errors import DomainError, LengthMismatchError
-from hahnpoly.hahn import (
-    HahnParams,
-    eigen_data,
-    normalized_grid_matrix,
-    weight_table,
-)
+from hahnpoly.hahn import HahnParams, basis, normalized_grid_matrix
 
 P4 = HahnParams(0.0, 0.0, 4)
 
@@ -33,6 +30,15 @@ def test_grid_function_length_check():
 def test_grid_function_from_callable_with_transform():
     f = GridFunction.from_callable(lambda t: t * t, P4, lambda i: i - 2.0)
     assert list(f.values) == [4.0, 1.0, 0.0, 1.0, 4.0]
+
+
+def test_grid_function_from_callable_rejects_non_finite_samples():
+    # the first grid index whose sample is not finite is named
+    for fn, index in ((lambda t: 1e308 + 1e308 * t, "4"),     # overflows at t = 1
+                      (lambda t: math.nan if t == 0.0 else t, "2"),
+                      (lambda t: -math.inf, "0")):
+        with pytest.raises(DomainError, match=f"grid index {index} "):
+            GridFunction.from_callable(fn, P4, lambda i: i / 2.0 - 1.0)
 
 
 def test_forward_diff_squares():
@@ -91,12 +97,11 @@ def test_operator_annihilates_constants():
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0)])
 def test_operator_eigenfunctions(alpha, beta):
     p = HahnParams(alpha, beta, 12)
-    table = weight_table(p)
     qmat = normalized_grid_matrix(12, p)
     for n in (0, 1, 5, 12):
         q = GridFunction(p, qmat[n])
-        lam = eigen_data(n, p).lam
-        resid = l_disk_apply(q, table).values + lam * q.values
+        lam = basis(p).lam[n]
+        resid = l_disk_apply(q).values + lam * q.values
         scale = max(1.0, lam)
         assert np.max(np.abs(resid)) < 1e-10 * scale
 
@@ -118,13 +123,6 @@ def test_operator_power_validation():
     u = GridFunction(p, np.zeros(5))
     with pytest.raises(DomainError):
         l_disk_power(u, -1)
-
-
-def test_table_grid_mismatch():
-    u = GridFunction(P4, np.zeros(5))
-    wrong = weight_table(HahnParams(0.0, 0.0, 5))
-    with pytest.raises(LengthMismatchError):
-        l_disk_apply(u, wrong)
 
 
 def test_sbp_zero_end_values():

@@ -62,6 +62,9 @@ def test_interval_map_validation():
         IntervalMap(1.0, 1.0, 10)
     with pytest.raises(DegenerateIntervalError):
         IntervalMap(2.0, -2.0, 10)
+    # both ends finite, but the width b - a overflows
+    with pytest.raises(DegenerateIntervalError):
+        IntervalMap(-1e308, 1e308, 10)
     with pytest.raises(DomainError):
         IntervalMap(0.0, 1.0, 0)
 
@@ -81,11 +84,10 @@ def test_inner_product_against_oracle():
     N = 8
     half = Fraction(1, 2)
     p = HahnParams(0.5, 0.5, N)
-    table = weight_table(p)
     q2 = GridFunction(
         p, np.array([float(exact_hahn_eval(2, x, half, half, N)) for x in range(N + 1)])
     )
-    got = inner_product(q2, q2, table)
+    got = inner_product(q2, q2)
     assert got == pytest.approx(float(exact_norm_sq(2, half, half, N)), rel=1e-12)
 
 
@@ -93,22 +95,21 @@ def test_inner_product_constant_gives_total():
     p = HahnParams(5.0, 0.0, 12)
     table = weight_table(p)
     one = GridFunction(p, np.ones(13))
-    assert inner_product(one, one, table) == pytest.approx(table.total, rel=1e-14)
+    assert inner_product(one, one) == pytest.approx(table.total, rel=1e-14)
 
 
 def test_inner_product_unit_weight_counts_points():
     # flat weight: the all-ones inner product is just the point count
     p = HahnParams(0.0, 0.0, 30)
     one = GridFunction(p, np.ones(31))
-    assert inner_product(one, one, weight_table(p)) == 31.0
+    assert inner_product(one, one) == 31.0
 
 
 def test_inner_product_mismatch():
     p = HahnParams(0.0, 0.0, 4)
     q = HahnParams(0.0, 0.0, 5)
     with pytest.raises(LengthMismatchError):
-        inner_product(GridFunction(p, np.zeros(5)), GridFunction(q, np.zeros(6)),
-                      weight_table(p))
+        inner_product(GridFunction(p, np.zeros(5)), GridFunction(q, np.zeros(6)))
 
 
 def test_project_recovers_basis_vector():
@@ -126,6 +127,10 @@ def test_project_degree_validation():
     u = GridFunction(p, np.ones(11))
     with pytest.raises(DegreeOutOfRangeError):
         project(u, 11)
+    # normalized is keyword-only: a third positional argument, such as a
+    # weight table, is refused rather than read as normalized=True
+    with pytest.raises(TypeError):
+        project(u, 3, weight_table(p))
 
 
 def test_classical_convention_weights_by_norm():
@@ -166,14 +171,13 @@ def test_projection_idempotent():
     # resample the reconstruction on the grid, project again, and the
     # coefficients come back componentwise
     p = HahnParams(0.5, 0.5, 20)
-    table = weight_table(p)
     rng = np.random.default_rng(11)
     u = GridFunction(p, rng.standard_normal(21))
-    c = project(u, 9, table)
+    c = project(u, 9)
     resampled = GridFunction(
         p, np.array([eval_expansion(c, float(x)) for x in range(21)])
     )
-    again = project(resampled, 9, table)
+    again = project(resampled, 9)
     assert np.max(np.abs(again.coeffs - c.coeffs)) < 1e-8
 
 
@@ -237,11 +241,10 @@ def test_eval_expansion_scalar_returns_float():
 
 def test_parseval_small_grid():
     p = HahnParams(5.0, 0.0, 12)
-    table = weight_table(p)
     rng = np.random.default_rng(13)
     u = GridFunction(p, rng.standard_normal(13))
-    c = project(u, 12, table).coeffs
-    assert math.fsum(c * c) == pytest.approx(inner_product(u, u, table), rel=1e-12)
+    c = project(u, 12).coeffs
+    assert math.fsum(c * c) == pytest.approx(inner_product(u, u), rel=1e-12)
 
 
 def _sine_sample(p: HahnParams) -> GridFunction:
@@ -272,10 +275,9 @@ def test_decay_bound_holds():
 def test_decay_order_zero_is_norm_bound():
     # k = 0 degenerates to the plain Bessel bound ||u||_w for every degree
     p = HahnParams(0.5, 0.5, 16)
-    table = weight_table(p)
     u = _sine_sample(p)
-    norm = math.sqrt(inner_product(u, u, table))
-    for r in decay_report(u, 0, range(1, 17), table):
+    norm = math.sqrt(inner_product(u, u))
+    for r in decay_report(u, 0, range(1, 17)):
         assert r.bound == pytest.approx(norm, rel=1e-13)
         assert abs(r.coeff) <= r.bound * (1 + 1e-12)
 
@@ -284,10 +286,9 @@ def test_decay_saturated_by_single_mode():
     # an eigenfunction input turns the bound into an equality at its
     # own degree, for every operator power
     p = HahnParams(0.0, 0.0, 30)
-    table = weight_table(p)
     q5 = GridFunction(p, np.array(normalized_grid_matrix(5, p)[5]))
     for k in (1, 2, 3):
-        (r,) = decay_report(q5, k, range(5, 6), table)
+        (r,) = decay_report(q5, k, range(5, 6))
         assert abs(r.coeff) == pytest.approx(r.bound, rel=1e-10)
 
 

@@ -1,5 +1,6 @@
 """Hahn evaluation routes against the exact oracle, closed-form norms,
-weights, eigen data, and the parameter type itself."""
+weights, the operator's eigenvalues and coefficients, and the parameter
+type itself."""
 
 import math
 from fractions import Fraction
@@ -10,12 +11,11 @@ import pytest
 from hahnpoly.errors import DegreeOutOfRangeError, DomainError
 from hahnpoly.hahn import (
     HahnParams,
-    eigen_data,
+    basis,
     hahn_eval_all,
     hahn_eval_recurrence,
     hahn_eval_series,
     norm_sq_closed,
-    normalized_eval,
     normalized_grid_matrix,
     recurrence_coefficients,
     weight_table,
@@ -167,8 +167,6 @@ def test_weight_table_flat_and_total():
     t = weight_table(p)
     assert np.all(t.values == 1.0)
     assert t.total == 31.0
-    assert t.padded[-1] == 0.0
-    assert len(t.padded) == 32
 
 
 def test_weight_table_matches_oracle():
@@ -227,8 +225,6 @@ def test_norm_sq_closed_equals_interleaved_loop(N):
 
 def test_sqrt_norms_once_per_family():
     # one read-only table of all N + 1 norms; callers slice the prefix
-    from hahnpoly.hahn import basis
-
     p = HahnParams(-0.5, 3.0, 40)
     norms = basis(p).sqrt_norms
     assert norms is basis(p).sqrt_norms
@@ -240,7 +236,6 @@ def test_step_coefficients_once_per_family():
     # one tuple of all N - 1 steps (A, A + C, C); a degree-m sweep reads a
     # prefix of it, so a low-degree sweep is a prefix of the full one
     from hahnpoly._compensated import dd_add
-    from hahnpoly.hahn import basis
 
     p = HahnParams(-0.5, 3.0, 40)
     steps = basis(p).steps
@@ -261,9 +256,14 @@ def test_norm_flat_weight_degree_zero():
     assert norm_sq_closed(0, p) == pytest.approx(31.0, rel=1e-12)
 
 
-def test_normalized_eval_degree_zero():
+def _normalized(n, x, p):
+    return hahn_eval_recurrence(n, x, p) / math.sqrt(norm_sq_closed(n, p))
+
+
+def test_normalized_degree_zero():
     p = HahnParams(0.0, 0.0, 30)
-    assert normalized_eval(0, 17.0, p) == pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12)
+    assert _normalized(0, 17.0, p) == pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12)
+    assert normalized_grid_matrix(0, p)[0, 17] == pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12)
 
 
 def test_normalized_matrix_shape_and_rows():
@@ -271,7 +271,7 @@ def test_normalized_matrix_shape_and_rows():
     mat = normalized_grid_matrix(5, p)
     assert mat.shape == (6, 13)
     for x in (0, 5, 12):
-        assert mat[3, x] == pytest.approx(normalized_eval(3, float(x), p), rel=1e-13)
+        assert mat[3, x] == pytest.approx(_normalized(3, float(x), p), rel=1e-13)
 
 
 def test_recurrence_coefficients_positive_and_bounded():
@@ -303,17 +303,52 @@ def test_recurrence_identity_against_oracle_values():
 
 def test_eigen_data():
     p = HahnParams(0.0, 0.0, 30)
-    assert eigen_data(0, p).lam == 0.0
-    assert eigen_data(2, p).lam == 6.0  # 2 * (2 + 1)
-    ed = eigen_data(4, p)
-    assert ed.d(0.0) == 0.0       # left closure
-    assert ed.b(30.0) == 0.0      # right factor vanishes at x = N
-    assert ed.b(0.0) == pytest.approx(-30.0)
-    with pytest.raises(DegreeOutOfRangeError):
-        eigen_data(31, p)
+    hb = basis(p)
+    assert hb.lam[0] == 0.0
+    assert hb.lam[2] == 6.0  # 2 * (2 + 1)
+    assert hb.d[0] == 0.0         # left closure
+    assert hb.b[30] == 0.0        # right factor vanishes at x = N
+    assert hb.b[0] == pytest.approx(-30.0)
+    # one eigenvalue per degree 0..N, none past it
+    assert hb.lam.shape == hb.b.shape == hb.d.shape == (31,)
 
 
 def test_eigenvalues_increasing():
     p = HahnParams(0.5, 0.5, 30)
-    lams = [eigen_data(n, p).lam for n in range(31)]
+    lams = basis(p).lam.tolist()
     assert all(b > a for a, b in zip(lams, lams[1:]))
+
+
+# the operator data as the scalar formulas of the closures they replaced
+def _lam(n, a, b):
+    return n * (n + a + b + 1.0)
+
+
+def _b(x, a, N):
+    return (x + a + 1.0) * (x - N)
+
+
+def _d(x, b, N):
+    return x * (x - b - N - 1.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 12, 30, 100, 200])
+def test_basis_operator_data_equals_scalar_formulas(N):
+    families = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0),
+                (-0.9, -0.9), (0.3, 7.25)]
+    bits = lambda v: np.asarray(v, dtype=float).view(np.int64)  # noqa: E731
+    for alpha, beta in families:
+        p = HahnParams(alpha, beta, N)
+        hb = basis(p)
+        assert hb.lam is basis(p).lam
+        for arr in (hb.lam, hb.b, hb.d):
+            assert not arr.flags.writeable
+        lam = [_lam(n, alpha, beta) for n in range(N + 1)]
+        assert np.array_equal(bits(hb.lam), bits(lam)), (alpha, beta)
+        assert np.array_equal(bits(hb.b), bits([_b(float(x), alpha, N) for x in range(N + 1)]))
+        assert np.array_equal(bits(hb.d), bits([_d(float(x), beta, N) for x in range(N + 1)]))
+        # powers as decay_report takes them, of Python floats: numpy's array
+        # power can round lam**3 differently from Python's
+        for k in range(4):
+            got = [v**k for v in hb.lam.tolist()]
+            assert np.array_equal(bits(got), bits([v**k for v in lam])), k
