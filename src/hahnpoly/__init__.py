@@ -25,7 +25,6 @@ from .expansion import (
 )
 from .hahn import (
     HahnParams,
-    WeightTable,
     hahn_eval_all,
     hahn_eval_recurrence,
     hahn_eval_series,
@@ -40,7 +39,7 @@ from .legendre_ref import (
     legendre_coeffs,
     legendre_eval,
 )
-from .specfun import binomial_weight, pochhammer, terminating_3f2
+from .specfun import binomial_weight, terminating_3f2
 
 __all__ = [
     "__version__",
@@ -50,7 +49,6 @@ __all__ = [
     "HahnParams",
     "IntervalMap",
     "QuadratureRule",
-    "WeightTable",
     "backward_diff",
     "decay_report",
     "eval_expansion",
@@ -67,7 +65,6 @@ __all__ = [
     "binomial_weight",
     "norm_sq_closed",
     "normalized_grid_matrix",
-    "pochhammer",
     "project",
     "recurrence_coefficients",
     "sbp_residual",

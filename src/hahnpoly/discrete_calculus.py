@@ -40,17 +40,12 @@ class GridFunction:
         cls,
         fn: Callable[[float], float],
         params: HahnParams,
-        transform: Callable[[float], float] | None = None,
+        transform: Callable[[float], float],
     ) -> "GridFunction":
-        """Sample fn on the grid, optionally through a coordinate transform
-        applied to each grid index first.  A sample that is not finite
-        raises DomainError naming its grid index."""
-        pts = params.grid()
-        if transform is not None:
-            args = [transform(float(i)) for i in pts]
-        else:
-            args = list(pts)
-        vals = np.array([fn(t) for t in args], dtype=float)
+        """Sample fn on the grid through a coordinate transform applied to
+        each grid index first.  A sample that is not finite raises
+        DomainError naming its grid index."""
+        vals = np.array([fn(transform(float(i))) for i in params.grid()], dtype=float)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise DomainError(f"sample at grid index {bad[0]} is not finite: {vals[bad[0]]}")
@@ -91,7 +86,7 @@ def l_disk_apply(u: GridFunction) -> GridFunction:
     """
     p = u.params
     hb = basis(p)
-    w = hb.weights.values
+    w = hb.weights
     # flux[i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; flux[0] = flux[N+1] = 0
     flux = np.zeros(p.N + 2)
     flux[1 : p.N + 1] = -hb.d[1:] * w[1:] * np.diff(u.values)
@@ -108,23 +103,18 @@ def l_disk_power(u: GridFunction, k: int) -> GridFunction:
     return out
 
 
-def sbp_residual(
-    f: GridFunction,
-    g: GridFunction,
-    f_end: float = 0.0,
-    g_end: float = 0.0,
-) -> float:
+def sbp_residual(f: GridFunction, g: GridFunction) -> float:
     """Absolute defect of the summation-by-parts identity
 
         sum_{i=0}^{N} f(i) Delta g(i)
             = f(N+1) g(N+1) - f(0) g(0) - sum_{i=0}^{N} g(i+1) Delta f(i).
 
-    The identity involves values one past the grid, so f(N+1) and g(N+1)
-    are explicit arguments (default 0, matching the weight convention).
+    The identity involves values one past the grid; f(N+1) = g(N+1) = 0,
+    the convention that also sets w(N+1) = 0.
     """
     _same_grid(f, g)
-    fv = np.append(f.values, f_end)
-    gv = np.append(g.values, g_end)
+    fv = np.append(f.values, 0.0)
+    gv = np.append(g.values, 0.0)
     lhs = math.fsum(fv[:-1] * np.diff(gv))
-    rhs = f_end * g_end - fv[0] * gv[0] - math.fsum(gv[1:] * np.diff(fv))
+    rhs = -fv[0] * gv[0] - math.fsum(gv[1:] * np.diff(fv))
     return abs(lhs - rhs)

@@ -31,16 +31,17 @@ from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
 @dataclass(frozen=True)
 class IntervalMap:
     """Affine bijection between grid indices 0..N and an interval [a, b];
-    index i maps to a + (b - a) i / N."""
+    index i maps to a + (b - a) i / N.  N (b - a) must be finite, so that
+    `to_grid` cannot overflow on [a, b]."""
 
     a: float
     b: float
     N: int
 
     def __post_init__(self) -> None:
-        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+        if not (self.a < self.b and math.isfinite(self.N * (self.b - self.a))):
             raise DegenerateIntervalError(
-                f"need a < b and a finite b - a, got [{self.a}, {self.b}]"
+                f"need a < b and a finite N (b - a), got [{self.a}, {self.b}] with N = {self.N}"
             )
         if self.N < 1:
             raise DomainError(f"need N >= 1, got {self.N}")
@@ -112,7 +113,7 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     if f.params != g.params:
         raise LengthMismatchError("inner product needs matching grids")
     parts: list[float] = []
-    for fv, gv, wv in zip(f.values, g.values, basis(f.params).weights.values):
+    for fv, gv, wv in zip(f.values, g.values, basis(f.params).weights):
         hi, lo = two_prod(float(fv), float(gv))
         hi2, lo2 = two_prod(hi, float(wv))
         parts.append(hi2)
@@ -126,7 +127,7 @@ def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientV
     if not 0 <= m <= p.N:
         raise DegreeOutOfRangeError(f"degree {m} outside 0..{p.N}")
     qmat = normalized_grid_matrix(m, p)
-    wu = u.values * basis(p).weights.values
+    wu = u.values * basis(p).weights
     coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
@@ -173,6 +174,7 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     and the defect of the identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled
     by ||L^k u||_w.  The operator bound is a hard inequality; the
     degree-only bound is reported for reference and not asserted here.
+    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
@@ -185,21 +187,28 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
     top = n_range[-1]
     coeffs = project(u, top).coeffs
-    lku = l_disk_power(u, k)
-    s_k = math.sqrt(inner_product(lku, lku))
-    lku_coeffs = project(lku, top).coeffs
     lams = basis(p).lam.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        lku = l_disk_power(u, k)
+    try:
+        # math.fsum and float ** int raise where a result leaves the double range
+        s_k = math.sqrt(inner_product(lku, lku)) if np.isfinite(lku.values).all() else math.nan
+        powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
+    except (OverflowError, ValueError):
+        s_k = math.nan
+    if not math.isfinite(s_k):
+        raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
+    lku_coeffs = project(lku, top).coeffs
     out = []
-    for n in n_range:
-        lam = lams[n]
-        resid = abs(coeffs[n] * (-lam) ** k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0
+    for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers):
+        resid = abs(coeffs[n] * signed_lam_k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0
         out.append(
             DecayEntry(
                 n=n,
                 k=k,
                 coeff=coeffs[n],
-                bound=s_k / lam**k,
-                bound_degree_only=s_k / float(n) ** (2 * k),
+                bound=s_k / lam_k,
+                bound_degree_only=s_k / n_2k,
                 identity_residual=resid,
             )
         )

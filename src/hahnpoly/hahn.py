@@ -13,7 +13,7 @@ of the fused kernel `_compensated.dd_three_term_step`.
 
 Closed-form squared norms complete the module.  What depends on the family
 alone lives in its one `HahnBasis`, from the `basis(params)` cache: the
-weights, the step coefficients (A_n, A_n + C_n, C_n), the norms, the
+weight array, the step coefficients (A_n, A_n + C_n, C_n), the norms, the
 orthonormal grid matrix and the difference operator's eigenvalues and
 coefficients B(x), D(x), each computed on first read and read-only after.
 So the grid matrix lives as long as the norms and steps it is made of,
@@ -70,15 +70,6 @@ class HahnParams:
 
     def grid(self) -> np.ndarray:
         return np.arange(self.N + 1, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightTable:
-    """Weight values w(0..N), read-only, and their sum."""
-
-    params: HahnParams
-    values: np.ndarray
-    total: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +240,9 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
     return _recurrence_sweep(m, x, params)
 
 
-def weight_table(params: HahnParams) -> WeightTable:
-    vals = _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
-    return WeightTable(params, vals, math.fsum(vals))
+def weight_table(params: HahnParams) -> np.ndarray:
+    """Weights w(0) .. w(N) as a read-only array."""
+    return _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
 
 
 def norm_sq_closed(n: int, params: HahnParams) -> float:

@@ -31,17 +31,24 @@ class QuadratureRule:
         return len(self.nodes)
 
 
+def _legendre_sweep(m: int, t: float | np.ndarray) -> np.ndarray:
+    """P_0(t) .. P_m(t), shape (m+1,) + shape(t), by the upward recurrence
+    (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}, stable on [-1, 1].  Each
+    point of an array t gets the rounding of a sweep of its own."""
+    out = np.empty((m + 1,) + np.shape(t))
+    out[0] = 1.0
+    if m:
+        out[1] = t
+    for j in range(1, m):
+        out[j + 1] = ((2 * j + 1) * t * out[j] - j * out[j - 1]) / (j + 1)
+    return out
+
+
 def legendre_eval(n: int, t: float) -> float:
-    """P_n(t) by the standard upward recurrence
-    (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}; stable on [-1, 1]."""
+    """P_n(t), row n of `_legendre_sweep`."""
     if not 0 <= n <= _MAX_DEGREE:
         raise DomainError(f"degree {n} outside 0..{_MAX_DEGREE}")
-    if n == 0:
-        return 1.0
-    pm, p = 1.0, t
-    for j in range(1, n):
-        pm, p = p, ((2 * j + 1) * t * p - j * pm) / (j + 1)
-    return p
+    return float(_legendre_sweep(n, t)[n])
 
 
 def _legendre_pair(n: int, t: float) -> tuple[float, float]:
@@ -93,8 +100,8 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
         raise DomainError(f"degree {m} outside 0..{_MAX_DEGREE - 20}")
     rule = gauss_legendre_rule(m + 20)
     fvals = np.array([f(t) for t in rule.nodes])
+    pvals = _legendre_sweep(m, rule.nodes)
     out = np.empty(m + 1)
     for n in range(m + 1):
-        pvals = np.array([legendre_eval(n, t) for t in rule.nodes])
-        out[n] = (2 * n + 1) / 2.0 * math.fsum(rule.weights * fvals * pvals)
+        out[n] = (2 * n + 1) / 2.0 * math.fsum(rule.weights * fvals * pvals[n])
     return out

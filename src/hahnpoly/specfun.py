@@ -1,5 +1,5 @@
-"""Special-function building blocks: Pochhammer symbols, terminating 3F2
-series, and generalized-binomial weight products.
+"""Special-function building blocks: terminating 3F2 series at unit
+argument and generalized-binomial weight products.
 """
 
 from __future__ import annotations
@@ -15,28 +15,17 @@ from .errors import DomainError, NonTerminatingError, ZeroDenominatorError
 _MAX_TERMS = 200
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise DomainError(f"pochhammer needs k >= 0, got {k}")
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
-
-
 def terminating_3f2(
     num: tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray],
     den: tuple[float, float],
-    z: float = 1.0,
 ) -> float | np.ndarray:
-    """Sum of the hypergeometric series 3F2(num; den; z), which must terminate.
+    """Sum of the hypergeometric series 3F2(num; den; 1), which must terminate.
 
     The first numerator parameter num[0] has to be a nonpositive integer -n;
     the series then has exactly n + 1 terms.  Terms are generated by the
     ratio update
 
-        t_{k+1} = t_k * (a1+k)(a2+k)(a3+k) / ((b1+k)(b2+k)(1+k)) * z
+        t_{k+1} = t_k * (a1+k)(a2+k)(a3+k) / ((b1+k)(b2+k)(1+k))
 
     and accumulated in double-double arithmetic: individual terms can be
     ~1e18 while the sum is O(1), so plain doubles (even with exact
@@ -47,7 +36,7 @@ def terminating_3f2(
     element's own n its term is exactly zero (the factor a1 + k is 0), and
     adding a zero dd to a normalised dd changes nothing, so each element
     equals a call with that element alone, bit for bit.  The denominator
-    parameters and z are scalars.  Scalar arguments return a float.
+    parameters are scalars.  Scalar arguments return a float.
     """
     a1, a2, a3 = (np.asarray(p, dtype=float) if np.ndim(p) else p for p in num)
     b1, b2 = den
@@ -73,8 +62,6 @@ def terminating_3f2(
         term = dd.dd_div_d(term, b1 + k)
         term = dd.dd_div_d(term, b2 + k)
         term = dd.dd_div_d(term, float(k + 1))
-        if z != 1.0:
-            term = dd.dd_mul_d(term, z)
         total = dd.dd_add(total, term)
     out = total[0] + total[1]
     return float(out) if np.ndim(out) == 0 else out

@@ -67,11 +67,11 @@ def _loop_recurrence_identity(params, series):
     return worst
 
 
-def _loop_eigen_equation(params, max_degree=20):
+def _loop_eigen_equation(params, cap=20):
     # lam_n, B(x) and D(x) from their scalar formulas, not the basis arrays
     a, be, N = params.alpha, params.beta, params.N
     worst = 0.0
-    top = min(max_degree, N)
+    top = min(cap, N)
     for n in range(top + 1):
         lam = n * (n + a + be + 1.0)
         for x in range(N + 1):
@@ -88,7 +88,7 @@ def _loop_eigen_equation(params, max_degree=20):
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0)])
-def test_swept_checks_equal_scalar_loops(alpha, beta):
+def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
     # N = 60 is past where the series route stays accurate, so the values
     # are large and every last bit of them is compared
     p = HahnParams(alpha, beta, 60)
@@ -98,8 +98,10 @@ def test_swept_checks_equal_scalar_loops(alpha, beta):
     assert check_path_agreement(p).value == _loop_path_agreement(p, series)
     assert check_recurrence_identity(p).value == _loop_recurrence_identity(p, series)
     assert check_eigen_equation(p).value == _loop_eigen_equation(p)
+    # the check reads its degree cap from the module at call time
     for top in (0, 1, 7):
-        assert check_eigen_equation(p, top).value == _loop_eigen_equation(p, top)
+        monkeypatch.setattr(checks, "DEGREE_CAP", top)
+        assert check_eigen_equation(p).value == _loop_eigen_equation(p, top)
 
 
 def test_swept_checks_smallest_grid():

@@ -223,6 +223,35 @@ def test_interval_width_must_be_finite():
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    "project --N 6 --m 2 --fn runge --interval=-8e307,8e307 --pointwise --samples 3",
+    "runge --N 6 --m 2 --interval=-8e307,8e307 --samples 3",
+])
+def test_interval_times_n_must_be_finite(command):
+    # b - a is finite here, but N (t - a) is not: refused before any sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(*command.split())
+    assert res.exit_code == 2
+    assert "interval" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["decay --N 30 --m 3 --k 60",
+                                     "decay --N 30 --m 3 --k 120",
+                                     "verify --N 12 --k 120"])
+def test_overflowing_operator_power_refused(command):
+    # L^k u overflows double precision: a domain error naming k, with no
+    # nan row, traceback or numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(*command.split())
+    assert res.exit_code == 3
+    assert f"k={command.split()[-1]}" in res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
 def test_out_file_roundtrip(tmp_path):
     out = tmp_path / "w.csv"
     res = run("weights", "--N", "6", "--out", str(out))

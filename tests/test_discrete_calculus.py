@@ -133,16 +133,6 @@ def test_sbp_zero_end_values():
     assert sbp_residual(f, g) < 1e-12
 
 
-def test_sbp_nonzero_end_values():
-    # f(i) = i, g(i) = i^2 continued one past the grid: the boundary term
-    # f(N+1) g(N+1) - f(0) g(0) has to balance the two sums exactly
-    p = HahnParams(0.0, 0.0, 10)
-    f = GridFunction(p, np.arange(11.0))
-    g = GridFunction(p, np.arange(11.0) ** 2)
-    resid = sbp_residual(f, g, f_end=11.0, g_end=121.0)
-    assert resid < 1e-10
-
-
 def test_sbp_grid_mismatch():
     f = GridFunction(P4, np.zeros(5))
     g = GridFunction(HahnParams(0.0, 0.0, 5), np.zeros(6))

@@ -69,6 +69,14 @@ def test_interval_map_validation():
         IntervalMap(0.0, 1.0, 0)
 
 
+def test_interval_map_refuses_overflowing_grid_coordinate():
+    # b - a = 1.6e308 is finite, but N (t - a) overflows for N = 6; at
+    # N = 1 the same interval maps t = 0 to the middle of the grid
+    with pytest.raises(DegenerateIntervalError):
+        IntervalMap(-8e307, 8e307, 6)
+    assert IntervalMap(-8e307, 8e307, 1).to_grid(0.0) == 0.5
+
+
 def test_coefficient_vector_validation():
     p = HahnParams(0.0, 0.0, 4)
     with pytest.raises(DegreeOutOfRangeError):
@@ -93,9 +101,8 @@ def test_inner_product_against_oracle():
 
 def test_inner_product_constant_gives_total():
     p = HahnParams(5.0, 0.0, 12)
-    table = weight_table(p)
     one = GridFunction(p, np.ones(13))
-    assert inner_product(one, one) == pytest.approx(table.total, rel=1e-14)
+    assert inner_product(one, one) == pytest.approx(math.fsum(weight_table(p)), rel=1e-14)
 
 
 def test_inner_product_unit_weight_counts_points():
@@ -305,6 +312,21 @@ def test_decay_report_validation():
         decay_report(u, 1, range(5, 5))
 
 
+def test_decay_report_refuses_overflowing_powers():
+    # at N = 30, ||L^k u||_w of the sine sample stays finite through k = 56;
+    # past that L^k u or its norm overflows, and a constant input (L u = 0)
+    # still needs lam_n^k, which overflows at k = 300
+    p = HahnParams(0.0, 0.0, 30)
+    u = _sine_sample(p)
+    rows = decay_report(u, 55, range(1, 4))
+    assert all(math.isfinite(r.bound) for r in rows)
+    for k in (57, 60, 120):
+        with pytest.raises(DomainError, match=f"k={k}"):
+            decay_report(u, k, range(1, 4))
+    with pytest.raises(DomainError, match="k=300"):
+        decay_report(GridFunction(p, np.ones(31)), 300, range(1, 31))
+
+
 # sha256 of the float64 bytes of the sine sample's `project` coefficients at
 # m = N and m = 3N/4, and of its decay_report rows (coeff, bound,
 # bound_degree_only, identity_residual) at k = 2 over degrees 1..N; recorded
@@ -380,5 +402,5 @@ def test_session_builds_each_grid_once(monkeypatch):
         b = basis(p)
         assert b is basis(p)
         assert isinstance(b.steps, tuple)
-        for arr in (b.weights.values, b.sqrt_norms, b.grid):
+        for arr in (b.weights, b.sqrt_norms, b.grid):
             assert not arr.flags.writeable

@@ -113,3 +113,48 @@ def test_coeffs_of_sine():
 def test_coeffs_degree_validation():
     with pytest.raises(DomainError):
         legendre_coeffs(lambda t: t, 181)
+
+
+# The per-(degree, node) route legendre_coeffs took before it read one
+# sweep over all nodes: a scalar recurrence restarted for every pair.
+
+def _loop_legendre_eval(n, t):
+    if n == 0:
+        return 1.0
+    pm, p = 1.0, t
+    for j in range(1, n):
+        pm, p = p, ((2 * j + 1) * t * p - j * pm) / (j + 1)
+    return p
+
+
+def _loop_legendre_coeffs(f, m):
+    rule = gauss_legendre_rule(m + 20)
+    fvals = np.array([f(t) for t in rule.nodes])
+    out = np.empty(m + 1)
+    for n in range(m + 1):
+        pvals = np.array([_loop_legendre_eval(n, t) for t in rule.nodes])
+        out[n] = (2 * n + 1) / 2.0 * math.fsum(rule.weights * fvals * pvals)
+    return out
+
+
+TARGETS = [lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t),
+           lambda t: math.exp(t) * t**3]
+
+
+@pytest.mark.parametrize("m,targets", [(0, TARGETS), (1, TARGETS), (2, TARGETS),
+                                       (5, TARGETS), (20, TARGETS), (60, TARGETS),
+                                       (180, TARGETS[1:2])])
+def test_coeffs_sweep_equals_pair_loop(m, targets):
+    for f in targets:
+        got = legendre_coeffs(f, m)
+        want = _loop_legendre_coeffs(f, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_eval_reads_sweep_bit_for_bit():
+    ts = np.linspace(-1.3, 1.3, 27)
+    for n in range(0, 201, 7):
+        got = np.array([legendre_eval(n, float(t)) for t in ts])
+        want = np.array([_loop_legendre_eval(n, float(t)) for t in ts], dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert type(legendre_eval(3, 0.5)) is float

@@ -1,5 +1,5 @@
-"""Pochhammer, terminating 3F2, and the weight route, tested against the
-exact rational oracle and a handful of hand values."""
+"""Terminating 3F2 and the weight route, tested against the exact
+rational oracle and a handful of hand values."""
 
 import math
 from fractions import Fraction
@@ -8,38 +8,8 @@ import numpy as np
 import pytest
 
 from hahnpoly.errors import DomainError, NonTerminatingError, ZeroDenominatorError
-from hahnpoly.oracle_exact import exact_pochhammer, exact_weight
-from hahnpoly.specfun import binomial_weight, binomial_weights, pochhammer, terminating_3f2
-
-
-def test_pochhammer_values():
-    assert pochhammer(-30.0, 3) == -24360.0
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(1.0, 6) == 720.0
-
-
-@pytest.mark.parametrize("a", [0.5, -0.25, 2.0, 7.5])
-@pytest.mark.parametrize("k", [1, 4, 9])
-def test_pochhammer_matches_oracle(a, k):
-    exact = float(exact_pochhammer(Fraction(a), k))
-    assert pochhammer(a, k) == pytest.approx(exact, rel=1e-14)
-
-
-def test_pochhammer_negative_k_raises():
-    with pytest.raises(DomainError):
-        pochhammer(1.0, -2)
-
-
-def test_pochhammer_step_and_factorial():
-    # one more factor extends the product; at a = 1 it counts factorials
-    # exactly (every k! through 20! is representable in a double)
-    for a in (-3.5, 0.5, 2.0):
-        for k in range(8):
-            assert pochhammer(a, k + 1) == pytest.approx(
-                pochhammer(a, k) * (a + k), rel=1e-15
-            )
-    for k in range(21):
-        assert pochhammer(1.0, k) == float(math.factorial(k))
+from hahnpoly.oracle_exact import exact_weight
+from hahnpoly.specfun import binomial_weight, binomial_weights, terminating_3f2
 
 
 def test_3f2_zeroth_term_only():
@@ -54,18 +24,16 @@ def test_3f2_hand_value():
 
 
 def test_3f2_against_rational_loop():
-    # independent Fraction evaluation of the same series, z != 1 included
+    # independent Fraction evaluation of the same series
     num = (-4.0, 2.5, -3.0)
     den = (1.25, -6.0)
-    z = Fraction(1, 2)
     term = Fraction(1)
     total = Fraction(1)
     for k in range(4):
         term *= Fraction(-4 + k) * (Fraction(5, 2) + k) * (-3 + k)
         term /= (Fraction(5, 4) + k) * (-6 + k) * (k + 1)
-        term *= z
         total += term
-    got = terminating_3f2(num, den, z=0.5)
+    got = terminating_3f2(num, den)
     assert got == pytest.approx(float(total), rel=1e-14)
 
 
@@ -88,20 +56,19 @@ def test_3f2_series_too_long_raises():
 
 
 def test_3f2_array_equals_scalar_calls():
-    # broadcast numerators, z != 1 included: a sweep of max(n) terms gives
-    # each entry exactly its own scalar call, to the bit
+    # broadcast numerators: a sweep of max(n) terms gives each entry
+    # exactly its own scalar call, to the bit
     lead = -np.arange(13.0)[:, None]
     a2 = np.linspace(0.5, 7.5, 13)[:, None]
     a3 = -np.array([0.0, 1.5, 4.0, 9.25, 12.0])
     den = (1.25, -12.0)
-    for z in (1.0, 0.5, -3.0):
-        got = terminating_3f2((lead, a2, a3), den, z)
-        assert got.shape == (13, 5)
-        loop = np.array([
-            [terminating_3f2((float(l), float(b), float(c)), den, z) for c in a3]
-            for l, b in zip(lead[:, 0], a2[:, 0])
-        ])
-        assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+    got = terminating_3f2((lead, a2, a3), den)
+    assert got.shape == (13, 5)
+    loop = np.array([
+        [terminating_3f2((float(l), float(b), float(c)), den) for c in a3]
+        for l, b in zip(lead[:, 0], a2[:, 0])
+    ])
+    assert np.array_equal(got.view(np.int64), loop.view(np.int64))
     assert type(terminating_3f2((-3.0, 1.0, 1.0), (2.0, 3.0))) is float
 
 
