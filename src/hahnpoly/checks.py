@@ -5,6 +5,13 @@ tolerance.  The CLI `verify` command runs these; tests reuse them.
 The seed and the degree cap are fixed: randomized checks draw from a
 DEFAULT_SEED generator, so repeated runs produce identical numbers, and
 degree-limited checks stop at min(DEGREE_CAP, N).
+
+The independent reference is exact: `float-vs-exact` and
+`three-term-recurrence` read Fraction columns of every degree at the grid
+points 0, 1, N//2, N-1 and N from `oracle_exact`, computed once per
+family.  Grid values are a minimal solution of the recurrence, so a
+second float route is no reference: at N = 60 the dd series and the dd
+recurrence disagreed by 4e3 while the grid matrix was right.
 """
 
 from __future__ import annotations
@@ -17,14 +24,7 @@ import numpy as np
 
 from .discrete_calculus import GridFunction, l_disk_apply, sbp_residual
 from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
-from .hahn import (
-    HahnParams,
-    basis,
-    hahn_eval_all,
-    hahn_eval_series,
-    normalized_grid_matrix,
-    recurrence_coefficients,
-)
+from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
 
 DEFAULT_SEED = 20240901
 DEGREE_CAP = 20
@@ -58,38 +58,70 @@ def _worst(err: np.ndarray) -> float:
     return float(np.fmax.reduce(err, axis=None, initial=0.0))
 
 
+def _double(q) -> float:
+    """q rounded to a double; +-inf past the double range, which fails the
+    check that reads it."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 @lru_cache(maxsize=4)
-def _series_table(params: HahnParams) -> np.ndarray:
-    """Series-route Q_n(x), row n = 0..N, column x = 0..N, in one sweep;
-    read-only and summed once per family for both checks that read it."""
-    degrees = np.arange(params.N + 1)[:, None]
-    out = hahn_eval_series(degrees, params.grid(), params)
-    out.setflags(write=False)
-    return out
+def _exact_columns(params: HahnParams) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Exact Q_n(x) and U[n, x] = Q~_n(x) sqrt(w(x)) at the sampled points x,
+    every degree n = 0..N, each rounded once to a double; row n, column j
+    is point xs[j].  Computed once per family for both checks that read it;
+    the arrays are read-only."""
+    # imported here, not at module level, so that starting the CLI does not
+    # pay for `fractions` and the oracle when no check runs
+    from fractions import Fraction
+
+    from .oracle_exact import exact_hahn_column, exact_norms_sq, exact_weight
+
+    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    xs = sorted({0, 1, N // 2, N - 1, N})  # both ends, their neighbours, the middle
+    h = exact_norms_sq(a, b, N)
+    q_cols, u_cols = [], []
+    for x in xs:
+        col = exact_hahn_column(x, a, b, N)
+        w = exact_weight(x, a, b, N)
+        q_cols.append([_double(q) for q in col])
+        # |U| <= 1, so the square converts to a double even where Q_n(x) is huge
+        u_abs = [math.sqrt(float(q * q * w / hn)) for q, hn in zip(col, h)]
+        u_cols.append([-u if q < 0 else u for q, u in zip(col, u_abs)])
+    q, u = np.array(q_cols).T, np.array(u_cols).T
+    q.setflags(write=False)
+    u.setflags(write=False)
+    return xs, q, u
 
 
 def check_path_agreement(params: HahnParams) -> CheckResult:
-    """Series route vs recurrence route over every degree and grid point."""
-    ser = _series_table(params)
-    rec = hahn_eval_all(params.N, params.grid(), params)
-    err = np.abs(ser - rec) / np.fmax(1.0, np.abs(ser))
-    return CheckResult("series-vs-recurrence", _worst(err), 1e-9)
+    """The cached orthonormal grid matrix, in U units (Q~_n(x) sqrt(w(x)),
+    an orthogonal matrix), against the exact values at the sampled points,
+    over every degree.  A value that is not finite fails the check."""
+    xs, _, u_exact = _exact_columns(params)
+    b = basis(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(b.grid[:, xs] * np.sqrt(b.weights[xs]) - u_exact)
+    return CheckResult("float-vs-exact", float(np.max(err)), 1e-9)
 
 
 def check_recurrence_identity(params: HahnParams) -> CheckResult:
-    """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1} using
-    series-route values, so the identity is tested against an independent
-    evaluation path."""
-    q = _series_table(params)
+    """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1} on the
+    exact values at the sampled points, with the step coefficients the
+    recurrence sweep runs on, each rounded to a double.  An exact value
+    past the double range makes the defect nan, which fails the check."""
+    xs, q, _ = _exact_columns(params)
     qm, q0, qp = q[:-2], q[1:-1], q[2:]
-    steps = np.array(
-        [recurrence_coefficients(n, params) for n in range(1, params.N)]
-    ).reshape(-1, 2)
-    A, C = steps[:, :1], steps[:, 1:]
-    lhs = -params.grid() * q0
-    rhs = A * qp - (A + C) * q0 + C * qm
-    scale = np.fmax(1.0, np.abs(A * qp) + np.abs((A + C) * q0) + np.abs(C * qm))
-    return CheckResult("three-term-recurrence", _worst(np.abs(lhs - rhs) / scale), 1e-8)
+    steps = np.array([[A[0], AC[0], C[0]] for A, AC, C in basis(params).steps]).reshape(-1, 3)
+    A, AC, C = steps[:, :1], steps[:, 1:2], steps[:, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = -np.array(xs, dtype=float) * q0
+        rhs = A * qp - AC * q0 + C * qm
+        scale = np.fmax(1.0, np.abs(A * qp) + np.abs(AC * q0) + np.abs(C * qm))
+        err = np.abs(lhs - rhs) / scale
+    return CheckResult("three-term-recurrence", float(np.max(err, initial=0.0)), 1e-8)
 
 
 def check_eigen_equation(params: HahnParams) -> CheckResult:

@@ -43,9 +43,16 @@ class GridFunction:
         transform: Callable[[float], float],
     ) -> "GridFunction":
         """Sample fn on the grid through a coordinate transform applied to
-        each grid index first.  A sample that is not finite raises
-        DomainError naming its grid index."""
-        vals = np.array([fn(transform(float(i))) for i in params.grid()], dtype=float)
+        each grid index first.  A sample that is not finite, or a ValueError
+        or ArithmeticError raised while taking it, raises DomainError naming
+        its grid index."""
+        samples = []
+        for i in params.grid().tolist():
+            try:
+                samples.append(fn(transform(i)))
+            except (ValueError, ArithmeticError) as exc:
+                raise DomainError(f"sample at grid index {int(i)} failed: {exc}") from exc
+        vals = np.array(samples, dtype=float)
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise DomainError(f"sample at grid index {bad[0]} is not finite: {vals[bad[0]]}")

@@ -95,8 +95,10 @@ class DecayEntry:
     identity_residual: float
 
 
-# rounding allowance on the coefficient decay bound; the inequality itself
-# is exact in real arithmetic
+# relative rounding allowance on the coefficient decay bound; the
+# inequality itself is exact in real arithmetic.  `decay` adds the absolute
+# allowance (N+1) eps ||u||_w, the rounding level of a projected
+# coefficient, so that a bound of 0 is not failed by rounding alone.
 BOUND_SLACK = 1e-8
 
 # points per off-grid recurrence sweep in eval_expansion

@@ -1,10 +1,12 @@
 """Hahn polynomials Q_n(x) on the integer grid 0..N with weight
 w(x) = C(alpha+x, x) C(beta+N-x, N-x).
 
-Two independent evaluation routes, a terminating series and a three-term
-recurrence sweep, both in double-double arithmetic: at N = 30 the
-plain-double recurrence can be wrong in the leading digit at the grid
-ends, while the compensated one stays near 1e-14 relative.  Both take
+Values come from a three-term recurrence sweep in double-double
+arithmetic: at N = 30 the plain-double recurrence can be wrong in the
+leading digit at the grid ends, while the compensated one stays near
+1e-14 relative.  The terminating series `hahn_eval_series`, also in dd,
+stays a tested public function, but `verify` no longer calls it: its
+independent reference is the exact oracle (`oracle_exact`).  Both take
 arrays, the recurrence of points and the series of degrees and points
 that broadcast together.  Their dd operations are elementwise float
 arithmetic, which numpy rounds as Python floats do, so every entry equals

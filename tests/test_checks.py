@@ -1,22 +1,21 @@
 """The invariant suite itself, at a smaller grid so the full battery
 stays quick, and the array-swept checks against their scalar loops."""
 
+import math
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
-from hahnpoly import checks
+from hahnpoly import checks, oracle_exact
 from hahnpoly.checks import (
     check_eigen_equation,
     check_path_agreement,
     check_recurrence_identity,
     run_all,
 )
-from hahnpoly.hahn import (
-    HahnParams,
-    hahn_eval_all,
-    hahn_eval_recurrence,
-    hahn_eval_series,
-    recurrence_coefficients,
-)
+from hahnpoly.hahn import HahnParams, basis, hahn_eval_recurrence
+from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0)])
@@ -26,7 +25,7 @@ def test_all_invariants_pass(alpha, beta):
     assert not bad, f"failed checks: {[(r.name, r.value, r.tol) for r in bad]}"
     # the battery covers every named identity
     names = {r.name for r in results}
-    assert {"orthonormality-offdiag", "series-vs-recurrence",
+    assert {"orthonormality-offdiag", "float-vs-exact",
             "three-term-recurrence", "eigen-difference-equation",
             "self-adjoint-form", "operator-symmetry", "spectral-multiplier",
             "parseval", "summation-by-parts", "decay-bound-k1",
@@ -39,30 +38,39 @@ def test_deterministic():
     assert [(r.name, r.value) for r in a] == [(r.name, r.value) for r in b]
 
 
-# The three checks below as scalar loops over (degree, point), one
-# evaluation per call; `series(n, x)` is the scalar series route.
+# The checks below as scalar loops over (degree, point), one evaluation
+# per call: the two exact checks from the series, closed-form norm and
+# weight of the oracle, one value at a time.
 
-def _loop_path_agreement(params, series):
+def _exact_u(n, x, params):
+    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    q = exact_hahn_eval(n, x, a, b, N)
+    u_sq = q * q * exact_weight(x, a, b, N) / exact_norm_sq(n, a, b, N)
+    return math.sqrt(float(u_sq)) * (-1.0 if q < 0 else 1.0)
+
+
+def _loop_path_agreement(params):
+    N = params.N
+    grid, weights = basis(params).grid, basis(params).weights
     worst = 0.0
-    for x in range(params.N + 1):
-        rec = hahn_eval_all(params.N, float(x), params)
-        for n in range(params.N + 1):
-            ser = series(n, float(x))
-            err = abs(ser - rec[n]) / max(1.0, abs(ser))
-            worst = max(worst, err)
+    for x in sorted({0, 1, N // 2, N - 1, N}):
+        for n in range(N + 1):
+            u = float(grid[n, x]) * math.sqrt(float(weights[x]))
+            worst = max(worst, abs(u - _exact_u(n, x, params)))
     return worst
 
 
-def _loop_recurrence_identity(params, series):
+def _loop_recurrence_identity(params):
+    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
     worst = 0.0
-    for x in range(params.N + 1):
+    for x in sorted({0, 1, N // 2, N - 1, N}):
         xf = float(x)
-        q = [series(n, xf) for n in range(params.N + 1)]
-        for n in range(1, params.N):
-            A, C = recurrence_coefficients(n, params)
+        q = [float(exact_hahn_eval(n, x, a, b, N)) for n in range(N + 1)]
+        for n in range(1, N):
+            A, AC, C = (c[0] for c in basis(params).steps[n - 1])
             lhs = -xf * q[n]
-            rhs = A * q[n + 1] - (A + C) * q[n] + C * q[n - 1]
-            scale = max(1.0, abs(A * q[n + 1]) + abs((A + C) * q[n]) + abs(C * q[n - 1]))
+            rhs = A * q[n + 1] - AC * q[n] + C * q[n - 1]
+            scale = max(1.0, abs(A * q[n + 1]) + abs(AC * q[n]) + abs(C * q[n - 1]))
             worst = max(worst, abs(lhs - rhs) / scale)
     return worst
 
@@ -89,14 +97,11 @@ def _loop_eigen_equation(params, cap=20):
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0)])
 def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
-    # N = 60 is past where the series route stays accurate, so the values
-    # are large and every last bit of them is compared
+    # at N = 60 the recurrence sweep has begun to lose digits at the grid
+    # ends, and every last bit of the values is compared
     p = HahnParams(alpha, beta, 60)
-    table = {(n, float(x)): hahn_eval_series(n, float(x), p)
-             for n in range(61) for x in range(61)}
-    series = lambda n, x: table[n, x]  # noqa: E731
-    assert check_path_agreement(p).value == _loop_path_agreement(p, series)
-    assert check_recurrence_identity(p).value == _loop_recurrence_identity(p, series)
+    assert check_path_agreement(p).value == _loop_path_agreement(p)
+    assert check_recurrence_identity(p).value == _loop_recurrence_identity(p)
     assert check_eigen_equation(p).value == _loop_eigen_equation(p)
     # the check reads its degree cap from the module at call time
     for top in (0, 1, 7):
@@ -106,24 +111,75 @@ def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
 
 def test_swept_checks_smallest_grid():
     p = HahnParams(0.5, 0.5, 1)
-    series = lambda n, x: hahn_eval_series(n, x, p)  # noqa: E731
-    assert check_path_agreement(p).value == _loop_path_agreement(p, series)
-    assert check_recurrence_identity(p).value == 0.0 == _loop_recurrence_identity(p, series)
+    assert check_path_agreement(p).value == _loop_path_agreement(p)
+    assert check_recurrence_identity(p).value == 0.0 == _loop_recurrence_identity(p)
     assert check_eigen_equation(p).value == _loop_eigen_equation(p)
 
 
-def test_series_table_once_per_family(monkeypatch):
-    # both series checks read one read-only table, summed once per family
+def test_exact_columns_once_per_family(monkeypatch):
+    # both exact checks read one read-only set of exact columns, computed
+    # once per family: one norm sweep, one column per sampled point
     calls = []
 
-    def counted(n, x, params):
-        calls.append(params)
-        return hahn_eval_series(n, x, params)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(checks, "hahn_eval_series", counted)
-    checks._series_table.cache_clear()
+    for name in ("exact_hahn_column", "exact_norms_sq"):
+        monkeypatch.setattr(oracle_exact, name, counted(getattr(oracle_exact, name)))
+    checks._exact_columns.cache_clear()
     p = HahnParams(0.5, 0.5, 20)
     check_path_agreement(p)
     check_recurrence_identity(p)
-    assert calls == [p]
-    assert not checks._series_table(p).flags.writeable
+    assert sorted(calls) == ["exact_hahn_column"] * 5 + ["exact_norms_sq"]
+    xs, q, u = checks._exact_columns(p)
+    assert xs == [0, 1, 10, 19, 20]
+    assert q.shape == u.shape == (21, 5)
+    assert not q.flags.writeable and not u.flags.writeable
+
+
+SIX_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)]
+BENCHMARK_FAMILIES = SIX_FAMILIES[:4]
+
+
+@pytest.mark.parametrize("alpha,beta", SIX_FAMILIES)
+def test_float_vs_exact_grows_with_the_defect(alpha, beta):
+    # tolerances stated before measuring: the grid matrix agrees with the
+    # exact values to 1e-9 in U units through N = 60; the known loss of
+    # accuracy above N ~ 70 shows at N = 100 and is beyond 1 at N = 200,
+    # larger there than at N = 100; the recurrence identity on exact
+    # values holds to 1e-8 at every size
+    value = {}
+    for N in (12, 30, 60, 100, 200):
+        p = HahnParams(alpha, beta, N)
+        value[N] = check_path_agreement(p).value
+        assert check_recurrence_identity(p).value <= 1e-8, N
+    assert max(value[12], value[30], value[60]) <= 1e-9
+    if (alpha, beta) in BENCHMARK_FAMILIES:
+        assert value[100] > 1e-9
+    assert value[200] > 1.0
+    assert value[200] > value[100]
+
+
+def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
+    # a nan in the grid matrix fails the row instead of being skipped
+    p = HahnParams(0.0, 0.0, 12)
+    grid = basis(p).grid.copy()
+    grid[3, 6] = float("nan")
+    broken = SimpleNamespace(grid=grid, weights=basis(p).weights)
+    monkeypatch.setattr(checks, "basis", lambda params: broken)
+    result = check_path_agreement(p)
+    assert math.isnan(result.value) and not result.passed
+
+
+def test_exact_values_past_double_range_fail_the_checks():
+    # Q_12(12) = (beta+1)_12 / (alpha+1)_12 is about 1e320 here, past the
+    # double range, while the weights are finite: both exact checks fail
+    # with nan instead of raising OverflowError
+    p = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
+    _, q, _ = checks._exact_columns(p)
+    assert math.isinf(q[12, -1])
+    for result in (check_path_agreement(p), check_recurrence_identity(p)):
+        assert math.isnan(result.value) and not result.passed

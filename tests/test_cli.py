@@ -95,6 +95,22 @@ def test_decay_bound_columns():
         assert float(r[5]) < 1e-6
 
 
+def test_decay_constant_target_within_rounding():
+    # L u = 0 for a constant, so every bound is 0, and the projected
+    # coefficients carry rounding only: no violation, exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("decay", "--N", "30", "--m", "5", "--k", "1", "--fn", "poly:1")
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    _, data = parse_csv(res.stdout)
+    assert [float(r[3]) for r in data] == [0.0] * 5
+    # a violation far above rounding still exits 4
+    res = run("decay", "--N", "200", "--m", "200", "--k", "1")
+    assert res.exit_code == 4
+    assert "bound violated at k=1" in res.stderr
+
+
 def test_decay_order_zero_allowed():
     res = run("decay", "--N", "30", "--k", "0,1")
     assert res.exit_code == 0  # k = 0 rows are the plain norm bound
@@ -136,6 +152,14 @@ def test_verify_passes():
     header, data = parse_csv(res.output)
     assert header == ["check", "value", "tol", "status"]
     assert all(r[3] == "pass" for r in data)
+
+
+@pytest.mark.parametrize("alpha,beta", [("0", "0"), ("0.5", "0.5"), ("5", "0"), ("-0.5", "3")])
+def test_verify_passes_at_sixty(alpha, beta):
+    # the basis is still accurate at N = 60, and verify says so
+    res = run("verify", "--alpha", alpha, "--beta", beta, "--N", "60")
+    assert res.exit_code == 0
+    assert "FAIL" not in res.stdout
 
 
 def test_exit_code_usage_error():
@@ -215,6 +239,28 @@ def test_non_finite_targets_refused():
         assert "Traceback" not in res.output
 
 
+def test_target_raising_is_domain_error():
+    # the interval is accepted, but sin(pi t) raises ValueError once pi t
+    # overflows: a domain error naming the grid index, not a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("project", "--N", "1", "--m", "1", "--interval=-8e307,8e307")
+    assert res.exit_code == 3
+    assert "grid index 0" in res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
+def test_runge_huge_interval_no_warnings():
+    # 25 t^2 overflows to inf on a Python float without a numpy warning,
+    # and the target is exactly 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("runge", "--N", "30", "--m", "10", "--interval=-1e300,1e300")
+    assert res.exit_code == 0
+    assert res.stderr == ""
+
+
 def test_interval_width_must_be_finite():
     res = run("project", "--N", "6", "--m", "2", "--fn", "runge",
               "--interval=-1e308,1e308", "--pointwise", "--samples", "3")
@@ -283,9 +329,11 @@ def test_poly_function_spec():
 
 
 # exit code and sha256 of stdout for the README commands at N = 30, and
-# one verify past where the series route is accurate (exit 4), each
-# recorded on the code before the change that pinned it; any change to
-# these bytes is a change of output, not a refactor
+# one verify at N = 60, each recorded on the code before the change that
+# pinned it; any change to these bytes is a change of output, not a
+# refactor.  The two verify pins were re-recorded when float-vs-exact
+# replaced series-vs-recurrence: only that row and three-term-recurrence
+# changed, and the N = 60 one went from exit 4 to exit 0
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
         (0, "60ff27f7a30deb5303570502b539beb1a421cb22e61d38fa75e57fa13218d988"),
@@ -302,9 +350,9 @@ GOLDEN_STDOUT = {
     "compare-legendre --N 30 --m 10":
         (0, "d2aeaff2dcccc3b1165be5c7ebae9eae4afe11abd82a754f44d889620f7429dc"),
     "verify --alpha 0.5 --beta 0.5 --N 30":
-        (0, "84de33c61c059bfcf63314bdc37c8f8106117e80943ae93db9ff3c391e1c681b"),
+        (0, "3db573bb9c09bb829a029f000744272d554b65ae0ac21c1a1f8501f097d70652"),
     "verify --alpha -0.5 --beta 3 --N 60":
-        (4, "6dbc7482e8507f76952f911ec19c366f6089fcfc24813ca9edf05395f3c3efc2"),
+        (0, "82db6437f59a9f4bcc1122f73bd13c7d409346cdb3cec5e141f0df6494f463b6"),
 }
 
 

@@ -10,15 +10,18 @@ import pytest
 
 from hahnpoly.errors import DomainError
 from hahnpoly.oracle_exact import (
+    exact_hahn_column,
     exact_hahn_eval,
     exact_inner_product,
     exact_norm_sq,
+    exact_norms_sq,
     exact_pochhammer,
     exact_weight,
 )
 
 HALF = Fraction(1, 2)
 PARAM_SETS = [(Fraction(0), Fraction(0)), (HALF, HALF), (Fraction(5), Fraction(0))]
+RECURRENCE_SETS = PARAM_SETS + [(-HALF, Fraction(3))]
 
 
 def test_pochhammer_hand_values():
@@ -96,4 +99,38 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         exact_weight(9, 0, 0, 8)
     with pytest.raises(DomainError):
-        exact_norm_sq(2, 0, 0, 50)
+        exact_norm_sq(2, 0, 0, 201)
+    with pytest.raises(DomainError):
+        exact_hahn_column(0, 0, 0, 201)
+    with pytest.raises(DomainError):
+        exact_norms_sq(Fraction(-1), 0, 8)
+
+
+# The recurrence route (a column of every degree at one point, every norm
+# at once) against the series and the closed form, which share nothing
+# with it but the definition of Q_n.
+
+@pytest.mark.parametrize("alpha,beta", RECURRENCE_SETS)
+@pytest.mark.parametrize("N", [1, 2, 12, 40])
+def test_column_equals_series(alpha, beta, N):
+    for x in (0, 1, Fraction(N, 2), N - 1, N, Fraction(7, 2)):
+        col = exact_hahn_column(x, alpha, beta, N)
+        assert col == [exact_hahn_eval(n, x, alpha, beta, N) for n in range(N + 1)], x
+
+
+@pytest.mark.parametrize("alpha,beta", RECURRENCE_SETS)
+@pytest.mark.parametrize("N", [1, 2, 12, 40])
+def test_norms_recurrence_equals_closed_form(alpha, beta, N):
+    assert exact_norms_sq(alpha, beta, N) == [
+        exact_norm_sq(n, alpha, beta, N) for n in range(N + 1)]
+
+
+def test_column_and_norms_at_the_cap():
+    # N = 200 is inside the exact route; spot values against the series
+    col = exact_hahn_column(3, HALF, HALF, 200)
+    assert len(col) == 201
+    for n in (0, 1, 2, 57, 199, 200):
+        assert col[n] == exact_hahn_eval(n, 3, HALF, HALF, 200)
+    norms = exact_norms_sq(5, 0, 200)
+    for n in (0, 1, 100, 200):
+        assert norms[n] == exact_norm_sq(n, 5, 0, 200)
