@@ -2,13 +2,14 @@
 satisfy, each packaged as a named check with a measured value and a
 tolerance.  The CLI `verify` command runs these; tests reuse them.
 
-The seed and the degree cap are fixed: randomized checks draw from a
-DEFAULT_SEED generator, so repeated runs produce identical numbers, and
+The seed and the degree cap are fixed: randomized checks read the first
+draws of a DEFAULT_SEED generator from a committed table, so repeated
+runs produce identical numbers without importing numpy.random, and
 degree-limited checks stop at min(DEGREE_CAP, N).
 
 The independent reference is exact: `float-vs-exact` and
-`three-term-recurrence` read Fraction columns of every degree at the grid
-points 0, 1, N//2, N-1 and N from `oracle_exact`, computed once per
+`three-term-recurrence` read integer-ratio columns of every degree at the
+grid points 0, 1, N//2, N-1 and N from `oracle_exact`, computed once per
 family.  Grid values are a minimal solution of the recurrence, so a
 second float route is no reference: at N = 60 the dd series and the dd
 recurrence disagreed by 4e3 while the grid matrix was right.
@@ -53,18 +54,19 @@ def check_orthonormality(params: HahnParams) -> list[CheckResult]:
 
 
 def _worst(err: np.ndarray) -> float:
-    # largest entry, NaN entries skipped and 0.0 when none is left: what a
-    # running `worst = max(worst, err)` from 0.0 gives
-    return float(np.fmax.reduce(err, axis=None, initial=0.0))
+    # largest entry, 0.0 for no entry; a nan entry makes it nan, so a
+    # defect that is not finite fails the check instead of being skipped
+    return float(np.max(err, initial=0.0))
 
 
-def _double(q) -> float:
-    """q rounded to a double; +-inf past the double range, which fails the
-    check that reads it."""
+def _double(num: int, den: int) -> float:
+    """num / den rounded once to a double, for den > 0; +-inf past the
+    double range, which fails the check that reads it.  Int true division
+    rounds correctly, as float(Fraction) does."""
     try:
-        return float(q)
+        return num / den
     except OverflowError:
-        return math.inf if q > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 @lru_cache(maxsize=4)
@@ -74,22 +76,20 @@ def _exact_columns(params: HahnParams) -> tuple[list[int], np.ndarray, np.ndarra
     is point xs[j].  Computed once per family for both checks that read it;
     the arrays are read-only."""
     # imported here, not at module level, so that starting the CLI does not
-    # pay for `fractions` and the oracle when no check runs
-    from fractions import Fraction
+    # pay for the oracle when no check runs
+    from .oracle_exact import _exact_ratios
 
-    from .oracle_exact import exact_hahn_column, exact_norms_sq, exact_weight
-
-    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    N = params.N
     xs = sorted({0, 1, N // 2, N - 1, N})  # both ends, their neighbours, the middle
-    h = exact_norms_sq(a, b, N)
+    cols, h, ws = _exact_ratios(params.alpha, params.beta, N, xs)
     q_cols, u_cols = [], []
-    for x in xs:
-        col = exact_hahn_column(x, a, b, N)
-        w = exact_weight(x, a, b, N)
-        q_cols.append([_double(q) for q in col])
-        # |U| <= 1, so the square converts to a double even where Q_n(x) is huge
-        u_abs = [math.sqrt(float(q * q * w / hn)) for q, hn in zip(col, h)]
-        u_cols.append([-u if q < 0 else u for q, u in zip(col, u_abs)])
+    for col, (wn, wd) in zip(cols, ws):
+        q_cols.append([_double(p, r) for p, r in col])
+        # |U| <= 1, so U^2 = Q^2 w / h converts to a double even where
+        # Q_n(x) is huge
+        u_abs = [math.sqrt(p * p * wn * hd / (r * r * wd * hn))
+                 for (p, r), (hn, hd) in zip(col, h)]
+        u_cols.append([-u if p < 0 else u for (p, _), u in zip(col, u_abs)])
     q, u = np.array(q_cols).T, np.array(u_cols).T
     q.setflags(write=False)
     u.setflags(write=False)
@@ -121,25 +121,28 @@ def check_recurrence_identity(params: HahnParams) -> CheckResult:
         rhs = A * qp - AC * q0 + C * qm
         scale = np.fmax(1.0, np.abs(A * qp) + np.abs(AC * q0) + np.abs(C * qm))
         err = np.abs(lhs - rhs) / scale
-    return CheckResult("three-term-recurrence", float(np.max(err, initial=0.0)), 1e-8)
+    return CheckResult("three-term-recurrence", _worst(err), 1e-8)
 
 
 def check_eigen_equation(params: HahnParams) -> CheckResult:
     """Pointwise defect of B(x) Q_n(x+1) - (B(x)+D(x)) Q_n(x) + D(x) Q_n(x-1)
     = lam_n Q_n(x); a polynomial identity, checked on the grid.  (The
-    weighted-flux form of the same operator carries the opposite sign.)"""
+    weighted-flux form of the same operator carries the opposite sign.)
+    A value or defect that is not finite fails the check."""
     top = min(DEGREE_CAP, params.N)
-    # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
-    q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
-    qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
     hb = basis(params)
     lam, b, d = hb.lam[: top + 1, None], hb.b, hb.d
-    lhs = b * qp - (b + d) * q0 + d * qm
-    rhs = lam * q0
-    scale = np.fmax(
-        np.fmax(1.0, np.abs(b * qp) + np.abs((b + d) * q0) + np.abs(d * qm)), np.abs(rhs)
-    )
-    return CheckResult("eigen-difference-equation", _worst(np.abs(lhs - rhs) / scale), 1e-7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
+        q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
+        qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
+        lhs = b * qp - (b + d) * q0 + d * qm
+        rhs = lam * q0
+        scale = np.fmax(
+            np.fmax(1.0, np.abs(b * qp) + np.abs((b + d) * q0) + np.abs(d * qm)), np.abs(rhs)
+        )
+        err = np.abs(lhs - rhs) / scale
+    return CheckResult("eigen-difference-equation", _worst(err), 1e-7)
 
 
 def check_self_adjoint_form(params: HahnParams) -> CheckResult:
@@ -159,9 +162,13 @@ def check_self_adjoint_form(params: HahnParams) -> CheckResult:
 
 
 def _random_grid_functions(params: HahnParams, count: int) -> list[GridFunction]:
-    """The first `count` grid functions of a fresh DEFAULT_SEED generator."""
-    rng = np.random.default_rng(DEFAULT_SEED)
-    return [GridFunction(params, rng.standard_normal(params.N + 1)) for _ in range(count)]
+    """The first `count` grid functions of a fresh DEFAULT_SEED generator,
+    each N + 1 standard normal draws, read from a table of its first draws
+    (imported on first use) instead of from numpy.random."""
+    from ._draws import DRAWS
+
+    n = params.N + 1
+    return [GridFunction(params, np.array(DRAWS[k * n:(k + 1) * n])) for k in range(count)]
 
 
 def check_operator_symmetry(params: HahnParams) -> CheckResult:

@@ -67,13 +67,18 @@ def terminating_3f2(
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _binomial_prefix_dd(a: float, k: int) -> list[dd.DD]:
+def _binomial_prefix_dd(a: float, k: int) -> list[tuple[dd.DD, int]]:
     # C(a+i, i) = prod_{j=1..i} (a+j)/j for i = 0..k, as one running
-    # product: entry i has the rounding of a product built for i alone
-    out = [dd.dd_from(1.0)]
+    # product: entry i has the rounding of a product built for i alone.
+    # Entry i is (m, e) with value m * 2**e and m's high part in [0.5, 1).
+    # Scaling by a power of two is exact, so m has the rounding of the
+    # unscaled product, whose Dekker split overflows to nan above ~1e300
+    out = [(dd.dd_from(1.0), 0)]
     for i in range(1, k + 1):
-        step = dd.dd_mul(out[-1], dd.two_sum(a, float(i)))
-        out.append(dd.dd_div_d(step, float(i)))
+        m, e = out[-1]
+        step = dd.dd_div_d(dd.dd_mul(m, dd.two_sum(a, float(i))), float(i))
+        shift = math.frexp(step[0])[1]
+        out.append(((math.ldexp(step[0], -shift), math.ldexp(step[1], -shift)), e + shift))
     return out
 
 
@@ -86,13 +91,29 @@ def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
     if float(alpha).is_integer() and float(beta).is_integer() and alpha >= 0 and beta >= 0:
         a = int(alpha)
         b = int(beta)
-        return [float(math.comb(a + x, x) * math.comb(b + N - x, N - x)) for x in xs]
-    left = _binomial_prefix_dd(alpha, xs[-1])
-    right = _binomial_prefix_dd(beta, N - xs[0])
+
+        def weight(x: int) -> float:
+            return float(math.comb(a + x, x) * math.comb(b + N - x, N - x))
+    else:
+        left = _binomial_prefix_dd(alpha, xs[-1])
+        right = _binomial_prefix_dd(beta, N - xs[0])
+
+        def weight(x: int) -> float:
+            (m, e), (m2, e2) = left[x], right[N - x]
+            prod = dd.dd_mul(m, m2)
+            return math.ldexp(prod[0] + prod[1], e + e2)
+
     out = []
     for x in xs:
-        prod = dd.dd_mul(left[x], right[N - x])
-        out.append(prod[0] + prod[1])
+        # past the double range both conversions raise OverflowError; a dd
+        # split of alpha + x or beta + x above ~1e300 gives nan instead
+        try:
+            w = weight(x)
+        except OverflowError:
+            w = math.inf
+        if not math.isfinite(w):
+            raise DomainError(f"weight w({x}) is not finite in double precision")
+        out.append(w)
     return out
 
 

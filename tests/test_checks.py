@@ -2,9 +2,15 @@
 stays quick, and the array-swept checks against their scalar loops."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hahnpoly import checks, oracle_exact
@@ -118,7 +124,8 @@ def test_swept_checks_smallest_grid():
 
 def test_exact_columns_once_per_family(monkeypatch):
     # both exact checks read one read-only set of exact columns, computed
-    # once per family: one norm sweep, one column per sampled point
+    # once per family in integers: one norm sweep, one column per sampled
+    # point, and none of the Fraction functions
     calls = []
 
     def counted(fn):
@@ -127,17 +134,97 @@ def test_exact_columns_once_per_family(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("exact_hahn_column", "exact_norms_sq"):
+    for name in ("_column", "_norms", "exact_hahn_column", "exact_norms_sq",
+                 "exact_hahn_eval", "exact_norm_sq", "exact_weight"):
         monkeypatch.setattr(oracle_exact, name, counted(getattr(oracle_exact, name)))
     checks._exact_columns.cache_clear()
     p = HahnParams(0.5, 0.5, 20)
     check_path_agreement(p)
     check_recurrence_identity(p)
-    assert sorted(calls) == ["exact_hahn_column"] * 5 + ["exact_norms_sq"]
+    assert sorted(calls) == ["_column"] * 5 + ["_norms"]
     xs, q, u = checks._exact_columns(p)
     assert xs == [0, 1, 10, 19, 20]
     assert q.shape == u.shape == (21, 5)
     assert not q.flags.writeable and not u.flags.writeable
+
+
+def _fraction_double(v):
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _fraction_columns(params):
+    # the Fraction route the integer columns replaced: the oracle's columns,
+    # norms and weights, each value rounded by float(Fraction)
+    a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    xs = sorted({0, 1, N // 2, N - 1, N})
+    h = oracle_exact.exact_norms_sq(a, b, N)
+    q_cols, u_cols = [], []
+    for x in xs:
+        col = oracle_exact.exact_hahn_column(x, a, b, N)
+        w = exact_weight(x, a, b, N)
+        q_cols.append([_fraction_double(v) for v in col])
+        u_abs = [math.sqrt(float(v * v * w / hn)) for v, hn in zip(col, h)]
+        u_cols.append([-u if v < 0 else u for v, u in zip(col, u_abs)])
+    return xs, np.array(q_cols).T, np.array(u_cols).T
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)])
+@pytest.mark.parametrize("N", [1, 2, 12, 30, 60, 100, 200])
+def test_exact_columns_equal_fraction_route(alpha, beta, N):
+    p = HahnParams(alpha, beta, N)
+    xs, q, u = checks._exact_columns(p)
+    ref_xs, ref_q, ref_u = _fraction_columns(p)
+    assert xs == ref_xs
+    assert np.array_equal(q.view(np.int64), ref_q.view(np.int64))
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+
+
+def test_exact_columns_equal_fraction_route_past_double_range():
+    p = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
+    _, q, u = checks._exact_columns(p)
+    _, ref_q, ref_u = _fraction_columns(p)
+    assert math.isinf(q[12, -1])
+    assert np.array_equal(q.view(np.int64), ref_q.view(np.int64))
+    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
+
+
+def test_draw_table_equals_generator():
+    # the seeded grid functions are the generator's own draws, bit for bit,
+    # at every grid size and count the checks use
+    for N in range(1, 201):
+        p = HahnParams(0.0, 0.0, N)
+        for count in (1, 2):
+            rng = np.random.default_rng(checks.DEFAULT_SEED)
+            got = checks._random_grid_functions(p, count)
+            assert len(got) == count
+            for f in got:
+                want = rng.standard_normal(N + 1)
+                assert np.array_equal(f.values.view(np.int64), want.view(np.int64)), (N, count)
+
+
+_NO_NUMPY_RANDOM = """
+import sys
+from hahnpoly.cli import main
+try:
+    main(["verify", "--N", "12"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "numpy.random" not in sys.modules, "verify imported numpy.random"
+"""
+
+
+def test_verify_does_not_import_numpy_random():
+    # a fresh interpreter, since this test session imports numpy.random
+    src = str(Path(checks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "check,value,tol,status" in out.stdout
 
 
 SIX_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)]
@@ -171,6 +258,16 @@ def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
     broken = SimpleNamespace(grid=grid, weights=basis(p).weights)
     monkeypatch.setattr(checks, "basis", lambda params: broken)
     result = check_path_agreement(p)
+    assert math.isnan(result.value) and not result.passed
+
+
+def test_eigen_equation_fails_on_non_finite_defect():
+    # Q_12(12) is about 1e320: the sweep overflows, and the row fails with
+    # nan instead of skipping it, without a numpy warning
+    p = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_eigen_equation(p)
     assert math.isnan(result.value) and not result.passed
 
 

@@ -298,6 +298,37 @@ def test_overflowing_operator_power_refused(command):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("command,first", [
+    ("weights --alpha 1e6 --beta 0 --N 200", 68),
+    ("weights --alpha 1e6 --beta 0.5 --N 200", 67),
+    ("verify --alpha 1e6 --beta 0 --N 200", 68),
+    ("verify --alpha 1e6 --beta 0.5 --N 200", 67),
+])
+def test_weights_past_double_range_refused(command, first):
+    # the integer (beta 0) and the dd (beta 0.5) weight route: a domain
+    # error naming the first grid point past the double range, with no
+    # nan, traceback or numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(*command.split())
+    assert res.exit_code == 3
+    assert f"w({first}) is not finite" in res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.output
+
+
+def test_verify_overflowing_eigen_sweep_no_warnings():
+    # Q_12(12) is about 1e320 here: the eigen-equation sweep overflows
+    # without a numpy warning, and the decay check still refuses k=1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("verify", "--alpha", "-0.9999999999999999", "--beta", "1e26", "--N", "12")
+    assert res.exit_code == 3
+    assert res.stderr == ("error: L^k u, ||L^k u||_w or lam_n^k overflows double "
+                          "precision at k=1\n")
+    assert res.stdout == ""
+
+
 def test_out_file_roundtrip(tmp_path):
     out = tmp_path / "w.csv"
     res = run("weights", "--N", "6", "--out", str(out))

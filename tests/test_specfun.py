@@ -107,8 +107,8 @@ def test_weight_product_route_matches_comb_route():
     for a in (2.0, 5.0):
         prefix = _binomial_prefix_dd(a, 11)
         assert len(prefix) == 12
-        for k, (hi, lo) in enumerate(prefix):
-            assert hi + lo == float(math.comb(int(a) + k, k))
+        for k, ((hi, lo), e) in enumerate(prefix):
+            assert math.ldexp(hi + lo, e) == float(math.comb(int(a) + k, k))
 
 
 def test_weight_symmetric_parameters():
@@ -135,3 +135,34 @@ def test_weight_row_equals_scalar_weights(alpha, beta):
         assert np.array_equal(row.view(np.int64), loop.view(np.int64))
     with pytest.raises(DomainError):
         binomial_weights(-1.0, 0.0, 4)
+
+
+@pytest.mark.parametrize("alpha,beta,first", [(1e6, 0.0, 68), (1e6, 0.5, 67),
+                                              (-0.999, 1e4, 0)])
+def test_weights_past_double_range_refused(alpha, beta, first):
+    # the integer (beta 0) and the dd (beta 0.5) route: weights up to the
+    # top of the double range equal the oracle, and the first grid point
+    # whose exact weight is past it is named; the dd prefix product keeps
+    # a power-of-two exponent apart, so it does not overflow to nan first
+    N = 200
+    with pytest.raises(DomainError, match=rf"w\({first}\) is not finite"):
+        binomial_weights(alpha, beta, N)
+    with pytest.raises(DomainError, match=rf"w\({first}\)"):
+        binomial_weight(first, alpha, beta, N)
+    with pytest.raises(OverflowError):
+        float(exact_weight(first, Fraction(alpha), Fraction(beta), N))
+    for x in range(max(first - 2, 0), first):
+        exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), N))
+        assert exact > 1e299
+        assert binomial_weight(x, alpha, beta, N) == pytest.approx(exact, rel=1e-15)
+
+
+def test_weight_near_double_range_is_finite():
+    # w(0) = C(1e26 + 12, 12) is about 2e303: finite and right, where the
+    # unscaled dd product read nan
+    alpha, beta = -1.0 + 2.0 ** -53, 1e26
+    w = binomial_weights(alpha, beta, 12)
+    for x in (0, 1, 6, 12):
+        exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), 12))
+        assert w[x] == pytest.approx(exact, rel=1e-15)
+    assert w[0] > 1e303
