@@ -70,16 +70,23 @@ def terminating_3f2(
 def _binomial_prefix_dd(a: float, k: int) -> list[tuple[dd.DD, int]]:
     # C(a+i, i) = prod_{j=1..i} (a+j)/j for i = 0..k, as one running
     # product: entry i has the rounding of a product built for i alone.
-    # Entry i is (m, e) with value m * 2**e and m's high part in [0.5, 1).
-    # Scaling by a power of two is exact, so m has the rounding of the
-    # unscaled product, whose Dekker split overflows to nan above ~1e300
+    # Entry i is (m, e) with value m * 2**e and m's high part in [0.5, 1),
+    # and each factor a + i is scaled the same way.  Scaling by a power of
+    # two is exact, so m has the rounding of the unscaled product, whose
+    # Dekker split overflows to nan once a value passes ~1e300
     out = [(dd.dd_from(1.0), 0)]
     for i in range(1, k + 1):
         m, e = out[-1]
-        step = dd.dd_div_d(dd.dd_mul(m, dd.two_sum(a, float(i))), float(i))
-        shift = math.frexp(step[0])[1]
-        out.append(((math.ldexp(step[0], -shift), math.ldexp(step[1], -shift)), e + shift))
+        factor, fe = _scaled(dd.two_sum(a, float(i)))
+        step, se = _scaled(dd.dd_div_d(dd.dd_mul(m, factor), float(i)))
+        out.append((step, e + fe + se))
     return out
+
+
+def _scaled(x: dd.DD) -> tuple[dd.DD, int]:
+    # (m, e) with x = m * 2**e and m's high part in [0.5, 1), for x > 0
+    e = math.frexp(x[0])[1]
+    return (math.ldexp(x[0], -e), math.ldexp(x[1], -e)), e
 
 
 def _check_weight_exponents(alpha: float, beta: float) -> None:
@@ -105,15 +112,11 @@ def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
 
     out = []
     for x in xs:
-        # past the double range both conversions raise OverflowError; a dd
-        # split of alpha + x or beta + x above ~1e300 gives nan instead
+        # past the double range both conversions raise OverflowError
         try:
-            w = weight(x)
+            out.append(weight(x))
         except OverflowError:
-            w = math.inf
-        if not math.isfinite(w):
-            raise DomainError(f"weight w({x}) is not finite in double precision")
-        out.append(w)
+            raise DomainError(f"weight w({x}) is not finite in double precision") from None
     return out
 
 
@@ -126,6 +129,7 @@ def binomial_weight(x: int, alpha: float, beta: float, N: int) -> float:
     double-double so the returned value is correctly rounded for practical
     purposes.  Orthogonality defects are proportional to the weight error
     times the largest weight, which makes the last digits here matter.
+    A weight past the double range raises DomainError naming x.
     """
     _check_weight_exponents(alpha, beta)
     if not 0 <= x <= N:
@@ -137,7 +141,8 @@ def binomial_weights(alpha: float, beta: float, N: int) -> list[float]:
     """Weights w(0) .. w(N), each equal to `binomial_weight` bit for bit.
 
     Both generalized binomials come from one running prefix product each,
-    so the whole grid costs O(N) dd steps instead of O(N^2).
+    so the whole grid costs O(N) dd steps instead of O(N^2).  The first
+    weight past the double range raises DomainError naming its grid point.
     """
     _check_weight_exponents(alpha, beta)
     if N < 0:

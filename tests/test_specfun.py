@@ -137,14 +137,14 @@ def test_weight_row_equals_scalar_weights(alpha, beta):
         binomial_weights(-1.0, 0.0, 4)
 
 
-@pytest.mark.parametrize("alpha,beta,first", [(1e6, 0.0, 68), (1e6, 0.5, 67),
-                                              (-0.999, 1e4, 0)])
-def test_weights_past_double_range_refused(alpha, beta, first):
-    # the integer (beta 0) and the dd (beta 0.5) route: weights up to the
-    # top of the double range equal the oracle, and the first grid point
-    # whose exact weight is past it is named; the dd prefix product keeps
-    # a power-of-two exponent apart, so it does not overflow to nan first
-    N = 200
+@pytest.mark.parametrize("alpha,beta,N,first", [(1e6, 0.0, 200, 68), (1e6, 0.5, 200, 67),
+                                                (-0.999, 1e4, 200, 0), (1e305, 0.5, 2, 2)])
+def test_weights_past_double_range_refused(alpha, beta, N, first):
+    # the integer (beta 0) and the dd route: the weights before the first
+    # grid point whose exact weight is past the double range equal the
+    # oracle, up to 2.4e304 and 1.5e305 here, and that point is named; the
+    # dd prefix product keeps a power-of-two exponent apart, so its Dekker
+    # split does not overflow to nan first
     with pytest.raises(DomainError, match=rf"w\({first}\) is not finite"):
         binomial_weights(alpha, beta, N)
     with pytest.raises(DomainError, match=rf"w\({first}\)"):
@@ -153,7 +153,6 @@ def test_weights_past_double_range_refused(alpha, beta, first):
         float(exact_weight(first, Fraction(alpha), Fraction(beta), N))
     for x in range(max(first - 2, 0), first):
         exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), N))
-        assert exact > 1e299
         assert binomial_weight(x, alpha, beta, N) == pytest.approx(exact, rel=1e-15)
 
 
