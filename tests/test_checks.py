@@ -148,6 +148,12 @@ def test_exact_columns_once_per_family(monkeypatch):
     assert not q.flags.writeable and not u.flags.writeable
 
 
+SIX_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)]
+BENCHMARK_FAMILIES = SIX_FAMILIES[:4]
+# Q_12(12) = (beta+1)_12 / (alpha+1)_12 is about 1e320 here, past the double range
+PAST_DOUBLE_RANGE = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
+
+
 def _fraction_double(v):
     try:
         return float(v)
@@ -171,23 +177,13 @@ def _fraction_columns(params):
     return xs, np.array(q_cols).T, np.array(u_cols).T
 
 
-@pytest.mark.parametrize("alpha,beta", [
-    (0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)])
-@pytest.mark.parametrize("N", [1, 2, 12, 30, 60, 100, 200])
-def test_exact_columns_equal_fraction_route(alpha, beta, N):
-    p = HahnParams(alpha, beta, N)
+@pytest.mark.parametrize("p", [HahnParams(a, b, N) for a, b in SIX_FAMILIES
+                               for N in (1, 2, 12, 30, 60, 100, 200)] + [PAST_DOUBLE_RANGE],
+                         ids=lambda p: f"{p.alpha}-{p.beta}-{p.N}")
+def test_exact_columns_equal_fraction_route(p):
     xs, q, u = checks._exact_columns(p)
     ref_xs, ref_q, ref_u = _fraction_columns(p)
     assert xs == ref_xs
-    assert np.array_equal(q.view(np.int64), ref_q.view(np.int64))
-    assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
-
-
-def test_exact_columns_equal_fraction_route_past_double_range():
-    p = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
-    _, q, u = checks._exact_columns(p)
-    _, ref_q, ref_u = _fraction_columns(p)
-    assert math.isinf(q[12, -1])
     assert np.array_equal(q.view(np.int64), ref_q.view(np.int64))
     assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
 
@@ -227,10 +223,6 @@ def test_verify_does_not_import_numpy_random():
     assert "check,value,tol,status" in out.stdout
 
 
-SIX_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)]
-BENCHMARK_FAMILIES = SIX_FAMILIES[:4]
-
-
 @pytest.mark.parametrize("alpha,beta", SIX_FAMILIES)
 def test_float_vs_exact_grows_with_the_defect(alpha, beta):
     # tolerances stated before measuring: the grid matrix agrees with the
@@ -262,12 +254,11 @@ def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
 
 
 def test_eigen_equation_fails_on_non_finite_defect():
-    # Q_12(12) is about 1e320: the sweep overflows, and the row fails with
-    # nan instead of skipping it, without a numpy warning
-    p = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
+    # the sweep overflows, and the row fails with nan instead of skipping
+    # it, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = check_eigen_equation(p)
+        result = check_eigen_equation(PAST_DOUBLE_RANGE)
     assert math.isnan(result.value) and not result.passed
 
 
