@@ -30,7 +30,6 @@ from .hahn import (
     hahn_eval_series,
     norm_sq_closed,
     normalized_grid_matrix,
-    recurrence_coefficients,
     weight_table,
 )
 from .legendre_ref import (
@@ -66,7 +65,6 @@ __all__ = [
     "norm_sq_closed",
     "normalized_grid_matrix",
     "project",
-    "recurrence_coefficients",
     "sbp_residual",
     "terminating_3f2",
     "weight_table",

@@ -34,7 +34,7 @@ from .expansion import (
     inner_product,
     project,
 )
-from .hahn import _MAX_N, HahnParams, basis, hahn_eval_all, norm_sq_closed
+from .hahn import HahnParams, basis, hahn_eval_all, norm_sq_closed
 from .legendre_ref import legendre_coeffs
 
 Fn = Callable[[float], float]
@@ -69,30 +69,30 @@ def _parse_fn(text: str) -> tuple[str, Fn]:
     raise click.UsageError(f"unknown function {text!r}; use sin-pi, runge, or poly:c0,c1,...")
 
 
-# configuration checks: every flag value is vetted here, with the field
-# named in the message, before any computation runs (exit code 2);
-# domain errors the library itself raises mid-computation exit with 3
+# configuration checks: every flag value is vetted before any computation
+# runs, here or by the library type it builds, with the field named in the
+# message (exit code 2); domain errors the library raises mid-computation
+# exit with 3
 
 
-def _checked_family(alpha: float, beta: float, grid_n: int) -> HahnParams:
-    if not (math.isfinite(alpha) and alpha > -1.0):
-        raise click.UsageError(f"alpha must be finite and greater than -1, got {alpha}")
-    if not (math.isfinite(beta) and beta > -1.0):
-        raise click.UsageError(f"beta must be finite and greater than -1, got {beta}")
-    if not 1 <= grid_n <= _MAX_N:
-        raise click.UsageError(f"N must be in 1..{_MAX_N}, got {grid_n}")
-    return HahnParams(alpha, beta, grid_n)
+def _vetted(make: Callable, *args: object):
+    """make(*args); a DomainError it raises is a flag value out of range,
+    so a configuration error."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _checked_families(text: str, grid_n: int) -> list[HahnParams]:
-    sets = []
+    families = []
     for chunk in text.split(";"):
         try:
             a, b = (float(s) for s in chunk.split(","))
         except ValueError:
             raise click.UsageError(f"bad parameter list {text!r}, expected a,b[;a,b...]")
-        sets.append((a, b))
-    return [_checked_family(a, b, grid_n) for a, b in sets]
+        families.append(_vetted(HahnParams, a, b, grid_n))
+    return families
 
 
 def _checked_degree(m: int, grid_n: int) -> int:
@@ -103,14 +103,12 @@ def _checked_degree(m: int, grid_n: int) -> int:
     return m
 
 
-def _checked_interval(text: str, grid_n: int) -> tuple[float, float]:
+def _checked_interval(text: str, grid_n: int) -> IntervalMap:
     try:
         a, b = (float(s) for s in text.split(","))
     except ValueError:
         raise click.UsageError(f"bad interval {text!r}, expected a,b")
-    if not (a < b and math.isfinite(grid_n * (b - a))):
-        raise click.UsageError(f"interval must satisfy a < b with N (b - a) finite, got {a},{b}")
-    return a, b
+    return _vetted(IntervalMap, a, b, grid_n)
 
 
 def _checked_samples(samples: int) -> int:
@@ -184,19 +182,32 @@ def _guard(fn):
     return wrapped
 
 
+# each option that several commands take is declared once, here
+_grid_option = click.option("--N", "grid_n", type=int, default=30, show_default=True,
+                            help="grid size; points are 0..N")
+_fn_option = click.option("--fn", "fn_spec", type=str, default="sin-pi", show_default=True,
+                          help="target: sin-pi, runge, or poly:c0,c1,...")
+_interval_option = click.option("--interval", type=str, default="-1,1", show_default=True,
+                                help="interval the grid is mapped onto")
+_samples_option = click.option("--samples", type=int, default=201, show_default=True,
+                               help="equispaced sample count across the interval")
+_orders_option = click.option("--k", "orders", type=str, default="1,2,3", show_default=True,
+                              help="operator powers, comma separated")
+_out_option = click.option("--out", type=str, default="-", show_default=True,
+                           help="output path, - for stdout")
+
+
+def _top_option(default: int):
+    return click.option("--m", "top", type=int, default=default, show_default=True,
+                        help="highest projection degree")
+
+
 def _family_options(f):
     f = click.option("--alpha", type=float, default=0.0, show_default=True,
                      help="weight exponent alpha > -1")(f)
     f = click.option("--beta", type=float, default=0.0, show_default=True,
                      help="weight exponent beta > -1")(f)
-    f = click.option("--N", "grid_n", type=int, default=30, show_default=True,
-                     help="grid size; points are 0..N")(f)
-    return f
-
-
-def _out_option(f):
-    return click.option("--out", type=str, default="-", show_default=True,
-                        help="output path, - for stdout")(f)
+    return _grid_option(f)
 
 
 @click.group()
@@ -212,7 +223,7 @@ def main() -> None:
 @_guard
 def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
     """Tabulate the weight w(x) on the grid."""
-    p = _checked_family(alpha, beta, grid_n)
+    p = _vetted(HahnParams, alpha, beta, grid_n)
     w = basis(p).weights
     lines = _header("weights", alpha=alpha, beta=beta, N=grid_n,
                     total=_fmt(math.fsum(w)))
@@ -233,7 +244,7 @@ def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
 def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
              points: str | None, normalized: bool, out: str) -> None:
     """Evaluate one polynomial at chosen points."""
-    p = _checked_family(alpha, beta, grid_n)
+    p = _vetted(HahnParams, alpha, beta, grid_n)
     if points is None:
         xs = [float(i) for i in range(p.N + 1)]
     else:
@@ -258,20 +269,16 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
 
 @main.command("project")
 @_family_options
-@click.option("--m", "top", type=int, default=10, show_default=True,
-              help="highest projection degree")
-@click.option("--fn", "fn_spec", type=str, default="sin-pi", show_default=True,
-              help="target: sin-pi, runge, or poly:c0,c1,...")
-@click.option("--interval", type=str, default="-1,1", show_default=True,
-              help="interval the grid is mapped onto")
+@_top_option(10)
+@_fn_option
+@_interval_option
 @click.option("--params", "param_sets", type=str, default=None,
               help="extra parameter sets a,b[;a,b...]; overrides --alpha/--beta")
 @click.option("--normalized", type=bool, default=True, show_default=True,
               help="orthonormal-basis coefficients (false: classical)")
 @click.option("--pointwise", is_flag=True, default=False,
               help="append sampled reconstruction rows (t, target, approx, error)")
-@click.option("--samples", type=int, default=201, show_default=True,
-              help="equispaced sample count for --pointwise")
+@_samples_option
 @_out_option
 @_guard
 def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
@@ -279,16 +286,15 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
                 pointwise: bool, samples: int, out: str) -> None:
     """Projection coefficients of a sampled function."""
     label, fn = _parse_fn(fn_spec)
-    a, b = _checked_interval(interval, grid_n)
     if param_sets:
         families = _checked_families(param_sets, grid_n)
     else:
-        families = [_checked_family(alpha, beta, grid_n)]
+        families = [_vetted(HahnParams, alpha, beta, grid_n)]
+    imap = _checked_interval(interval, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
-    imap = IntervalMap(a, b, grid_n)
     vectors = _project_sets(fn, imap, families, top, normalized)
-    lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{a},{b}",
+    lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{imap.a},{imap.b}",
                     params=";".join(f"{p.alpha},{p.beta}" for p in families),
                     normalized=normalized)
     lines.append("n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}"
@@ -300,18 +306,16 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
         lines.append(",".join(row))
     if pointwise:
         lines.append("# pointwise reconstruction")
-        lines += _pointwise(fn, imap, np.linspace(a, b, samples), vectors)[1]
+        lines += _pointwise(fn, imap, np.linspace(imap.a, imap.b, samples), vectors)[1]
     _emit(lines, out)
 
 
 @main.command("decay")
 @_family_options
-@click.option("--m", "top", type=int, default=20, show_default=True,
-              help="highest degree in the report")
-@click.option("--k", "orders", type=str, default="1,2,3", show_default=True,
-              help="operator powers, comma separated")
-@click.option("--fn", "fn_spec", type=str, default="sin-pi", show_default=True)
-@click.option("--interval", type=str, default="-1,1", show_default=True)
+@_top_option(20)
+@_orders_option
+@_fn_option
+@_interval_option
 @_out_option
 @_guard
 def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
@@ -323,16 +327,15 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     it beyond rounding slack (the full table is still written first).
     """
     label, fn = _parse_fn(fn_spec)
-    a, b = _checked_interval(interval, grid_n)
+    p = _vetted(HahnParams, alpha, beta, grid_n)
+    imap = _checked_interval(interval, grid_n)
     ks = _checked_orders(orders)
-    p = _checked_family(alpha, beta, grid_n)
     if top < 1:
         raise click.UsageError(f"m must be at least 1, got {top}")
     _checked_degree(top, grid_n)
-    imap = IntervalMap(a, b, grid_n)
     u = GridFunction.from_callable(fn, p, imap.to_interval)
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
-                    fn=label, interval=f"{a},{b}")
+                    fn=label, interval=f"{imap.a},{imap.b}")
     lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
     rows = []
     for k in ks:
@@ -358,12 +361,10 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
 
 
 @main.command("runge")
-@click.option("--N", "grid_n", type=int, default=30, show_default=True)
-@click.option("--m", "top", type=int, default=10, show_default=True,
-              help="projection degree")
-@click.option("--samples", type=int, default=201, show_default=True,
-              help="equispaced evaluation points across the interval")
-@click.option("--interval", type=str, default="-1,1", show_default=True)
+@_grid_option
+@_top_option(10)
+@_samples_option
+@_interval_option
 @click.option("--params", "param_sets", type=str, default="0,0;0.5,0.5;5,0",
               show_default=True, help="parameter sets a,b[;a,b...]")
 @_out_option
@@ -371,16 +372,15 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
 def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
               param_sets: str, out: str) -> None:
     """Pointwise error of projections of 1/(1+25 t^2)."""
-    a, b = _checked_interval(interval, grid_n)
     families = _checked_families(param_sets, grid_n)
+    imap = _checked_interval(interval, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     _, fn = _parse_fn("runge")
-    imap = IntervalMap(a, b, grid_n)
-    ts = np.linspace(a, b, samples)
+    ts = np.linspace(imap.a, imap.b, samples)
     errors, table = _pointwise(fn, imap, ts, _project_sets(fn, imap, families, top))
     lines = _header("runge", N=grid_n, m=top, samples=samples,
-                    interval=f"{a},{b}",
+                    interval=f"{imap.a},{imap.b}",
                     params=";".join(f"{p.alpha},{p.beta}" for p in families))
     for p, err in zip(families, errors):
         i = int(np.argmax(np.abs(err)))
@@ -390,10 +390,10 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
 
 
 @main.command("compare-legendre")
-@click.option("--N", "grid_n", type=int, default=30, show_default=True)
-@click.option("--m", "top", type=int, default=10, show_default=True)
-@click.option("--fn", "fn_spec", type=str, default="sin-pi", show_default=True)
-@click.option("--interval", type=str, default="-1,1", show_default=True)
+@_grid_option
+@_top_option(10)
+@_fn_option
+@_interval_option
 @_out_option
 @_guard
 def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
@@ -405,16 +405,16 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
     Hahn coefficients are included alongside.
     """
     label, fn = _parse_fn(fn_spec)
-    a, b = _checked_interval(interval, grid_n)
-    p = _checked_family(0.0, 0.0, grid_n)
+    p = _vetted(HahnParams, 0.0, 0.0, grid_n)
+    imap = _checked_interval(interval, grid_n)
     _checked_degree(top, grid_n)
-    imap = IntervalMap(a, b, grid_n)
+    # its degree cap is a flag rule too, so it runs before any basis is built
+    leg = _vetted(legendre_coeffs, fn, top)
     u = GridFunction.from_callable(fn, p, imap.to_interval)
     classical = project(u, top, normalized=False).coeffs
     normalized = project(u, top, normalized=True).coeffs
-    leg = legendre_coeffs(fn, top)
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
-                    interval=f"{a},{b}")
+                    interval=f"{imap.a},{imap.b}")
     lines.append("n,hahn_classical,hahn_normalized,legendre_classical")
     for n in range(top + 1):
         lines.append(
@@ -431,14 +431,13 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
 
 @main.command("verify")
 @_family_options
-@click.option("--k", "orders", type=str, default="1,2,3", show_default=True,
-              help="operator powers for the decay checks")
+@_orders_option
 @_out_option
 @_guard
 def verify_cmd(alpha: float, beta: float, grid_n: int, orders: str, out: str) -> None:
     """Run the full invariant suite; nonzero exit if anything fails."""
     ks = _checked_orders(orders)
-    p = _checked_family(alpha, beta, grid_n)
+    p = _vetted(HahnParams, alpha, beta, grid_n)
     results = run_all(p, ks)
     lines = _header("verify", alpha=alpha, beta=beta, N=grid_n, k=orders)
     lines.append("check,value,tol,status")

@@ -41,7 +41,7 @@ class IntervalMap:
     def __post_init__(self) -> None:
         if not (self.a < self.b and math.isfinite(self.N * (self.b - self.a))):
             raise DegenerateIntervalError(
-                f"need a < b and a finite N (b - a), got [{self.a}, {self.b}] with N = {self.N}"
+                f"interval must satisfy a < b with N (b - a) finite, got {self.a},{self.b}"
             )
         if self.N < 1:
             raise DomainError(f"need N >= 1, got {self.N}")
@@ -124,10 +124,9 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
-    """Projection coefficients of u for degrees 0..m."""
+    """Projection coefficients of u for degrees 0..m; `normalized_grid_matrix`
+    raises DegreeOutOfRangeError for m outside 0..N."""
     p = u.params
-    if not 0 <= m <= p.N:
-        raise DegreeOutOfRangeError(f"degree {m} outside 0..{p.N}")
     qmat = normalized_grid_matrix(m, p)
     wu = u.values * basis(p).weights
     coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])

@@ -55,12 +55,9 @@ class HahnParams:
     N: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError("alpha and beta must be finite")
-        if self.alpha <= -1.0 or self.beta <= -1.0:
-            raise DomainError(
-                f"need alpha, beta > -1, got ({self.alpha}, {self.beta})"
-            )
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (math.isfinite(value) and value > -1.0):
+                raise DomainError(f"{name} must be finite and greater than -1, got {value}")
         if not isinstance(self.N, int) or isinstance(self.N, bool):
             raise DomainError(f"N must be an integer, got {self.N!r}")
         if not 1 <= self.N <= _MAX_N:
@@ -83,7 +80,9 @@ class HahnBasis:
 
     @cached_property
     def steps(self) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
-        """Double-double (A_j, A_j + C_j, C_j), j = 1..N-1; degree m reads m-1."""
+        """Double-double (A_j, A_j + C_j, C_j), j = 1..N-1, of
+        -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1}: the one source
+        of the step coefficients.  A degree-m sweep reads the first m-1."""
         a, b, N = self.params.alpha, self.params.beta, self.params.N
         ab = dd.two_sum(a, b)
         out = []
@@ -182,20 +181,6 @@ def hahn_eval_series(
         (lead, n + a + b + 1.0, -x),
         (a + 1.0, float(-N)),
     )
-
-
-def recurrence_coefficients(n: int, params: HahnParams) -> tuple[float, float]:
-    """(A_n, C_n) in  -x Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n + C_n Q_{n-1}.
-
-    Valid for 1 <= n <= N-1; C_0 multiplies Q_{-1} and is never needed.
-    """
-    if not 1 <= n <= params.N - 1:
-        raise DegreeOutOfRangeError(f"recurrence step {n} outside 1..{params.N - 1}")
-    a, b, N = params.alpha, params.beta, params.N
-    s = a + b
-    A = (n + s + 1.0) * (n + a + 1.0) * (N - n) / ((2 * n + s + 1.0) * (2 * n + s + 2.0))
-    C = n * (n + s + N + 1.0) * (n + b) / ((2 * n + s) * (2 * n + s + 1.0))
-    return A, C
 
 
 def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Continuum reference: Legendre polynomial values, Gauss-Legendre
-quadrature by Newton iteration, and classical Legendre series coefficients
-on [-1, 1].  Used to compare discrete Hahn projections against their
-continuum analogue.
+quadrature by Newton iteration over all nodes at once, and classical
+Legendre series coefficients on [-1, 1].  Every Legendre value, the
+Newton terms included, comes from the one upward recurrence
+`_legendre_sweep`.  Used to compare discrete Hahn projections against
+their continuum analogue.
 """
 
 from __future__ import annotations
@@ -51,40 +53,40 @@ def legendre_eval(n: int, t: float) -> float:
     return float(_legendre_sweep(n, t)[n])
 
 
-def _legendre_pair(n: int, t: float) -> tuple[float, float]:
-    """(P_n(t), P_n'(t)) for t strictly inside (-1, 1)."""
-    pm, p = 1.0, t
-    for j in range(1, n):
-        pm, p = p, ((2 * j + 1) * t * p - j * pm) / (j + 1)
-    dp = n * (t * p - pm) / (t * t - 1.0)
-    return p, dp
-
-
 def gauss_legendre_rule(q: int) -> QuadratureRule:
     """q-point Gauss-Legendre rule on [-1, 1].
 
-    Each node is found by Newton iteration on P_q from the Chebyshev-like
-    initial guess cos(pi (4i - 1) / (4q + 2)); weights are
-    2 / ((1 - t^2) P_q'(t)^2).  The rule integrates polynomials through
-    degree 2q - 1 exactly.
+    Newton iteration on P_q from the Chebyshev-like initial guesses
+    cos(pi (4i - 1) / (4q + 2)), all unconverged nodes in one
+    `_legendre_sweep` per step, with P_q'(t) = q (t P_q - P_{q-1}) / (t^2 - 1);
+    weights are 2 / ((1 - t^2) P_q'(t)^2).  The sweep is elementwise, so
+    each node gets the bits of a Newton loop of its own.  The rule
+    integrates polynomials through degree 2q - 1 exactly.
     """
     if not 1 <= q <= _MAX_DEGREE:
         raise DomainError(f"point count {q} outside 1..{_MAX_DEGREE}")
-    nodes = np.empty(q)
-    weights = np.empty(q)
-    for i in range(1, q + 1):
-        t = math.cos(math.pi * (4 * i - 1) / (4 * q + 2))
-        for _ in range(_NEWTON_MAX_ITER):
-            p, dp = _legendre_pair(q, t)
-            step = p / dp
-            t -= step
-            if abs(step) <= _NEWTON_TOL * max(1.0, abs(t)):
-                break
-        else:
-            raise ConvergenceFailureError(f"Newton stalled at node {i} of {q}")
-        _, dp = _legendre_pair(q, t)
-        nodes[i - 1] = t
-        weights[i - 1] = 2.0 / ((1.0 - t * t) * dp * dp)
+
+    def newton_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (P_q(t), P_q'(t)) for t strictly inside (-1, 1)
+        sweep = _legendre_sweep(q, t)
+        return sweep[q], q * (t * sweep[q] - sweep[q - 1]) / (t * t - 1.0)
+
+    # math.cos, not np.cos, whose rounding may differ in the last bit
+    nodes = np.array([math.cos(math.pi * (4 * i - 1) / (4 * q + 2)) for i in range(1, q + 1)])
+    active = np.arange(q)
+    for _ in range(_NEWTON_MAX_ITER):
+        t = nodes[active]
+        p, dp = newton_terms(t)
+        step = p / dp
+        t -= step
+        nodes[active] = t
+        active = active[~(np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(t)))]
+        if not active.size:
+            break
+    else:
+        raise ConvergenceFailureError(f"Newton stalled at node {active[0] + 1} of {q}")
+    _, dp = newton_terms(nodes)
+    weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
     order = np.argsort(nodes)
     return QuadratureRule(nodes[order], weights[order])
 
@@ -97,7 +99,7 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     sizes for the smooth integrands used here.
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
-        raise DomainError(f"degree {m} outside 0..{_MAX_DEGREE - 20}")
+        raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
     rule = gauss_legendre_rule(m + 20)
     fvals = np.array([f(t) for t in rule.nodes])
     pvals = _legendre_sweep(m, rule.nodes)

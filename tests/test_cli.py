@@ -196,6 +196,71 @@ def test_exit_code_config_validation():
     assert "m must be at least 1" in res.stderr
 
 
+# one flag value out of range per command; each stderr was recorded on the
+# code that vetted these flags in the CLI itself, before the checks moved
+# into HahnParams and IntervalMap
+CONFIG_ERRORS = {
+    "project --N 0": "N must be in 1..200, got 0",
+    "project --alpha -1": "alpha must be finite and greater than -1, got -1.0",
+    "project --beta nan": "beta must be finite and greater than -1, got nan",
+    "project --params 0,0;-2,0": "alpha must be finite and greater than -1, got -2.0",
+    "project --interval 1,1":
+        "interval must satisfy a < b with N (b - a) finite, got 1.0,1.0",
+    "project --interval=-1e308,1e308 --N 200":
+        "interval must satisfy a < b with N (b - a) finite, got -1e+308,1e+308",
+    "project --m -1": "m must be nonnegative, got -1",
+    "decay --m 0": "m must be at least 1, got 0",
+    "runge --N 0": "N must be in 1..200, got 0",
+    "runge --interval 2,1": "interval must satisfy a < b with N (b - a) finite, got 2.0,1.0",
+    "compare-legendre --N 0": "N must be in 1..200, got 0",
+    "compare-legendre --interval 3,3":
+        "interval must satisfy a < b with N (b - a) finite, got 3.0,3.0",
+    "weights --N 0": "N must be in 1..200, got 0",
+    "verify --alpha -1.5": "alpha must be finite and greater than -1, got -1.5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ERRORS))
+def test_config_error_messages(command):
+    name = command.split()[0]
+    res = run(*command.split())
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"Usage: main {name} [OPTIONS]\nTry 'main {name} --help' for help."
+                          f"\n\nError: {CONFIG_ERRORS[command]}\n")
+
+
+def test_compare_legendre_degree_cap_is_config_error():
+    # the continuum series stops at degree 180; m = 181 fits N = 200 but is
+    # refused with the field named before any basis is looked up
+    from hahnpoly.hahn import basis
+
+    before = basis.cache_info()
+    res = run("compare-legendre", "--N", "200", "--m", "181")
+    after = basis.cache_info()
+    assert res.exit_code == 2
+    assert "m must be in 0..180, got 181" in res.stderr
+    assert res.stdout == ""
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+SHARED_OPTIONS = {"grid_n", "interval", "fn_spec", "samples", "orders", "out"}
+
+
+def test_shared_options_declared_alike():
+    # an option that several commands take has one default and one help;
+    # --m and --params keep per-command defaults on purpose
+    seen = {}
+    for command in main.commands.values():
+        for param in command.params:
+            if param.name in SHARED_OPTIONS:
+                seen.setdefault(param.name, set()).add((param.default, param.help))
+    assert set(seen) == SHARED_OPTIONS
+    for name, declarations in seen.items():
+        assert len(declarations) == 1, name
+        assert next(iter(declarations))[1], name
+
+
 def test_exit_code_domain_error():
     # a degree out of range surfaces from the library mid-computation
     res = run("eval", "--N", "30", "--n", "31")

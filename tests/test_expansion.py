@@ -58,7 +58,9 @@ def test_interval_map_grid_points():
 
 
 def test_interval_map_validation():
-    with pytest.raises(DegenerateIntervalError):
+    # the message names the CLI field, which reports it verbatim
+    with pytest.raises(DegenerateIntervalError, match=r"^interval must satisfy a < b with "
+                       r"N \(b - a\) finite, got 1\.0,1\.0$"):
         IntervalMap(1.0, 1.0, 10)
     with pytest.raises(DegenerateIntervalError):
         IntervalMap(2.0, -2.0, 10)
@@ -132,8 +134,9 @@ def test_project_recovers_basis_vector():
 def test_project_degree_validation():
     p = HahnParams(0.0, 0.0, 10)
     u = GridFunction(p, np.ones(11))
-    with pytest.raises(DegreeOutOfRangeError):
-        project(u, 11)
+    for m in (11, -1):
+        with pytest.raises(DegreeOutOfRangeError, match=rf"^degree {m} outside 0\.\.10$"):
+            project(u, m)
     # normalized is keyword-only: a third positional argument, such as a
     # weight table, is refused rather than read as normalized=True
     with pytest.raises(TypeError):

@@ -17,10 +17,15 @@ from hahnpoly.hahn import (
     hahn_eval_series,
     norm_sq_closed,
     normalized_grid_matrix,
-    recurrence_coefficients,
     weight_table,
 )
-from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
+from hahnpoly.oracle_exact import (
+    _over_one_denominator,
+    _steps,
+    exact_hahn_eval,
+    exact_norm_sq,
+    exact_weight,
+)
 
 PARAM_SETS = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (1.25, 0.75)]
 FRACTIONS = {0.0: Fraction(0), 0.5: Fraction(1, 2), 5.0: Fraction(5),
@@ -28,11 +33,12 @@ FRACTIONS = {0.0: Fraction(0), 0.5: Fraction(1, 2), 5.0: Fraction(5),
 
 
 def test_params_validation():
-    with pytest.raises(DomainError):
+    # each message names the CLI field, which reports it verbatim
+    with pytest.raises(DomainError, match=r"^alpha must be finite and greater than -1, got -1\.0$"):
         HahnParams(-1.0, 0.0, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^beta must be finite and greater than -1, got -2\.0$"):
         HahnParams(0.0, -2.0, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^N must be in 1\.\.200, got 0$"):
         HahnParams(0.0, 0.0, 0)
     with pytest.raises(DomainError):
         HahnParams(0.0, 0.0, 500)
@@ -242,9 +248,14 @@ def test_step_coefficients_once_per_family():
     steps = basis(p).steps
     assert steps is basis(p).steps
     assert len(steps) == 39
+    # the exact A_n = al/(e D) and C_n = ga/(e D) of the oracle's integer rows
+    (a, b), D = _over_one_denominator(p.alpha, p.beta)
+    exact = _steps(a, b, D, p.N)
     for n, (A, AC, C) in enumerate(steps, start=1):
+        al, _, ga, e = exact[n]
         assert AC == dd_add(A, C)
-        assert (A[0], C[0]) == pytest.approx(recurrence_coefficients(n, p), rel=1e-14)
+        assert A[0] == pytest.approx(float(Fraction(al, e * D)), rel=1e-15, abs=0)
+        assert C[0] == pytest.approx(float(Fraction(ga, e * D)), rel=1e-15, abs=0)
     xs = np.array([-1.0, 0.0, 12.5, 40.0, 41.0])
     full = hahn_eval_all(40, xs, p)
     for m in (0, 1, 2, 17, 39):
@@ -277,15 +288,11 @@ def test_normalized_matrix_shape_and_rows():
 
 def test_recurrence_coefficients_positive_and_bounded():
     for alpha, beta in PARAM_SETS:
-        p = HahnParams(alpha, beta, 30)
-        for n in range(1, 30):
-            A, C = recurrence_coefficients(n, p)
+        steps = basis(HahnParams(alpha, beta, 30)).steps
+        assert len(steps) == 29
+        for (A, _), _, (C, _) in steps:
             assert A > 0
             assert C > 0
-    with pytest.raises(DegreeOutOfRangeError):
-        recurrence_coefficients(0, HahnParams(0.0, 0.0, 30))
-    with pytest.raises(DegreeOutOfRangeError):
-        recurrence_coefficients(30, HahnParams(0.0, 0.0, 30))
 
 
 def test_recurrence_identity_against_oracle_values():
@@ -295,8 +302,8 @@ def test_recurrence_identity_against_oracle_values():
     half = Fraction(1, 2)
     for x in range(N + 1):
         q = [float(exact_hahn_eval(n, x, half, half, N)) for n in range(N + 1)]
-        for n in range(1, N):
-            A, C = recurrence_coefficients(n, p)
+        # the hi parts of the dd steps (A_n, A_n + C_n, C_n)
+        for n, ((A, _), _, (C, _)) in enumerate(basis(p).steps, start=1):
             lhs = -float(x) * q[n]
             rhs = A * q[n + 1] - (A + C) * q[n] + C * q[n - 1]
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))

@@ -1,12 +1,14 @@
 """Legendre values, the Newton-iteration Gauss rule (cross-checked against
-numpy's independent implementation), and series coefficients."""
+numpy's independent implementation and a node-by-node reference loop), and
+series coefficients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hahnpoly.errors import DomainError
+from hahnpoly import legendre_ref
+from hahnpoly.errors import ConvergenceFailureError, DomainError
 from hahnpoly.legendre_ref import gauss_legendre_rule, legendre_coeffs, legendre_eval
 
 
@@ -83,6 +85,49 @@ def test_gauss_rule_matches_numpy():
         nodes, weights = np.polynomial.legendre.leggauss(q)
         assert np.max(np.abs(rule.nodes - nodes)) < 1e-13
         assert np.max(np.abs(rule.weights - weights)) < 1e-13
+
+
+# The rule as it was built before Newton ran over all nodes at once: one
+# node at a time, each step restarting a scalar recurrence for P_q, P_q'.
+
+def _loop_legendre_pair(n, t):
+    pm, p = 1.0, t
+    for j in range(1, n):
+        pm, p = p, ((2 * j + 1) * t * p - j * pm) / (j + 1)
+    return p, n * (t * p - pm) / (t * t - 1.0)
+
+
+def _loop_gauss_rule(q):
+    nodes, weights = np.empty(q), np.empty(q)
+    for i in range(1, q + 1):
+        t = math.cos(math.pi * (4 * i - 1) / (4 * q + 2))
+        for _ in range(100):
+            p, dp = _loop_legendre_pair(q, t)
+            step = p / dp
+            t -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(t)):
+                break
+        _, dp = _loop_legendre_pair(q, t)
+        nodes[i - 1] = t
+        weights[i - 1] = 2.0 / ((1.0 - t * t) * dp * dp)
+    order = np.argsort(nodes)
+    return nodes[order], weights[order]
+
+
+def test_gauss_rule_equals_node_loop_bit_for_bit():
+    for q in range(1, 201):
+        rule = gauss_legendre_rule(q)
+        nodes, weights = _loop_gauss_rule(q)
+        assert np.array_equal(rule.nodes.view(np.int64), nodes.view(np.int64)), q
+        assert np.array_equal(rule.weights.view(np.int64), weights.view(np.int64)), q
+
+
+def test_gauss_rule_names_the_stalled_node(monkeypatch):
+    # one Newton step leaves every node of a 5-point rule short of the
+    # tolerance; the first node in guess order is named
+    monkeypatch.setattr(legendre_ref, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceFailureError, match=r"^Newton stalled at node 1 of 5$"):
+        gauss_legendre_rule(5)
 
 
 def test_gauss_rule_validation():
