@@ -129,7 +129,9 @@ def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientV
     p = u.params
     qmat = normalized_grid_matrix(m, p)
     wu = u.values * basis(p).weights
-    coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
+    # one row at a time: fsum reads a list far faster than numpy scalars,
+    # and a whole-matrix list would cost memory for no gain
+    coeffs = np.array([math.fsum((qmat[n] * wu).tolist()) for n in range(m + 1)])
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)

@@ -13,13 +13,19 @@ arithmetic, which numpy rounds as Python floats do, so every entry equals
 a call with that entry alone, to the bit.  A recurrence step is one call
 of the fused kernel `_compensated.dd_three_term_step`.
 
-Closed-form squared norms complete the module.  What depends on the family
-alone lives in its one `HahnBasis`, from the `basis(params)` cache: the
-weight array, the step coefficients (A_n, A_n + C_n, C_n), the norms, the
-orthonormal grid matrix and the difference operator's eigenvalues and
-coefficients B(x), D(x), each computed on first read and read-only after.
-So the grid matrix lives as long as the norms and steps it is made of,
-and off-grid sweeps never build it.
+Closed-form squared norms complete the module.  `norm_sq_closed` also
+takes an array of degrees: the factor lists that do not depend on the
+degree are built once, and each degree's product runs the same factors in
+the same order as a scalar call, so one call gives a family's N + 1 norms
+with the same bits.
+
+What depends on the family alone lives in its one `HahnBasis`, from the
+`basis(params)` cache: the weight array, the step coefficients (A_n,
+A_n + C_n, C_n), the norms, the orthonormal grid matrix and the
+difference operator's eigenvalues and coefficients B(x), D(x), each
+computed on first read and read-only after.  So the grid matrix lives as
+long as the norms and steps it is made of, and off-grid sweeps never
+build it.
 """
 
 from __future__ import annotations
@@ -107,9 +113,7 @@ class HahnBasis:
     @cached_property
     def sqrt_norms(self) -> np.ndarray:
         """||Q_n||_w for n = 0..N; callers take the prefix [: m + 1]."""
-        p = self.params
-        norms = [math.sqrt(norm_sq_closed(n, p)) for n in range(p.N + 1)]
-        return _read_only(np.array(norms))
+        return _read_only(np.sqrt(norm_sq_closed(np.arange(self.params.N + 1), self.params)))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -149,14 +153,11 @@ def basis(params: HahnParams) -> HahnBasis:
 
 
 def _check_degree(n: int | np.ndarray, params: HahnParams) -> None:
-    if np.ndim(n):
-        n = np.asarray(n)
-        outside = n[(n < 0) | (n > params.N)]
-        if not outside.size:
-            return
-        n = outside[0]
-    if not 0 <= n <= params.N:
-        raise DegreeOutOfRangeError(f"degree {n} outside 0..{params.N}")
+    # a Python loop, not numpy masks: those map about 256 KB more numpy
+    # code into a process that has not used them, which shows in peak RSS
+    for k in np.ravel(n).tolist() if np.ndim(n) else (n,):
+        if not 0 <= k <= params.N:
+            raise DegreeOutOfRangeError(f"degree {k} outside 0..{params.N}")
 
 
 def hahn_eval_series(
@@ -232,7 +233,7 @@ def weight_table(params: HahnParams) -> np.ndarray:
     return _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
 
 
-def norm_sq_closed(n: int, params: HahnParams) -> float:
+def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarray:
     """Squared weighted norm of Q_n from the closed-form Pochhammer quotient.
 
     The sign-carrying pieces pair off exactly: (-1)^n / (-N)_n = (N-n)!/N!
@@ -240,25 +241,40 @@ def norm_sq_closed(n: int, params: HahnParams) -> float:
     factor 2n+alpha+beta+1.  What is left is a quotient of strictly
     positive factors, accumulated interleaved so the running value never
     strays far from the result.
+
+    n may be an array of degrees; the factorials and the rising factors
+    (alpha+1)_i, (beta+1)_i are then built once for all of them, and each
+    entry is the product of a scalar call, the same factors in the same
+    order, so equal to it bit for bit.
     """
     _check_degree(n, params)
     a, b, N = params.alpha, params.beta, params.N
     s = a + b
-    num: list[float] = [n + s + 1.0 + j for j in range(N + 1) if j != n]
-    num += [b + 1.0 + i for i in range(n)]            # (beta+1)_n
-    num += [float(i) for i in range(2, n + 1)]        # n!
-    num += [float(i) for i in range(2, N - n + 1)]    # (N-n)!
-    den: list[float] = [a + 1.0 + i for i in range(n)]
-    den += [float(i) for i in range(2, N + 1)] * 2    # N! twice
-    out, i, top = 1.0, 0, len(num)
-    for d in den:
-        while i < top and out <= 1.0:
-            out *= num[i]
-            i += 1
-        out /= d
-    for f in num[i:]:
-        out *= f
-    return out
+    fact = [float(i) for i in range(2, N + 1)]        # 2 .. N
+    rise_a = [a + 1.0 + i for i in range(N)]          # factors of (alpha+1)_k
+    rise_b = [b + 1.0 + i for i in range(N)]          # factors of (beta+1)_k
+    two_fact = fact * 2                               # N! twice
+
+    def one(k: int) -> float:
+        c = k + s + 1.0                               # k + s + 1.0 + j, left to right
+        num = [c + j for j in range(N + 1) if j != k]
+        num += rise_b[:k]
+        num += fact[:max(k - 1, 0)]                   # k!
+        num += fact[:max(N - k - 1, 0)]               # (N-k)!
+        out, i, top = 1.0, 0, len(num)
+        for d in rise_a[:k] + two_fact:
+            while i < top and out <= 1.0:
+                out *= num[i]
+                i += 1
+            out /= d
+        for f in num[i:]:
+            out *= f
+        return out
+
+    if np.ndim(n):
+        degrees = np.asarray(n)
+        return np.array([one(k) for k in degrees.ravel().tolist()]).reshape(degrees.shape)
+    return one(n)
 
 
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:

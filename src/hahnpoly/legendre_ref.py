@@ -4,12 +4,18 @@ Legendre series coefficients on [-1, 1].  Every Legendre value, the
 Newton terms included, comes from the one upward recurrence
 `_legendre_sweep`.  Used to compare discrete Hahn projections against
 their continuum analogue.
+
+`legendre_coeffs` reads its rule from a private cache, one rule per point
+count with read-only arrays, so repeated coefficient requests run Newton
+once.  `gauss_legendre_rule` itself is not cached: each call builds a
+fresh rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -91,19 +97,29 @@ def gauss_legendre_rule(q: int) -> QuadratureRule:
     return QuadratureRule(nodes[order], weights[order])
 
 
+@lru_cache(maxsize=16)
+def _cached_rule(q: int) -> QuadratureRule:
+    # read-only, since every legendre_coeffs call with this q shares it
+    rule = gauss_legendre_rule(q)
+    rule.nodes.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
+
+
 def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     """Classical Legendre coefficients a_n = (2n+1)/2 * integral of f P_n
-    over [-1, 1], degrees 0..m, via an (m+20)-point Gauss rule.
+    over [-1, 1], degrees 0..m, via an (m+20)-point Gauss rule, built once
+    per point count and cached.
 
     The extra points put the quadrature error well below the coefficient
     sizes for the smooth integrands used here.
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
         raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
-    rule = gauss_legendre_rule(m + 20)
-    fvals = np.array([f(t) for t in rule.nodes])
+    rule = _cached_rule(m + 20)
+    wf = rule.weights * np.array([f(t) for t in rule.nodes])
     pvals = _legendre_sweep(m, rule.nodes)
     out = np.empty(m + 1)
     for n in range(m + 1):
-        out[n] = (2 * n + 1) / 2.0 * math.fsum(rule.weights * fvals * pvals[n])
+        out[n] = (2 * n + 1) / 2.0 * math.fsum((wf * pvals[n]).tolist())
     return out

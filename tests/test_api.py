@@ -1,9 +1,15 @@
 """The package's public surface: `__all__` names exactly what the package
-imports, so a deleted name cannot linger in it."""
+imports, so a deleted name cannot linger in it, and every public function
+of a traced layer stays a plain function, which the bench tracer can wrap."""
 
+import importlib.util
+import inspect
+from pathlib import Path
 from types import ModuleType
 
 import hahnpoly
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_all_names_resolve():
@@ -16,3 +22,22 @@ def test_all_lists_exactly_the_imported_public_names():
                 if not name.startswith("_") and not isinstance(obj, ModuleType)}
     assert len(hahnpoly.__all__) == len(set(hahnpoly.__all__))
     assert set(hahnpoly.__all__) == imported | {"__version__"}
+
+
+def test_public_functions_of_traced_layers_are_plain():
+    # bench/tracing.py wraps only `inspect.isfunction` objects; a cache
+    # decorator on a public function would silently drop its span
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {f"hahnpoly.{layer}" for layer in tracing.LAYERS}
+    checked = set()
+    for name in hahnpoly.__all__:
+        obj = getattr(hahnpoly, name)
+        if isinstance(obj, type) or getattr(obj, "__module__", None) not in traced:
+            continue
+        checked.add(name)
+        assert inspect.isfunction(obj), (
+            f"hahnpoly.{name} is a {type(obj).__name__}, not a plain function: the "
+            "bench tracer would not wrap it; cache through a private helper instead")
+    assert {"gauss_legendre_rule", "norm_sq_closed", "project"} <= checked

@@ -143,7 +143,7 @@ def test_compare_legendre_table():
     assert header == ["n", "hahn_classical", "hahn_normalized", "legendre_classical"]
     assert len(data) == 11
     # continuum column reproduces the classical sine coefficient 3/pi
-    assert float(data[1][3]) == pytest.approx(3.0 / math.pi, rel=1e-12)
+    assert float(data[1][3]) == pytest.approx(3.0 / math.pi, rel=1e-12, abs=0)
 
 
 def test_verify_passes():

@@ -98,13 +98,13 @@ def test_inner_product_against_oracle():
         p, np.array([float(exact_hahn_eval(2, x, half, half, N)) for x in range(N + 1)])
     )
     got = inner_product(q2, q2)
-    assert got == pytest.approx(float(exact_norm_sq(2, half, half, N)), rel=1e-12)
+    assert got == pytest.approx(float(exact_norm_sq(2, half, half, N)), rel=1e-12, abs=0)
 
 
 def test_inner_product_constant_gives_total():
     p = HahnParams(5.0, 0.0, 12)
     one = GridFunction(p, np.ones(13))
-    assert inner_product(one, one) == pytest.approx(math.fsum(weight_table(p)), rel=1e-14)
+    assert inner_product(one, one) == pytest.approx(math.fsum(weight_table(p)), rel=1e-14, abs=0)
 
 
 def test_inner_product_unit_weight_counts_points():
@@ -141,6 +141,31 @@ def test_project_degree_validation():
     # weight table, is refused rather than read as normalized=True
     with pytest.raises(TypeError):
         project(u, 3, weight_table(p))
+
+
+def _project_row_loop(u, m, normalized):
+    # the reference route: math.fsum over each row's numpy scalars
+    p = u.params
+    qmat = normalized_grid_matrix(m, p)
+    wu = u.values * basis(p).weights
+    coeffs = np.array([math.fsum(qmat[n] * wu) for n in range(m + 1)])
+    return coeffs if normalized else coeffs / basis(p).sqrt_norms[: m + 1]
+
+
+@pytest.mark.parametrize("N", [30, 100, 200])
+def test_project_equals_row_loop_bit_for_bit(N):
+    imap = IntervalMap(-1.0, 1.0, N)
+    targets = [lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t)]
+    for alpha, beta in [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)]:
+        p = HahnParams(alpha, beta, N)
+        for f in targets:
+            u = GridFunction.from_callable(f, p, imap.to_interval)
+            for m in (N // 3, N):
+                for normalized in (True, False):
+                    got = project(u, m, normalized=normalized).coeffs
+                    want = _project_row_loop(u, m, normalized)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                        (alpha, beta, m, normalized)
 
 
 def test_classical_convention_weights_by_norm():
@@ -254,7 +279,7 @@ def test_parseval_small_grid():
     rng = np.random.default_rng(13)
     u = GridFunction(p, rng.standard_normal(13))
     c = project(u, 12).coeffs
-    assert math.fsum(c * c) == pytest.approx(inner_product(u, u), rel=1e-12)
+    assert math.fsum(c * c) == pytest.approx(inner_product(u, u), rel=1e-12, abs=0)
 
 
 def _sine_sample(p: HahnParams) -> GridFunction:
@@ -288,7 +313,7 @@ def test_decay_order_zero_is_norm_bound():
     u = _sine_sample(p)
     norm = math.sqrt(inner_product(u, u))
     for r in decay_report(u, 0, range(1, 17)):
-        assert r.bound == pytest.approx(norm, rel=1e-13)
+        assert r.bound == pytest.approx(norm, rel=1e-13, abs=0)
         assert abs(r.coeff) <= r.bound * (1 + 1e-12)
 
 

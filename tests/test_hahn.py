@@ -166,6 +166,9 @@ def test_degree_out_of_range():
         hahn_eval_recurrence(11, 0.0, p)
     with pytest.raises(DegreeOutOfRangeError):
         norm_sq_closed(11, p)
+    for bad in (11, -1):
+        with pytest.raises(DegreeOutOfRangeError):
+            norm_sq_closed(np.array([0, bad, 10]), p)
 
 
 def test_weight_table_flat_and_total():
@@ -181,7 +184,7 @@ def test_weight_table_matches_oracle():
     w = weight_table(p)
     for x in range(13):
         exact = float(exact_weight(x, Fraction(1, 2), Fraction(1, 2), 12))
-        assert w[x] == pytest.approx(exact, rel=1e-13)
+        assert w[x] == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_SETS)
@@ -191,7 +194,7 @@ def test_norm_closed_matches_oracle(alpha, beta):
     fa, fb = FRACTIONS[alpha], FRACTIONS[beta]
     for n in range(N + 1):
         exact = float(exact_norm_sq(n, fa, fb, N))
-        assert norm_sq_closed(n, p) == pytest.approx(exact, rel=1e-12)
+        assert norm_sq_closed(n, p) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def _norm_sq_interleaved(n, params):
@@ -228,6 +231,16 @@ def test_norm_sq_closed_equals_interleaved_loop(N):
         got = np.array([norm_sq_closed(n, p) for n in degrees])
         want = np.array([_norm_sq_interleaved(n, p) for n in degrees])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (alpha, beta)
+        # one array call: every degree, and any array shape, as the scalar calls
+        every = np.array([norm_sq_closed(n, p) for n in range(N + 1)])
+        assert type(every.tolist()[0]) is float and type(norm_sq_closed(N, p)) is float
+        table = norm_sq_closed(np.arange(N + 1), p)
+        assert table.shape == (N + 1,)
+        assert np.array_equal(table.view(np.int64), every.view(np.int64)), (alpha, beta)
+        assert np.array_equal(table[degrees].view(np.int64), want.view(np.int64))
+        block = norm_sq_closed(np.array(degrees[::-1]).reshape(-1, 1), p)
+        assert block.shape == (len(degrees), 1)
+        assert np.array_equal(block[::-1, 0].view(np.int64), want.view(np.int64))
 
 
 def test_sqrt_norms_once_per_family():
@@ -265,7 +278,7 @@ def test_step_coefficients_once_per_family():
 def test_norm_flat_weight_degree_zero():
     # ||Q_0||^2 = sum of the flat weight = N + 1
     p = HahnParams(0.0, 0.0, 30)
-    assert norm_sq_closed(0, p) == pytest.approx(31.0, rel=1e-12)
+    assert norm_sq_closed(0, p) == pytest.approx(31.0, rel=1e-12, abs=0)
 
 
 def _normalized(n, x, p):
@@ -274,8 +287,9 @@ def _normalized(n, x, p):
 
 def test_normalized_degree_zero():
     p = HahnParams(0.0, 0.0, 30)
-    assert _normalized(0, 17.0, p) == pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12)
-    assert normalized_grid_matrix(0, p)[0, 17] == pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12)
+    want = pytest.approx(1.0 / math.sqrt(31.0), rel=1e-12, abs=0)
+    assert _normalized(0, 17.0, p) == want
+    assert normalized_grid_matrix(0, p)[0, 17] == want
 
 
 def test_normalized_matrix_shape_and_rows():
@@ -283,7 +297,7 @@ def test_normalized_matrix_shape_and_rows():
     mat = normalized_grid_matrix(5, p)
     assert mat.shape == (6, 13)
     for x in (0, 5, 12):
-        assert mat[3, x] == pytest.approx(_normalized(3, float(x), p), rel=1e-13)
+        assert mat[3, x] == pytest.approx(_normalized(3, float(x), p), rel=1e-13, abs=0)
 
 
 def test_recurrence_coefficients_positive_and_bounded():

@@ -16,13 +16,13 @@ def test_legendre_low_degrees():
     for t in (-0.7, 0.0, 0.3, 1.0):
         assert legendre_eval(0, t) == 1.0
         assert legendre_eval(1, t) == t
-        assert legendre_eval(2, t) == pytest.approx(1.5 * t * t - 0.5, rel=1e-15)
-    assert legendre_eval(4, 0.0) == pytest.approx(3.0 / 8.0, rel=1e-15)
+        assert legendre_eval(2, t) == pytest.approx(1.5 * t * t - 0.5, rel=1e-15, abs=0)
+    assert legendre_eval(4, 0.0) == pytest.approx(3.0 / 8.0, rel=1e-15, abs=0)
 
 
 def test_legendre_endpoint_and_parity():
     for n in range(21):
-        assert legendre_eval(n, 1.0) == pytest.approx(1.0, rel=1e-13)
+        assert legendre_eval(n, 1.0) == pytest.approx(1.0, rel=1e-13, abs=0)
         assert legendre_eval(n, -0.42) == pytest.approx(
             (-1.0) ** n * legendre_eval(n, 0.42), rel=1e-12, abs=1e-15
         )
@@ -130,6 +130,15 @@ def test_gauss_rule_names_the_stalled_node(monkeypatch):
         gauss_legendre_rule(5)
 
 
+def test_gauss_rule_stalls_after_coeffs_cached_it(monkeypatch):
+    # legendre_coeffs' cached rule leaves the public function uncached:
+    # with q = 25 already cached, a call still runs Newton and still raises
+    legendre_coeffs(lambda t: t, 5)
+    monkeypatch.setattr(legendre_ref, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(ConvergenceFailureError, match=r"^Newton stalled at node \d+ of 25$"):
+        gauss_legendre_rule(25)
+
+
 def test_gauss_rule_validation():
     with pytest.raises(DomainError):
         gauss_legendre_rule(0)
@@ -147,7 +156,7 @@ def test_coeffs_of_quadratic_exact():
 def test_coeffs_of_sine():
     # first odd coefficient of sin(pi t) is 3/pi; even ones vanish
     c = legendre_coeffs(lambda t: math.sin(math.pi * t), 10)
-    assert c[1] == pytest.approx(3.0 / math.pi, rel=1e-12)
+    assert c[1] == pytest.approx(3.0 / math.pi, rel=1e-12, abs=0)
     assert np.max(np.abs(c[0::2])) < 1e-14
     # magnitudes fall fast for the analytic target once past the peak at a_3
     odd = np.abs(c[1::2])
@@ -158,6 +167,30 @@ def test_coeffs_of_sine():
 def test_coeffs_degree_validation():
     with pytest.raises(DomainError):
         legendre_coeffs(lambda t: t, 181)
+
+
+def test_coeffs_build_one_rule_per_point_count(monkeypatch):
+    builds = []
+
+    def counted(q):
+        builds.append(q)
+        return gauss_legendre_rule(q)
+
+    monkeypatch.setattr(legendre_ref, "gauss_legendre_rule", counted)
+    legendre_ref._cached_rule.cache_clear()
+    f = lambda t: 1.0 / (1.0 + 25.0 * t * t)  # noqa: E731
+    first = legendre_coeffs(f, 37)
+    again = legendre_coeffs(f, 37)
+    assert np.array_equal(first.view(np.int64), again.view(np.int64))
+    legendre_coeffs(f, 20)
+    assert builds == [57, 40]
+    # the cached rule equals a fresh one and cannot be written through
+    rule = legendre_ref._cached_rule(57)
+    fresh = gauss_legendre_rule(57)
+    for got, want in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not got.flags.writeable
+    assert builds == [57, 40]
 
 
 # The per-(degree, node) route legendre_coeffs took before it read one

@@ -34,7 +34,7 @@ def test_3f2_against_rational_loop():
         term /= (Fraction(5, 4) + k) * (-6 + k) * (k + 1)
         total += term
     got = terminating_3f2(num, den)
-    assert got == pytest.approx(float(total), rel=1e-14)
+    assert got == pytest.approx(float(total), rel=1e-14, abs=0)
 
 
 def test_3f2_nonterminating_raises():
@@ -96,7 +96,7 @@ def test_weight_matches_oracle_fractional(x):
     # route has to be accurate to the last digit or two
     exact = float(exact_weight(x, Fraction(1, 2), Fraction(1, 2), 12))
     got = binomial_weight(x, 0.5, 0.5, 12)
-    assert got == pytest.approx(exact, rel=1e-15)
+    assert got == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def test_weight_product_route_matches_comb_route():
@@ -114,7 +114,7 @@ def test_weight_product_route_matches_comb_route():
 def test_weight_symmetric_parameters():
     w0 = binomial_weight(0, 0.5, 0.5, 2)
     w2 = binomial_weight(2, 0.5, 0.5, 2)
-    assert w0 == pytest.approx(w2, rel=1e-14)
+    assert w0 == pytest.approx(w2, rel=1e-14, abs=0)
 
 
 def test_weight_domain_errors():
@@ -153,7 +153,7 @@ def test_weights_past_double_range_refused(alpha, beta, N, first):
         float(exact_weight(first, Fraction(alpha), Fraction(beta), N))
     for x in range(max(first - 2, 0), first):
         exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), N))
-        assert binomial_weight(x, alpha, beta, N) == pytest.approx(exact, rel=1e-15)
+        assert binomial_weight(x, alpha, beta, N) == pytest.approx(exact, rel=1e-15, abs=0)
 
 
 def test_weight_near_double_range_is_finite():
@@ -163,5 +163,5 @@ def test_weight_near_double_range_is_finite():
     w = binomial_weights(alpha, beta, 12)
     for x in (0, 1, 6, 12):
         exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), 12))
-        assert w[x] == pytest.approx(exact, rel=1e-15)
+        assert w[x] == pytest.approx(exact, rel=1e-15, abs=0)
     assert w[0] > 1e303
