@@ -7,8 +7,10 @@ significant digits; runs are deterministic.
 
 Exit codes: 0 success; 2 for configuration problems (malformed flags or
 flag values outside their documented ranges, reported with the offending
-field named, before any computation starts); 3 for domain errors raised
-by the library during computation; 4 when a verified invariant fails.
+field named, before any computation starts; an --out path that cannot be
+written is found only after computing, and is reported in one line with
+the OS reason); 3 for domain errors raised by the library during
+computation; 4 when a verified invariant fails.
 """
 
 from __future__ import annotations
@@ -134,9 +136,14 @@ def _emit(lines: list[str], out: str) -> None:
     text = "\n".join(lines) + "\n"
     if out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        # a configuration error, though only found once the table is ready
+        click.echo(f"error: --out {out}: {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 def _header(command: str, **fields: object) -> list[str]:

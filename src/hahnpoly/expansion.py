@@ -184,11 +184,12 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     p = u.params
     if len(n_range) == 0:
         raise DomainError("empty degree range")
-    if n_range[0] < 1 or n_range[-1] > p.N:
+    # a range may run either way; it is checked, and projected, by its extremes
+    top = max(n_range)
+    if min(n_range) < 1 or top > p.N:
         if 0 in n_range and k >= 1:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
-    top = n_range[-1]
     coeffs = project(u, top).coeffs
     lams = basis(p).lam.tolist()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -30,7 +30,6 @@ build it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -42,7 +41,7 @@ from .errors import (
     DegreeOutOfRangeError,
     DomainError,
 )
-from .specfun import binomial_weights, terminating_3f2
+from .specfun import _check_weight_exponents, binomial_weights, terminating_3f2
 
 _MAX_N = 200
 
@@ -61,9 +60,7 @@ class HahnParams:
     N: int
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (math.isfinite(value) and value > -1.0):
-                raise DomainError(f"{name} must be finite and greater than -1, got {value}")
+        _check_weight_exponents(self.alpha, self.beta)
         if not isinstance(self.N, int) or isinstance(self.N, bool):
             raise DomainError(f"N must be an integer, got {self.N!r}")
         if not 1 <= self.N <= _MAX_N:

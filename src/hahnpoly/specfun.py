@@ -1,5 +1,6 @@
 """Special-function building blocks: terminating 3F2 series at unit
-argument and generalized-binomial weight products.
+argument (summed in double-double) and generalized-binomial weight
+products (in exact integer arithmetic, each weight rounded once).
 """
 
 from __future__ import annotations
@@ -67,54 +68,35 @@ def terminating_3f2(
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _binomial_prefix_dd(a: float, k: int) -> list[tuple[dd.DD, int]]:
-    # C(a+i, i) = prod_{j=1..i} (a+j)/j for i = 0..k, as one running
-    # product: entry i has the rounding of a product built for i alone.
-    # Entry i is (m, e) with value m * 2**e and m's high part in [0.5, 1),
-    # and each factor a + i is scaled the same way.  Scaling by a power of
-    # two is exact, so m has the rounding of the unscaled product, whose
-    # Dekker split overflows to nan once a value passes ~1e300
-    out = [(dd.dd_from(1.0), 0)]
-    for i in range(1, k + 1):
-        m, e = out[-1]
-        factor, fe = _scaled(dd.two_sum(a, float(i)))
-        step, se = _scaled(dd.dd_div_d(dd.dd_mul(m, factor), float(i)))
-        out.append((step, e + fe + se))
+def _check_weight_exponents(alpha: float, beta: float) -> None:
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > -1.0):
+            raise DomainError(f"{name} must be finite and greater than -1, got {value}")
+
+
+def _rising(c: int, step: int, k: int) -> list[int]:
+    # [prod_{j=1..i} (c + j step) for i = 0..k]
+    out = [1]
+    for j in range(1, k + 1):
+        out.append(out[-1] * (c + j * step))
     return out
 
 
-def _scaled(x: dd.DD) -> tuple[dd.DD, int]:
-    # (m, e) with x = m * 2**e and m's high part in [0.5, 1), for x > 0
-    e = math.frexp(x[0])[1]
-    return (math.ldexp(x[0], -e), math.ldexp(x[1], -e)), e
-
-
-def _check_weight_exponents(alpha: float, beta: float) -> None:
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(f"weight needs alpha, beta > -1, got ({alpha}, {beta})")
-
-
 def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
-    if float(alpha).is_integer() and float(beta).is_integer() and alpha >= 0 and beta >= 0:
-        a = int(alpha)
-        b = int(beta)
-
-        def weight(x: int) -> float:
-            return float(math.comb(a + x, x) * math.comb(b + N - x, N - x))
-    else:
-        left = _binomial_prefix_dd(alpha, xs[-1])
-        right = _binomial_prefix_dd(beta, N - xs[0])
-
-        def weight(x: int) -> float:
-            (m, e), (m2, e2) = left[x], right[N - x]
-            prod = dd.dd_mul(m, m2)
-            return math.ldexp(prod[0] + prod[1], e + e2)
-
+    # alpha = a/D and beta = b/D exactly, so C(alpha+x, x) = L_x / (D^x x!)
+    # with L_x = prod_{j=1..x} (a + jD), and w(x) is one integer quotient
+    (a, da), (b, db) = float(alpha).as_integer_ratio(), float(beta).as_integer_ratio()
+    D = math.lcm(da, db)
+    a, b = a * (D // da), b * (D // db)
+    left, right = _rising(a, D, xs[-1]), _rising(b, D, N - xs[0])
+    fact = _rising(0, 1, max(xs[-1], N - xs[0]))
+    scale = D**N
     out = []
     for x in xs:
-        # past the double range both conversions raise OverflowError
+        # int true division rounds once, correctly, and raises
+        # OverflowError past the double range
         try:
-            out.append(weight(x))
+            out.append(left[x] * right[N - x] / (scale * fact[x] * fact[N - x]))
         except OverflowError:
             raise DomainError(f"weight w({x}) is not finite in double precision") from None
     return out
@@ -123,13 +105,13 @@ def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
 def binomial_weight(x: int, alpha: float, beta: float, N: int) -> float:
     """Weight C(alpha+x, x) * C(beta+N-x, N-x) at grid point x in 0..N.
 
-    For integer alpha, beta this is an exact binomial product (computed in
-    integer arithmetic and converted once); otherwise each generalized
-    binomial is the finite product prod (alpha+i)/i, accumulated in
-    double-double so the returned value is correctly rounded for practical
-    purposes.  Orthogonality defects are proportional to the weight error
-    times the largest weight, which makes the last digits here matter.
-    A weight past the double range raises DomainError naming x.
+    Each generalized binomial is the finite product prod (alpha+i)/i.
+    alpha and beta are binary fractions a/D and b/D, so the weight is the
+    integer quotient prod (a+iD) * prod (b+iD) / (D^N x! (N-x)!), which
+    is rounded once and correctly.  Orthogonality defects are proportional
+    to the weight error times the largest weight, which makes the last
+    digits here matter.  A weight past the double range raises DomainError
+    naming x, as do non-finite exponents and exponents not above -1.
     """
     _check_weight_exponents(alpha, beta)
     if not 0 <= x <= N:
@@ -140,9 +122,10 @@ def binomial_weight(x: int, alpha: float, beta: float, N: int) -> float:
 def binomial_weights(alpha: float, beta: float, N: int) -> list[float]:
     """Weights w(0) .. w(N), each equal to `binomial_weight` bit for bit.
 
-    Both generalized binomials come from one running prefix product each,
-    so the whole grid costs O(N) dd steps instead of O(N^2).  The first
-    weight past the double range raises DomainError naming its grid point.
+    The integer products prod (a+iD), prod (b+iD) and x! come from one
+    running prefix product each, so the grid costs O(N) integer products
+    and N + 1 correctly rounded quotients.  The first weight past the
+    double range raises DomainError naming its grid point.
     """
     _check_weight_exponents(alpha, beta)
     if N < 0:

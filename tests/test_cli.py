@@ -1,6 +1,7 @@
 """CLI behaviour: output format, exit codes, determinism, and the
 no-partial-file rule."""
 
+import errno
 import hashlib
 import math
 import os
@@ -406,6 +407,19 @@ def test_no_partial_file_on_error(tmp_path):
     res = run("eval", "--N", "30", "--n", "99", "--out", str(out))
     assert res.exit_code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("errno_code,where", [(errno.ENOENT, "missing/w.csv"),
+                                               (errno.EISDIR, ".")])
+def test_unwritable_out_is_config_error(tmp_path, errno_code, where):
+    # found only after computing, but reported as a configuration error:
+    # one line naming --out and the OS reason, no traceback, no file
+    out = tmp_path / where
+    res = run("weights", "--N", "5", "--out", str(out))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: --out {out}: {os.strerror(errno_code)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_output():

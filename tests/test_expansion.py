@@ -340,6 +340,19 @@ def test_decay_report_validation():
         decay_report(u, 1, range(5, 5))
 
 
+def test_decay_report_descending_range():
+    # a range is checked and projected by its extremes, not its ends
+    p = HahnParams(0.5, 0.5, 12)
+    u = _sine_sample(p)
+    rows = decay_report(u, 1, range(1, 13))
+    assert decay_report(u, 1, range(12, 0, -1)) == rows[::-1]
+    assert decay_report(u, 1, range(12, 0, -3)) == rows[::-3]
+    with pytest.raises(DegreeOutOfRangeError, match=r"outside 1\.\.12"):
+        decay_report(u, 1, range(13, 0, -1))
+    with pytest.raises(ZeroLambdaError):
+        decay_report(u, 1, range(5, -1, -1))
+
+
 def test_decay_report_refuses_overflowing_powers():
     # at N = 30, ||L^k u||_w of the sine sample stays finite through k = 56;
     # past that L^k u or its norm overflows, and a constant input (L u = 0)

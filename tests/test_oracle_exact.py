@@ -4,10 +4,13 @@ closed forms, and internal cross-checks (closed-form norm vs direct sum,
 exact orthogonality).
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hahnpoly
 from hahnpoly.errors import DomainError
 from hahnpoly.oracle_exact import (
     exact_hahn_column,
@@ -134,3 +137,40 @@ def test_column_and_norms_at_the_cap():
     norms = exact_norms_sq(5, 0, 200)
     for n in (0, 1, 100, 200):
         assert norms[n] == exact_norm_sq(n, 5, 0, 200)
+
+
+PACKAGE = Path(hahnpoly.__file__).resolve().parent
+
+
+def _package_imports(path: Path) -> set[str]:
+    # the package modules a module imports, at any depth of its code;
+    # a name imported from the package itself that is not a module counts
+    # as an import of __init__
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "hahnpoly"]
+            out.update(n.split(".")[1] if "." in n else "__init__" for n in names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "hahnpoly":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return out
+
+
+def test_oracle_stays_independent():
+    # the exact route is the reference the float modules are tested
+    # against: it borrows nothing from them, and of the package only the
+    # checks behind `verify` read it
+    imports = {p.stem: _package_imports(p) for p in PACKAGE.glob("*.py")}
+    assert {m for m, names in imports.items() if "oracle_exact" in names} == {"checks"}
+    assert imports["oracle_exact"] == {"errors"}
+    # the walk does see imports
+    assert imports["hahn"] >= {"_compensated", "errors", "specfun"}

@@ -99,16 +99,32 @@ def test_weight_matches_oracle_fractional(x):
     assert got == pytest.approx(exact, rel=1e-15, abs=0)
 
 
-def test_weight_product_route_matches_comb_route():
-    # the dd prefix product at integer arguments reproduces the exact
-    # binomials at every step
-    from hahnpoly.specfun import _binomial_prefix_dd
+def _exact_or_none(x, alpha, beta, N):
+    try:
+        return float(exact_weight(x, Fraction(alpha), Fraction(beta), N))
+    except OverflowError:
+        return None
 
-    for a in (2.0, 5.0):
-        prefix = _binomial_prefix_dd(a, 11)
-        assert len(prefix) == 12
-        for k, ((hi, lo), e) in enumerate(prefix):
-            assert math.ldexp(hi + lo, e) == float(math.comb(int(a) + k, k))
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (20.0, 20.0), (0.5, 0.5),
+                                        (-0.5, 3.0), (0.1, 0.3), (-0.9, -0.9), (1e5, 1e-3),
+                                        (-1.0 + 2.0 ** -53, 1e26), (-0.999, 1e4), (1e6, 0.5)])
+def test_weights_equal_oracle_bit_for_bit(alpha, beta):
+    # integer, fractional, near -1 and near the double range: every weight
+    # is the exact rational weight rounded once; where some exact weight is
+    # past the double range, the row names the first such point and each
+    # finite weight is checked on its own
+    for N in (1, 30, 200):
+        exact = [_exact_or_none(x, alpha, beta, N) for x in range(N + 1)]
+        if None in exact:
+            with pytest.raises(DomainError, match=rf"w\({exact.index(None)}\) is not finite"):
+                binomial_weights(alpha, beta, N)
+            xs = [x for x, w in enumerate(exact) if w is not None]
+            got = [binomial_weight(x, alpha, beta, N) for x in xs]
+            exact = [exact[x] for x in xs]
+        else:
+            got = binomial_weights(alpha, beta, N)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(exact).view(np.int64))
 
 
 def test_weight_symmetric_parameters():
@@ -126,6 +142,27 @@ def test_weight_domain_errors():
         binomial_weight(1, -1.0, 0.0, 4)
 
 
+@pytest.mark.parametrize("alpha,beta,message", [
+    (math.nan, 0.0, "alpha must be finite and greater than -1, got nan"),
+    (math.inf, 0.0, "alpha must be finite and greater than -1, got inf"),
+    (0.0, -math.inf, "beta must be finite and greater than -1, got -inf"),
+    (-1.0, 0.0, "alpha must be finite and greater than -1, got -1.0"),
+])
+def test_weight_exponents_refused_in_params_wording(alpha, beta, message):
+    # the same rule and text as HahnParams; nan and inf read 1.0 once
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        binomial_weight(0, alpha, beta, 4)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        binomial_weights(alpha, beta, 4)
+
+
+def test_weight_accepts_numpy_scalars():
+    for alpha, beta in ((np.int64(2), np.float64(0.5)), (np.float32(0.5), np.int32(0))):
+        want = binomial_weights(float(alpha), float(beta), 6)
+        assert binomial_weights(alpha, beta, 6) == want
+        assert binomial_weight(np.int64(3), alpha, beta, 6) == want[3]
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (-0.5, 3.0), (0.3, 7.25), (5.0, 0.0)])
 def test_weight_row_equals_scalar_weights(alpha, beta):
     # the running prefix products give every grid point's own product
@@ -140,11 +177,10 @@ def test_weight_row_equals_scalar_weights(alpha, beta):
 @pytest.mark.parametrize("alpha,beta,N,first", [(1e6, 0.0, 200, 68), (1e6, 0.5, 200, 67),
                                                 (-0.999, 1e4, 200, 0), (1e305, 0.5, 2, 2)])
 def test_weights_past_double_range_refused(alpha, beta, N, first):
-    # the integer (beta 0) and the dd route: the weights before the first
-    # grid point whose exact weight is past the double range equal the
-    # oracle, up to 2.4e304 and 1.5e305 here, and that point is named; the
-    # dd prefix product keeps a power-of-two exponent apart, so its Dekker
-    # split does not overflow to nan first
+    # the weights before the first grid point whose exact weight is past
+    # the double range equal the oracle, up to 2.4e304 and 1.5e305 here,
+    # and that point is named: the integer quotient raises OverflowError
+    # there and nowhere before
     with pytest.raises(DomainError, match=rf"w\({first}\) is not finite"):
         binomial_weights(alpha, beta, N)
     with pytest.raises(DomainError, match=rf"w\({first}\)"):
@@ -157,8 +193,8 @@ def test_weights_past_double_range_refused(alpha, beta, N, first):
 
 
 def test_weight_near_double_range_is_finite():
-    # w(0) = C(1e26 + 12, 12) is about 2e303: finite and right, where the
-    # unscaled dd product read nan
+    # w(0) = C(1e26 + 12, 12) is about 2e303: finite and right, from
+    # integer products far past the double range
     alpha, beta = -1.0 + 2.0 ** -53, 1e26
     w = binomial_weights(alpha, beta, 12)
     for x in (0, 1, 6, 12):
