@@ -149,7 +149,7 @@ def test_weight_domain_errors():
     (-1.0, 0.0, "alpha must be finite and greater than -1, got -1.0"),
 ])
 def test_weight_exponents_refused_in_params_wording(alpha, beta, message):
-    # the same rule and text as HahnParams; nan and inf read 1.0 once
+    # the same rule and text as HahnParams; nan and inf used to give 1.0
     with pytest.raises(DomainError, match=f"^{message}$"):
         binomial_weight(0, alpha, beta, 4)
     with pytest.raises(DomainError, match=f"^{message}$"):
