@@ -239,6 +239,13 @@ def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
     _emit(lines, out)
 
 
+def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DomainError(f"Q_{degree}({xs[bad[0]]!r}) is not finite in double precision")
+    return vals
+
+
 @main.command("eval")
 @_family_options
 @click.option("--n", "degree", type=int, required=True, help="polynomial degree")
@@ -261,12 +268,11 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
             raise click.UsageError(f"bad point list {points!r}")
         if not all(map(math.isfinite, xs)):
             raise click.UsageError(f"points must be finite, got {points!r}")
-    scale = math.sqrt(norm_sq_closed(degree, p)) if normalized else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = hahn_eval_all(degree, np.array(xs), p)[degree] / scale
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise DomainError(f"Q_{degree}({xs[bad[0]]!r}) is not finite in double precision")
+        vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
+        if normalized:
+            # the norm's exact products only for a Q_n that is finite
+            vals = _finite_values(degree, xs, vals / math.sqrt(norm_sq_closed(degree, p)))
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")

@@ -13,11 +13,11 @@ arithmetic, which numpy rounds as Python floats do, so every entry equals
 a call with that entry alone, to the bit.  A recurrence step is one call
 of the fused kernel `_compensated.dd_three_term_step`.
 
-Closed-form squared norms complete the module.  `norm_sq_closed` also
-takes an array of degrees: the factor lists that do not depend on the
-degree are built once, and each degree's product runs the same factors in
-the same order as a scalar call, so one call gives a family's N + 1 norms
-with the same bits.
+Closed-form squared norms complete the module.  `norm_sq_closed` writes
+alpha and beta over one common denominator, as the weights do, and runs
+the ratio h_n / h_{n-1} as an integer numerator and denominator: each
+norm is one int true division, the exact value rounded once.  It also
+takes an array of degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the step coefficients (A_n,
@@ -30,6 +30,7 @@ build it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,7 +42,12 @@ from .errors import (
     DegreeOutOfRangeError,
     DomainError,
 )
-from .specfun import _check_weight_exponents, binomial_weights, terminating_3f2
+from .specfun import (
+    _check_weight_exponents,
+    _exact_exponents,
+    binomial_weights,
+    terminating_3f2,
+)
 
 _MAX_N = 200
 
@@ -85,27 +91,34 @@ class HahnBasis:
     def steps(self) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
         """Double-double (A_j, A_j + C_j, C_j), j = 1..N-1, of
         -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1}: the one source
-        of the step coefficients.  A degree-m sweep reads the first m-1."""
+        of the step coefficients.  A degree-m sweep reads the first m-1.
+        Built over all j at once; the dd operations are elementwise float
+        arithmetic, so each entry has the bits of a scalar build."""
         a, b, N = self.params.alpha, self.params.beta, self.params.N
+        j = np.arange(1.0, N)
         ab = dd.two_sum(a, b)
-        out = []
-        for j in range(1, N):
+        # a family near the double range overflows here as Python floats
+        # would, silently; its weights refuse it
+        with np.errstate(over="ignore", invalid="ignore"):
             # assembled factor by factor in dd
             f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
             f2 = dd.two_sum(a, j + 1.0)                      # j+alpha+1
-            num = dd.dd_mul_d(dd.dd_mul(f1, f2), float(N - j))
+            num = dd.dd_mul_d(dd.dd_mul(f1, f2), N - j)
             g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))    # 2j+alpha+beta+1
             g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
             A = dd.dd_div(num, dd.dd_mul(g1, g2))
             h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))      # j+alpha+beta+N+1
-            h2 = dd.two_sum(b, float(j))                     # j+beta
-            num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
+            h2 = dd.two_sum(b, j)                            # j+beta
+            num = dd.dd_mul_d(dd.dd_mul(h1, h2), j)
             g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))          # 2j+alpha+beta
             C = dd.dd_div(num, dd.dd_mul(g0, g1))
-            if A[0] == 0.0:
-                raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
-            out.append((A, dd.dd_add(A, C), C))
-        return tuple(out)
+            AC = dd.dd_add(A, C)
+        parts = [v.tolist() for v in (*A, *AC, *C)]
+        out = tuple(((ah, al), (sh, sl), (ch, cl)) for ah, al, sh, sl, ch, cl in zip(*parts))
+        for n, ((a_hi, _), _, _) in enumerate(out, start=1):
+            if a_hi == 0.0:
+                raise DegenerateRecurrenceError(f"vanishing step coefficient at n={n}")
+        return out
 
     @cached_property
     def sqrt_norms(self) -> np.ndarray:
@@ -114,8 +127,11 @@ class HahnBasis:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """Orthonormal Q~_n(x), row n, column x, one sweep per grid point."""
+        """Orthonormal Q~_n(x), row n, column x, one sweep per grid point.
+        The weights are read first: a family they refuse is refused before
+        the sweeps and the exact norm products."""
         p = self.params
+        self.weights
         mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
         mat /= self.sqrt_norms[:, None]
         return _read_only(mat)
@@ -230,48 +246,61 @@ def weight_table(params: HahnParams) -> np.ndarray:
     return _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
 
 
+def _quotient(num: int, den: int) -> float:
+    # int true division rounds once, correctly; past the double range it
+    # raises OverflowError, and the norm is read as inf
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
 def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarray:
-    """Squared weighted norm of Q_n from the closed-form Pochhammer quotient.
+    """Squared weighted norm of Q_n, the closed form
 
-    The sign-carrying pieces pair off exactly: (-1)^n / (-N)_n = (N-n)!/N!
-    and the j = n factor of (n+alpha+beta+1)_{N+1} equals the denominator
-    factor 2n+alpha+beta+1.  What is left is a quotient of strictly
-    positive factors, accumulated interleaved so the running value never
-    strays far from the result.
+        (-1)^n (n+alpha+beta+1)_{N+1} (beta+1)_n n!
+        --------------------------------------------------
+        (2n+alpha+beta+1) (alpha+1)_n (-N)_n N!
 
-    n may be an array of degrees; the factorials and the rising factors
-    (alpha+1)_i, (beta+1)_i are then built once for all of them, and each
-    entry is the product of a scalar call, the same factors in the same
-    order, so equal to it bit for bit.
+    (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials,
+    Springer 2010, section 9.5), rounded once and correctly.
+
+    With alpha = a/D, beta = b/D exactly and s = a + b, h_0 is
+    prod_{j<N} (s + (2+j)D) / (D^N N!), and each degree multiplies an
+    integer numerator and denominator by the factors of h_k / h_{k-1}:
+
+        k = 1:   (s+(N+2)D)(b+D)  /  ((s+3D)(a+D) N)
+        k >= 2:  (s+(k+N+1)D)(s+(2k-1)D)(b+kD) k
+                 /  ((s+kD)(s+(2k+1)D)(a+kD)(N-k+1))
+
+    Every factor is a positive integer.  The k = 1 ratio is the general
+    one with its factor (1 + alpha + beta) cancelled, which vanishes when
+    alpha + beta = -1.  h_k is one int true division of the running
+    products; a norm past the double range is inf.
+
+    n may be an array of degrees: one call runs the products once, up to
+    the largest degree, and returns an array of n's shape, each entry
+    equal to a scalar call.
     """
     _check_degree(n, params)
-    a, b, N = params.alpha, params.beta, params.N
+    degrees = np.ravel(n).tolist() if np.ndim(n) else [n]
+    N = params.N
+    a, b, D = _exact_exponents(params.alpha, params.beta)
     s = a + b
-    fact = [float(i) for i in range(2, N + 1)]        # 2 .. N
-    rise_a = [a + 1.0 + i for i in range(N)]          # factors of (alpha+1)_k
-    rise_b = [b + 1.0 + i for i in range(N)]          # factors of (beta+1)_k
-    two_fact = fact * 2                               # N! twice
-
-    def one(k: int) -> float:
-        c = k + s + 1.0                               # k + s + 1.0 + j, left to right
-        num = [c + j for j in range(N + 1) if j != k]
-        num += rise_b[:k]
-        num += fact[:max(k - 1, 0)]                   # k!
-        num += fact[:max(N - k - 1, 0)]               # (N-k)!
-        out, i, top = 1.0, 0, len(num)
-        for d in rise_a[:k] + two_fact:
-            while i < top and out <= 1.0:
-                out *= num[i]
-                i += 1
-            out /= d
-        for f in num[i:]:
-            out *= f
-        return out
-
+    num = math.prod(s + (2 + j) * D for j in range(N))
+    den = D**N * math.factorial(N)
+    norms = [_quotient(num, den)]
+    for k in range(1, max(degrees, default=0) + 1):
+        if k == 1:
+            num *= (s + (N + 2) * D) * (b + D)
+            den *= (s + 3 * D) * (a + D) * N
+        else:
+            num *= (s + (k + N + 1) * D) * (s + (2 * k - 1) * D) * (b + k * D) * k
+            den *= (s + k * D) * (s + (2 * k + 1) * D) * (a + k * D) * (N - k + 1)
+        norms.append(_quotient(num, den))
     if np.ndim(n):
-        degrees = np.asarray(n)
-        return np.array([one(k) for k in degrees.ravel().tolist()]).reshape(degrees.shape)
-    return one(n)
+        return np.array([norms[k] for k in degrees]).reshape(np.shape(n))
+    return norms[n]
 
 
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:

@@ -82,12 +82,19 @@ def _rising(c: int, step: int, k: int) -> list[int]:
     return out
 
 
+def _exact_exponents(alpha: float, beta: float) -> tuple[int, int, int]:
+    """Integers a, b and the least D > 0 with alpha = a/D and beta = b/D
+    exactly: the common denominator of the weights' and the norms'
+    integer products."""
+    (a, da), (b, db) = float(alpha).as_integer_ratio(), float(beta).as_integer_ratio()
+    D = math.lcm(da, db)
+    return a * (D // da), b * (D // db), D
+
+
 def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
     # alpha = a/D and beta = b/D exactly, so C(alpha+x, x) = L_x / (D^x x!)
     # with L_x = prod_{j=1..x} (a + jD), and w(x) is one integer quotient
-    (a, da), (b, db) = float(alpha).as_integer_ratio(), float(beta).as_integer_ratio()
-    D = math.lcm(da, db)
-    a, b = a * (D // da), b * (D // db)
+    a, b, D = _exact_exponents(alpha, beta)
     left, right = _rising(a, D, xs[-1]), _rising(b, D, N - xs[0])
     fact = _rising(0, 1, max(xs[-1], N - xs[0]))
     scale = D**N

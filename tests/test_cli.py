@@ -287,6 +287,21 @@ def test_eval_overflow_is_domain_error():
     assert "nan" not in res.output
 
 
+def test_eval_refuses_before_the_norm(monkeypatch):
+    # a Q_n that is not finite is refused before its norm is computed; the
+    # refusal's exit code and text are those of a refusal after the division
+    def unreachable(*args):
+        raise AssertionError("norm computed for a refused Q_n")
+
+    monkeypatch.setattr(hahnpoly.cli, "norm_sq_closed", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("eval", "--alpha", "1e305", "--beta", "0.5", "--N", "200", "--n", "3")
+    assert res.exit_code == 3
+    assert res.stderr == "error: Q_3(0.0) is not finite in double precision\n"
+    assert res.stdout == ""
+
+
 def test_non_finite_targets_refused():
     # non-finite poly coefficients are a configuration error naming fn;
     # finite ones whose grid samples overflow are a domain error naming
@@ -443,26 +458,29 @@ def test_poly_function_spec():
 # pinned it; any change to these bytes is a change of output, not a
 # refactor.  The two verify pins were re-recorded when float-vs-exact
 # replaced series-vs-recurrence: only that row and three-term-recurrence
-# changed, and the N = 60 one went from exit 4 to exit 0
+# changed, and the N = 60 one went from exit 4 to exit 0.  All but the
+# weights and `eval --normalized false` pins were re-recorded when the
+# norms became correctly rounded: every value column moved by at most
+# 2.8e-15 of its largest magnitude, and no exit code or verify status moved
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
-        (0, "60ff27f7a30deb5303570502b539beb1a421cb22e61d38fa75e57fa13218d988"),
+        (0, "f17cddc687cb35ffc0498aa465ae6ff4d4b47c1f429c1bfa1d9fbe4dfe8fec26"),
     "runge --N 30 --m 10 --samples 201":
-        (0, "44317340d418bd5e6f3fd77565c5c27cb1cb1fdf19b9054c8c184ef0d3b86544"),
+        (0, "f9f2d09ae191f2ddaa250baf56d584468cbee1ca6c847e930382aed45eda0513"),
     "eval --n 5 --N 30 --points 0,7.5,30 --normalized false":
         (0, "45374b17dac0e528384240d7a845d961874fe6f8025ede08f8094d75d2533b35"),
     "weights --alpha 0.5 --beta 0.5 --N 30":
         (0, "09703b6be620bb0b30a5f5dd5340faa4bf6e0a30bffd2ea74600f247a84ef715"),
     "project --N 30 --m 10 --fn sin-pi --params 0,0;0.5,0.5;5,0":
-        (0, "49d397cf88b693509cbde4ffa0d56df7477e63c7397759dbbe8691c25637a051"),
+        (0, "5d18160c3d3ae0399534af3d3ea6bdae7d0dc5cff3cc61678965d5c4528d3dd0"),
     "decay --N 30 --m 20 --k 1,2,3 --fn sin-pi":
-        (0, "6ca13d74e5947e52beff642bf5c1ab5c03d62eb24cfd5e4c0d7c8b3343b87811"),
+        (0, "a3b50aa458aa340fcd3491507521398cc1245cafd514c9803d8f74ca6764f728"),
     "compare-legendre --N 30 --m 10":
-        (0, "d2aeaff2dcccc3b1165be5c7ebae9eae4afe11abd82a754f44d889620f7429dc"),
+        (0, "21ad5ace6f052b712f68669807d4088966e9dce3f0616bafd962cc14d7518ed1"),
     "verify --alpha 0.5 --beta 0.5 --N 30":
-        (0, "3db573bb9c09bb829a029f000744272d554b65ae0ac21c1a1f8501f097d70652"),
+        (0, "24869d6162df2d70234894dadf46e5f08d99852a86ac20dc7a8b70fb7f180e66"),
     "verify --alpha -0.5 --beta 3 --N 60":
-        (0, "82db6437f59a9f4bcc1122f73bd13c7d409346cdb3cec5e141f0df6494f463b6"),
+        (0, "cf16a3ddf4975d69c04b29c88c1d1892b2dbb43155fefd21ef43b62562098982"),
 }
 
 

@@ -371,26 +371,28 @@ def test_decay_report_refuses_overflowing_powers():
 # sha256 of the float64 bytes of the sine sample's `project` coefficients at
 # m = N and m = 3N/4, and of its decay_report rows (coeff, bound,
 # bound_degree_only, identity_residual) at k = 2 over degrees 1..N; recorded
-# on the code before the recurrence step was fused.  Above N ~ 70 these
+# on the code before the recurrence step was fused, and re-recorded when the
+# norms became correctly rounded (coefficients moved by at most 6.9e-16 of
+# their largest magnitude, bounds not at all).  Above N ~ 70 these
 # values are far from the true coefficients (the basis loses accuracy), so
 # they pin the bits the code computes, not the mathematics
 GOLDEN_SPECTRA = {
     (0.0, 0.0, 100): (
-        "454d3edd9f894b1b204714e2e625de94c625de0dd1a889b6de9c90e58c939e12",
-        "c948e97776be4d587cc77fc203e895002cd816bdd0ce33a3bc3ee3f70340f43b",
-        "33e4ce5e83d69537e72dd4d44879f8fef64d515ba9a9fd6aad64f686405c2bb3"),
+        "fab5a48337d9c5cfe7aabed3461c4cc012b5d1858f0c82a0938619e48cc9ad77",
+        "2d1334707d3319cde011aef3866028911d8932559a22e6984e5f5166c73d1b3e",
+        "1464c35ce68436cb8a0bbb4ad67b99133abaa4e28d9ed465768b07172865ce2e"),
     (0.0, 0.0, 200): (
-        "9ce2d8b86a8d52efdd9e7c5e56c09e93e36d15a5583c8bcf7bf2b6474914b6c2",
-        "79c0c772bcba866d06ab7fa77043acf2ff0661682a39e17678ff00e9a0c32f5f",
-        "e777394195913504edecdfffe73d2e014e96c8288be60dd1f1a68826e06a8f69"),
+        "4ff5ec65be98466275dcf915452aa2330a6c5a28dcde5a61edb74d10cabbc433",
+        "19970522850c631d34465c2a2279fedb73a7b49a0e57ea56014286dc94a395e0",
+        "e760e570774899e5058d9c3c7538af724533fbc6d084116122bb4ffbe930c39e"),
     (-0.5, 3.0, 100): (
-        "0113a942948d15c7f2d7597f82108f97e3b90fdd819caf4663dd701f449956fa",
-        "bb7b6c809b760c1dd5c37213c841f2e5e0f543ef5354dce7285d1165ea515317",
-        "a98d270856787637fd148e4aa3cf74a34c10a08b43798cc5ec85e3f0dbc5d8a7"),
+        "f4c708880107007e6f74cc3dca2743f81359c83a9e9c5f4c3f0283855bd9c3a7",
+        "187a656bba545ac19efd4a1deb78c4417533541adb42ddb404a83b6db0fc769d",
+        "f46909ba1791e8fb5c9ff2f4dd6d79c3685dd711efb1a68c9ee5171300bcc438"),
     (-0.5, 3.0, 200): (
-        "67ba1cb70b9ff42c8645019dbcc58feecedcde4ecd4bf9d2ed672c4308a8139a",
-        "f3c082846db44975ade503c3d9c6380a1347f7a5d387780b8357e1e9b1bfb4c5",
-        "7ed91c0b9350a592f74f1f36dfe4a196dd70fb69018fbb30b5bcf49cab605e9a"),
+        "b321c87e5cb2d76fbcff4928532a33f242b43f1ed8cb82e0630a3db1c1f4355e",
+        "1eb51767ea27f739a7ad4e208ee1953c8a9e2727e2f1a9b865d8861ea4e8a114",
+        "fcd2ef26842467f76b24536cd5f4760eab7b105b4ae4a21055470f743cc3098b"),
 }
 
 

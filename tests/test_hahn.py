@@ -3,13 +3,19 @@ weights, the operator's eigenvalues and coefficients, and the parameter
 type itself."""
 
 import math
+import struct
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hahnpoly.errors import DegreeOutOfRangeError, DomainError
+from hahnpoly import _compensated as dd
+from hahnpoly.errors import DegenerateRecurrenceError, DegreeOutOfRangeError, DomainError
+from hahnpoly.expansion import GridFunction, project
 from hahnpoly.hahn import (
+    HahnBasis,
     HahnParams,
     basis,
     hahn_eval_all,
@@ -24,6 +30,7 @@ from hahnpoly.oracle_exact import (
     _steps,
     exact_hahn_eval,
     exact_norm_sq,
+    exact_norms_sq,
     exact_weight,
 )
 
@@ -197,50 +204,43 @@ def test_norm_closed_matches_oracle(alpha, beta):
         assert norm_sq_closed(n, p) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
-def _norm_sq_interleaved(n, params):
-    # reference for norm_sq_closed: the same factors in one loop that
-    # tests both list lengths at every step
-    a, b, N = params.alpha, params.beta, params.N
-    s = a + b
-    num = [n + s + 1.0 + j for j in range(N + 1) if j != n]
-    num += [b + 1.0 + i for i in range(n)]
-    num += [float(i) for i in range(2, n + 1)]
-    num += [float(i) for i in range(2, N - n + 1)]
-    den = [a + 1.0 + i for i in range(n)]
-    den += [float(i) for i in range(2, N + 1)] * 2
-    out = 1.0
-    i = j = 0
-    while i < len(num) or j < len(den):
-        if j >= len(den) or (i < len(num) and out <= 1.0):
-            out *= num[i]
-            i += 1
-        else:
-            out /= den[j]
-            j += 1
-    return out
+NORM_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (-0.5, -0.5),
+                 (-0.3, -0.7), (0.1, 0.3), (-0.9, -0.9), (20.0, 20.0), (1e5, 1e-3),
+                 (1e6, 0.5)]
+
+
+def _rounded(value: Fraction) -> float:
+    # the double nearest the exact value; past the double range, inf
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 30, 100, 200])
-def test_norm_sq_closed_equals_interleaved_loop(N):
-    families = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0),
-                (-0.9, -0.9), (1.25, 0.75)]
-    # every degree up to 30, a spread of them above
-    degrees = sorted({*range(min(N, 30) + 1), *range(0, N + 1, 7), N - 1, N})
-    for alpha, beta in families:
+def test_norm_sq_closed_equals_oracle_bit_for_bit(N):
+    # every norm is the exact rational rounded once, and a norm past the
+    # double range is inf, with no exception and no warning
+    # (-0.3, -0.7) has alpha + beta = -1, where h_1/h_0 is 0/0 uncancelled
+    finite = 0
+    for alpha, beta in NORM_FAMILIES:
         p = HahnParams(alpha, beta, N)
-        got = np.array([norm_sq_closed(n, p) for n in degrees])
-        want = np.array([_norm_sq_interleaved(n, p) for n in degrees])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (alpha, beta)
-        # one array call: every degree, and any array shape, as the scalar calls
-        every = np.array([norm_sq_closed(n, p) for n in range(N + 1)])
-        assert type(every.tolist()[0]) is float and type(norm_sq_closed(N, p)) is float
+        want = np.array([_rounded(h) for h in exact_norms_sq(alpha, beta, N)])
         table = norm_sq_closed(np.arange(N + 1), p)
         assert table.shape == (N + 1,)
-        assert np.array_equal(table.view(np.int64), every.view(np.int64)), (alpha, beta)
-        assert np.array_equal(table[degrees].view(np.int64), want.view(np.int64))
+        assert np.array_equal(table.view(np.int64), want.view(np.int64)), (alpha, beta)
+        finite += int(np.isfinite(table).sum()) if (alpha, beta) == (1e6, 0.5) else 0
+        # scalar and column calls give the same bits in their own shapes
+        degrees = sorted({0, 1, min(2, N), N // 2, N - 1, N})
+        scalars = [norm_sq_closed(n, p) for n in degrees]
+        assert all(type(h) is float for h in scalars)
+        assert np.array_equal(np.array(scalars).view(np.int64), want[degrees].view(np.int64))
         block = norm_sq_closed(np.array(degrees[::-1]).reshape(-1, 1), p)
         assert block.shape == (len(degrees), 1)
-        assert np.array_equal(block[::-1, 0].view(np.int64), want.view(np.int64))
+        assert np.array_equal(block[::-1, 0].view(np.int64), want[degrees].view(np.int64))
+        assert norm_sq_closed(np.array([], dtype=int), p).shape == (0,)
+    if N == 200:
+        assert finite == 96
 
 
 def test_sqrt_norms_once_per_family():
@@ -273,6 +273,75 @@ def test_step_coefficients_once_per_family():
     full = hahn_eval_all(40, xs, p)
     for m in (0, 1, 2, 17, 39):
         assert np.array_equal(hahn_eval_all(m, xs, p), full[: m + 1])
+
+
+def _steps_scalar(a, b, N):
+    # reference for HahnBasis.steps: the same dd operations one j at a time
+    ab = dd.two_sum(a, b)
+    out = []
+    for j in range(1, N):
+        f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))
+        f2 = dd.two_sum(a, j + 1.0)
+        num = dd.dd_mul_d(dd.dd_mul(f1, f2), float(N - j))
+        g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))
+        g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
+        A = dd.dd_div(num, dd.dd_mul(g1, g2))
+        h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))
+        h2 = dd.two_sum(b, float(j))
+        num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
+        g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))
+        C = dd.dd_div(num, dd.dd_mul(g0, g1))
+        if A[0] == 0.0:
+            raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
+        out.append((A, dd.dd_add(A, C), C))
+    return tuple(out)
+
+
+def _packed(steps):
+    # float64 bytes of every part; a nan's sign is not fixed by IEEE
+    # arithmetic (numpy's loops may propagate the other operand's), so
+    # every nan is packed as one nan
+    return b"".join(struct.pack("<d", v if v == v else math.nan)
+                    for step in steps for part in step for v in part)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 30, 200])
+def test_steps_equal_scalar_build(N):
+    # the array build has the bits of a build one j at a time, without a
+    # warning even where (1e305, 0.5) overflows
+    for alpha, beta in [*NORM_FAMILIES, (1e305, 0.5)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = _steps_scalar(alpha, beta, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = HahnBasis(HahnParams(alpha, beta, N)).steps
+        assert len(got) == max(N - 1, 0)
+        assert all(type(v) is float for step in got for part in step for v in part)
+        assert _packed(got) == _packed(want), (alpha, beta)
+
+
+def test_steps_name_vanishing_coefficient():
+    # outside the family domain A_n vanishes where j + alpha + 1 = 0, and
+    # the check on the built list names that n
+    for alpha, beta, n in [(-3.0, 0.5, 2), (-5.0, 0.5, 4)]:
+        fake = SimpleNamespace(alpha=alpha, beta=beta, N=8)
+        with pytest.raises(DegenerateRecurrenceError, match=f"^vanishing step coefficient at n={n}$"):
+            _steps_scalar(alpha, beta, 8)
+        with pytest.raises(DegenerateRecurrenceError, match=f"^vanishing step coefficient at n={n}$"):
+            HahnBasis(fake).steps
+
+
+def test_refused_weights_come_before_sweeps_and_norms():
+    # project reads the grid, which reads the weights first: a family they
+    # refuse builds neither the sweeps nor the exact norm products
+    p = HahnParams(1e305, 0.5, 200)
+    u = GridFunction(p, np.ones(201))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^weight w\(2\) is not finite"):
+            project(u, 200)
+    assert {"grid", "sqrt_norms", "steps"}.isdisjoint(vars(basis(p)))
 
 
 def test_norm_flat_weight_degree_zero():
