@@ -83,109 +83,121 @@ def dd_from(d: float) -> DD:
     return (d, 0.0)
 
 
-def dd_three_term_step(A: DD, AC: DD, C: DD, x, cur: DD, prev: DD) -> DD:
-    """((AC - x) cur - C prev) / A for AC = A + C: one upward step of a
-    three-term recurrence.
+def split(a):
+    """Dekker's split of a into hi + lo, each with at most 26 significant
+    bits, so that products of the parts are exact."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
 
-    The operations of
+
+def dd_three_term_sweep(steps, x, cur: DD, prev: DD, out) -> DD:
+    """Upward three-term recurrence y_{j+1} = ((AC - x) y_j - C y_{j-1}) / A,
+    one step per row of steps, with AC = A + C; returns the last dd level
+    and writes each new level, rounded to a double, to out[i] for row i.
+
+    A row is the flat tuple
+    (A, A_lo, A_split_hi, A_split_lo, AC, AC_lo, C, C_lo, C_split_hi, C_split_lo)
+    of double-double A, AC and C with the Dekker splits (`split`) of the
+    high parts of A and C.  cur = y_j and prev = y_{j-1} seed the sweep.
+    x, cur and prev may be float arrays of one shape.
+
+    Each step makes the operations of
     dd_div(dd_sub(dd_mul(dd_sub(AC, dd_from(x)), cur), dd_mul(C, prev)), A)
-    written out in the same order with no helper calls, so the result is
-    the same to the bit.  Left out are additions of -0.0 (exact no-ops)
-    and the unused low part of the last residual; the split of A is made
-    once for both products with it.
-    x, cur and prev may be float arrays of one shape; A, AC and C are
-    float pairs.
+    in the same order, so every level has the bits of that composition.
+    Left out are additions of -0.0 (exact no-ops) and the unused low part
+    of the last residual.  What does not change is not redone: -x is taken
+    once, the splits of A and C come with the row, and each level's high
+    part is split once, then reused when it becomes the previous level.
+    A negation is folded only where the bits cannot change: b + (-c) is
+    b - c, signed zeros included, but (-b) - c is not -(b + c) at zero.
     """
-    # w = AC - x  (dd_sub: two_sum, then quick_two_sum)
-    a0 = AC[0]
     nx = -x
-    s = a0 + nx
-    bb = s - a0
-    e = (a0 - (s - bb)) + (nx - bb)
-    e += AC[1]
-    w0 = s + e
-    w1 = e - (w0 - s)
-    # u = w * cur  (dd_mul)
     c0, c1 = cur
-    u0 = w0 * c0
-    t = _SPLIT * w0
-    hi = t - (t - w0)
-    lo = w0 - hi
-    t = _SPLIT * c0
-    bhi = t - (t - c0)
-    blo = c0 - bhi
-    e = ((hi * bhi - u0) + hi * blo + lo * bhi) + lo * blo
-    e += w0 * c1 + w1 * c0
-    s = u0 + e
-    u1 = e - (s - u0)
-    u0 = s
-    # v = C * prev  (dd_mul)
     p0, p1 = prev
-    k0 = C[0]
-    v0 = k0 * p0
-    t = _SPLIT * k0
-    hi = t - (t - k0)
-    lo = k0 - hi
     t = _SPLIT * p0
-    bhi = t - (t - p0)
-    blo = p0 - bhi
-    e = ((hi * bhi - v0) + hi * blo + lo * bhi) + lo * blo
-    e += k0 * p1 + C[1] * p0
-    s = v0 + e
-    v1 = e - (s - v0)
-    # q = u - v  (dd_sub)
-    nv = -s
-    s = u0 + nv
-    bb = s - u0
-    e = (u0 - (s - bb)) + (nv - bb)
-    e += u1 + -v1
-    q0 = s + e
-    q1 = e - (q0 - s)
-    # q / A  (dd_div: three float quotients, two dd residuals)
-    d0, d1 = A
-    t = _SPLIT * d0
-    dhi = t - (t - d0)
-    dlo = d0 - dhi
-    y1 = q0 / d0
-    # r = q - A * y1  (dd_mul_d, then dd_sub)
-    m0 = d0 * y1
-    t = _SPLIT * y1
-    bhi = t - (t - y1)
-    blo = y1 - bhi
-    e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
-    e += d1 * y1
-    s = m0 + e
-    m1 = e - (s - m0)
-    nm = -s
-    s = q0 + nm
-    bb = s - q0
-    e = (q0 - (s - bb)) + (nm - bb)
-    e += q1 + -m1
-    q0 = s + e
-    q1 = e - (q0 - s)
-    y2 = q0 / d0
-    # r = r - A * y2
-    m0 = d0 * y2
-    t = _SPLIT * y2
-    bhi = t - (t - y2)
-    blo = y2 - bhi
-    e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
-    e += d1 * y2
-    s = m0 + e
-    m1 = e - (s - m0)
-    nm = -s
-    s = q0 + nm
-    bb = s - q0
-    e = (q0 - (s - bb)) + (nm - bb)
-    e += q1 + -m1
-    q0 = s + e
-    y3 = q0 / d0
-    s = y1 + y2
-    e = y2 - (s - y1)
-    # (s, e) + (y3, 0)  (dd_add)
-    s2 = s + y3
-    bb = s2 - s
-    e2 = (s - (s2 - bb)) + (y3 - bb)
-    e2 += e + 0.0
-    r0 = s2 + e2
-    return r0, e2 - (r0 - s2)
+    phi = t - (t - p0)
+    plo = p0 - phi
+    for i, (d0, d1, dhi, dlo, s0, s1, k0, k1, khi, klo) in enumerate(steps):
+        # w = AC - x  (dd_sub: two_sum, then quick_two_sum)
+        s = s0 + nx
+        bb = s - s0
+        e = (s0 - (s - bb)) + (nx - bb)
+        e += s1
+        w0 = s + e
+        w1 = e - (w0 - s)
+        # u = w * cur  (dd_mul); the split of cur is kept for the next step
+        t = _SPLIT * c0
+        chi = t - (t - c0)
+        clo = c0 - chi
+        u0 = w0 * c0
+        t = _SPLIT * w0
+        hi = t - (t - w0)
+        lo = w0 - hi
+        e = ((hi * chi - u0) + hi * clo + lo * chi) + lo * clo
+        e += w0 * c1 + w1 * c0
+        s = u0 + e
+        u1 = e - (s - u0)
+        u0 = s
+        # v = C * prev  (dd_mul)
+        v0 = k0 * p0
+        e = ((khi * phi - v0) + khi * plo + klo * phi) + klo * plo
+        e += k0 * p1 + k1 * p0
+        s = v0 + e
+        v1 = e - (s - v0)
+        # q = u - v  (dd_sub)
+        nv = -s
+        s = u0 + nv
+        bb = s - u0
+        e = (u0 - (s - bb)) + (nv - bb)
+        e += u1 - v1
+        q0 = s + e
+        q1 = e - (q0 - s)
+        # q / A  (dd_div: three float quotients, two dd residuals)
+        y1 = q0 / d0
+        # r = q - A * y1  (dd_mul_d, then dd_sub)
+        m0 = d0 * y1
+        t = _SPLIT * y1
+        bhi = t - (t - y1)
+        blo = y1 - bhi
+        e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
+        e += d1 * y1
+        s = m0 + e
+        m1 = e - (s - m0)
+        nm = -s
+        s = q0 + nm
+        bb = s - q0
+        e = (q0 - (s - bb)) + (nm - bb)
+        e += q1 - m1
+        q0 = s + e
+        q1 = e - (q0 - s)
+        y2 = q0 / d0
+        # r = r - A * y2
+        m0 = d0 * y2
+        t = _SPLIT * y2
+        bhi = t - (t - y2)
+        blo = y2 - bhi
+        e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
+        e += d1 * y2
+        s = m0 + e
+        m1 = e - (s - m0)
+        nm = -s
+        s = q0 + nm
+        bb = s - q0
+        e = (q0 - (s - bb)) + (nm - bb)
+        e += q1 - m1
+        q0 = s + e
+        y3 = q0 / d0
+        s = y1 + y2
+        e = y2 - (s - y1)
+        # (s, e) + (y3, 0)  (dd_add)
+        s2 = s + y3
+        bb = s2 - s
+        e2 = (s - (s2 - bb)) + (y3 - bb)
+        e2 += e + 0.0
+        r0 = s2 + e2
+        r1 = e2 - (r0 - s2)
+        out[i] = r0 + r1
+        p0, p1, phi, plo = c0, c1, chi, clo
+        c0, c1 = r0, r1
+    return c0, c1

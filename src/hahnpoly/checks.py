@@ -114,8 +114,9 @@ def check_recurrence_identity(params: HahnParams) -> CheckResult:
     past the double range makes the defect nan, which fails the check."""
     xs, q, _ = _exact_columns(params)
     qm, q0, qp = q[:-2], q[1:-1], q[2:]
-    steps = np.array([[A[0], AC[0], C[0]] for A, AC, C in basis(params).steps]).reshape(-1, 3)
-    A, AC, C = steps[:, :1], steps[:, 1:2], steps[:, 2:]
+    # the high parts of A, AC and C in the step rows (dd_three_term_sweep)
+    steps = np.array(basis(params).steps).reshape(-1, 10)
+    A, AC, C = steps[:, 0:1], steps[:, 4:5], steps[:, 6:7]
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = -np.array(xs, dtype=float) * q0
         rhs = A * qp - AC * q0 + C * qm

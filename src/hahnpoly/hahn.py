@@ -10,8 +10,9 @@ independent reference is the exact oracle (`oracle_exact`).  Both take
 arrays, the recurrence of points and the series of degrees and points
 that broadcast together.  Their dd operations are elementwise float
 arithmetic, which numpy rounds as Python floats do, so every entry equals
-a call with that entry alone, to the bit.  A recurrence step is one call
-of the fused kernel `_compensated.dd_three_term_step`.
+a call with that entry alone, to the bit.  A sweep is one call of the
+fused kernel `_compensated.dd_three_term_sweep`, which reads the Dekker
+splits of the family's step coefficients from its `HahnBasis.steps`.
 
 Closed-form squared norms complete the module.  `norm_sq_closed` writes
 alpha and beta over one common denominator, as the weights do, and runs
@@ -21,9 +22,9 @@ takes an array of degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the step coefficients (A_n,
-A_n + C_n, C_n), the norms, the orthonormal grid matrix and the
-difference operator's eigenvalues and coefficients B(x), D(x), each
-computed on first read and read-only after.  So the grid matrix lives as
+A_n + C_n, C_n, and the splits of A_n and C_n), the norms, the
+orthonormal grid matrix and the difference operator's eigenvalues and
+coefficients B(x), D(x), each computed on first read and read-only after.  So the grid matrix lives as
 long as the norms and steps it is made of, and off-grid sweeps never
 build it.
 """
@@ -88,17 +89,22 @@ class HahnBasis:
     weights = cached_property(lambda self: weight_table(self.params))
 
     @cached_property
-    def steps(self) -> tuple[tuple[dd.DD, dd.DD, dd.DD], ...]:
-        """Double-double (A_j, A_j + C_j, C_j), j = 1..N-1, of
-        -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1}: the one source
-        of the step coefficients.  A degree-m sweep reads the first m-1.
-        Built over all j at once; the dd operations are elementwise float
-        arithmetic, so each entry has the bits of a scalar build."""
+    def steps(self) -> tuple[tuple[float, ...], ...]:
+        """The step coefficients of
+        -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1}, j = 1..N-1, in
+        double-double, one flat row per j as `dd_three_term_sweep` reads it:
+        (A, A_lo, A_split_hi, A_split_lo, AC, AC_lo, C, C_lo, C_split_hi,
+        C_split_lo), with AC = A + C and the Dekker splits of the high parts
+        of A and C.  The one source of the step coefficients; a degree-m
+        sweep reads the first m-1 rows.  Built over all j at once; the dd
+        operations are elementwise float arithmetic, so each entry has the
+        bits of a scalar build.  The first vanishing or non-finite row
+        raises `DegenerateRecurrenceError` naming its n."""
         a, b, N = self.params.alpha, self.params.beta, self.params.N
         j = np.arange(1.0, N)
         ab = dd.two_sum(a, b)
         # a family near the double range overflows here as Python floats
-        # would, silently; its weights refuse it
+        # would, silently; the check on the rows below refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             # assembled factor by factor in dd
             f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
@@ -113,11 +119,15 @@ class HahnBasis:
             g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))          # 2j+alpha+beta
             C = dd.dd_div(num, dd.dd_mul(g0, g1))
             AC = dd.dd_add(A, C)
-        parts = [v.tolist() for v in (*A, *AC, *C)]
-        out = tuple(((ah, al), (sh, sl), (ch, cl)) for ah, al, sh, sl, ch, cl in zip(*parts))
-        for n, ((a_hi, _), _, _) in enumerate(out, start=1):
-            if a_hi == 0.0:
+            parts = (*A, *dd.split(A[0]), *AC, *C, *dd.split(C[0]))
+        out = tuple(zip(*(v.tolist() for v in parts)))
+        # a list pass, not numpy masks (see _check_degree)
+        for n, row in enumerate(out, start=1):
+            if row[0] == 0.0:
                 raise DegenerateRecurrenceError(f"vanishing step coefficient at n={n}")
+            if not all(map(math.isfinite, row)):
+                raise DegenerateRecurrenceError(
+                    f"step coefficient at n={n} is not finite in double precision")
         return out
 
     @cached_property
@@ -203,7 +213,9 @@ def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.n
 
     Every dd operation is elementwise float arithmetic, so an array x
     sweeps all its points at once with exactly the rounding of a sweep
-    per point.  Only the two dd levels the recurrence reads stay alive.
+    per point.  Q_0 and Q_1 seed one call of the kernel
+    `_compensated.dd_three_term_sweep` over the family's first m-1 step
+    rows; a sweep of degree 1 or less does not read the steps.
     """
     out = np.empty((m + 1,) + np.shape(x))
     out[0] = 1.0
@@ -214,12 +226,10 @@ def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.n
     ab = dd.two_sum(a, params.beta)
     t = dd.dd_mul_d(dd.dd_add(ab, dd.dd_from(2.0)), x)
     t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
-    prev, cur = dd.dd_from(1.0), dd.dd_sub(dd.dd_from(1.0), t)
+    cur = dd.dd_sub(dd.dd_from(1.0), t)
     out[1] = cur[0] + cur[1]
-    for j, (A, AC, C) in enumerate(basis(params).steps[: m - 1], start=1):
-        # Q_{j+1} = ((A + C - x) Q_j - C Q_{j-1}) / A
-        prev, cur = cur, dd.dd_three_term_step(A, AC, C, x, cur, prev)
-        out[j + 1] = cur[0] + cur[1]
+    if m > 1:
+        dd.dd_three_term_sweep(basis(params).steps[: m - 1], x, cur, dd.dd_from(1.0), out[2:])
     return out
 
 

@@ -73,7 +73,8 @@ def _loop_recurrence_identity(params):
         xf = float(x)
         q = [float(exact_hahn_eval(n, x, a, b, N)) for n in range(N + 1)]
         for n in range(1, N):
-            A, AC, C = (c[0] for c in basis(params).steps[n - 1])
+            row = basis(params).steps[n - 1]
+            A, AC, C = row[0], row[4], row[6]
             lhs = -xf * q[n]
             rhs = A * q[n + 1] - AC * q[n] + C * q[n - 1]
             scale = max(1.0, abs(A * q[n + 1]) + abs(AC * q[n]) + abs(C * q[n - 1]))

@@ -289,17 +289,30 @@ def test_eval_overflow_is_domain_error():
 
 def test_eval_refuses_before_the_norm(monkeypatch):
     # a Q_n that is not finite is refused before its norm is computed; the
-    # refusal's exit code and text are those of a refusal after the division
+    # refusal's exit code and text are those of a refusal after the division.
+    # For (1e305, 0.5) every step coefficient overflows, and the steps are
+    # refused before any sweep; Q_0 and Q_1 read no steps, and Q_1's own
+    # closed form overflows in dd
     def unreachable(*args):
         raise AssertionError("norm computed for a refused Q_n")
 
     monkeypatch.setattr(hahnpoly.cli, "norm_sq_closed", unreachable)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = run("eval", "--alpha", "1e305", "--beta", "0.5", "--N", "200", "--n", "3")
-    assert res.exit_code == 3
-    assert res.stderr == "error: Q_3(0.0) is not finite in double precision\n"
-    assert res.stdout == ""
+    family = ("--alpha", "1e305", "--beta", "0.5", "--N", "200")
+    cases = [(("--N", "30", "--n", "30", "--points", "1e300"), "Q_30(1e+300) is not finite"),
+             ((*family, "--n", "1"), "Q_1(0.0) is not finite"),
+             ((*family, "--n", "3"), "step coefficient at n=1 is not finite"),
+             ((*family, "--n", "200", "--points", "0"), "step coefficient at n=1 is not finite")]
+    for args, why in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("eval", *args)
+        assert res.exit_code == 3
+        assert res.stderr == f"error: {why} in double precision\n"
+        assert res.stdout == ""
+    monkeypatch.undo()
+    res = run("eval", *family, "--n", "0", "--points", "0,7.5", "--normalized", "false")
+    assert res.exit_code == 0
+    assert res.stdout.endswith("x,value\n0,1\n7.5,1\n")
 
 
 def test_non_finite_targets_refused():

@@ -1,4 +1,4 @@
-"""The fused double-double recurrence step against the composition of dd
+"""The fused double-double recurrence sweep against the composition of dd
 primitives it replaces, compared bit for bit on the recurrence's own
 values."""
 
@@ -18,6 +18,11 @@ def _composed_step(A, C, x, cur, prev):
     return dd.dd_div(q, A)
 
 
+def _row(A, C):
+    # one row of HahnBasis.steps, as dd_three_term_sweep reads it
+    return (*A, *dd.split(A[0]), *dd.dd_add(A, C), *C, *dd.split(C[0]))
+
+
 def _bits(v):
     return np.asarray(v, dtype=float).view(np.int64)
 
@@ -27,37 +32,59 @@ def _assert_same(got, want):
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
-def _walk(params, x):
-    # every step of a full-degree sweep: the fused step on the composed
-    # chain's values, Q_0 = 1 and Q_1 rounded to a double as the seeds
+def _sweep(steps, x, cur, prev):
+    out = np.empty((len(steps),) + np.shape(x))
+    return dd.dd_three_term_sweep(steps, x, cur, prev, out), out
+
+
+def _walk(params, x, counts):
+    # the composed chain over every step of a full-degree sweep, Q_0 = 1 and
+    # Q_1 rounded to a double as the seeds; a sweep over the first k steps
+    # returns the chain's level k and writes each level rounded
     q1 = hahn_eval_all(1, x, params)[1]
-    prev, cur = dd.dd_from(1.0), dd.dd_from(q1 if np.ndim(x) else float(q1))
-    for A, AC, C in basis(params).steps:
-        want = _composed_step(A, C, x, cur, prev)
-        got = dd.dd_three_term_step(A, AC, C, x, cur, prev)
-        _assert_same(got, want)
-        prev, cur = cur, want
+    seeds = (dd.dd_from(q1 if np.ndim(x) else float(q1)), dd.dd_from(1.0))
+    steps = basis(params).steps
+    levels = [seeds[0]]
+    prev, cur = seeds[1], seeds[0]
+    for row in steps:
+        A, AC, C = row[0:2], row[4:6], row[6:8]
+        assert AC == dd.dd_add(A, C)
+        prev, cur = cur, _composed_step(A, C, x, cur, prev)
+        levels.append(cur)
+    rounded = np.array([hi + lo for hi, lo in levels[1:]]).reshape((-1,) + np.shape(x))
+    for k in counts:
+        last, out = _sweep(steps[:k], x, *seeds)
+        _assert_same(last, levels[k])
+        assert np.array_equal(_bits(out), _bits(rounded[:k]))
 
 
 @pytest.mark.parametrize("N", [1, 2, 30, 100, 200])
 @pytest.mark.parametrize("alpha,beta", FAMILIES)
 def test_fused_step_equals_composition(N, alpha, beta):
     # x = -1 and x = N + 1 are read by the eigen-equation check; the sweep
-    # values there grow far past those on the grid
+    # values there grow far past those on the grid.  Scalar points take
+    # every step count; the array, whose levels the full sweep also writes
+    # out, takes the empty, one-step and full sweeps and a stride between.
     p = HahnParams(alpha, beta, N)
     assert len(basis(p).steps) == N - 1
     for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 1.0):
-        _walk(p, x)
-    _walk(p, np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)]))
+        _walk(p, x, range(N))
+    xs = np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)])
+    _walk(p, xs, sorted({0, min(1, N - 1), *range(0, N, 17), N - 1}))
 
 
 def test_fused_step_keeps_signed_zeros():
-    # zero values and zero low parts come out with the composition's signs
+    # zero values and zero low parts come out with the composition's signs,
+    # for one step and for two, where the second reuses the first's split
     one, zero, nzero = (1.0, 0.0), (0.0, 0.0), (-0.0, -0.0)
     for A, C in [(one, one), (one, zero), ((2.0, 1e-17), (0.5, -1e-18))]:
-        AC = dd.dd_add(A, C)
+        row = _row(A, C)
         for x in (0.0, -0.0, 1.0, 2.0):
             for cur in (zero, nzero, one):
                 for prev in (zero, nzero, one):
-                    got = dd.dd_three_term_step(A, AC, C, x, cur, prev)
-                    _assert_same(got, _composed_step(A, C, x, cur, prev))
+                    want = _composed_step(A, C, x, cur, prev)
+                    last, out = _sweep((row,), x, cur, prev)
+                    _assert_same(last, want)
+                    _assert_same((out[0], 0.0), (want[0] + want[1], 0.0))
+                    last, out = _sweep((row, row), x, cur, prev)
+                    _assert_same(last, _composed_step(A, C, x, want, cur))

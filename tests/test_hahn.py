@@ -251,8 +251,9 @@ def test_sqrt_norms_once_per_family():
 
 
 def test_step_coefficients_once_per_family():
-    # one tuple of all N - 1 steps (A, A + C, C); a degree-m sweep reads a
-    # prefix of it, so a low-degree sweep is a prefix of the full one
+    # one tuple of all N - 1 step rows (A, A_lo, A's split, A + C, its lo,
+    # C, C_lo, C's split); a degree-m sweep reads a prefix of it, so a
+    # low-degree sweep is a prefix of the full one
     from hahnpoly._compensated import dd_add
 
     p = HahnParams(-0.5, 3.0, 40)
@@ -262,7 +263,8 @@ def test_step_coefficients_once_per_family():
     # the exact A_n = al/(e D) and C_n = ga/(e D) of the oracle's integer rows
     (a, b), D = _over_one_denominator(p.alpha, p.beta)
     exact = _steps(a, b, D, p.N)
-    for n, (A, AC, C) in enumerate(steps, start=1):
+    for n, row in enumerate(steps, start=1):
+        A, AC, C = row[0:2], row[4:6], row[6:8]
         al, _, ga, e = exact[n]
         assert AC == dd_add(A, C)
         assert A[0] == pytest.approx(float(Fraction(al, e * D)), rel=1e-15, abs=0)
@@ -271,6 +273,13 @@ def test_step_coefficients_once_per_family():
     full = hahn_eval_all(40, xs, p)
     for m in (0, 1, 2, 17, 39):
         assert np.array_equal(hahn_eval_all(m, xs, p), full[: m + 1])
+
+
+def _split(v):
+    # Dekker's split, written out
+    t = 134217729.0 * v
+    hi = t - (t - v)
+    return hi, v - hi
 
 
 def _steps_scalar(a, b, N):
@@ -289,34 +298,46 @@ def _steps_scalar(a, b, N):
         num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
         g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))
         C = dd.dd_div(num, dd.dd_mul(g0, g1))
+        row = (*A, *_split(A[0]), *dd.dd_add(A, C), *C, *_split(C[0]))
         if A[0] == 0.0:
             raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
-        out.append((A, dd.dd_add(A, C), C))
+        if not all(map(math.isfinite, row)):
+            raise DegenerateRecurrenceError(
+                f"step coefficient at n={j} is not finite in double precision")
+        out.append(row)
     return tuple(out)
 
 
 def _packed(steps):
-    # float64 bytes of every part; a nan's sign is not fixed by IEEE
-    # arithmetic (numpy's loops may propagate the other operand's), so
-    # every nan is packed as one nan
-    return b"".join(struct.pack("<d", v if v == v else math.nan)
-                    for step in steps for part in step for v in part)
+    # float64 bytes of every entry
+    return b"".join(struct.pack("<d", v) for row in steps for v in row)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 30, 200])
 def test_steps_equal_scalar_build(N):
-    # the array build has the bits of a build one j at a time, without a
-    # warning even where (1e305, 0.5) overflows
-    for alpha, beta in [*NORM_FAMILIES, (1e305, 0.5)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want = _steps_scalar(alpha, beta, N)
+    # the array build, its splits included, has the bits of a build one j
+    # at a time, without a warning
+    for alpha, beta in NORM_FAMILIES:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            want = _steps_scalar(alpha, beta, N)
             got = HahnBasis(HahnParams(alpha, beta, N)).steps
         assert len(got) == max(N - 1, 0)
-        assert all(type(v) is float for step in got for part in step for v in part)
+        assert all(len(row) == 10 for row in got)
+        assert all(type(v) is float for row in got for v in row)
         assert _packed(got) == _packed(want), (alpha, beta)
+    # (1e305, 0.5) overflows every step coefficient: the first row is
+    # refused, still without a warning; at N = 1 there is no row
+    fam = HahnParams(1e305, 0.5, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if N == 1:
+            assert HahnBasis(fam).steps == () == _steps_scalar(1e305, 0.5, N)
+        else:
+            for build in (lambda: _steps_scalar(1e305, 0.5, N), lambda: HahnBasis(fam).steps):
+                with pytest.raises(DegenerateRecurrenceError,
+                                   match=r"^step coefficient at n=1 is not finite in double precision$"):
+                    build()
 
 
 def test_steps_name_vanishing_coefficient():
@@ -371,9 +392,9 @@ def test_recurrence_coefficients_positive_and_bounded():
     for alpha, beta in PARAM_SETS:
         steps = basis(HahnParams(alpha, beta, 30)).steps
         assert len(steps) == 29
-        for (A, _), _, (C, _) in steps:
-            assert A > 0
-            assert C > 0
+        for row in steps:
+            assert row[0] > 0
+            assert row[6] > 0
 
 
 def test_recurrence_identity_against_oracle_values():
@@ -383,8 +404,9 @@ def test_recurrence_identity_against_oracle_values():
     half = Fraction(1, 2)
     for x in range(N + 1):
         q = [float(exact_hahn_eval(n, x, half, half, N)) for n in range(N + 1)]
-        # the hi parts of the dd steps (A_n, A_n + C_n, C_n)
-        for n, ((A, _), _, (C, _)) in enumerate(basis(p).steps, start=1):
+        # the hi parts of the dd steps A_n and C_n
+        for n, row in enumerate(basis(p).steps, start=1):
+            A, C = row[0], row[6]
             lhs = -float(x) * q[n]
             rhs = A * q[n + 1] - (A + C) * q[n] + C * q[n - 1]
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
