@@ -24,9 +24,9 @@ What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the step coefficients (A_n,
 A_n + C_n, C_n, and the splits of A_n and C_n), the norms, the
 orthonormal grid matrix and the difference operator's eigenvalues and
-coefficients B(x), D(x), each computed on first read and read-only after.  So the grid matrix lives as
-long as the norms and steps it is made of, and off-grid sweeps never
-build it.
+coefficients B(x), D(x), each computed on first read and read-only
+after.  So the grid matrix lives as long as the norms and steps it is
+made of, and off-grid sweeps never build it.
 """
 
 from __future__ import annotations
