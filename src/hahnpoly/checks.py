@@ -25,7 +25,7 @@ import numpy as np
 
 from .discrete_calculus import GridFunction, l_disk_apply, sbp_residual
 from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
-from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
+from .hahn import HahnParams, _quotient, basis, hahn_eval_all, normalized_grid_matrix
 
 DEFAULT_SEED = 20240901
 DEGREE_CAP = 20
@@ -59,16 +59,6 @@ def _worst(err: np.ndarray) -> float:
     return float(np.max(err, initial=0.0))
 
 
-def _double(num: int, den: int) -> float:
-    """num / den rounded once to a double, for den > 0; +-inf past the
-    double range, which fails the check that reads it.  Int true division
-    rounds correctly, as float(Fraction) does."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 @lru_cache(maxsize=4)
 def _exact_columns(params: HahnParams) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Exact Q_n(x) and U[n, x] = Q~_n(x) sqrt(w(x)) at the sampled points x,
@@ -84,7 +74,7 @@ def _exact_columns(params: HahnParams) -> tuple[list[int], np.ndarray, np.ndarra
     cols, h, ws = _exact_ratios(params.alpha, params.beta, N, xs)
     q_cols, u_cols = [], []
     for col, (wn, wd) in zip(cols, ws):
-        q_cols.append([_double(p, r) for p, r in col])
+        q_cols.append([_quotient(p, r) for p, r in col])
         # |U| <= 1, so U^2 = Q^2 w / h converts to a double even where
         # Q_n(x) is huge
         u_abs = [math.sqrt(p * p * wn * hd / (r * r * wd * hn))

@@ -4,15 +4,15 @@ w(x) = C(alpha+x, x) C(beta+N-x, N-x).
 Values come from a three-term recurrence sweep in double-double
 arithmetic: at N = 30 the plain-double recurrence can be wrong in the
 leading digit at the grid ends, while the compensated one stays near
-1e-14 relative.  The terminating series `hahn_eval_series`, also in dd,
-stays a tested public function, but `verify` no longer calls it: its
-independent reference is the exact oracle (`oracle_exact`).  Both take
-arrays, the recurrence of points and the series of degrees and points
-that broadcast together.  Their dd operations are elementwise float
-arithmetic, which numpy rounds as Python floats do, so every entry equals
-a call with that entry alone, to the bit.  A sweep is one call of the
-fused kernel `_compensated.dd_three_term_sweep`, which reads the Dekker
-splits of the family's step coefficients from its `HahnBasis.steps`.
+1e-14 relative.  The recurrence takes an array of points; its dd
+operations are elementwise float arithmetic, which numpy rounds as Python
+floats do, so every point equals a call with that point alone, to the
+bit.  A sweep is one call of the fused kernel
+`_compensated.dd_three_term_sweep`, which reads the Dekker splits of the
+family's step coefficients from its `HahnBasis.steps`.  The terminating
+series `hahn_eval_series`, also in dd, stays a tested public function of
+one degree and one point, but no other code calls it: `verify`'s
+independent reference is the exact oracle (`oracle_exact`).
 
 Closed-form squared norms complete the module.  `norm_sq_closed` writes
 alpha and beta over one common denominator, as the weights do, and runs
@@ -183,26 +183,13 @@ def _check_degree(n: int | np.ndarray, params: HahnParams) -> None:
             raise DegreeOutOfRangeError(f"degree {k} outside 0..{params.N}")
 
 
-def hahn_eval_series(
-    n: int | np.ndarray, x: float | np.ndarray, params: HahnParams
-) -> float | np.ndarray:
+def hahn_eval_series(n: int, x: float, params: HahnParams) -> float:
     """Q_n(x) summed as the terminating series
-    3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1).
-
-    n and x may be arrays that broadcast together, e.g. a column of
-    degrees against a row of points; the whole table is summed in one
-    array sweep, each entry equal to a scalar call bit for bit.  Scalar
-    arguments return a float.
-    """
+    3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1)."""
     _check_degree(n, params)
     a, b, N = params.alpha, params.beta, params.N
-    if np.ndim(n) or np.ndim(x):
-        n = np.asarray(n)
-        lead, x = (-n).astype(float), np.asarray(x, dtype=float)
-    else:
-        lead, x = float(-n), float(x)
     return terminating_3f2(
-        (lead, n + a + b + 1.0, -x),
+        (float(-n), n + a + b + 1.0, -float(x)),
         (a + 1.0, float(-N)),
     )
 
@@ -257,12 +244,14 @@ def weight_table(params: HahnParams) -> np.ndarray:
 
 
 def _quotient(num: int, den: int) -> float:
-    # int true division rounds once, correctly; past the double range it
-    # raises OverflowError, and the norm is read as inf
+    """num / den rounded once to a double, for den > 0.  Int true division
+    rounds correctly, as float(Fraction) does; past the double range it
+    raises OverflowError, and the value is read as inf with the sign of
+    num: a norm is then inf, and an exact check value fails its check."""
     try:
         return num / den
     except OverflowError:
-        return math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarray:

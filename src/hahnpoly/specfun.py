@@ -1,13 +1,12 @@
-"""Special-function building blocks: terminating 3F2 series at unit
-argument (summed in double-double) and generalized-binomial weight
-products (in exact integer arithmetic, each weight rounded once).
+"""Special-function building blocks: the terminating 3F2 series at unit
+argument for one set of scalar parameters (summed in double-double, plain
+Python floats, no numpy) and generalized-binomial weight products (in
+exact integer arithmetic, each weight rounded once).
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from . import _compensated as dd
 from .errors import DomainError, NonTerminatingError, ZeroDenominatorError
@@ -16,10 +15,7 @@ from .errors import DomainError, NonTerminatingError, ZeroDenominatorError
 _MAX_TERMS = 200
 
 
-def terminating_3f2(
-    num: tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray],
-    den: tuple[float, float],
-) -> float | np.ndarray:
+def terminating_3f2(num: tuple[float, float, float], den: tuple[float, float]) -> float:
     """Sum of the hypergeometric series 3F2(num; den; 1), which must terminate.
 
     The first numerator parameter num[0] has to be a nonpositive integer -n;
@@ -31,23 +27,12 @@ def terminating_3f2(
     and accumulated in double-double arithmetic: individual terms can be
     ~1e18 while the sum is O(1), so plain doubles (even with exact
     summation of rounded terms) are not accurate enough.
-
-    The numerator parameters may be arrays; they broadcast together and
-    every element is summed in one sweep of max(n) terms.  Past an
-    element's own n its term is exactly zero (the factor a1 + k is 0), and
-    adding a zero dd to a normalised dd changes nothing, so each element
-    equals a call with that element alone, bit for bit.  The denominator
-    parameters are scalars.  Scalar arguments return a float.
     """
-    a1, a2, a3 = (np.asarray(p, dtype=float) if np.ndim(p) else p for p in num)
+    a1, a2, a3 = (float(p) for p in num)
     b1, b2 = den
-    lead = np.asarray(a1, dtype=float)
-    bad = ~np.isfinite(lead) | (lead != np.round(lead)) | (lead > 0)
-    if bad.any():
-        raise NonTerminatingError(
-            f"leading parameter {lead[bad][0]} is not a nonpositive integer"
-        )
-    n = int(-lead.min()) if lead.size else 0
+    if not (a1.is_integer() and a1 <= 0.0):
+        raise NonTerminatingError(f"leading parameter {a1} is not a nonpositive integer")
+    n = int(-a1)
     if n > _MAX_TERMS:
         raise DomainError(f"series length {n + 1} exceeds supported maximum {_MAX_TERMS + 1}")
     for k in range(n):
@@ -64,8 +49,7 @@ def terminating_3f2(
         term = dd.dd_div_d(term, b2 + k)
         term = dd.dd_div_d(term, float(k + 1))
         total = dd.dd_add(total, term)
-    out = total[0] + total[1]
-    return float(out) if np.ndim(out) == 0 else out
+    return float(total[0] + total[1])
 
 
 def _check_weight_exponents(alpha: float, beta: float) -> None:

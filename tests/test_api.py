@@ -1,15 +1,19 @@
 """The package's public surface: `__all__` names exactly what the package
-imports, so a deleted name cannot linger in it, and every public function
-of a traced layer stays a plain function, which the bench tracer can wrap."""
+imports, so a deleted name cannot linger in it, every public function
+of a traced layer stays a plain function, which the bench tracer can wrap,
+and the package imports nothing beyond its declared dependencies."""
 
+import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import hahnpoly
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+SRC = TRACING.parents[1] / "src" / "hahnpoly"
 
 
 def test_all_names_resolve():
@@ -41,3 +45,25 @@ def test_public_functions_of_traced_layers_are_plain():
             f"hahnpoly.{name} is a {type(obj).__name__}, not a plain function: the "
             "bench tracer would not wrap it; cache through a private helper instead")
     assert {"gauss_legendre_rule", "norm_sq_closed", "project"} <= checked
+
+
+def test_imports_only_declared_dependencies():
+    # scipy and mpmath are not dependencies, and the float code computes no
+    # eigendecomposition: numpy.linalg stays out of src/, imported or
+    # reached as an attribute of numpy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click", "hahnpoly"}
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                assert not (isinstance(node, ast.Attribute) and node.attr == "linalg"), (
+                    path.name, node.lineno)
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
+                assert not name.startswith("numpy.linalg"), (path.name, name)

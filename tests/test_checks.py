@@ -179,7 +179,9 @@ def _fraction_columns(params):
 
 
 @pytest.mark.parametrize("p", [HahnParams(a, b, N) for a, b in SIX_FAMILIES
-                               for N in (1, 2, 12, 30, 60, 100, 200)] + [PAST_DOUBLE_RANGE],
+                               for N in (1, 2, 12, 30, 60, 100, 200)] + [PAST_DOUBLE_RANGE,
+                               # Q_13(13) is about -1e338: past the range with a minus sign
+                               HahnParams(PAST_DOUBLE_RANGE.alpha, PAST_DOUBLE_RANGE.beta, 13)],
                          ids=lambda p: f"{p.alpha}-{p.beta}-{p.N}")
 def test_exact_columns_equal_fraction_route(p):
     xs, q, u = checks._exact_columns(p)

@@ -118,28 +118,10 @@ def test_eval_all_array_equals_point_loop(N, alpha, beta):
         assert hahn_eval_all(m, xs[:1], p).shape == (m + 1, 1)
 
 
-@pytest.mark.parametrize("N", [30, 60, 100])
-@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)])
-def test_series_table_equals_scalar_calls(N, alpha, beta):
-    # one (degree x point) sweep runs N terms for every entry; each entry
-    # still equals its own scalar call, to the bit
-    p = HahnParams(alpha, beta, N)
-    xs = np.concatenate([p.grid(), [0.5, N / 3 + 0.25, N - 0.5]])
-    table = hahn_eval_series(np.arange(N + 1)[:, None], xs, p)
-    assert table.shape == (N + 1, len(xs))
-    cols = list(range(0, N + 1, N // 10)) + [N - 1, N, N + 1, N + 2, N + 3]
-    for n in sorted({0, 1, 2, N // 2, N - 1, N}):
-        loop = np.array([hahn_eval_series(n, float(xs[c]), p) for c in cols])
-        assert np.array_equal(table[n, cols].view(np.int64), loop.view(np.int64))
-    # one array argument broadcasts against a scalar one
-    assert np.array_equal(hahn_eval_series(N // 2, xs, p), table[N // 2])
-    assert np.array_equal(hahn_eval_series(np.arange(N + 1), xs[7], p), table[:, 7])
-    assert type(hahn_eval_series(N // 2, xs[7], p)) is float
-
-
 def test_recurrence_scalar_returns_float():
     p = HahnParams(0.5, 0.5, 20)
     assert type(hahn_eval_recurrence(7, 3.5, p)) is float
+    assert type(hahn_eval_series(np.int64(7), np.float64(3.5), p)) is float
     assert hahn_eval_all(20, 3.5, p).shape == (21,)
 
 
@@ -161,14 +143,32 @@ def test_reflection_parity_symmetric_weight(alpha):
         assert np.max(np.abs(left - signs * right)) < 1e-10
 
 
+def _mirror_defect(u_ab, u_ba):
+    # largest |U_(a,b)[n, N-x] - (-1)^n U_(b,a)[n, x]|
+    signs = np.array([(-1.0) ** n for n in range(len(u_ab))])
+    return np.max(np.abs(u_ab[:, ::-1] - signs[:, None] * u_ba))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0),
+                                        (20.0, 20.0), (-0.9, -0.9), (-0.9, 20.0)])
+def test_mirror_swaps_exponents(alpha, beta):
+    # w_(a,b)(N - x) = w_(b,a)(x), so the orthonormal values in U units,
+    # U = Q~ sqrt(w), mirror with a sign: no reference is needed
+    u = {}
+    for a, b in ((alpha, beta), (beta, alpha)):
+        hb = basis(HahnParams(a, b, 30))
+        u[a, b] = hb.grid * np.sqrt(hb.weights)
+    assert _mirror_defect(u[alpha, beta], u[beta, alpha]) < 1e-12
+    nudged = u[alpha, beta].copy()
+    nudged[17, 4] += 1e-9
+    assert not _mirror_defect(nudged, u[beta, alpha]) < 1e-12
+
+
 def test_degree_out_of_range():
     p = HahnParams(0.0, 0.0, 10)
-    with pytest.raises(DegreeOutOfRangeError):
-        hahn_eval_series(11, 0.0, p)
-    # one degree out of range in an array is enough
     for bad in (11, -1):
         with pytest.raises(DegreeOutOfRangeError):
-            hahn_eval_series(np.array([0, 5, bad, 10]), p.grid()[:4], p)
+            hahn_eval_series(bad, 0.0, p)
     with pytest.raises(DegreeOutOfRangeError):
         hahn_eval_recurrence(11, 0.0, p)
     with pytest.raises(DegreeOutOfRangeError):
