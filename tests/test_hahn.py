@@ -143,6 +143,11 @@ def test_reflection_parity_symmetric_weight(alpha):
         assert np.max(np.abs(left - signs * right)) < 1e-10
 
 
+def _u_units(alpha, beta):
+    hb = basis(HahnParams(alpha, beta, 30))
+    return hb.grid * np.sqrt(hb.weights)
+
+
 def _mirror_defect(u_ab, u_ba):
     # largest |U_(a,b)[n, N-x] - (-1)^n U_(b,a)[n, x]|
     signs = np.array([(-1.0) ** n for n in range(len(u_ab))])
@@ -154,14 +159,10 @@ def _mirror_defect(u_ab, u_ba):
 def test_mirror_swaps_exponents(alpha, beta):
     # w_(a,b)(N - x) = w_(b,a)(x), so the orthonormal values in U units,
     # U = Q~ sqrt(w), mirror with a sign: no reference is needed
-    u = {}
-    for a, b in ((alpha, beta), (beta, alpha)):
-        hb = basis(HahnParams(a, b, 30))
-        u[a, b] = hb.grid * np.sqrt(hb.weights)
-    assert _mirror_defect(u[alpha, beta], u[beta, alpha]) < 1e-12
-    nudged = u[alpha, beta].copy()
-    nudged[17, 4] += 1e-9
-    assert not _mirror_defect(nudged, u[beta, alpha]) < 1e-12
+    u_ab, u_ba = _u_units(alpha, beta), _u_units(beta, alpha)
+    assert _mirror_defect(u_ab, u_ba) < 1e-12
+    u_ab[17, 4] += 1e-9
+    assert not _mirror_defect(u_ab, u_ba) < 1e-12
 
 
 def test_degree_out_of_range():
