@@ -7,12 +7,24 @@ intermediate terms can exceed 1e18 while the result stays O(1); plain
 doubles lose everything there, dd keeps ~1e-15 relative accuracy.
 
 Only the handful of operations the evaluators need are provided.  All of
-them rely on round-to-nearest IEEE doubles; no fma is assumed.
+them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two fused
+kernels run whole sweeps in one loop each: `dd_three_term_sweep`, the
+upward recurrence that gives Q_0(x) .. Q_m(x), and `dd_clenshaw_sweep`,
+Clenshaw's backward recurrence that gives sum_n k_n Q_n(x) without
+forming the Q_n.  `split` and `two_prod` scale an operand above 2^996
+before splitting it; the kernels split inline and do not.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker split constant for 53-bit doubles
+# above this _SPLIT * a can overflow: such an operand is split scaled by
+# 2^-28 and its parts scaled back (Hida, Li & Bailey, ARITH-15, 2001)
+_SPLIT_MAX = 2.0**996
+_SPLIT_DOWN = 2.0**-28
+_SPLIT_UP = 2.0**28
 
 DD = tuple[float, float]
 
@@ -31,14 +43,23 @@ def quick_two_sum(a: float, b: float) -> DD:
 
 
 def two_prod(a: float, b: float) -> DD:
-    # Dekker split: exact error of a float multiplication
+    # Dekker split: exact error of a float multiplication.  Two Python
+    # floats split inline; that split overflows only past about 1.3e300,
+    # which leaves a NaN error term, and then, as for arrays, `split` runs,
+    # which scales an operand above 2^996.  The exact error is unique, so
+    # both splits give it the same bits.
     p = a * b
-    ca = _SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
+    if type(a) is float and type(b) is float:
+        ca = _SPLIT * a
+        ahi = ca - (ca - a)
+        alo = a - ahi
+        cb = _SPLIT * b
+        bhi = cb - (cb - b)
+        blo = b - bhi
+        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        if e == e:
+            return p, e
+    (ahi, alo), (bhi, blo) = split(a), split(b)
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
@@ -85,7 +106,30 @@ def dd_from(d: float) -> DD:
 
 def split(a):
     """Dekker's split of a into hi + lo, each with at most 26 significant
-    bits, so that products of the parts are exact."""
+    bits, so that products of the parts are exact.  a is a float or a
+    float array.  An operand above 2^996 in magnitude is split scaled by
+    2^-28, and its parts are scaled back, so the split does not overflow.
+    Scaling by a power of two commutes with rounding, so wherever the plain
+    split is finite the scaled one has its bits.  An array is therefore
+    scaled only when its plain split is not finite, and that trial raises
+    no warning: the mask would map more numpy code into every process
+    (see hahn._check_degree)."""
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = _SPLIT * a
+            hi = t - (t - a)
+            if (hi - hi).sum() == 0.0:
+                return hi, a - hi
+        s = np.where(abs(a) > _SPLIT_MAX, _SPLIT_DOWN, 1.0)
+        b = a * s
+        t = _SPLIT * b
+        hi = t - (t - b)
+        return hi / s, (b - hi) / s
+    if abs(a) > _SPLIT_MAX:
+        b = a * _SPLIT_DOWN
+        t = _SPLIT * b
+        hi = t - (t - b)
+        return hi * _SPLIT_UP, (b - hi) * _SPLIT_UP
     t = _SPLIT * a
     hi = t - (t - a)
     return hi, a - hi
@@ -200,4 +244,91 @@ def dd_three_term_sweep(steps, x, cur: DD, prev: DD, out) -> DD:
         out[i] = r0 + r1
         p0, p1, phi, plo = c0, c1, chi, clo
         c0, c1 = r0, r1
+    return c0, c1
+
+
+def dd_clenshaw_sweep(rows, ks, x) -> DD:
+    """Clenshaw's backward recurrence for sum_{n=0..m} k_n Q_n(x), where
+    Q_0 = 1 and Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1}: with
+    y_{m+1} = y_{m+2} = 0,
+
+        y_n = k_n + (a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2},  n = m..0,
+
+    and the sum is y_0, returned as a dd pair.  ks holds the dd k_0 .. k_m
+    and rows the first m rows of `HahnBasis.series`, row n the flat tuple
+    (a, a_lo, r, r_lo, r_split_hi, r_split_lo, g, g_lo, g_split_hi,
+    g_split_lo) of dd a_n, r_n and g_n with the Dekker splits of the high
+    parts of r_n and g_n.  x may be a float array; k and the rows are
+    shared by every point.
+
+    Each step makes the operations of
+    dd_add(k, dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y1), dd_mul(g, y2)))
+    in the same order, so every level has the bits of that composition.
+    There is no division and no table: x is split once, and each level's
+    high part is split once, then reused when it becomes y_{n+2}.  The
+    first step multiplies y_{m+1} = 0 by a zero g, which is what
+    dd_mul(g_m, 0) gives for the positive g_m.
+    """
+    t = _SPLIT * x
+    xhi = t - (t - x)
+    xlo = x - xhi
+    c0, c1 = ks[-1]
+    t = _SPLIT * c0
+    chi = t - (t - c0)
+    clo = c0 - chi
+    p0 = p1 = phi = plo = 0.0
+    f0 = f1 = fhi = flo = 0.0
+    for (a0, a1, r0, r1, rhi, rlo, g0, g1, ghi, glo), (k0, k1) in zip(
+            reversed(rows), reversed(ks[:-1])):
+        # rx = r * x  (dd_mul_d)
+        m0 = r0 * x
+        e = ((rhi * xhi - m0) + rhi * xlo + rlo * xhi) + rlo * xlo
+        e += r1 * x
+        s = m0 + e
+        m1 = e - (s - m0)
+        # w = a - rx  (dd_sub)
+        nm = -s
+        s = a0 + nm
+        bb = s - a0
+        e = (a0 - (s - bb)) + (nm - bb)
+        e += a1 - m1
+        w0 = s + e
+        w1 = e - (w0 - s)
+        # u = w * y_{n+1}  (dd_mul)
+        u0 = w0 * c0
+        t = _SPLIT * w0
+        hi = t - (t - w0)
+        lo = w0 - hi
+        e = ((hi * chi - u0) + hi * clo + lo * chi) + lo * clo
+        e += w0 * c1 + w1 * c0
+        s = u0 + e
+        u1 = e - (s - u0)
+        u0 = s
+        # v = g_{n+1} * y_{n+2}  (dd_mul)
+        v0 = f0 * p0
+        e = ((fhi * phi - v0) + fhi * plo + flo * phi) + flo * plo
+        e += f0 * p1 + f1 * p0
+        s = v0 + e
+        v1 = e - (s - v0)
+        # q = u - v  (dd_sub)
+        nv = -s
+        s = u0 + nv
+        bb = s - u0
+        e = (u0 - (s - bb)) + (nv - bb)
+        e += u1 - v1
+        q0 = s + e
+        q1 = e - (q0 - s)
+        # y_n = k + q  (dd_add)
+        s = k0 + q0
+        bb = s - k0
+        e = (k0 - (s - bb)) + (q0 - bb)
+        e += k1 + q1
+        y0 = s + e
+        y1 = e - (y0 - s)
+        p0, p1, phi, plo = c0, c1, chi, clo
+        f0, f1, fhi, flo = g0, g1, ghi, glo
+        c0, c1 = y0, y1
+        t = _SPLIT * c0
+        chi = t - (t - c0)
+        clo = c0 - chi
     return c0, c1

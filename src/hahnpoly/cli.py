@@ -158,14 +158,19 @@ def _project_sets(fn: Fn, imap: IntervalMap, families: list[HahnParams],
     return [project(u, top, normalized=normalized) for u in grids]
 
 
-def _pointwise(fn: Fn, imap: IntervalMap, ts: np.ndarray,
-               vectors: list[CoefficientVector]) -> tuple[list[np.ndarray], list[str]]:
-    """Signed errors of each family's reconstruction at the samples ts, and
-    the CSV block of a t,target,approx_*,error_* row per sample."""
+def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[CoefficientVector]
+               ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+    """The equispaced samples t, the signed errors of each family's
+    reconstruction there, and the CSV block of a
+    t,target,approx_*,error_* row per sample.  Sample k is made at the grid
+    coordinate x_k = k N / (samples - 1), so a sample on a node is an exact
+    integer, and t_k = imap.to_interval(x_k)."""
+    xs = np.arange(samples) * imap.N / (samples - 1)
+    ts = imap.to_interval(xs)
     # Python floats, not numpy scalars: the same rounding, but an overflow
     # gives inf quietly instead of a RuntimeWarning
     target = np.array([fn(t) for t in ts.tolist()])
-    recons = [eval_expansion(v, imap.to_grid(ts)) for v in vectors]
+    recons = [eval_expansion(v, xs) for v in vectors]
     errors = [rec - target for rec in recons]
     tags = [f"{v.params.alpha}_{v.params.beta}" for v in vectors]
     lines = ["t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)]
@@ -174,7 +179,7 @@ def _pointwise(fn: Fn, imap: IntervalMap, ts: np.ndarray,
         for rec, err in zip(recons, errors):
             row += [_fmt(rec[i]), _fmt(err[i])]
         lines.append(",".join(row))
-    return errors, lines
+    return ts, errors, lines
 
 
 def _guard(fn):
@@ -319,7 +324,7 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
         lines.append(",".join(row))
     if pointwise:
         lines.append("# pointwise reconstruction")
-        lines += _pointwise(fn, imap, np.linspace(imap.a, imap.b, samples), vectors)[1]
+        lines += _pointwise(fn, imap, samples, vectors)[2]
     _emit(lines, out)
 
 
@@ -390,8 +395,7 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     _, fn = _parse_fn("runge")
-    ts = np.linspace(imap.a, imap.b, samples)
-    errors, table = _pointwise(fn, imap, ts, _project_sets(fn, imap, families, top))
+    ts, errors, table = _pointwise(fn, imap, samples, _project_sets(fn, imap, families, top))
     lines = _header("runge", N=grid_n, m=top, samples=samples,
                     interval=f"{imap.a},{imap.b}",
                     params=";".join(f"{p.alpha},{p.beta}" for p in families))

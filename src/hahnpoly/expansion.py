@@ -7,6 +7,13 @@ coefficients are u_n = <Q~_n, u>_w against the orthonormal basis, so
 sum u_n^2 equals ||u||_w^2 when m = N.  With normalized=False they are
 classical coefficients <Q_n, u>_w / ||Q_n||_w^2 multiplying the plain
 Q_n, the convention usually seen next to Legendre series.
+
+Evaluation has two routes.  At a grid node (an exact integer in 0..N)
+the value is the exact sum of the family's cached grid column times the
+orthonormal coefficients.  Everywhere else the whole series is summed in
+one double-double Clenshaw sweep (`_compensated.dd_clenshaw_sweep`) over
+the family's `HahnBasis.series` rows, all points at once and without a
+table of basis values.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compensated import two_prod
+from ._compensated import dd_clenshaw_sweep, dd_div, two_prod
 from .discrete_calculus import GridFunction, l_disk_power
 from .errors import (
     DegenerateIntervalError,
@@ -25,7 +32,8 @@ from .errors import (
     LengthMismatchError,
     ZeroLambdaError,
 )
-from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
+# hahn_eval_all is unused here; the bench tracer's rebind test names it
+from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,6 @@ class DecayEntry:
 # coefficient, so that a bound of 0 is not failed by rounding alone.
 BOUND_SLACK = 1e-8
 
-# points per off-grid recurrence sweep in eval_expansion
-_EVAL_BLOCK = 1024
-
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Weighted inner product sum_x f(x) g(x) w(x), w the family's weight.
@@ -137,36 +142,49 @@ def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientV
     return CoefficientVector(p, coeffs, normalized)
 
 
-def _weighted_terms(c: CoefficientVector, x: float | np.ndarray) -> np.ndarray:
-    # c_n q_n(x), shape (m+1,) + shape(x), in the sweep's own array: the
-    # norm division comes before the coefficient product, as for one point
-    m = c.degree
-    col = (slice(None),) + (None,) * np.ndim(x)
-    terms = hahn_eval_all(m, x, c.params)
-    if c.normalized:
-        terms /= basis(c.params).sqrt_norms[: m + 1][col]
-    terms *= c.coeffs[col]
-    return terms
-
-
 def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:
     """Value of the expansion at a real point x (off-grid allowed), or at
     each point of an array x.
 
-    Array points are swept together, _EVAL_BLOCK (1024) at a time, so the
-    transient basis table stays (m+1) x 1024 doubles however many points
-    there are.  Every value is the exact sum (math.fsum) of its
-    terms, rounded once, and equals a one-point call to the bit.
+    A point that is an exact integer k in 0..N takes the exact sum
+    (math.fsum) of the products of `basis(p).grid` column k with the
+    orthonormal coefficients, rounded once; classical coefficients are
+    converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
+    whose weights are refused is refused there, by the grid.  Every other
+    point is summed by one double-double Clenshaw sweep
+    (`_compensated.dd_clenshaw_sweep`) with k_n = c_n / ||Q_n|| in dd
+    (orthonormal) or k_n = c_n (classical), all such points of an array
+    at once, and the sum is rounded to a double.  Either way an array
+    point equals a one-point call to the bit.
     """
-    if np.ndim(x) == 0:
-        return math.fsum(_weighted_terms(c, x))
+    b = basis(c.params)
+    m, N = c.degree, c.params.N
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    out = np.empty(flat.shape)
-    for start in range(0, len(flat), _EVAL_BLOCK):
-        terms = _weighted_terms(c, flat[start:start + _EVAL_BLOCK])
-        out[start:start + _EVAL_BLOCK] = [math.fsum(t.tolist()) for t in terms.T]
-    return out.reshape(xs.shape)
+    flat = xs.ravel().tolist()
+    # a list pass, not numpy masks (see hahn._check_degree)
+    nodes, off = [], []
+    for i, v in enumerate(flat):
+        (nodes if v.is_integer() and 0.0 <= v <= N else off).append(i)
+    out = np.empty(len(flat))
+    if nodes:
+        grid = b.grid[: m + 1]
+        u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
+        out[nodes] = [math.fsum((grid[:, int(flat[i])] * u).tolist()) for i in nodes]
+    if off:
+        if c.normalized:
+            norms = b.sqrt_norms[: m + 1]
+            with np.errstate(invalid="ignore"):
+                k = dd_div((c.coeffs, 0.0), (norms, 0.0))
+            # a norm past the double range is inf, and its term is 0
+            ks = [(hi, lo) if s < math.inf else (0.0, 0.0)
+                  for hi, lo, s in zip(k[0].tolist(), k[1].tolist(), norms.tolist())]
+        else:
+            ks = [(v, 0.0) for v in c.coeffs.tolist()]
+        # a scalar point sweeps as a Python float, with the same rounding
+        pts = np.array([flat[i] for i in off]) if xs.ndim else flat[0]
+        hi, lo = dd_clenshaw_sweep(b.series[:m], ks, pts)
+        out[off] = hi + lo
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:

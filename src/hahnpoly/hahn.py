@@ -22,11 +22,12 @@ takes an array of degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the step coefficients (A_n,
-A_n + C_n, C_n, and the splits of A_n and C_n), the norms, the
-orthonormal grid matrix and the difference operator's eigenvalues and
-coefficients B(x), D(x), each computed on first read and read-only
-after.  So the grid matrix lives as long as the norms and steps it is
-made of, and off-grid sweeps never build it.
+A_n + C_n, C_n, and the splits of A_n and C_n), the series rows divided
+out of them for the Clenshaw sweep of `expansion.eval_expansion`, the
+norms, the orthonormal grid matrix and the difference operator's
+eigenvalues and coefficients B(x), D(x), each computed on first read and
+read-only after.  So the grid matrix lives as long as the norms and
+steps it is made of, and off-grid sweeps never build it.
 """
 
 from __future__ import annotations
@@ -120,15 +121,33 @@ class HahnBasis:
             C = dd.dd_div(num, dd.dd_mul(g0, g1))
             AC = dd.dd_add(A, C)
             parts = (*A, *dd.split(A[0]), *AC, *C, *dd.split(C[0]))
-        out = tuple(zip(*(v.tolist() for v in parts)))
-        # a list pass, not numpy masks (see _check_degree)
-        for n, row in enumerate(out, start=1):
-            if row[0] == 0.0:
-                raise DegenerateRecurrenceError(f"vanishing step coefficient at n={n}")
-            if not all(map(math.isfinite, row)):
-                raise DegenerateRecurrenceError(
-                    f"step coefficient at n={n} is not finite in double precision")
-        return out
+        return _checked_rows(parts, 1)
+
+    @cached_property
+    def series(self) -> tuple[tuple[float, ...], ...]:
+        """The recurrence Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1},
+        n = 0..N-1, in double-double, one flat row per n as
+        `dd_clenshaw_sweep` reads it: (a, a_lo, r, r_lo, r_split_hi,
+        r_split_lo, g, g_lo, g_split_hi, g_split_lo), with
+        a_n = (A_n + C_n) / A_n, r_n = 1 / A_n, g_n = C_n / A_n and the
+        Dekker splits of the high parts of r_n and g_n.  Rows 1..N-1 are
+        divided out of `steps`, in one numpy pass, so their refusals hold
+        here too.  Row 0 is the Q_1 closed form: A_0 = (alpha+1) N /
+        (alpha+beta+2) and C_0 = 0, so a_0 = 1 and g_0 = 0."""
+        a, b, N = self.params.alpha, self.params.beta, self.params.N
+        steps = np.array(self.steps, dtype=float).reshape(-1, 10).T
+        A = (steps[0], steps[1])
+        r0 = dd.dd_div(dd.dd_add(dd.two_sum(a, b), dd.dd_from(2.0)),
+                       dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ac = dd.dd_div((steps[4], steps[5]), A)
+            r = dd.dd_div((1.0, 0.0), A)
+            g = dd.dd_div((steps[6], steps[7]), A)
+            # row 0 first: a_0 = 1, the closed form's r_0, g_0 = 0
+            ac, r, g = [tuple(np.concatenate(([h], v)) for h, v in zip(head, col))
+                        for head, col in (((1.0, 0.0), ac), (r0, r), ((0.0, 0.0), g))]
+            parts = (*ac, *r, *dd.split(r[0]), *g, *dd.split(g[0]))
+        return _checked_rows(parts, 0)
 
     @cached_property
     def sqrt_norms(self) -> np.ndarray:
@@ -167,6 +186,20 @@ class HahnBasis:
         p = self.params
         x = p.grid()
         return _read_only(x * (x - p.beta - p.N - 1.0))
+
+
+def _checked_rows(parts, first: int) -> tuple[tuple[float, ...], ...]:
+    # rows of the column arrays parts, row i numbered n = first + i; the
+    # first row whose leading entry vanishes or with a non-finite entry is
+    # refused, in a list pass, not numpy masks (see _check_degree)
+    out = tuple(zip(*(v.tolist() for v in parts)))
+    for n, row in enumerate(out, start=first):
+        if row[0] == 0.0:
+            raise DegenerateRecurrenceError(f"vanishing step coefficient at n={n}")
+        if not all(map(math.isfinite, row)):
+            raise DegenerateRecurrenceError(
+                f"step coefficient at n={n} is not finite in double precision")
+    return out
 
 
 @lru_cache(maxsize=64)

@@ -10,11 +10,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import hahnpoly
 from hahnpoly.cli import main
+from hahnpoly.expansion import IntervalMap, eval_expansion
 
 
 def run(*args, **kwargs):
@@ -292,14 +294,13 @@ def test_eval_refuses_before_the_norm(monkeypatch):
     # refusal's exit code and text are those of a refusal after the division.
     # For (1e305, 0.5) every step coefficient overflows, and the steps are
     # refused before any sweep; Q_0 and Q_1 read no steps, and Q_1's own
-    # closed form overflows in dd
+    # closed form splits its factors near 1e305 scaled, so Q_1(0) = 1 prints
     def unreachable(*args):
         raise AssertionError("norm computed for a refused Q_n")
 
     monkeypatch.setattr(hahnpoly.cli, "norm_sq_closed", unreachable)
     family = ("--alpha", "1e305", "--beta", "0.5", "--N", "200")
     cases = [(("--N", "30", "--n", "30", "--points", "1e300"), "Q_30(1e+300) is not finite"),
-             ((*family, "--n", "1"), "Q_1(0.0) is not finite"),
              ((*family, "--n", "3"), "step coefficient at n=1 is not finite"),
              ((*family, "--n", "200", "--points", "0"), "step coefficient at n=1 is not finite")]
     for args, why in cases:
@@ -309,10 +310,37 @@ def test_eval_refuses_before_the_norm(monkeypatch):
         assert res.exit_code == 3
         assert res.stderr == f"error: {why} in double precision\n"
         assert res.stdout == ""
+    res = run("eval", *family, "--n", "1", "--points", "0", "--normalized", "false")
+    assert res.exit_code == 0
+    assert res.stdout.endswith("x,value\n0,1\n")
     monkeypatch.undo()
     res = run("eval", *family, "--n", "0", "--points", "0,7.5", "--normalized", "false")
     assert res.exit_code == 0
     assert res.stdout.endswith("x,value\n0,1\n7.5,1\n")
+
+
+@pytest.mark.parametrize("N", [30, 100, 200])
+def test_pointwise_samples_on_exact_nodes(N, monkeypatch):
+    # sample k is made at x_k = k N / (S - 1), so every sample on a node is
+    # an exact integer, which takes the grid route, and t_k is its image
+    seen = []
+
+    def spy(c, x):
+        seen.append(np.array(x))
+        return eval_expansion(c, x)
+
+    monkeypatch.setattr(hahnpoly.cli, "eval_expansion", spy)
+    for samples in (201, 1001):
+        seen.clear()
+        res = run("runge", "--N", str(N), "--m", "3", "--samples", str(samples), "--params", "0,0")
+        assert res.exit_code == 0
+        _, data = parse_csv(res.output)
+        (xs,) = seen
+        imap = IntervalMap(-1.0, 1.0, N)
+        for k in range(samples):
+            if k * N % (samples - 1) == 0:
+                assert xs[k] == k * N // (samples - 1)
+            assert float(data[k][0]) == imap.to_interval(xs[k])
 
 
 def test_non_finite_targets_refused():
@@ -474,12 +502,16 @@ def test_poly_function_spec():
 # changed, and the N = 60 one went from exit 4 to exit 0.  All but the
 # weights and `eval --normalized false` pins were re-recorded when the
 # norms became correctly rounded: every value column moved by at most
-# 2.8e-15 of its largest magnitude, and no exit code or verify status moved
+# 2.8e-15 of its largest magnitude, and no exit code or verify status moved.
+# The two pointwise pins were re-recorded when the samples moved onto the
+# grid coordinates k N / (S - 1) and off-node points went to the Clenshaw
+# sweep: t moved by at most 2.2e-16 in 79 of 201 rows, approx by at most
+# 3.3e-15, the coefficients and the max_error lines not at all
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
-        (0, "f17cddc687cb35ffc0498aa465ae6ff4d4b47c1f429c1bfa1d9fbe4dfe8fec26"),
+        (0, "26b37e0eac88982ecc90727fab8e9bcda886269d4b8c39784ef2cb5edb9c00e5"),
     "runge --N 30 --m 10 --samples 201":
-        (0, "f9f2d09ae191f2ddaa250baf56d584468cbee1ca6c847e930382aed45eda0513"),
+        (0, "6c68eea7225a68cb014f7b39e893a5b19061e8c9f5d188505dec728b9dd8a9ca"),
     "eval --n 5 --N 30 --points 0,7.5,30 --normalized false":
         (0, "45374b17dac0e528384240d7a845d961874fe6f8025ede08f8094d75d2533b35"),
     "weights --alpha 0.5 --beta 0.5 --N 30":

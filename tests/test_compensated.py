@@ -1,6 +1,9 @@
-"""The fused double-double recurrence sweep against the composition of dd
-primitives it replaces, compared bit for bit on the recurrence's own
-values."""
+"""The fused double-double sweeps against the compositions of dd
+primitives they replace, compared bit for bit on the recurrence's own
+values, and the scaled split of operands past 2^996."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,3 +91,63 @@ def test_fused_step_keeps_signed_zeros():
                     assert _bits(out[0]) == _bits(want[0] + want[1])
                     last, out = _sweep((row, row), x, cur, prev)
                     _assert_same(last, _composed_step(A, C, x, want, cur))
+
+
+def _composed_clenshaw(rows, ks, x):
+    # y_n = k_n + (a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2} from the primitives;
+    # g_m multiplies y_{m+1} = 0, and row m may not exist, so it is zero
+    y1, y2, g = ks[-1], (0.0, 0.0), (0.0, 0.0)
+    for row, k in zip(reversed(rows), reversed(ks[:-1])):
+        w = dd.dd_sub(row[0:2], dd.dd_mul_d(row[2:4], x))
+        y = dd.dd_add(k, dd.dd_sub(dd.dd_mul(w, y1), dd.dd_mul(g, y2)))
+        y1, y2, g = y, y1, row[6:8]
+    return y1
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 200])
+@pytest.mark.parametrize("alpha,beta", FAMILIES)
+def test_clenshaw_equals_composition(N, alpha, beta):
+    # every truncation degree at scalar points, grid nodes and the ends
+    # included, and one array of points, against the composed chain; the
+    # sum also matches the forward sweep's terms to dd accuracy
+    p = HahnParams(alpha, beta, N)
+    rows = basis(p).series
+    rng = np.random.default_rng(N)
+    ks = [(float(v), float(v) * 2.0**-60) for v in rng.standard_normal(N + 1)]
+    xs = np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)])
+    for m in sorted({0, 1, N // 2, N - 1, N}):
+        for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 0.5):
+            _assert_same(dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], x),
+                         _composed_clenshaw(rows[:m], ks[: m + 1], x))
+        # at m = 0 the sum is k_0, the same scalar for every point
+        got = np.broadcast_arrays(*dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], xs), xs)[:2]
+        _assert_same(got, np.broadcast_arrays(*_composed_clenshaw(rows[:m], ks[: m + 1], xs), xs)[:2])
+    x = N / 3.0
+    terms = hahn_eval_all(N, x, p)
+    value = dd.dd_clenshaw_sweep(rows, ks, x)
+    scale = math.fsum(abs(k[0] * t) for k, t in zip(ks, terms))
+    assert abs(sum(value) - math.fsum(k[0] * t for k, t in zip(ks, terms))) <= 1e-14 * scale
+
+
+def test_split_past_2_996_is_scaled():
+    # below 2^996 every split and product error keeps the plain split's
+    # bits; above it, where 134217729 v overflows, the parts are the scaled
+    # split's, and they still sum to v with an exact product error
+    big = 2.0**996
+    small = [0.0, -0.0, 5e-324, 1.0 / 3.0, -7.25, 1e300, math.nextafter(big, 0.0), big,
+             -big, math.inf, math.nan]
+    for v in small:
+        t = 134217729.0 * v
+        hi = t - (t - v)
+        want = np.array([hi, v - hi]).view(np.int64)
+        assert np.array_equal(np.array(dd.split(v)).view(np.int64), want)
+        with np.errstate(invalid="ignore"):
+            parts = dd.split(np.array([v]))
+        assert np.array_equal(np.array(parts).ravel().view(np.int64), want)
+    for v in (math.nextafter(big, math.inf), 1e305, -1.7e308, 1e308):
+        for parts in (dd.split(v), [float(q[0]) for q in dd.split(np.array([v, 1.0]))]):
+            hi, lo = parts
+            assert hi + lo == v and Fraction(hi) + Fraction(lo) == Fraction(v)
+            assert all(math.ldexp(math.frexp(q)[0], 26).is_integer() for q in (hi, lo))
+        p, e = dd.two_prod(v, 1e-10)
+        assert Fraction(p) + Fraction(e) == Fraction(v) * Fraction(1e-10)

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hahnpoly import _compensated as dd
 from hahnpoly import hahn
 from hahnpoly.discrete_calculus import GridFunction
 from hahnpoly.errors import (
@@ -18,7 +20,6 @@ from hahnpoly.errors import (
     ZeroLambdaError,
 )
 from hahnpoly.expansion import (
-    _EVAL_BLOCK,
     CoefficientVector,
     IntervalMap,
     decay_report,
@@ -32,7 +33,12 @@ from hahnpoly.hahn import (
     normalized_grid_matrix,
     weight_table,
 )
-from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
+from hahnpoly.oracle_exact import (
+    exact_hahn_column,
+    exact_hahn_eval,
+    exact_norm_sq,
+    exact_weight,
+)
 
 
 def test_interval_map_endpoints_exact():
@@ -257,11 +263,10 @@ def test_eval_expansion_array_equals_point_loop(N, alpha, beta):
 
 
 def test_eval_expansion_array_longer_than_block():
-    # more points than one block, and not a multiple of it
+    # a long array, nodes and off-grid points mixed, as one Clenshaw sweep
     p = HahnParams(0.5, 0.5, 100)
     imap = IntervalMap(-1.0, 1.0, 100)
-    xs = imap.to_grid(np.linspace(-1.0, 1.0, 2500))
-    assert len(xs) > 2 * _EVAL_BLOCK and len(xs) % _EVAL_BLOCK != 0
+    xs = np.concatenate([imap.to_grid(np.linspace(-1.0, 1.0, 2500)), np.arange(0.0, 101.0, 7.0)])
     c = _runge_coeffs(p, 40, True)
     got = eval_expansion(c, xs)
     assert np.array_equal(got, np.array([eval_expansion(c, float(x)) for x in xs]))
@@ -272,6 +277,109 @@ def test_eval_expansion_scalar_returns_float():
     assert type(eval_expansion(c, 7.5)) is float
     assert type(eval_expansion(c, np.float64(7.5))) is float
     assert eval_expansion(c, 7.5) == eval_expansion(c, np.array([7.5]))[0]
+
+
+def _route_points(N: int) -> list[float]:
+    # half-integers, thirds, an off-centre point and one point past each end
+    return ([j + 0.5 for j in range(N)] + [j + f for j in range(N) for f in (1 / 3, 2 / 3)]
+            + [N / 2 + 0.25, -0.5, N + 0.5])
+
+
+_BITS = 1074 + 300  # every double is an integer times 2^-1074; Q_n kept to 2^-300
+
+
+def _scaled(v: float) -> int:
+    num, den = v.as_integer_ratio()
+    return num * ((1 << _BITS) // den)
+
+
+def _exact_sums(c: CoefficientVector, col: list[Fraction]) -> tuple[list[int], list[float]]:
+    # prefix sums of k_n Q_n(x) in units of 2^-_BITS, k_n = c_n / ||Q_n|| from
+    # the stored doubles (orthonormal) or c_n, exact to (m+1) 2^-300 |c|, and
+    # the prefix scales S_m(x) = sum_{n<=m} |k_n| max_{j<=n} |Q_j(x)| of the bound
+    norms = basis(c.params).sqrt_norms.tolist()
+    sums, scales, total, top, scale = [], [], 0, 0.0, 0.0
+    for n, cn in enumerate(c.coeffs.tolist()):
+        num, den = col[n].numerator, col[n].denominator
+        k = cn
+        if c.normalized:
+            sn, sd = norms[n].as_integer_ratio()
+            num, den, k = num * sd, den * sn, cn / norms[n]
+        total += _scaled(cn) * ((num << 300) // den) >> 300
+        sums.append(total)
+        top = max(top, abs(float(col[n])))
+        scale += abs(k) * top
+        scales.append(scale)
+    return sums, scales
+
+
+def _worst_clenshaw_ratio(vectors: list[CoefficientVector], xs: list[float],
+                          cols: list[list[Fraction]]) -> float:
+    # largest |eval_expansion - exact| / (eps S_m(x)) over the truncations
+    # of one full vector
+    worst = 0.0
+    for x, col in zip(xs, cols):
+        sums, scales = _exact_sums(vectors[-1], col)
+        for c in vectors:
+            err = Fraction(abs(_scaled(eval_expansion(c, x)) - sums[c.degree]), 1 << _BITS)
+            worst = max(worst, float(err) / (np.finfo(float).eps * scales[c.degree]))
+    return worst
+
+
+@pytest.mark.parametrize("N", [30, 60])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0), (0.0, 1e3)])
+def test_eval_expansion_against_exact(N, alpha, beta, monkeypatch):
+    # off the grid the Clenshaw sweep is within 2 eps S(x) of the exact sum
+    # of its own coefficients; on a node the value is the exact sum of the
+    # grid column times the orthonormal coefficients, to the bit.  A step
+    # row off by 1e-12 must fail the bound.
+    p = HahnParams(alpha, beta, N)
+    xs = _route_points(N)
+    cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in xs]
+    for normalized in (True, False):
+        full = _runge_coeffs(p, N, normalized).coeffs
+        vectors = [CoefficientVector(p, full[: m + 1], normalized) for m in (0, 1, N // 2, N)]
+        assert _worst_clenshaw_ratio(vectors, xs, cols) <= 2.0
+        for c in vectors:
+            u = c.coeffs if normalized else c.coeffs * basis(p).sqrt_norms[: c.degree + 1]
+            for k in range(N + 1):
+                node = math.fsum((basis(p).grid[: c.degree + 1, k] * u).tolist())
+                assert eval_expansion(c, float(k)) == node
+    rows = list(basis(p).series)
+    bad = list(rows[1])
+    bad[2] *= 1.0 + 1e-12
+    bad[4:6] = dd.split(bad[2])
+    rows[1] = tuple(bad)
+    monkeypatch.setitem(basis(p).__dict__, "series", tuple(rows))
+    assert _worst_clenshaw_ratio(vectors[-1:], xs, cols) > 2.0
+
+
+def test_eval_expansion_norms_past_double_range():
+    # at N = 200 the (0, 1e3) norms pass the double range from n = 84 on;
+    # those terms are 0 off the grid, as on it, not NaN
+    p = HahnParams(0.0, 1e3, 200)
+    top = int(np.argmin(np.isfinite(basis(p).sqrt_norms)))
+    assert top == 84
+    xs = np.array([0.5, 100.5, 199.25])
+    got = eval_expansion(CoefficientVector(p, np.ones(201)), xs)
+    assert np.array_equal(got, eval_expansion(CoefficientVector(p, np.ones(top)), xs))
+    assert np.isfinite(got).all()
+
+
+def test_eval_expansion_memory_stays_small():
+    # the 1001 samples of a pointwise request at N = 200, full degree: no
+    # (m+1) x points table of basis values is kept
+    p = HahnParams(0.5, 0.5, 200)
+    c = _runge_coeffs(p, 200, True)
+    xs = np.arange(1001) * 200 / 1000
+    eval_expansion(c, xs)
+    tracemalloc.start()
+    try:
+        eval_expansion(c, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_parseval_small_grid():
@@ -354,14 +462,17 @@ def test_decay_report_descending_range():
 
 
 def test_decay_report_refuses_overflowing_powers():
-    # at N = 30, ||L^k u||_w of the sine sample stays finite through k = 56;
-    # past that L^k u or its norm overflows, and a constant input (L u = 0)
-    # still needs lam_n^k, which overflows at k = 300
+    # at N = 30, ||L^k u||_w^2 of the sine sample stays in the double range
+    # through k = 57, where the exact sum of the float L^57 u is 2.34e305;
+    # past that it overflows, and a constant input (L u = 0) still needs
+    # lam_n^k, which overflows at k = 300
     p = HahnParams(0.0, 0.0, 30)
     u = _sine_sample(p)
-    rows = decay_report(u, 55, range(1, 4))
-    assert all(math.isfinite(r.bound) for r in rows)
-    for k in (57, 60, 120):
+    for k in (55, 57):
+        rows = decay_report(u, k, range(1, 4))
+        assert all(math.isfinite(r.bound) for r in rows)
+    assert rows[0].bound == math.sqrt(2.3434068073729885e+305) / 2.0**57
+    for k in (58, 60, 120):
         with pytest.raises(DomainError, match=f"k={k}"):
             decay_report(u, k, range(1, 4))
     with pytest.raises(DomainError, match="k=300"):

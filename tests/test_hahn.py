@@ -341,6 +341,36 @@ def test_steps_equal_scalar_build(N):
                     build()
 
 
+@pytest.mark.parametrize("N", [1, 2, 30, 200])
+def test_series_rows_against_exact_steps(N):
+    # a_n = (A_n + C_n) / A_n, r_n = 1 / A_n and g_n = C_n / A_n in dd, row 0
+    # the Q_1 closed form, against the exact integer rows; the splits are
+    # those of the high parts, and the build raises no warning
+    for alpha, beta in NORM_FAMILIES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = HahnBasis(HahnParams(alpha, beta, N)).series
+        (a, b), D = _over_one_denominator(alpha, beta)
+        assert len(rows) == N
+        assert rows[0][0:2] == (1.0, 0.0) and rows[0][6:10] == (0.0, 0.0, 0.0, 0.0)
+        for row, (al, sig, ga, e) in zip(rows, _steps(a, b, D, N)):
+            assert all(type(v) is float for v in row)
+            for (hi, lo), exact in [(row[0:2], Fraction(sig, al)),
+                                    (row[2:4], Fraction(e * D, al)),
+                                    (row[6:8], Fraction(ga, al))]:
+                assert hi + lo == hi
+                assert abs(Fraction(hi) + Fraction(lo) - exact) <= 2.0**-100 * abs(exact)
+            assert row[4:6] == _split(row[2]) and row[8:10] == _split(row[6])
+    with pytest.raises(DegenerateRecurrenceError, match="n=1"):
+        HahnBasis(HahnParams(1e305, 0.5, 200)).series
+
+
+def test_q1_closed_form_past_the_split_range():
+    # the dd closed form of Q_1 splits factors near 1e305 scaled, so
+    # Q_1(0) = 1 exactly, as it is for every family
+    assert hahn_eval_all(1, 0.0, HahnParams(1e305, 0.5, 200)).tolist() == [1.0, 1.0]
+
+
 def test_steps_name_vanishing_coefficient():
     # outside the family domain A_n vanishes where j + alpha + 1 = 0, and
     # the check on the built list names that n
