@@ -43,22 +43,9 @@ def quick_two_sum(a: float, b: float) -> DD:
 
 
 def two_prod(a: float, b: float) -> DD:
-    # Dekker split: exact error of a float multiplication.  Two Python
-    # floats split inline; that split overflows only past about 1.3e300,
-    # which leaves a NaN error term, and then, as for arrays, `split` runs,
-    # which scales an operand above 2^996.  The exact error is unique, so
-    # both splits give it the same bits.
+    # Dekker: exact error of a float multiplication, from the splits of
+    # both operands (`split` scales an operand above 2^996)
     p = a * b
-    if type(a) is float and type(b) is float:
-        ca = _SPLIT * a
-        ahi = ca - (ca - a)
-        alo = a - ahi
-        cb = _SPLIT * b
-        bhi = cb - (cb - b)
-        blo = b - bhi
-        e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        if e == e:
-            return p, e
     (ahi, alo), (bhi, blo) = split(a), split(b)
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 

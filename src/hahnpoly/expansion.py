@@ -151,7 +151,8 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     orthonormal coefficients, rounded once; classical coefficients are
     converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
     whose weights are refused is refused there, by the grid.  Every other
-    point is summed by one double-double Clenshaw sweep
+    point, and every point of a classical vector with a norm ||Q_n|| past
+    the double range, is summed by one double-double Clenshaw sweep
     (`_compensated.dd_clenshaw_sweep`) with k_n = c_n / ||Q_n|| in dd
     (orthonormal) or k_n = c_n (classical), all such points of an array
     at once, and the sum is rounded to a double.  Either way an array
@@ -165,6 +166,10 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     nodes, off = [], []
     for i, v in enumerate(flat):
         (nodes if v.is_integer() and 0.0 <= v <= N else off).append(i)
+    # a classical vector with a norm past the double range would have an
+    # inf u_n and a NaN grid term: it takes the sweep at its nodes too
+    if nodes and not c.normalized and math.inf in b.sqrt_norms[: m + 1].tolist():
+        nodes, off = [], list(range(len(flat)))
     out = np.empty(len(flat))
     if nodes:
         grid = b.grid[: m + 1]

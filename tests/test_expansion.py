@@ -356,7 +356,9 @@ def test_eval_expansion_against_exact(N, alpha, beta, monkeypatch):
 
 def test_eval_expansion_norms_past_double_range():
     # at N = 200 the (0, 1e3) norms pass the double range from n = 84 on;
-    # those terms are 0 off the grid, as on it, not NaN
+    # those orthonormal terms are 0 off the grid, as on it, not NaN.  A
+    # classical vector reaching them takes the Clenshaw sweep at its nodes,
+    # with k_n = c_n, not the grid through the inf u_n = c_n ||Q_n||
     p = HahnParams(0.0, 1e3, 200)
     top = int(np.argmin(np.isfinite(basis(p).sqrt_norms)))
     assert top == 84
@@ -364,6 +366,14 @@ def test_eval_expansion_norms_past_double_range():
     got = eval_expansion(CoefficientVector(p, np.ones(201)), xs)
     assert np.array_equal(got, eval_expansion(CoefficientVector(p, np.ones(top)), xs))
     assert np.isfinite(got).all()
+    nodes = np.arange(201.0)
+    full = eval_expansion(CoefficientVector(p, np.ones(201), False), nodes)
+    assert np.isfinite(full).all()
+    hi, lo = dd.dd_clenshaw_sweep(basis(p).series[:200], [(1.0, 0.0)] * 201, 3.0)
+    assert full[3] == hi + lo
+    below = CoefficientVector(p, np.ones(top), False)
+    on_grid = math.fsum((basis(p).grid[:top, 3] * basis(p).sqrt_norms[:top]).tolist())
+    assert eval_expansion(below, 3.0) == on_grid
 
 
 def test_eval_expansion_memory_stays_small():
