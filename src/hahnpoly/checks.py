@@ -3,9 +3,9 @@ satisfy, each packaged as a named check with a measured value and a
 tolerance.  The CLI `verify` command runs these; tests reuse them.
 
 The seed and the degree cap are fixed: randomized checks read the first
-draws of a DEFAULT_SEED generator from a committed table, so repeated
-runs produce identical numbers without importing numpy.random, and
-degree-limited checks stop at min(DEGREE_CAP, N).
+draws of a fresh stdlib `random.Random(DEFAULT_SEED)`, whose `random()`
+sequence Python guarantees, so repeated runs produce identical numbers,
+and degree-limited checks stop at min(DEGREE_CAP, N).
 
 The independent reference is exact: `float-vs-exact` and
 `three-term-recurrence` read integer-ratio columns of every degree at the
@@ -18,6 +18,7 @@ recurrence disagreed by 4e3 while the grid matrix was right.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,13 +154,14 @@ def check_self_adjoint_form(params: HahnParams) -> CheckResult:
 
 
 def _random_grid_functions(params: HahnParams, count: int) -> list[GridFunction]:
-    """The first `count` grid functions of a fresh DEFAULT_SEED generator,
-    each N + 1 standard normal draws, read from a table of its first draws
-    (imported on first use) instead of from numpy.random."""
-    from ._draws import DRAWS
-
+    """The first `count` grid functions of a fresh `random.Random(DEFAULT_SEED)`:
+    function k is 2 r - 1, uniform on [-1, 1), over draws k(N+1) ..
+    (k+1)(N+1) - 1 of `random()`, the one stdlib method whose sequence
+    Python guarantees across versions."""
+    rng = random.Random(DEFAULT_SEED)
     n = params.N + 1
-    return [GridFunction(params, np.array(DRAWS[k * n:(k + 1) * n])) for k in range(count)]
+    return [GridFunction(params, np.array([2.0 * rng.random() - 1.0 for _ in range(n)]))
+            for _ in range(count)]
 
 
 def check_operator_symmetry(params: HahnParams) -> CheckResult:
@@ -191,7 +193,8 @@ def check_parseval(params: HahnParams) -> CheckResult:
 
 
 def check_sbp(params: HahnParams) -> CheckResult:
-    """Summation-by-parts identity on random data with zero end values."""
+    """Summation-by-parts identity on seeded random grid functions; the
+    values one past the grid, f(N+1) and g(N+1), are 0 by convention."""
     f, g = _random_grid_functions(params, 2)
     scale = max(1.0, float(np.sum(np.abs(f.values)) * np.max(np.abs(g.values))))
     return CheckResult("summation-by-parts", sbp_residual(f, g) / scale, 1e-9)

@@ -15,7 +15,7 @@ class DomainError(HahnPolyError):
 
 
 class DegreeOutOfRangeError(DomainError):
-    """A polynomial degree exceeds the grid-imposed maximum."""
+    """A polynomial degree is not an integer in 0..N."""
 
 
 class NonTerminatingError(DomainError):

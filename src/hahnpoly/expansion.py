@@ -33,7 +33,8 @@ from .errors import (
     ZeroLambdaError,
 )
 # hahn_eval_all is unused here; the bench tracer's rebind test names it
-from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix  # noqa: F401
+from .hahn import (HahnParams, _check_degree, basis, hahn_eval_all,  # noqa: F401
+                   normalized_grid_matrix)
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,7 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
         if 0 in n_range and k >= 1:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
+    _check_degree(n_range, p)
     coeffs = project(u, top).coeffs
     lams = basis(p).lam.tolist()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,6 +33,7 @@ steps it is made of, and off-grid sweeps never build it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -210,8 +211,14 @@ def basis(params: HahnParams) -> HahnBasis:
 
 def _check_degree(n: int | np.ndarray, params: HahnParams) -> None:
     # a Python loop, not numpy masks: those map about 256 KB more numpy
-    # code into a process that has not used them, which shows in peak RSS
+    # code into a process that has not used them, which shows in peak RSS;
+    # a degree is an integer in the sense of operator.index, so 2.5 and
+    # 2.0 are refused and np.int64(2) is not
     for k in np.ravel(n).tolist() if np.ndim(n) else (n,):
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise DegreeOutOfRangeError(f"degree {k!r} is not an integer") from None
         if not 0 <= k <= params.N:
             raise DegreeOutOfRangeError(f"degree {k} outside 0..{params.N}")
 

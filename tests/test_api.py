@@ -48,22 +48,32 @@ def test_public_functions_of_traced_layers_are_plain():
 
 
 def test_imports_only_declared_dependencies():
-    # scipy and mpmath are not dependencies, and the float code computes no
-    # eigendecomposition: numpy.linalg stays out of src/, imported or
-    # reached as an attribute of numpy
+    # scipy and mpmath are not dependencies, the float code computes no
+    # eigendecomposition and draws no numpy random numbers: numpy.linalg
+    # and numpy.random stay out of src/, imported or reached as an
+    # attribute of numpy
     allowed = set(sys.stdlib_module_names) | {"numpy", "click", "hahnpoly"}
+    refused = ("numpy.linalg", "numpy.random")
     files = sorted(SRC.glob("*.py"))
     assert files
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # the names the module binds to numpy itself, `np` as a rule; the
+        # stdlib `random` module is not one of them
+        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names if alias.name == "numpy"}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
-                assert not (isinstance(node, ast.Attribute) and node.attr == "linalg"), (
-                    path.name, node.lineno)
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "linalg", (path.name, node.lineno)
+                    assert not (node.attr == "random" and isinstance(node.value, ast.Name)
+                                and node.value.id in numpy_names), (path.name, node.lineno)
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
-                assert not name.startswith("numpy.linalg"), (path.name, name)
+                assert not name.startswith(refused), (path.name, name)

@@ -3,6 +3,7 @@ stays quick, and the array-swept checks against their scalar loops."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -191,17 +192,18 @@ def test_exact_columns_equal_fraction_route(p):
     assert np.array_equal(u.view(np.int64), ref_u.view(np.int64))
 
 
-def test_draw_table_equals_generator():
-    # the seeded grid functions are the generator's own draws, bit for bit,
-    # at every grid size and count the checks use
+def test_random_grid_functions_equal_stdlib_stream():
+    # the seeded grid functions are 2 r - 1 over the guaranteed random()
+    # stream of a fresh stdlib generator, bit for bit, at every grid size
+    # and count the checks use
     for N in range(1, 201):
         p = HahnParams(0.0, 0.0, N)
         for count in (1, 2):
-            rng = np.random.default_rng(checks.DEFAULT_SEED)
+            rng = random.Random(checks.DEFAULT_SEED)
             got = checks._random_grid_functions(p, count)
             assert len(got) == count
             for f in got:
-                want = rng.standard_normal(N + 1)
+                want = np.array([2.0 * rng.random() - 1.0 for _ in range(N + 1)])
                 assert np.array_equal(f.values.view(np.int64), want.view(np.int64)), (N, count)
 
 

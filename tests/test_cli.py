@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import hahnpoly
 from hahnpoly.cli import main
 from hahnpoly.expansion import IntervalMap, eval_expansion
+from hahnpoly.hahn import HahnParams, basis
 
 
 def run(*args, **kwargs):
@@ -271,6 +272,29 @@ def test_exit_code_domain_error():
     assert "degree" in res.stderr
 
 
+@pytest.mark.parametrize("alpha,beta,N,degrees", [
+    (0.0, 0.0, 30, (0, 1, 7, 15, 29, 30)),
+    (0.5, 0.5, 30, (2, 15, 30)),
+    (-0.5, 3.0, 30, (3, 20, 30)),
+    (0.0, 1e3, 30, (1, 15, 30)),
+    (-0.9, -0.9, 30, (4, 25, 30)),
+    (5.0, 0.0, 200, (0, 1, 60, 125, 200)),
+])
+def test_eval_at_the_nodes_prints_the_grid(alpha, beta, N, degrees):
+    # `eval`, normalized at the default points 0..N, prints row n of the
+    # family's grid matrix to the bit (17 digits round-trip a double), so a
+    # new grid cannot leave eval's node values behind
+    grid = basis(HahnParams(alpha, beta, N)).grid
+    for n in degrees:
+        res = run("eval", "--alpha", str(alpha), "--beta", str(beta),
+                  "--N", str(N), "--n", str(n))
+        assert res.exit_code == 0, (n, res.output)
+        header, data = parse_csv(res.output)
+        assert header == ["x", "value"]
+        assert [float(x) for x, _ in data] == list(range(N + 1))
+        values = np.array([float(v) for _, v in data])
+        assert np.array_equal(values.view(np.int64), grid[n].view(np.int64)), n
+
 def test_eval_rejects_non_finite_points():
     for points in ("nan", "inf", "0.5,-inf"):
         res = run("eval", "--N", "30", "--n", "3", "--points", points)
@@ -523,9 +547,9 @@ GOLDEN_STDOUT = {
     "compare-legendre --N 30 --m 10":
         (0, "21ad5ace6f052b712f68669807d4088966e9dce3f0616bafd962cc14d7518ed1"),
     "verify --alpha 0.5 --beta 0.5 --N 30":
-        (0, "24869d6162df2d70234894dadf46e5f08d99852a86ac20dc7a8b70fb7f180e66"),
+        (0, "5b4d4253eacc2578a43839dbf4803160d81c72212c5e2b1793dbe99420f7e914"),
     "verify --alpha -0.5 --beta 3 --N 60":
-        (0, "cf16a3ddf4975d69c04b29c88c1d1892b2dbb43155fefd21ef43b62562098982"),
+        (0, "aef33bb408d67493f88af93ccf69f2e12b952b5f90e0342221c7ec5f2d8a0344"),
 }
 
 

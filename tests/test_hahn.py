@@ -13,7 +13,7 @@ import pytest
 
 from hahnpoly import _compensated as dd
 from hahnpoly.errors import DegenerateRecurrenceError, DegreeOutOfRangeError, DomainError
-from hahnpoly.expansion import GridFunction, project
+from hahnpoly.expansion import GridFunction, decay_report, project
 from hahnpoly.hahn import (
     HahnBasis,
     HahnParams,
@@ -178,6 +178,32 @@ def test_degree_out_of_range():
         with pytest.raises(DegreeOutOfRangeError):
             norm_sq_closed(np.array([0, bad, 10]), p)
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: hahn_eval_all(2.5, 0.0, p),
+    lambda p: hahn_eval_recurrence(2.5, 0.5, p),
+    lambda p: hahn_eval_series(2.5, 0.5, p),
+    lambda p: normalized_grid_matrix(2.5, p),
+    lambda p: project(GridFunction(p, np.ones(p.N + 1)), 2.5),
+    lambda p: norm_sq_closed(2.5, p),
+    lambda p: norm_sq_closed(np.array([1.0, 2.0]), p),
+    lambda p: decay_report(GridFunction(p, np.ones(p.N + 1)), 1, [3, 2.5]),
+], ids=["eval_all", "recurrence", "series", "grid_matrix", "project", "norm", "norm_array",
+        "decay_report"])
+def test_non_integer_degree_is_refused(call):
+    # a degree is an integer in the sense of operator.index: a float,
+    # even an integral one, is refused with the package's own error
+    with pytest.raises(DegreeOutOfRangeError, match="not an integer"):
+        call(HahnParams(0.0, 0.0, 10))
+
+
+def test_numpy_integer_degrees_are_accepted():
+    p = HahnParams(0.5, 0.5, 10)
+    assert norm_sq_closed(np.int64(3), p) == norm_sq_closed(3, p)
+    assert np.array_equal(norm_sq_closed(np.array([1, 3]), p),
+                          [norm_sq_closed(1, p), norm_sq_closed(3, p)])
+    assert np.array_equal(hahn_eval_all(np.int64(3), 0.5, p), hahn_eval_all(3, 0.5, p))
 
 def test_weight_table_flat_and_total():
     p = HahnParams(0.0, 0.0, 30)
