@@ -27,7 +27,9 @@ out of them for the Clenshaw sweep of `expansion.eval_expansion`, the
 norms, the orthonormal grid matrix and the difference operator's
 eigenvalues and coefficients B(x), D(x), each computed on first read and
 read-only after.  So the grid matrix lives as long as the norms and
-steps it is made of, and off-grid sweeps never build it.
+steps it is made of, and off-grid sweeps never build it.  It is one
+array sweep over the grid from N = 42 up and one sweep per point below,
+where that is faster: the same kernel, so the same bits either way.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .specfun import (
 )
 
 _MAX_N = 200
+_GRID_ARRAY_N = 42  # from here one array sweep is the faster grid build
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -157,12 +160,19 @@ class HahnBasis:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """Orthonormal Q~_n(x), row n, column x, one sweep per grid point.
+        """Orthonormal Q~_n(x), row n, column x: one array sweep over the
+        grid from N = _GRID_ARRAY_N up, one sweep per point below (the
+        faster build each side), with the same bits, up to a NaN's sign.
         The weights are read first: a family they refuse is refused before
         the sweeps and the exact norm products."""
         p = self.params
         self.weights
-        mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
+        if p.N >= _GRID_ARRAY_N:
+            # numpy warns of overflows that Python floats pass silently
+            with np.errstate(over="ignore", invalid="ignore"):
+                mat = hahn_eval_all(p.N, p.grid(), p)
+        else:
+            mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
         mat /= self.sqrt_norms[:, None]
         return _read_only(mat)
 
@@ -346,7 +356,7 @@ def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:
     """Matrix of orthonormal values, shape (m+1, N+1), row n = Q~_n on 0..N.
 
     A read-only view of the family's cached `HahnBasis.grid`, so the
-    projections on one family pay the recurrence sweeps once.
+    projections on one family pay its grid sweeps (see there) once.
     """
     _check_degree(m, params)
     return basis(params).grid[: m + 1]

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -540,26 +539,37 @@ SESSION_FAMILIES = [HahnParams(alpha, beta, N) for N in (30, 100, 200)
 
 def test_session_builds_each_grid_once(monkeypatch):
     # a session cycling 12 families keeps every family's basis: the grid
-    # matrix (one scalar sweep per grid point) is built once per family
-    sweeps = Counter()
+    # matrix is built once per family, at N = 30 by one scalar sweep per
+    # grid point, at N = 100 and 200 by one sweep over all N + 1 nodes
+    sweeps = []  # per round, the (degree, points) of each call per family
     sweep = hahn.hahn_eval_all
 
     def counted(m, x, params):
-        if np.ndim(x) == 0:
-            sweeps[params] += 1
+        sweeps[-1].setdefault(params, []).append((m, np.array(x, dtype=float)))
         return sweep(m, x, params)
 
     monkeypatch.setattr(hahn, "hahn_eval_all", counted)
     basis.cache_clear()
     rounds = []
     for _ in range(2):
+        sweeps.append({})
         coeffs = []
         for p in SESSION_FAMILIES:
             u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
                                            IntervalMap(-1.0, 1.0, p.N).to_interval)
             coeffs.append(project(u, p.N).coeffs)
         rounds.append(coeffs)
-    assert sweeps == {p: p.N + 1 for p in SESSION_FAMILIES}
+    builds, again = sweeps
+    assert again == {}
+    assert builds.keys() == set(SESSION_FAMILIES)
+    for p, calls in builds.items():
+        nodes = np.arange(p.N + 1.0)
+        if p.N == 30:
+            assert [(m, x.shape) for m, x in calls] == [(p.N, ())] * (p.N + 1)
+            assert np.array_equal([x for _, x in calls], nodes)
+        else:
+            assert [(m, x.shape) for m, x in calls] == [(p.N, (p.N + 1,))]
+            assert np.array_equal(calls[0][1], nodes)
     for first, second in zip(*rounds):
         assert np.array_equal(first.view(np.int64), second.view(np.int64))
     for p in SESSION_FAMILIES:

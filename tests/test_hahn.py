@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hahnpoly import _compensated as dd
+from hahnpoly import hahn
 from hahnpoly.errors import DegenerateRecurrenceError, DegreeOutOfRangeError, DomainError
 from hahnpoly.expansion import GridFunction, decay_report, project
 from hahnpoly.hahn import (
@@ -116,6 +117,61 @@ def test_eval_all_array_equals_point_loop(N, alpha, beta):
         loop = np.stack([hahn_eval_all(m, float(x), p) for x in xs], axis=1)
         assert np.array_equal(got, loop, equal_nan=True)
         assert hahn_eval_all(m, xs[:1], p).shape == (m + 1, 1)
+
+
+GRID_ARRAY_N = hahn._GRID_ARRAY_N
+
+
+def _fresh_grid_and_point_loop(p):
+    # the cached grid built anew with warnings as errors, and the point
+    # loop it must equal: one scalar sweep per grid point over the norms
+    basis.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = basis(p).grid
+    loop = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
+    return got, loop / basis(p).sqrt_norms[:, None]
+
+
+@pytest.mark.parametrize("N", [GRID_ARRAY_N - 1, GRID_ARRAY_N, 100, 200])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0),
+                                        (0.0, 1e3)])
+def test_grid_build_equals_point_loop(N, alpha, beta):
+    # below the crossover the grid is built one sweep per point, from it on
+    # in one array sweep; either way it has the bits of the point loop, and
+    # the build raises no warning
+    got, want = _fresh_grid_and_point_loop(HahnParams(alpha, beta, N))
+    assert got.shape == (N + 1, N + 1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("N,shapes", [(GRID_ARRAY_N - 1, [()] * GRID_ARRAY_N),
+                                      (GRID_ARRAY_N, [(GRID_ARRAY_N + 1,)])])
+def test_grid_build_switches_batching_at_the_constant(monkeypatch, N, shapes):
+    # one scalar sweep per grid point just below the constant, one array
+    # sweep over the grid from it on
+    seen = []
+    sweep = hahn.hahn_eval_all
+
+    def counted(m, x, params):
+        seen.append(np.shape(x))
+        return sweep(m, x, params)
+
+    monkeypatch.setattr(hahn, "hahn_eval_all", counted)
+    basis.cache_clear()
+    basis(HahnParams(0.5, 0.5, N)).grid
+    assert seen == shapes
+
+
+def test_grid_build_overflow_is_silent():
+    # here the array sweep overflows to NaN at the top degrees near x = N,
+    # as the per-point sweep does: numpy would warn where Python floats do
+    # not, so the build must not.  The NaNs sit where the loop's do (their
+    # sign bit may differ); every other entry has the loop's bits
+    got, want = _fresh_grid_and_point_loop(HahnParams(0.0, 10**6.5, 60))
+    nan = np.isnan(want)
+    assert nan.any() and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def test_recurrence_scalar_returns_float():
