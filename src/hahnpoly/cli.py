@@ -277,7 +277,10 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
         vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
         if normalized:
             # the norm's exact products only for a Q_n that is finite
-            vals = _finite_values(degree, xs, vals / math.sqrt(norm_sq_closed(degree, p)))
+            norm = math.sqrt(norm_sq_closed(degree, p))
+            if norm == math.inf:
+                raise DomainError(f"norm of Q_{degree} is not finite in double precision")
+            vals = _finite_values(degree, xs, vals / norm)
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")
@@ -428,8 +431,9 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
     # its degree cap is a flag rule too, so it runs before any basis is built
     leg = _vetted(legendre_coeffs, fn, top)
     u = GridFunction.from_callable(fn, p, imap.to_interval)
-    classical = project(u, top, normalized=False).coeffs
-    normalized = project(u, top, normalized=True).coeffs
+    normalized = project(u, top).coeffs
+    # the division project(normalized=False) makes, on the one projection
+    classical = normalized / basis(p).sqrt_norms[: top + 1]
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
                     interval=f"{imap.a},{imap.b}")
     lines.append("n,hahn_classical,hahn_normalized,legendre_classical")

@@ -6,7 +6,9 @@ Coefficient conventions.  With normalized=True (default) the stored
 coefficients are u_n = <Q~_n, u>_w against the orthonormal basis, so
 sum u_n^2 equals ||u||_w^2 when m = N.  With normalized=False they are
 classical coefficients <Q_n, u>_w / ||Q_n||_w^2 multiplying the plain
-Q_n, the convention usually seen next to Legendre series.
+Q_n, the convention usually seen next to Legendre series.  Either way
+a degree whose norm ||Q_k|| is past the double range has no double
+orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
@@ -70,7 +72,11 @@ class IntervalMap:
 
 @dataclass(eq=False)
 class CoefficientVector:
-    """Projection coefficients for degrees 0..m on a given parameter set."""
+    """Projection coefficients for degrees 0..m on a given parameter set.
+
+    DegreeOutOfRangeError for more than N + 1 coefficients, and DomainError
+    naming the first k <= m whose norm ||Q_k|| is past the double range.
+    """
 
     params: HahnParams
     coeffs: np.ndarray
@@ -84,6 +90,11 @@ class CoefficientVector:
             raise DegreeOutOfRangeError(
                 f"{len(vals)} coefficients exceed the {self.params.N + 1} basis degrees"
             )
+        # no double Q~_k = Q_k / ||Q_k|| exists past the double range; a list
+        # pass, not numpy masks (see hahn._check_degree)
+        for k, s in enumerate(basis(self.params).sqrt_norms[: len(vals)].tolist()):
+            if s == math.inf:
+                raise DomainError(f"norm of Q_{k} is not finite in double precision")
         self.coeffs = vals
 
     @property
@@ -126,7 +137,11 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
         hi2, lo2 = two_prod(hi, float(wv))
         parts.append(hi2)
         parts.append(lo2 + lo * float(wv))
-    return math.fsum(parts)
+    try:
+        return math.fsum(parts)
+    except ValueError:
+        # fsum refuses -inf + inf; the sum has no value, so a check fails on it
+        return math.nan
 
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
@@ -152,8 +167,7 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     orthonormal coefficients, rounded once; classical coefficients are
     converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
     whose weights are refused is refused there, by the grid.  Every other
-    point, and every point of a classical vector with a norm ||Q_n|| past
-    the double range, is summed by one double-double Clenshaw sweep
+    point is summed by one double-double Clenshaw sweep
     (`_compensated.dd_clenshaw_sweep`) with k_n = c_n / ||Q_n|| in dd
     (orthonormal) or k_n = c_n (classical), all such points of an array
     at once, and the sum is rounded to a double.  Either way an array
@@ -167,28 +181,21 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     nodes, off = [], []
     for i, v in enumerate(flat):
         (nodes if v.is_integer() and 0.0 <= v <= N else off).append(i)
-    # a classical vector with a norm past the double range would have an
-    # inf u_n and a NaN grid term: it takes the sweep at its nodes too
-    if nodes and not c.normalized and math.inf in b.sqrt_norms[: m + 1].tolist():
-        nodes, off = [], list(range(len(flat)))
     out = np.empty(len(flat))
     if nodes:
         grid = b.grid[: m + 1]
         u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
         out[nodes] = [math.fsum((grid[:, int(flat[i])] * u).tolist()) for i in nodes]
     if off:
+        k = (c.coeffs, np.zeros(m + 1))
         if c.normalized:
-            norms = b.sqrt_norms[: m + 1]
+            # an inf coefficient makes inf - inf in the Newton step: its
+            # term is NaN, with no warning
             with np.errstate(invalid="ignore"):
-                k = dd_div((c.coeffs, 0.0), (norms, 0.0))
-            # a norm past the double range is inf, and its term is 0
-            ks = [(hi, lo) if s < math.inf else (0.0, 0.0)
-                  for hi, lo, s in zip(k[0].tolist(), k[1].tolist(), norms.tolist())]
-        else:
-            ks = [(v, 0.0) for v in c.coeffs.tolist()]
+                k = dd_div(k, (b.sqrt_norms[: m + 1], 0.0))
         # a scalar point sweeps as a Python float, with the same rounding
         pts = np.array([flat[i] for i in off]) if xs.ndim else flat[0]
-        hi, lo = dd_clenshaw_sweep(b.series[:m], ks, pts)
+        hi, lo = dd_clenshaw_sweep(b.series[:m], list(zip(k[0].tolist(), k[1].tolist())), pts)
         out[off] = hi + lo
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 

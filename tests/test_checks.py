@@ -276,3 +276,14 @@ def test_exact_values_past_double_range_fail_the_checks():
     assert math.isinf(q[12, -1])
     for result in (check_path_agreement(p), check_recurrence_identity(p)):
         assert math.isnan(result.value) and not result.passed
+
+
+def test_operator_symmetry_fails_on_mixed_infinities():
+    # at N = 60, beta = 10^6.5, L u overflows to both infinities, and the
+    # inner product of mixed infinities has no value: the check fails on
+    # it instead of raising (l_disk_apply's overflow warnings are expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        r = checks.check_operator_symmetry(HahnParams(0.0, 3162277.6601683795, 60))
+    assert math.isnan(r.value)
+    assert not r.passed

@@ -465,14 +465,39 @@ def test_weights_past_double_range_refused(command, first):
 
 def test_verify_overflowing_eigen_sweep_no_warnings():
     # Q_12(12) is about 1e320 here: the eigen-equation sweep overflows
-    # without a numpy warning, and the decay check still refuses k=1
+    # without a numpy warning, and the norms pass the double range from
+    # n = 1, so the first projection refuses the family
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run("verify", "--alpha", "-0.9999999999999999", "--beta", "1e26", "--N", "12")
     assert res.exit_code == 3
-    assert res.stderr == ("error: L^k u, ||L^k u||_w or lam_n^k overflows double "
-                          "precision at k=1\n")
+    assert res.stderr == "error: norm of Q_1 is not finite in double precision\n"
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command,k", [
+    ("project --alpha 0 --beta 1000 --N 200 --m 84", 84),
+    ("eval --alpha 0 --beta 1000 --N 200 --n 150 --points 0.5,3", 150),
+    ("eval --alpha 1e6 --beta 0 --N 200 --n 100", 100),
+    ("project --alpha 0 --beta 3162277.6601683795 --N 60 --m 60", 1),
+])
+def test_norm_past_double_range_refused(command, k):
+    # a degree whose norm ||Q_k|| leaves the double range has no orthonormal
+    # Q~_k: refused in one line naming k, not printed as 0, -0 or nan
+    res = run(*command.split())
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"error: norm of Q_{k} is not finite in double precision\n"
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", ["project --alpha 0 --beta 1000 --N 200 --m 83",
+                                     "eval --alpha 0 --beta 1000 --N 200 --n 83"])
+def test_norm_below_double_range_prints(command):
+    res = run(*command.split())
+    assert res.exit_code == 0
+    _, data = parse_csv(res.output)
+    assert all(math.isfinite(float(v)) for row in data for v in row)
 
 
 def test_out_file_roundtrip(tmp_path):

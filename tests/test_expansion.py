@@ -90,6 +90,10 @@ def test_coefficient_vector_validation():
         CoefficientVector(p, np.zeros(6))
     with pytest.raises(LengthMismatchError):
         CoefficientVector(p, np.zeros(0))
+    # (0, 1e3) at N = 200: ||Q_84|| is past the double range, ||Q_83|| is not
+    with pytest.raises(DomainError, match="norm of Q_84 is not finite"):
+        CoefficientVector(HahnParams(0.0, 1e3, 200), np.zeros(85))
+    assert CoefficientVector(HahnParams(0.0, 1e3, 200), np.zeros(84)).degree == 83
     c = CoefficientVector(p, np.zeros(3))
     assert c.degree == 2
 
@@ -354,25 +358,47 @@ def test_eval_expansion_against_exact(N, alpha, beta, monkeypatch):
 
 
 def test_eval_expansion_norms_past_double_range():
-    # at N = 200 the (0, 1e3) norms pass the double range from n = 84 on;
-    # those orthonormal terms are 0 off the grid, as on it, not NaN.  A
-    # classical vector reaching them takes the Clenshaw sweep at its nodes,
-    # with k_n = c_n, not the grid through the inf u_n = c_n ||Q_n||
+    # at N = 200 the (0, 1e3) norms pass the double range from n = 84 on:
+    # no vector reaches that degree, in either convention.  Below it a
+    # classical vector at a node is the grid's exact sum
     p = HahnParams(0.0, 1e3, 200)
-    top = int(np.argmin(np.isfinite(basis(p).sqrt_norms)))
-    assert top == 84
-    xs = np.array([0.5, 100.5, 199.25])
-    got = eval_expansion(CoefficientVector(p, np.ones(201)), xs)
-    assert np.array_equal(got, eval_expansion(CoefficientVector(p, np.ones(top)), xs))
-    assert np.isfinite(got).all()
-    nodes = np.arange(201.0)
-    full = eval_expansion(CoefficientVector(p, np.ones(201), False), nodes)
-    assert np.isfinite(full).all()
-    hi, lo = dd.dd_clenshaw_sweep(basis(p).series[:200], [(1.0, 0.0)] * 201, 3.0)
-    assert full[3] == hi + lo
+    for normalized in (True, False):
+        with pytest.raises(DomainError, match="norm of Q_84 is not finite"):
+            CoefficientVector(p, np.ones(201), normalized)
+    top = 84
     below = CoefficientVector(p, np.ones(top), False)
     on_grid = math.fsum((basis(p).grid[:top, 3] * basis(p).sqrt_norms[:top]).tolist())
     assert eval_expansion(below, 3.0) == on_grid
+
+
+def test_eval_expansion_infinite_coefficient_is_nan():
+    # an inf coefficient sums to NaN off the grid with no warning, at an
+    # array of points and at one point
+    p = HahnParams(0.0, 0.0, 10)
+    c = CoefficientVector(p, np.array([1.0, math.inf]))
+    got = eval_expansion(c, np.array([0.5, 1.5]))
+    assert np.isnan(got).all()
+    assert math.isnan(eval_expansion(c, 0.5))
+
+
+# the families of the lattice alpha, beta in {-0.999, -0.5, 0, 3, 50, 1e3,
+# 1e6, 1e12} whose weights and step rows are accepted but whose norms pass
+# the double range, with the first such degree
+NORM_PAST_RANGE = [(a, 1e6, 60, k) for a, k in [(-0.999, 7), (-0.5, 7), (0.0, 8), (3.0, 8),
+                                                 (50.0, 10), (1e3, 15)]] + \
+                  [(a, 1e3, 200, k) for a, k in [(-0.999, 79), (-0.5, 83), (0.0, 84),
+                                                 (3.0, 89), (50.0, 120)]]
+
+
+@pytest.mark.parametrize("alpha,beta,N,k", NORM_PAST_RANGE)
+def test_project_refuses_from_the_first_norm_past_range(alpha, beta, N, k):
+    p = HahnParams(alpha, beta, N)
+    u = GridFunction.from_callable(lambda t: math.sin(math.pi * t), p,
+                                   IntervalMap(-1.0, 1.0, N).to_interval)
+    for normalized in (True, False):
+        with pytest.raises(DomainError, match=f"^norm of Q_{k} is not finite"):
+            project(u, k, normalized=normalized)
+        assert np.isfinite(project(u, k - 1, normalized=normalized).coeffs).all()
 
 
 def test_eval_expansion_memory_stays_small():
