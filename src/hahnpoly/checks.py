@@ -124,10 +124,10 @@ def check_eigen_equation(params: HahnParams) -> CheckResult:
     top = min(DEGREE_CAP, params.N)
     hb = basis(params)
     lam, b, d = hb.lam[: top + 1, None], hb.b, hb.d
+    # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
+    q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
+    qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
     with np.errstate(over="ignore", invalid="ignore"):
-        # one sweep over x = -1..N+1; row n of a degree-top sweep is Q_n
-        q = hahn_eval_all(top, np.arange(-1.0, params.N + 2.0), params)
-        qm, q0, qp = q[:, :-2], q[:, 1:-1], q[:, 2:]
         lhs = b * qp - (b + d) * q0 + d * qm
         rhs = lam * q0
         scale = np.fmax(
@@ -187,7 +187,8 @@ def check_parseval(params: HahnParams) -> CheckResult:
     """Full-degree coefficient energy equals the weighted norm of u."""
     (u,) = _random_grid_functions(params, 1)
     c = project(u, params.N).coeffs
-    lhs = math.fsum(c * c)
+    # squares of Python floats pass the double range to inf silently
+    lhs = math.fsum([v * v for v in c.tolist()])
     rhs = inner_product(u, u)
     return CheckResult("parseval", abs(lhs - rhs) / rhs, 1e-8)
 

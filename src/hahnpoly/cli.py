@@ -273,14 +273,14 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
             raise click.UsageError(f"bad point list {points!r}")
         if not all(map(math.isfinite, xs)):
             raise click.UsageError(f"points must be finite, got {points!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
-        if normalized:
-            # the norm's exact products only for a Q_n that is finite
-            norm = math.sqrt(norm_sq_closed(degree, p))
-            if norm == math.inf:
-                raise DomainError(f"norm of Q_{degree} is not finite in double precision")
-            vals = _finite_values(degree, xs, vals / norm)
+    vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
+    if normalized:
+        # the norm's exact products only for a Q_n that is finite
+        norm = math.sqrt(norm_sq_closed(degree, p))
+        if norm == math.inf:
+            raise DomainError(f"norm of Q_{degree} is not finite in double precision")
+        # Python floats: a quotient past the double range is inf, silently
+        vals = _finite_values(degree, xs, np.array([v / norm for v in vals.tolist()]))
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")

@@ -90,14 +90,17 @@ def l_disk_apply(u: GridFunction) -> GridFunction:
     Flux at x = 0 vanishes because D(0) = 0, and flux at x = N+1 vanishes
     because w(N+1) = 0 by convention, so no off-grid value of u is ever
     read.  The orthonormal basis functions satisfy L Q~_n = -lam_n Q~_n.
+    A value past the double range is inf or nan, with no warning, as
+    Python floats give it; callers refuse or fail on it.
     """
     p = u.params
     hb = basis(p)
     w = hb.weights
     # flux[i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; flux[0] = flux[N+1] = 0
     flux = np.zeros(p.N + 2)
-    flux[1 : p.N + 1] = -hb.d[1:] * w[1:] * np.diff(u.values)
-    return GridFunction(p, (flux[1:] - flux[:-1]) / w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux[1 : p.N + 1] = -hb.d[1:] * w[1:] * np.diff(u.values)
+        return GridFunction(p, (flux[1:] - flux[:-1]) / w)
 
 
 def l_disk_power(u: GridFunction, k: int) -> GridFunction:

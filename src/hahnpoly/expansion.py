@@ -208,7 +208,9 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     and the defect of the identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled
     by ||L^k u||_w.  The operator bound is a hard inequality; the
     degree-only bound is reported for reference and not asserted here.
-    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision.
+    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision;
+    `l_disk_apply` passes the double range silently, and the overflow is
+    found here.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
@@ -224,8 +226,7 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     _check_degree(n_range, p)
     coeffs = project(u, top).coeffs
     lams = basis(p).lam.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        lku = l_disk_power(u, k)
+    lku = l_disk_power(u, k)
     try:
         # math.fsum and float ** int raise where a result leaves the double range
         s_k = math.sqrt(inner_product(lku, lku)) if np.isfinite(lku.values).all() else math.nan

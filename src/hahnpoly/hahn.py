@@ -7,9 +7,10 @@ leading digit at the grid ends, while the compensated one stays near
 1e-14 relative.  The recurrence takes an array of points; its dd
 operations are elementwise float arithmetic, which numpy rounds as Python
 floats do, so every point equals a call with that point alone, to the
-bit.  A sweep is one call of the fused kernel
+bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
 `_compensated.dd_three_term_sweep`, which reads the Dekker splits of the
-family's step coefficients from its `HahnBasis.steps`.  The terminating
+family's step coefficients from its `HahnBasis.steps`; it passes the
+double range to inf or nan silently, as Python floats do.  The terminating
 series `hahn_eval_series`, also in dd, stays a tested public function of
 one degree and one point, but no other code calls it: `verify`'s
 independent reference is the exact oracle (`oracle_exact`).
@@ -164,13 +165,12 @@ class HahnBasis:
         grid from N = _GRID_ARRAY_N up, one sweep per point below (the
         faster build each side), with the same bits, up to a NaN's sign.
         The weights are read first: a family they refuse is refused before
-        the sweeps and the exact norm products."""
+        the sweeps and the exact norm products.  An entry past the double
+        range is inf or nan, silently, as `hahn_eval_all` gives it."""
         p = self.params
         self.weights
         if p.N >= _GRID_ARRAY_N:
-            # numpy warns of overflows that Python floats pass silently
-            with np.errstate(over="ignore", invalid="ignore"):
-                mat = hahn_eval_all(p.N, p.grid(), p)
+            mat = hahn_eval_all(p.N, p.grid(), p)
         else:
             mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
         mat /= self.sqrt_norms[:, None]
@@ -244,48 +244,41 @@ def hahn_eval_series(n: int, x: float, params: HahnParams) -> float:
     )
 
 
-def _recurrence_sweep(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
-    """Q_0(x) .. Q_m(x) from one upward double-double sweep, each rounded
-    to a double; shape (m+1,) + shape(x).
+def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
+    """Q_0(x) .. Q_m(x) from one upward double-double recurrence sweep,
+    each rounded to a double (cheaper than m+1 calls); the one forward
+    sweep of the package.
 
-    Every dd operation is elementwise float arithmetic, so an array x
-    sweeps all its points at once with exactly the rounding of a sweep
-    per point.  Q_0 and Q_1 seed one call of the kernel
+    x is a float or an array of points; the result has shape
+    (m+1,) + shape(x).  Every dd operation is elementwise float
+    arithmetic, so each point's values equal those of a call with that
+    point alone, bit for bit.  Q_0 and Q_1 seed one call of the kernel
     `_compensated.dd_three_term_sweep` over the family's first m-1 step
-    rows; a sweep of degree 1 or less does not read the steps.
+    rows; a sweep of degree 1 or less does not read the steps.  A value
+    past the double range is inf or nan, with no warning, as Python
+    floats give it; callers refuse or fail on it.
     """
+    _check_degree(m, params)
     out = np.empty((m + 1,) + np.shape(x))
     out[0] = 1.0
     if m == 0:
         return out
     a, N = params.alpha, params.N
-    # Q_1 = 1 - (alpha+beta+2) x / ((alpha+1) N), the n = 1 series closed form
-    ab = dd.two_sum(a, params.beta)
-    t = dd.dd_mul_d(dd.dd_add(ab, dd.dd_from(2.0)), x)
-    t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
-    cur = dd.dd_sub(dd.dd_from(1.0), t)
-    out[1] = cur[0] + cur[1]
-    if m > 1:
-        dd.dd_three_term_sweep(basis(params).steps[: m - 1], x, cur, dd.dd_from(1.0), out[2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Q_1 = 1 - (alpha+beta+2) x / ((alpha+1) N), the n = 1 series closed form
+        ab = dd.two_sum(a, params.beta)
+        t = dd.dd_mul_d(dd.dd_add(ab, dd.dd_from(2.0)), x)
+        t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
+        cur = dd.dd_sub(dd.dd_from(1.0), t)
+        out[1] = cur[0] + cur[1]
+        if m > 1:
+            dd.dd_three_term_sweep(basis(params).steps[: m - 1], x, cur, dd.dd_from(1.0), out[2:])
     return out
 
 
 def hahn_eval_recurrence(n: int, x: float, params: HahnParams) -> float:
-    """Q_n(x) from the three-term recurrence, seeded with Q_0 = 1 and the
-    degree-one closed form."""
-    _check_degree(n, params)
-    return float(_recurrence_sweep(n, x, params)[n])
-
-
-def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
-    """Q_0(x) .. Q_m(x) in one recurrence sweep (cheaper than m+1 calls).
-
-    x is a float or an array of points; the result has shape
-    (m+1,) + shape(x), and each point's values equal those of a call with
-    that point alone, bit for bit.
-    """
-    _check_degree(m, params)
-    return _recurrence_sweep(m, x, params)
+    """Q_n(x) at one point: the last value of `hahn_eval_all`."""
+    return float(hahn_eval_all(n, x, params)[n])
 
 
 def weight_table(params: HahnParams) -> np.ndarray:

@@ -21,6 +21,7 @@ from hahnpoly.checks import (
     check_recurrence_identity,
     run_all,
 )
+from hahnpoly.errors import HahnPolyError
 from hahnpoly.hahn import HahnParams, basis, hahn_eval_recurrence
 from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
 
@@ -281,9 +282,35 @@ def test_exact_values_past_double_range_fail_the_checks():
 def test_operator_symmetry_fails_on_mixed_infinities():
     # at N = 60, beta = 10^6.5, L u overflows to both infinities, and the
     # inner product of mixed infinities has no value: the check fails on
-    # it instead of raising (l_disk_apply's overflow warnings are expected)
+    # it instead of raising, and l_disk_apply overflows without a warning
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         r = checks.check_operator_symmetry(HahnParams(0.0, 3162277.6601683795, 60))
     assert math.isnan(r.value)
     assert not r.passed
+
+
+# The exponent lattice of the domain scan, every family at N in {30, 60,
+# 100}, and (0, 10^6.5), where L u overflows to both infinities.  At
+# N = 200: the diagonal, three cells whose squared coefficients pass the
+# double range, and (0, 1e3), whose norms do.
+LATTICE = (-0.999, -0.5, 0.0, 3.0, 50.0, 1e3, 1e6, 1e12)
+LATTICE_CELLS = (
+    [(a, b, N) for N in (30, 60, 100) for a in LATTICE for b in LATTICE]
+    + [(0.0, 10 ** 6.5, N) for N in (30, 60, 100)]
+    + [(a, a, 200) for a in LATTICE]
+    + [(1e3, -0.999, 200), (1e3, 0.0, 200), (1e3, 50.0, 200), (0.0, 1e3, 200)]
+)
+
+
+@pytest.mark.parametrize("alpha,beta,N", LATTICE_CELLS)
+def test_run_all_on_the_lattice_rows_or_refusal(alpha, beta, N):
+    # every cell gives its rows or a named refusal, with no numpy warning:
+    # a value past the double range is inf or nan, and its check fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = run_all(HahnParams(alpha, beta, N))
+        except HahnPolyError:
+            return
+    assert all(math.isfinite(r.value) or not r.passed for r in rows)

@@ -475,6 +475,27 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command,code,line", [
+    ("verify --alpha 1e6 --beta 0 --N 60", 4, "11 check(s) failed"),
+    ("verify --alpha 1000 --beta 3 --N 200", 4, "5 check(s) failed"),
+    ("verify --alpha 0 --beta 3162277.6601683795 --N 60", 3,
+     "error: norm of Q_1 is not finite in double precision"),
+    # the division by the norm overflows: quietly, and the value is refused
+    ("eval --alpha -0.999 --beta -0.999 --N 30 --n 1 --points 1e308", 3,
+     "error: Q_1(1e+308) is not finite in double precision"),
+])
+def test_overflow_under_warnings_as_errors(command, code, line):
+    # a fresh `python -W error`: the sweep, L u, the squared coefficients
+    # and the quotient by the norm pass the double range without a numpy
+    # warning, and the command ends in its one stderr line
+    src = str(Path(hahnpoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "hahnpoly.cli", *command.split()],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == code
+    assert out.stderr == line + "\n"
+
+
 @pytest.mark.parametrize("command,k", [
     ("project --alpha 0 --beta 1000 --N 200 --m 84", 84),
     ("eval --alpha 0 --beta 1000 --N 200 --n 150 --points 0.5,3", 150),
