@@ -13,9 +13,17 @@ upward recurrence that gives Q_0(x) .. Q_m(x), and `dd_clenshaw_sweep`,
 Clenshaw's backward recurrence that gives sum_n k_n Q_n(x) without
 forming the Q_n.  `split` and `two_prod` scale an operand above 2^996
 before splitting it; the kernels split inline and do not.
+
+Every exact sum in the package is `exact_sum`, the one owner of what a
+sum is when it has no double value: +-inf past the double range, NaN for
+-inf + inf or a NaN term, as Python float arithmetic gives them.  Its
+exact rounding, `_quotient`, also rounds the exact norms and the oracle's
+ratios.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +35,41 @@ _SPLIT_DOWN = 2.0**-28
 _SPLIT_UP = 2.0**28
 
 DD = tuple[float, float]
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once to a double, for den > 0.  Int true division
+    rounds correctly, as float(Fraction) does; past the double range it
+    raises OverflowError, and the value is read as inf with the sign of
+    num: a norm is then inf, and an exact check value fails its check."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def exact_sum(terms: list[float]) -> float:
+    """The exact sum of a list of floats, rounded once: +-inf past the
+    double range, NaN for -inf + inf or a NaN term, whatever the order of
+    the terms.  `math.fsum` (Shewchuk, 1997) gives it wherever it returns.
+    It refuses -inf + inf with ValueError, and it raises OverflowError
+    whenever a running partial sum leaves the double range, even where the
+    total does not.  There the infinite terms decide, if there are any;
+    otherwise the terms are summed as Fractions and rounded once."""
+    try:
+        return math.fsum(terms)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        pass
+    special = [t for t in terms if not math.isfinite(t)]
+    if special:
+        # only +-inf and NaN: fsum cannot overflow on these
+        return exact_sum(special)
+    from fractions import Fraction
+
+    total = sum(map(Fraction, terms))
+    return _quotient(total.numerator, total.denominator)
 
 
 def two_sum(a: float, b: float) -> DD:

@@ -24,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._compensated import _quotient, exact_sum
 from .discrete_calculus import GridFunction, l_disk_apply, sbp_residual
 from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
-from .hahn import HahnParams, _quotient, basis, hahn_eval_all, normalized_grid_matrix
+from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
 
 DEFAULT_SEED = 20240901
 DEGREE_CAP = 20
@@ -188,7 +189,7 @@ def check_parseval(params: HahnParams) -> CheckResult:
     (u,) = _random_grid_functions(params, 1)
     c = project(u, params.N).coeffs
     # squares of Python floats pass the double range to inf silently
-    lhs = math.fsum([v * v for v in c.tolist()])
+    lhs = exact_sum([v * v for v in c.tolist()])
     rhs = inner_product(u, u)
     return CheckResult("parseval", abs(lhs - rhs) / rhs, 1e-8)
 

@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._compensated import exact_sum
 from .checks import run_all
 from .discrete_calculus import GridFunction
 from .errors import DomainError, HahnPolyError
@@ -237,8 +238,10 @@ def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
     """Tabulate the weight w(x) on the grid."""
     p = _vetted(HahnParams, alpha, beta, grid_n)
     w = basis(p).weights
-    lines = _header("weights", alpha=alpha, beta=beta, N=grid_n,
-                    total=_fmt(math.fsum(w)))
+    total = exact_sum(w.tolist())
+    if not math.isfinite(total):
+        raise DomainError("weight total is not finite in double precision")
+    lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total=_fmt(total))
     lines.append("x,weight")
     lines += [f"{x},{_fmt(w[x])}" for x in range(p.N + 1)]
     _emit(lines, out)

@@ -10,12 +10,12 @@ index bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._compensated import exact_sum
 from .errors import DomainError, LengthMismatchError, TooShortError
 from .hahn import HahnParams, basis
 
@@ -120,11 +120,13 @@ def sbp_residual(f: GridFunction, g: GridFunction) -> float:
             = f(N+1) g(N+1) - f(0) g(0) - sum_{i=0}^{N} g(i+1) Delta f(i).
 
     The identity involves values one past the grid; f(N+1) = g(N+1) = 0,
-    the convention that also sets w(N+1) = 0.
+    the convention that also sets w(N+1) = 0.  Both sums are exact
+    (`exact_sum`), so a sum with no double value is inf or nan and the
+    residual with it.
     """
     _same_grid(f, g)
     fv = np.append(f.values, 0.0)
     gv = np.append(g.values, 0.0)
-    lhs = math.fsum(fv[:-1] * np.diff(gv))
-    rhs = -fv[0] * gv[0] - math.fsum(gv[1:] * np.diff(fv))
+    lhs = exact_sum((fv[:-1] * np.diff(gv)).tolist())
+    rhs = -fv[0] * gv[0] - exact_sum((gv[1:] * np.diff(fv)).tolist())
     return abs(lhs - rhs)

@@ -10,6 +10,9 @@ Q_n, the convention usually seen next to Legendre series.  Either way
 a degree whose norm ||Q_k|| is past the double range has no double
 orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
+Every exact sum here is `_compensated.exact_sum`, the package's one rule
+for a sum with no double value.
+
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
 orthonormal coefficients.  Everywhere else the whole series is summed in
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compensated import dd_clenshaw_sweep, dd_div, two_prod
+from ._compensated import dd_clenshaw_sweep, dd_div, exact_sum, two_prod
 from .discrete_calculus import GridFunction, l_disk_power
 from .errors import (
     DegenerateIntervalError,
@@ -125,34 +128,33 @@ BOUND_SLACK = 1e-8
 def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Weighted inner product sum_x f(x) g(x) w(x), w the family's weight.
 
-    The products are split error-free before the exact sum, so the only
-    rounding left is the final one; orthogonality residuals then sit at
-    the level of the stored values' own accuracy, not the term sizes.
+    The products are split error-free, all grid points at once, before
+    the exact sum (`exact_sum`), so the only rounding left is the final
+    one; orthogonality residuals then sit at the level of the stored
+    values' own accuracy, not the term sizes.  A product past the double
+    range is inf or nan, with no warning, and so is the sum: -inf + inf
+    has no value, so a check fails on it.
     """
     if f.params != g.params:
         raise LengthMismatchError("inner product needs matching grids")
-    parts: list[float] = []
-    for fv, gv, wv in zip(f.values, g.values, basis(f.params).weights):
-        hi, lo = two_prod(float(fv), float(gv))
-        hi2, lo2 = two_prod(hi, float(wv))
-        parts.append(hi2)
-        parts.append(lo2 + lo * float(wv))
-    try:
-        return math.fsum(parts)
-    except ValueError:
-        # fsum refuses -inf + inf; the sum has no value, so a check fails on it
-        return math.nan
+    w = basis(f.params).weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = two_prod(f.values, g.values)
+        hi2, lo2 = two_prod(hi, w)
+        return exact_sum(hi2.tolist() + (lo2 + lo * w).tolist())
 
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
-    """Projection coefficients of u for degrees 0..m; `normalized_grid_matrix`
-    raises DegreeOutOfRangeError for m outside 0..N."""
+    """Projection coefficients of u for degrees 0..m, each the exact sum
+    (`exact_sum`) of a grid row times u w, rounded once;
+    `normalized_grid_matrix` raises DegreeOutOfRangeError for m outside
+    0..N."""
     p = u.params
     qmat = normalized_grid_matrix(m, p)
     wu = u.values * basis(p).weights
-    # one row at a time: fsum reads a list far faster than numpy scalars,
+    # one row at a time: a list sums far faster than numpy scalars,
     # and a whole-matrix list would cost memory for no gain
-    coeffs = np.array([math.fsum((qmat[n] * wu).tolist()) for n in range(m + 1)])
+    coeffs = np.array([exact_sum((qmat[n] * wu).tolist()) for n in range(m + 1)])
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
@@ -163,7 +165,7 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     each point of an array x.
 
     A point that is an exact integer k in 0..N takes the exact sum
-    (math.fsum) of the products of `basis(p).grid` column k with the
+    (`exact_sum`) of the products of `basis(p).grid` column k with the
     orthonormal coefficients, rounded once; classical coefficients are
     converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
     whose weights are refused is refused there, by the grid.  Every other
@@ -185,7 +187,7 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     if nodes:
         grid = b.grid[: m + 1]
         u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
-        out[nodes] = [math.fsum((grid[:, int(flat[i])] * u).tolist()) for i in nodes]
+        out[nodes] = [exact_sum((grid[:, int(flat[i])] * u).tolist()) for i in nodes]
     if off:
         k = (c.coeffs, np.zeros(m + 1))
         if c.normalized:
@@ -209,8 +211,9 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     by ||L^k u||_w.  The operator bound is a hard inequality; the
     degree-only bound is reported for reference and not asserted here.
     DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision;
-    `l_disk_apply` passes the double range silently, and the overflow is
-    found here.
+    `l_disk_apply` passes the double range silently, and `inner_product`
+    carries a non-finite value of L^k u into ||L^k u||_w, where the
+    overflow is found.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
@@ -228,8 +231,8 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     lams = basis(p).lam.tolist()
     lku = l_disk_power(u, k)
     try:
-        # math.fsum and float ** int raise where a result leaves the double range
-        s_k = math.sqrt(inner_product(lku, lku)) if np.isfinite(lku.values).all() else math.nan
+        # float ** int raises past the double range, math.sqrt below zero
+        s_k = math.sqrt(inner_product(lku, lku))
         powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
     except (OverflowError, ValueError):
         s_k = math.nan

@@ -286,17 +286,6 @@ def weight_table(params: HahnParams) -> np.ndarray:
     return _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
 
 
-def _quotient(num: int, den: int) -> float:
-    """num / den rounded once to a double, for den > 0.  Int true division
-    rounds correctly, as float(Fraction) does; past the double range it
-    raises OverflowError, and the value is read as inf with the sign of
-    num: a norm is then inf, and an exact check value fails its check."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarray:
     """Squared weighted norm of Q_n, the closed form
 
@@ -331,7 +320,7 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     s = a + b
     num = math.prod(s + (2 + j) * D for j in range(N))
     den = D**N * math.factorial(N)
-    norms = [_quotient(num, den)]
+    norms = [dd._quotient(num, den)]
     for k in range(1, max(degrees, default=0) + 1):
         if k == 1:
             num *= (s + (N + 2) * D) * (b + D)
@@ -339,7 +328,7 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
         else:
             num *= (s + (k + N + 1) * D) * (s + (2 * k - 1) * D) * (b + k * D) * k
             den *= (s + k * D) * (s + (2 * k + 1) * D) * (a + k * D) * (N - k + 1)
-        norms.append(_quotient(num, den))
+        norms.append(dd._quotient(num, den))
     if np.ndim(n):
         return np.array([norms[k] for k in degrees]).reshape(np.shape(n))
     return norms[n]

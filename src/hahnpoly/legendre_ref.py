@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._compensated import exact_sum
 from .errors import ConvergenceFailureError, DomainError
 
 _MAX_DEGREE = 200
@@ -112,14 +113,17 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     per point count and cached.
 
     The extra points put the quadrature error well below the coefficient
-    sizes for the smooth integrands used here.
+    sizes for the smooth integrands used here.  f is called on Python
+    floats, so a value past the double range is inf without a warning;
+    each coefficient is an exact sum (`exact_sum`) rounded once, so such a
+    value makes it inf or nan.
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
         raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
     rule = _cached_rule(m + 20)
-    wf = rule.weights * np.array([f(t) for t in rule.nodes])
+    wf = rule.weights * np.array([f(t) for t in rule.nodes.tolist()])
     pvals = _legendre_sweep(m, rule.nodes)
     out = np.empty(m + 1)
     for n in range(m + 1):
-        out[n] = (2 * n + 1) / 2.0 * math.fsum((wf * pvals[n]).tolist())
+        out[n] = (2 * n + 1) / 2.0 * exact_sum((wf * pvals[n]).tolist())
     return out

@@ -77,3 +77,28 @@ def test_imports_only_declared_dependencies():
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
                 assert not name.startswith(refused), (path.name, name)
+
+
+def test_fsum_is_called_only_by_exact_sum():
+    # a bare math.fsum raises on -inf + inf, and on a partial sum past the
+    # double range depending on term order; `_compensated.exact_sum` owns
+    # what such a sum is, so no other code in src/ may call fsum
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        math_names = {alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.Import)
+                      for alias in node.names if alias.name == "math"}
+        owner = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "exact_sum"
+                 and path.name == "_compensated.py"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                hit = any(alias.name in ("fsum", "*") for alias in node.names)
+            else:
+                hit = (isinstance(node, ast.Attribute) and node.attr == "fsum"
+                       and isinstance(node.value, ast.Name) and node.value.id in math_names)
+            if hit:
+                calls.append((path.name, node.lineno))
+                assert any(a <= node.lineno <= b for a, b in owner), (path.name, node.lineno)
+    assert [name for name, _ in calls] == ["_compensated.py"]

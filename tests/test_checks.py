@@ -291,13 +291,15 @@ def test_operator_symmetry_fails_on_mixed_infinities():
 
 
 # The exponent lattice of the domain scan, every family at N in {30, 60,
-# 100}, and (0, 10^6.5), where L u overflows to both infinities.  At
-# N = 200: the diagonal, three cells whose squared coefficients pass the
-# double range, and (0, 1e3), whose norms do.
+# 100}, and (0, 10^6.5), where L u overflows to both infinities, as it
+# does for its mirrors (10^6.5, beta) at N = 60.  At N = 200: the
+# diagonal, three cells whose squared coefficients pass the double range,
+# and (0, 1e3), whose norms do.
 LATTICE = (-0.999, -0.5, 0.0, 3.0, 50.0, 1e3, 1e6, 1e12)
 LATTICE_CELLS = (
     [(a, b, N) for N in (30, 60, 100) for a in LATTICE for b in LATTICE]
     + [(0.0, 10 ** 6.5, N) for N in (30, 60, 100)]
+    + [(10 ** 6.5, b, 60) for b in (-0.5, 0.0, 3.0, 1e3)]
     + [(a, a, 200) for a in LATTICE]
     + [(1e3, -0.999, 200), (1e3, 0.0, 200), (1e3, 50.0, 200), (0.0, 1e3, 200)]
 )

@@ -483,17 +483,31 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
     # the division by the norm overflows: quietly, and the value is refused
     ("eval --alpha -0.999 --beta -0.999 --N 30 --n 1 --points 1e308", 3,
      "error: Q_1(1e+308) is not finite in double precision"),
+    # L u overflows to both infinities: its projection is NaN, and the
+    # decay check refuses ||L u||
+    ("verify --alpha 3162277.6601683795 --beta 0 --N 60", 3,
+     "error: L^k u, ||L^k u||_w or lam_n^k overflows double precision at k=1"),
+    # every weight is finite, their sum is not
+    ("weights --alpha 115478198468.94582 --beta 115478198468.94582 --N 30", 3,
+     "error: weight total is not finite in double precision"),
+    # the Legendre sums pass the double range first, as inf or nan
+    ("compare-legendre --N 6 --m 3 --fn poly:1e308,0,1e308", 3,
+     "error: sample at grid index 0 is not finite: inf"),
+    ("compare-legendre --N 6 --m 3 --fn poly:0,1e308,0,1e308", 3,
+     "error: sample at grid index 0 is not finite: -inf"),
 ])
 def test_overflow_under_warnings_as_errors(command, code, line):
-    # a fresh `python -W error`: the sweep, L u, the squared coefficients
-    # and the quotient by the norm pass the double range without a numpy
-    # warning, and the command ends in its one stderr line
+    # a fresh `python -W error`: the sweep, L u, the squared coefficients,
+    # the quotient by the norm and the exact sums pass the double range
+    # without a numpy warning or a traceback, and the command ends in its
+    # one stderr line; a refused command prints no table
     src = str(Path(hahnpoly.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-W", "error", "-m", "hahnpoly.cli", *command.split()],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == code
     assert out.stderr == line + "\n"
+    assert (out.stdout == "") == (code == 3)
 
 
 @pytest.mark.parametrize("command,k", [

@@ -1,8 +1,12 @@
 """The fused double-double sweeps against the compositions of dd
 primitives they replace, compared bit for bit on the recurrence's own
-values, and the scaled split of operands past 2^996."""
+values, the scaled split of operands past 2^996, and the one exact-sum
+rule, `exact_sum`."""
 
+import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -151,3 +155,65 @@ def test_split_past_2_996_is_scaled():
             assert all(math.ldexp(math.frexp(q)[0], 26).is_integer() for q in (hi, lo))
         p, e = dd.two_prod(v, 1e-10)
         assert Fraction(p) + Fraction(e) == Fraction(v) * Fraction(1e-10)
+
+
+INF, NAN = math.inf, math.nan
+
+
+# fsum raises OverflowError on [1e308, 1e308, -1e308] and returns 1e308 on
+# [1e308, -1e308, 1e308]; the rule gives 1e308 in every order
+@pytest.mark.parametrize("terms,want", [
+    *[(list(terms), 1e308) for terms in itertools.permutations([1e308, 1e308, -1e308])],
+    ([1e308, 1e308], INF),
+    ([-1e308, -1e308], -INF),
+    ([INF, -INF], NAN),
+    ([1e308, 1e308, INF, -INF], NAN),
+    ([1e308, 1e308, -INF], -INF),
+    ([NAN, 1.0], NAN),
+    ([1e308, 1e308, -1e308, -1e308, 1e-300], 1e-300),
+    ([], 0.0),
+])
+def test_exact_sum_rule_cases(terms, want):
+    # fsum returns only on four of the orders, [nan, 1.0] and []; the rule
+    # gives the exact sum rounded once, +-inf past the range, NaN for
+    # -inf + inf or a NaN term
+    got = dd.exact_sum(terms)
+    assert math.isnan(got) if math.isnan(want) else _bits(got) == _bits(want)
+
+
+def _seeded_terms(rng):
+    # lists of mixed sizes, subnormals and terms near the double range's
+    # end, so that partial sums often overflow
+    out = []
+    for _ in range(rng.randrange(0, 12)):
+        kind = rng.random()
+        if kind < 0.3:
+            v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-20, 21)
+        elif kind < 0.5:
+            v = rng.uniform(0.5, 1.0) * sys.float_info.max
+        elif kind < 0.6:
+            v = rng.randrange(1, 1 << 20) * 5e-324
+        elif kind < 0.7:
+            v = rng.choice(out) if out else 0.0
+        else:
+            v = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(290, 309)
+        out.append(-v if rng.random() < 0.5 else v)
+    return out
+
+
+def test_exact_sum_is_fsum_where_fsum_returns():
+    # bit for bit against fsum where it returns; where it overflows, the
+    # exact Fraction sum rounded once, the same in every order
+    rng = random.Random(20261018)
+    returned = 0
+    for _ in range(3000):
+        terms = _seeded_terms(rng)
+        try:
+            want = math.fsum(terms)
+            returned += 1
+        except OverflowError:
+            want = dd._quotient(*sum(map(Fraction, terms)).as_integer_ratio())
+        assert _bits(dd.exact_sum(terms)) == _bits(want), terms
+        rng.shuffle(terms)
+        assert _bits(dd.exact_sum(terms)) == _bits(want), terms
+    assert returned >= 1000

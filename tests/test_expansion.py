@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,68 @@ def test_inner_product_unit_weight_counts_points():
     p = HahnParams(0.0, 0.0, 30)
     one = GridFunction(p, np.ones(31))
     assert inner_product(one, one) == 31.0
+
+
+def _inner_product_loop(f, g):
+    # the reference route: two_prod on Python floats one grid point at a
+    # time, the parts in point order, and fsum's refusal of -inf + inf as NaN
+    parts = []
+    for fv, gv, wv in zip(f.values.tolist(), g.values.tolist(), basis(f.params).weights.tolist()):
+        hi, lo = dd.two_prod(fv, gv)
+        hi2, lo2 = dd.two_prod(hi, wv)
+        parts += [hi2, lo2 + lo * wv]
+    try:
+        return math.fsum(parts)
+    except ValueError:
+        return math.nan
+
+
+def _seeded_pair(kind, rng, w):
+    # f and g on one grid of weights w; "huge" products reach 1.7e308 / k
+    # for a random k in 1..n, so that some partial sums pass the double range
+    n = len(w)
+    f, g = rng.standard_normal(n), rng.standard_normal(n)
+    if kind == "inf":
+        f[rng.integers(0, n, 2)] = rng.choice([math.inf, -math.inf], 2)
+    elif kind == "nan":
+        g[rng.integers(0, n)] = math.nan
+    elif kind == "subnormal":
+        f = rng.integers(-(1 << 20), 1 << 20, n) * 5e-324
+    elif kind == "huge":
+        f = rng.uniform(-1.0, 1.0, n) * (1.7e308 / rng.integers(1, n + 1))
+        g = rng.uniform(-1.0, 1.0, n) / w
+    elif kind == "mixed":
+        f *= 10.0 ** rng.integers(-160, 155, n)
+        g *= 10.0 ** rng.integers(-160, 155, n)
+    elif kind == "zeros":
+        f = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return f, g
+
+
+@pytest.mark.parametrize("alpha,beta,N", [
+    (0.0, 0.0, 12), (0.5, 0.5, 30), (5.0, 0.0, 30), (-0.5, 3.0, 60),
+    (-0.999, 50.0, 30), (1e3, 0.0, 100),
+])
+def test_inner_product_equals_point_loop_bit_for_bit(alpha, beta, N):
+    # the array products and the one exact sum against the per-point loop,
+    # wherever the loop returns; NaN counts as NaN
+    p = HahnParams(alpha, beta, N)
+    w = basis(p).weights
+    rng = np.random.default_rng(N)
+    for kind in ("normal", "inf", "nan", "subnormal", "huge", "mixed", "zeros"):
+        for _ in range(10):
+            f, g = (GridFunction(p, v) for v in _seeded_pair(kind, rng, w))
+            try:
+                want = _inner_product_loop(f, g)
+            except OverflowError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = inner_product(f, g)
+            if math.isnan(want):
+                assert math.isnan(got), kind
+            else:
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), kind
 
 
 def test_inner_product_mismatch():
