@@ -11,6 +11,11 @@ field named, before any computation starts; an --out path that cannot be
 written is found only after computing, and is reported in one line with
 the OS reason); 3 for domain errors raised by the library during
 computation; 4 when a verified invariant fails.
+
+Every command is registered through one contract (`_contract`): its body
+returns the table, and the contract owns --out and exit codes 3 and 4.
+A table that would exit 0 with an inf or nan cell exits 3 instead, with
+one line naming the cell's column and row, and nothing is written.
 """
 
 from __future__ import annotations
@@ -53,12 +58,9 @@ def _parse_fn(text: str) -> tuple[str, Fn]:
     if text == "runge":
         return "runge", lambda t: 1.0 / (1.0 + 25.0 * t * t)
     if text.startswith("poly:"):
-        try:
-            cs = [float(c) for c in text[len("poly:"):].split(",") if c != ""]
-        except ValueError:
-            raise click.UsageError(f"bad polynomial spec {text!r}")
-        if not cs:
-            raise click.UsageError(f"bad polynomial spec {text!r}")
+        # empty entries are skipped; none left is a bad spec
+        cs = _listed(",".join(c for c in text[len("poly:"):].split(",") if c), float,
+                     f"bad polynomial spec {text!r}")
         if not all(map(math.isfinite, cs)):
             raise click.UsageError(f"fn coefficients must be finite, got {text!r}")
 
@@ -78,6 +80,18 @@ def _parse_fn(text: str) -> tuple[str, Fn]:
 # exit with 3
 
 
+def _listed(text: str, kind: type, error: str, count: int | None = None) -> list:
+    """The comma-separated values of one flag, each read by `kind`; a value
+    it cannot read, or a count other than `count`, is the flag's `error`."""
+    try:
+        values = [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise click.UsageError(error)
+    if count not in (None, len(values)):
+        raise click.UsageError(error)
+    return values
+
+
 def _vetted(make: Callable, *args: object):
     """make(*args); a DomainError it raises is a flag value out of range,
     so a configuration error."""
@@ -90,41 +104,30 @@ def _vetted(make: Callable, *args: object):
 def _checked_families(text: str, grid_n: int) -> list[HahnParams]:
     families = []
     for chunk in text.split(";"):
-        try:
-            a, b = (float(s) for s in chunk.split(","))
-        except ValueError:
-            raise click.UsageError(f"bad parameter list {text!r}, expected a,b[;a,b...]")
+        a, b = _listed(chunk, float, f"bad parameter list {text!r}, expected a,b[;a,b...]", 2)
         families.append(_vetted(HahnParams, a, b, grid_n))
     return families
 
 
-def _checked_degree(m: int, grid_n: int) -> int:
+def _checked_degree(m: int, grid_n: int) -> None:
     if m < 0:
         raise click.UsageError(f"m must be nonnegative, got {m}")
     if m > grid_n:
         raise click.UsageError(f"m must not exceed N = {grid_n}, got {m}")
-    return m
 
 
 def _checked_interval(text: str, grid_n: int) -> IntervalMap:
-    try:
-        a, b = (float(s) for s in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad interval {text!r}, expected a,b")
+    a, b = _listed(text, float, f"bad interval {text!r}, expected a,b", 2)
     return _vetted(IntervalMap, a, b, grid_n)
 
 
-def _checked_samples(samples: int) -> int:
+def _checked_samples(samples: int) -> None:
     if samples < 2:
         raise click.UsageError(f"samples must be at least 2, got {samples}")
-    return samples
 
 
 def _checked_orders(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad order list {text!r}, expected k[,k...]")
+    ks = tuple(_listed(text, int, f"bad order list {text!r}, expected k[,k...]"))
     for k in ks:
         if k < 0:
             raise click.UsageError(f"k must be nonnegative, got {k}")
@@ -183,18 +186,6 @@ def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[Coefficien
     return ts, errors, lines
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except HahnPolyError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapped
-
-
 # each option that several commands take is declared once, here
 _grid_option = click.option("--N", "grid_n", type=int, default=30, show_default=True,
                             help="grid size; points are 0..N")
@@ -223,6 +214,45 @@ def _family_options(f):
     return _grid_option(f)
 
 
+def _require_finite(lines: list[str]) -> None:
+    """Refuse a table cell that reads inf or nan, naming its column and its
+    row's first cell; a column line follows each run of comment lines."""
+    names = None
+    for line in lines:
+        if line.startswith("#"):
+            names = None
+        elif names is None:
+            names = line.split(",")
+        elif "inf" in line or "nan" in line:
+            cells = line.split(",")
+            for name, cell in zip(names, cells):
+                if cell in ("inf", "-inf", "nan"):
+                    raise DomainError(f"{name} at {names[0]}={cells[0]} is not finite: {cell}")
+
+
+def _contract(body):
+    """Add --out to a command whose body returns its table lines, or
+    (lines, failure line) where it verifies an invariant; exit 3 on a
+    HahnPolyError or a non-finite cell, and 4 after the table on a failure."""
+
+    @functools.wraps(body)
+    def command(*args, out: str, **kwargs) -> None:
+        try:
+            result = body(*args, **kwargs)
+            lines, failure = result if isinstance(result, tuple) else (result, None)
+            if failure is None:
+                _require_finite(lines)
+        except HahnPolyError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+        _emit(lines, out)
+        if failure is not None:
+            click.echo(failure, err=True)
+            sys.exit(4)
+
+    return _out_option(command)
+
+
 @click.group()
 @click.version_option(__version__, prog_name="hahnpoly")
 def main() -> None:
@@ -232,9 +262,8 @@ def main() -> None:
 
 @main.command()
 @_family_options
-@_out_option
-@_guard
-def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
+@_contract
+def weights(alpha: float, beta: float, grid_n: int) -> list[str]:
     """Tabulate the weight w(x) on the grid."""
     p = _vetted(HahnParams, alpha, beta, grid_n)
     w = basis(p).weights
@@ -244,7 +273,7 @@ def weights(alpha: float, beta: float, grid_n: int, out: str) -> None:
     lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total=_fmt(total))
     lines.append("x,weight")
     lines += [f"{x},{_fmt(w[x])}" for x in range(p.N + 1)]
-    _emit(lines, out)
+    return lines
 
 
 def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray:
@@ -261,19 +290,15 @@ def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray
               help="comma-separated evaluation points; default is the grid 0..N")
 @click.option("--normalized", type=bool, default=True, show_default=True,
               help="divide by the weighted norm")
-@_out_option
-@_guard
+@_contract
 def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
-             points: str | None, normalized: bool, out: str) -> None:
+             points: str | None, normalized: bool) -> list[str]:
     """Evaluate one polynomial at chosen points."""
     p = _vetted(HahnParams, alpha, beta, grid_n)
     if points is None:
         xs = [float(i) for i in range(p.N + 1)]
     else:
-        try:
-            xs = [float(s) for s in points.split(",")]
-        except ValueError:
-            raise click.UsageError(f"bad point list {points!r}")
+        xs = _listed(points, float, f"bad point list {points!r}")
         if not all(map(math.isfinite, xs)):
             raise click.UsageError(f"points must be finite, got {points!r}")
     vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
@@ -288,7 +313,7 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
                     normalized=normalized)
     lines.append("x,value")
     lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
-    _emit(lines, out)
+    return lines
 
 
 @main.command("project")
@@ -303,11 +328,10 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
 @click.option("--pointwise", is_flag=True, default=False,
               help="append sampled reconstruction rows (t, target, approx, error)")
 @_samples_option
-@_out_option
-@_guard
+@_contract
 def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
                 interval: str, param_sets: str | None, normalized: bool,
-                pointwise: bool, samples: int, out: str) -> None:
+                pointwise: bool, samples: int) -> list[str]:
     """Projection coefficients of a sampled function."""
     label, fn = _parse_fn(fn_spec)
     if param_sets:
@@ -331,7 +355,7 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     if pointwise:
         lines.append("# pointwise reconstruction")
         lines += _pointwise(fn, imap, samples, vectors)[2]
-    _emit(lines, out)
+    return lines
 
 
 @main.command("decay")
@@ -340,10 +364,9 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
 @_orders_option
 @_fn_option
 @_interval_option
-@_out_option
-@_guard
+@_contract
 def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
-              fn_spec: str, interval: str, out: str) -> None:
+              fn_spec: str, interval: str) -> tuple[list[str], str | None]:
     """Coefficient decay report: |u_n| against its operator bounds.
 
     The operator bound is a mathematical guarantee; the command verifies
@@ -361,27 +384,18 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
                     fn=label, interval=f"{imap.a},{imap.b}")
     lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
-    rows = []
-    for k in ks:
-        rows += decay_report(u, k, range(1, top + 1))
-    for r in rows:
-        lines.append(
-            f"{r.k},{r.n},{_fmt(abs(r.coeff))},{_fmt(r.bound)},"
-            f"{_fmt(r.bound_degree_only)},{_fmt(r.identity_residual)}"
-        )
-    _emit(lines, out)
+    rows = [r for k in ks for r in decay_report(u, k, range(1, top + 1))]
+    lines += [f"{r.k},{r.n},{_fmt(abs(r.coeff))},{_fmt(r.bound)},"
+              f"{_fmt(r.bound_degree_only)},{_fmt(r.identity_residual)}" for r in rows]
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against
     # coefficients that carry the projection's rounding
     floor = (p.N + 1) * sys.float_info.epsilon * math.sqrt(inner_product(u, u))
     bad = [r for r in rows if abs(r.coeff) > r.bound * (1.0 + BOUND_SLACK) + floor]
-    if bad:
-        worst = max(bad, key=lambda r: abs(r.coeff) - r.bound)
-        click.echo(
-            f"bound violated at k={worst.k}, n={worst.n}: "
-            f"|coeff| {_fmt(abs(worst.coeff))} > bound {_fmt(worst.bound)}",
-            err=True,
-        )
-        sys.exit(4)
+    if not bad:
+        return lines, None
+    worst = max(bad, key=lambda r: abs(r.coeff) - r.bound)
+    return lines, (f"bound violated at k={worst.k}, n={worst.n}: "
+                   f"|coeff| {_fmt(abs(worst.coeff))} > bound {_fmt(worst.bound)}")
 
 
 @main.command("runge")
@@ -391,10 +405,9 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
 @_interval_option
 @click.option("--params", "param_sets", type=str, default="0,0;0.5,0.5;5,0",
               show_default=True, help="parameter sets a,b[;a,b...]")
-@_out_option
-@_guard
+@_contract
 def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
-              param_sets: str, out: str) -> None:
+              param_sets: str) -> list[str]:
     """Pointwise error of projections of 1/(1+25 t^2)."""
     families = _checked_families(param_sets, grid_n)
     imap = _checked_interval(interval, grid_n)
@@ -409,7 +422,7 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
         i = int(np.argmax(np.abs(err)))
         lines.append(f"# max_error_{p.alpha}_{p.beta}: {_fmt(abs(err[i]))} "
                      f"at t = {_fmt(ts[i])}")
-    _emit(lines + table, out)
+    return lines + table
 
 
 @main.command("compare-legendre")
@@ -417,10 +430,8 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
 @_top_option(10)
 @_fn_option
 @_interval_option
-@_out_option
-@_guard
-def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
-                         out: str) -> None:
+@_contract
+def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str) -> list[str]:
     """Hahn (0,0) coefficients next to continuum Legendre coefficients.
 
     The comparison column uses the classical convention both families
@@ -440,39 +451,33 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str,
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
                     interval=f"{imap.a},{imap.b}")
     lines.append("n,hahn_classical,hahn_normalized,legendre_classical")
-    for n in range(top + 1):
-        lines.append(
-            f"{n},{_fmt(classical[n])},{_fmt(normalized[n])},{_fmt(leg[n])}"
-        )
+    lines += [f"{n},{_fmt(classical[n])},{_fmt(normalized[n])},{_fmt(leg[n])}"
+              for n in range(top + 1)]
     soft = [n for n in range(5, top + 1, 2) if abs(classical[n]) > abs(leg[n])]
     if soft:
         click.echo(
             f"warning: Hahn coefficient above Legendre at odd degrees {soft}",
             err=True,
         )
-    _emit(lines, out)
+    return lines
 
 
 @main.command("verify")
 @_family_options
 @_orders_option
-@_out_option
-@_guard
-def verify_cmd(alpha: float, beta: float, grid_n: int, orders: str, out: str) -> None:
+@_contract
+def verify_cmd(alpha: float, beta: float, grid_n: int,
+               orders: str) -> tuple[list[str], str | None]:
     """Run the full invariant suite; nonzero exit if anything fails."""
     ks = _checked_orders(orders)
     p = _vetted(HahnParams, alpha, beta, grid_n)
     results = run_all(p, ks)
     lines = _header("verify", alpha=alpha, beta=beta, N=grid_n, k=orders)
     lines.append("check,value,tol,status")
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        lines.append(f"{r.name},{_fmt(r.value)},{_fmt(r.tol)},{status}")
-    _emit(lines, out)
+    lines += [f"{r.name},{_fmt(r.value)},{_fmt(r.tol)},{'pass' if r.passed else 'FAIL'}"
+              for r in results]
     bad = [r for r in results if not r.passed]
-    if bad:
-        click.echo(f"{len(bad)} check(s) failed", err=True)
-        sys.exit(4)
+    return lines, f"{len(bad)} check(s) failed" if bad else None
 
 
 if __name__ == "__main__":

@@ -102,3 +102,22 @@ def test_fsum_is_called_only_by_exact_sum():
                 calls.append((path.name, node.lineno))
                 assert any(a <= node.lineno <= b for a, b in owner), (path.name, node.lineno)
     assert [name for name, _ in calls] == ["_compensated.py"]
+
+
+def test_cli_exits_only_through_the_contract():
+    # a command that exits by itself would skip --out, the finite rule or
+    # the one-line error: exit code 2 belongs to _emit, 3 and 4 to the
+    # contract, and every registered command is the contract's wrapper
+    from hahnpoly import cli
+
+    exits = []
+    for top in ast.parse((SRC / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("exit", "SystemExit"):
+                    exits.append((getattr(top, "name", None), ast.literal_eval(node.args[0])))
+    assert sorted(exits) == [("_contract", 3), ("_contract", 4), ("_emit", 2)]
+    wrapper = cli._contract(lambda: []).__code__
+    for command in cli.main.commands.values():
+        assert command.callback.__code__ is wrapper, command.name

@@ -221,6 +221,18 @@ CONFIG_ERRORS = {
         "interval must satisfy a < b with N (b - a) finite, got 3.0,3.0",
     "weights --N 0": "N must be in 1..200, got 0",
     "verify --alpha -1.5": "alpha must be finite and greater than -1, got -1.5",
+    # every message of a comma-list flag, recorded before the flags shared
+    # one list parser
+    "eval --n 3 --points 1,x": "bad point list '1,x'",
+    "project --params 0,0;1": "bad parameter list '0,0;1', expected a,b[;a,b...]",
+    "runge --params 0,a": "bad parameter list '0,a', expected a,b[;a,b...]",
+    "project --interval nope": "bad interval 'nope', expected a,b",
+    "runge --interval 1,2,3": "bad interval '1,2,3', expected a,b",
+    "decay --k one": "bad order list 'one', expected k[,k...]",
+    "decay --k 1,-1": "k must be nonnegative, got -1",
+    "project --fn poly:": "bad polynomial spec 'poly:'",
+    "project --fn poly:a": "bad polynomial spec 'poly:a'",
+    "runge --samples 1": "samples must be at least 2, got 1",
 }
 
 
@@ -374,7 +386,10 @@ def test_non_finite_targets_refused():
     cases = [(("project", "--N", "6", "--m", "3", "--fn", "poly:nan,1"), 2, "fn"),
              (("compare-legendre", "--N", "6", "--m", "3", "--fn", "poly:inf"), 2, "fn"),
              (("project", "--N", "6", "--m", "3", "--fn", "poly:1e308,1e308"), 3,
-              "grid index 6")]
+              "grid index 6"),
+             # every sample is finite, the coefficient u_0 is not
+             (("project", "--N", "30", "--m", "2", "--fn", "poly:1e308"), 3,
+              "coeff_0.0_0.0 at n=0")]
     for args, code, named in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -495,6 +510,13 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
      "error: sample at grid index 0 is not finite: inf"),
     ("compare-legendre --N 6 --m 3 --fn poly:0,1e308,0,1e308", 3,
      "error: sample at grid index 0 is not finite: -inf"),
+    # finite samples whose table is not: refused by the CLI's finite rule
+    ("project --N 30 --m 2 --fn poly:1e308", 3,
+     "error: coeff_0.0_0.0 at n=0 is not finite: inf"),
+    ("project --N 30 --m 2 --fn poly:1e308 --pointwise --samples 3", 3,
+     "error: coeff_0.0_0.0 at n=0 is not finite: inf"),
+    ("compare-legendre --N 30 --m 2 --fn poly:1e308", 3,
+     "error: hahn_classical at n=0 is not finite: inf"),
 ])
 def test_overflow_under_warnings_as_errors(command, code, line):
     # a fresh `python -W error`: the sweep, L u, the squared coefficients,
@@ -540,6 +562,46 @@ def test_out_file_roundtrip(tmp_path):
     res = run("weights", "--N", "6", "--out", str(out))
     assert res.exit_code == 0
     assert out.read_text().startswith("# hahnpoly")
+
+
+@pytest.mark.parametrize("command,code,line", [
+    ("weights --N 6", 0, ""),
+    ("eval --n 3 --N 6", 0, ""),
+    ("project --N 6 --m 3 --pointwise --samples 5", 0, ""),
+    ("decay --N 6 --m 3", 0, ""),
+    ("runge --N 6 --m 3 --samples 5", 0, ""),
+    ("compare-legendre --N 6 --m 3", 0, ""),
+    ("verify --N 6", 0, ""),
+    ("decay --N 200 --m 200", 4, "bound violated at k=1, n=199: "),
+    ("verify --alpha 1e6 --beta 0 --N 60", 4, "11 check(s) failed"),
+])
+def test_out_file_equals_stdout(tmp_path, command, code, line):
+    # every command writes its table through one path: --out holds the
+    # bytes stdout would, and an exit-4 line follows the whole table
+    out = tmp_path / "t.csv"
+    to_stdout = run(*command.split())
+    to_file = run(*command.split(), "--out", str(out))
+    assert to_stdout.exit_code == to_file.exit_code == code
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    assert to_stdout.stdout.startswith("# hahnpoly")
+    assert to_file.stdout == ""
+    assert to_file.stderr == to_stdout.stderr
+    assert to_file.stderr.startswith(line)
+    assert to_file.stderr.count("\n") == (code == 4)
+
+
+@pytest.mark.parametrize("command", [
+    "project --alpha 0 --beta 1000 --N 200 --m 84",
+    "project --N 30 --m 2 --fn poly:1e308",
+    "project --N 30 --m 2 --fn poly:1e308 --pointwise --samples 3",
+    "compare-legendre --N 30 --m 2 --fn poly:1e308",
+])
+def test_refused_table_leaves_no_file(tmp_path, command):
+    res = run(*command.split(), "--out", str(tmp_path / "t.csv"))
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_partial_file_on_error(tmp_path):
