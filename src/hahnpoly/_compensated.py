@@ -32,7 +32,6 @@ _SPLIT = 134217729.0  # 2**27 + 1, Dekker split constant for 53-bit doubles
 # 2^-28 and its parts scaled back (Hida, Li & Bailey, ARITH-15, 2001)
 _SPLIT_MAX = 2.0**996
 _SPLIT_DOWN = 2.0**-28
-_SPLIT_UP = 2.0**28
 
 DD = tuple[float, float]
 
@@ -137,13 +136,14 @@ def dd_from(d: float) -> DD:
 def split(a):
     """Dekker's split of a into hi + lo, each with at most 26 significant
     bits, so that products of the parts are exact.  a is a float or a
-    float array.  An operand above 2^996 in magnitude is split scaled by
-    2^-28, and its parts are scaled back, so the split does not overflow.
-    Scaling by a power of two commutes with rounding, so wherever the plain
-    split is finite the scaled one has its bits.  An array is therefore
-    scaled only when its plain split is not finite, and that trial raises
-    no warning: the mask would map more numpy code into every process
-    (see hahn._check_degree)."""
+    float array.  One formula serves both: with b = a s and
+    hi = t - (t - b), t = _SPLIT b, the parts are hi / s and (b - hi) / s,
+    where s = 2^-28 above 2^996 in magnitude, so the split does not
+    overflow, and s = 1 elsewhere.  Scaling by a power of two commutes
+    with rounding, so wherever the plain split is finite the scaled one
+    has its bits.  An array is therefore scaled only when its plain split
+    is not finite, and that trial raises no warning: the mask would map
+    more numpy code into every process (see hahn._check_degree)."""
     if isinstance(a, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             t = _SPLIT * a
@@ -151,18 +151,12 @@ def split(a):
             if (hi - hi).sum() == 0.0:
                 return hi, a - hi
         s = np.where(abs(a) > _SPLIT_MAX, _SPLIT_DOWN, 1.0)
-        b = a * s
-        t = _SPLIT * b
-        hi = t - (t - b)
-        return hi / s, (b - hi) / s
-    if abs(a) > _SPLIT_MAX:
-        b = a * _SPLIT_DOWN
-        t = _SPLIT * b
-        hi = t - (t - b)
-        return hi * _SPLIT_UP, (b - hi) * _SPLIT_UP
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
+    else:
+        s = _SPLIT_DOWN if abs(a) > _SPLIT_MAX else 1.0
+    b = a * s
+    t = _SPLIT * b
+    hi = t - (t - b)
+    return hi / s, (b - hi) / s
 
 
 def dd_three_term_sweep(steps, x, cur: DD, prev: DD, out) -> DD:

@@ -389,7 +389,10 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
               f"{_fmt(r.bound_degree_only)},{_fmt(r.identity_residual)}" for r in rows]
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against
     # coefficients that carry the projection's rounding
-    floor = (p.N + 1) * sys.float_info.epsilon * math.sqrt(inner_product(u, u))
+    norm_sq = inner_product(u, u)
+    if not math.isfinite(norm_sq):
+        raise DomainError("||u||_w^2 is not finite in double precision")
+    floor = (p.N + 1) * sys.float_info.epsilon * math.sqrt(norm_sq)
     bad = [r for r in rows if abs(r.coeff) > r.bound * (1.0 + BOUND_SLACK) + floor]
     if not bad:
         return lines, None

@@ -5,7 +5,8 @@ residual used to test it.
 Difference outputs keep full-grid indexing: the slot with no defined
 difference (x = N for the forward, x = 0 for the backward operator) is
 set to 0.0 rather than shrinking the array, so operators compose without
-index bookkeeping.
+index bookkeeping.  A grid function holds N + 1 >= 2 values.  The
+operator's one implementation, `_l_rows`, runs on a stack of grid rows.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._compensated import exact_sum
-from .errors import DomainError, LengthMismatchError, TooShortError
+from .errors import DomainError, LengthMismatchError
 from .hahn import HahnParams, basis
 
 
@@ -61,15 +62,11 @@ class GridFunction:
 
 def _same_grid(f: GridFunction, g: GridFunction) -> None:
     if f.params != g.params:
-        raise LengthMismatchError(
-            f"grid mismatch: {f.params} vs {g.params}"
-        )
+        raise LengthMismatchError(f"grid mismatch: {f.params} vs {g.params}")
 
 
 def forward_diff(f: GridFunction) -> GridFunction:
     """(Delta f)(x) = f(x+1) - f(x); valid on 0..N-1, last slot 0."""
-    if len(f.values) < 2:
-        raise TooShortError("forward difference needs at least two points")
     out = np.zeros_like(f.values)
     out[:-1] = np.diff(f.values)
     return GridFunction(f.params, out)
@@ -77,30 +74,33 @@ def forward_diff(f: GridFunction) -> GridFunction:
 
 def backward_diff(f: GridFunction) -> GridFunction:
     """(nabla f)(x) = f(x) - f(x-1); valid on 1..N, first slot 0."""
-    if len(f.values) < 2:
-        raise TooShortError("backward difference needs at least two points")
     out = np.zeros_like(f.values)
     out[1:] = np.diff(f.values)
     return GridFunction(f.params, out)
 
 
-def l_disk_apply(u: GridFunction) -> GridFunction:
-    """Apply L u = (1/w) Delta(-D w nabla u) on the grid.
+def _l_rows(p: HahnParams, rows: np.ndarray) -> np.ndarray:
+    """L u = (1/w) Delta(-D w nabla u) for each grid row u along the last
+    axis of rows; every row gets the bits of a one-row call.
 
     Flux at x = 0 vanishes because D(0) = 0, and flux at x = N+1 vanishes
     because w(N+1) = 0 by convention, so no off-grid value of u is ever
-    read.  The orthonormal basis functions satisfy L Q~_n = -lam_n Q~_n.
-    A value past the double range is inf or nan, with no warning, as
-    Python floats give it; callers refuse or fail on it.
+    read.  A value past the double range is inf or nan, with no warning,
+    as Python floats give it; callers refuse or fail on it.
     """
-    p = u.params
     hb = basis(p)
     w = hb.weights
-    # flux[i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; flux[0] = flux[N+1] = 0
-    flux = np.zeros(p.N + 2)
+    # flux[..., i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; 0 at i = 0, N+1
+    flux = np.zeros(rows.shape[:-1] + (p.N + 2,))
     with np.errstate(over="ignore", invalid="ignore"):
-        flux[1 : p.N + 1] = -hb.d[1:] * w[1:] * np.diff(u.values)
-        return GridFunction(p, (flux[1:] - flux[:-1]) / w)
+        flux[..., 1:-1] = -hb.d[1:] * w[1:] * np.diff(rows)
+        return (flux[..., 1:] - flux[..., :-1]) / w
+
+
+def l_disk_apply(u: GridFunction) -> GridFunction:
+    """Apply L u = (1/w) Delta(-D w nabla u) on the grid (`_l_rows`).
+    The orthonormal basis functions satisfy L Q~_n = -lam_n Q~_n."""
+    return GridFunction(u.params, _l_rows(u.params, u.values))
 
 
 def l_disk_power(u: GridFunction, k: int) -> GridFunction:

@@ -34,10 +34,6 @@ class DegenerateIntervalError(DomainError):
     """An interval [a, b] with a >= b was supplied."""
 
 
-class TooShortError(DomainError):
-    """A grid function has too few points for the requested operation."""
-
-
 class LengthMismatchError(DomainError):
     """Two grid quantities that must share a grid do not."""
 

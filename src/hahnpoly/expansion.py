@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compensated import dd_clenshaw_sweep, dd_div, exact_sum, two_prod
-from .discrete_calculus import GridFunction, l_disk_power
+from .discrete_calculus import GridFunction, _same_grid, l_disk_power
 from .errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -135,8 +135,7 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     range is inf or nan, with no warning, and so is the sum: -inf + inf
     has no value, so a check fails on it.
     """
-    if f.params != g.params:
-        raise LengthMismatchError("inner product needs matching grids")
+    _same_grid(f, g)
     w = basis(f.params).weights
     with np.errstate(over="ignore", invalid="ignore"):
         hi, lo = two_prod(f.values, g.values)

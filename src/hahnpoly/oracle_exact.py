@@ -65,14 +65,14 @@ def exact_hahn_eval(
 def exact_weight(
     x: int, alpha: RationalLike, beta: RationalLike, N: int
 ) -> Fraction:
-    """w(x) = (alpha+1)_x / x! * (beta+1)_{N-x} / (N-x)! exactly."""
+    """w(x) = (alpha+1)_x / x! * (beta+1)_{N-x} / (N-x)! exactly: the
+    reduced integer pair of `_weight`, as a Fraction."""
     alpha, beta = Fraction(alpha), Fraction(beta)
     _check(alpha, beta, N)
     if not 0 <= x <= N:
         raise DomainError(f"grid point {x} outside 0..{N}")
-    left = exact_pochhammer(alpha + 1, x) / exact_pochhammer(1, x)
-    right = exact_pochhammer(beta + 1, N - x) / exact_pochhammer(1, N - x)
-    return left * right
+    (a, b), D = _over_one_denominator(alpha, beta)
+    return Fraction(*_weight(x, a, b, D, N))
 
 
 def exact_inner_product(

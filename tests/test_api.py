@@ -104,6 +104,23 @@ def test_fsum_is_called_only_by_exact_sum():
     assert [name for name, _ in calls] == ["_compensated.py"]
 
 
+def test_diff_is_called_only_in_discrete_calculus():
+    # the grid differences and the operator built on them have one owner
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert not any(alias.name in ("diff", "*") for alias in node.names), path.name
+            elif (isinstance(node, ast.Attribute) and node.attr == "diff"
+                  and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+                calls.append(path.name)
+    assert set(calls) == {"discrete_calculus.py"}
+
+
 def test_cli_exits_only_through_the_contract():
     # a command that exits by itself would skip --out, the finite rule or
     # the one-line error: exit code 2 belongs to _emit, 3 and 4 to the

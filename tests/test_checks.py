@@ -104,6 +104,21 @@ def _loop_eigen_equation(params, cap=20):
     return worst
 
 
+def _loop_self_adjoint_form(params, cap=20):
+    # the weighted flux -D(i) w(i) (q(i) - q(i-1)) point by point, one
+    # degree at a time, as Python floats
+    N, b = params.N, basis(params)
+    w, d = b.weights.tolist(), b.d.tolist()
+    worst = 0.0
+    for n in range(min(cap, N) + 1):
+        q, lam = b.grid[n].tolist(), float(b.lam[n])
+        flux = [0.0] + [-d[i] * w[i] * (q[i] - q[i - 1]) for i in range(1, N + 1)] + [0.0]
+        resid = [abs((flux[x + 1] - flux[x]) / w[x] + lam * q[x]) for x in range(N + 1)]
+        scale = max(1.0, max(abs(lam * v) for v in q))
+        worst = max(worst, max(resid) / scale)
+    return worst
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0)])
 def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
     # at N = 60 the recurrence sweep has begun to lose digits at the grid
@@ -116,6 +131,17 @@ def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
     for top in (0, 1, 7):
         monkeypatch.setattr(checks, "DEGREE_CAP", top)
         assert check_eigen_equation(p).value == _loop_eigen_equation(p, top)
+
+
+@pytest.mark.parametrize("alpha,beta,N", [(0.0, 0.0, 60), (-0.5, 3.0, 60), (0.0, 1e3, 30),
+                                           (0.5, 0.5, 1)])
+def test_self_adjoint_form_equals_degree_loop(alpha, beta, N, monkeypatch):
+    # the stacked operator gives each degree the bits of a loop over degrees
+    p = HahnParams(alpha, beta, N)
+    assert checks.check_self_adjoint_form(p).value == _loop_self_adjoint_form(p)
+    for top in (0, 7):
+        monkeypatch.setattr(checks, "DEGREE_CAP", top)
+        assert checks.check_self_adjoint_form(p).value == _loop_self_adjoint_form(p, top)
 
 
 def test_swept_checks_smallest_grid():
@@ -288,6 +314,20 @@ def test_operator_symmetry_fails_on_mixed_infinities():
         r = checks.check_operator_symmetry(HahnParams(0.0, 3162277.6601683795, 60))
     assert math.isnan(r.value)
     assert not r.passed
+
+
+# (alpha, 10^6.5) and its mirrors at N = 60: L Q~_n is not finite at any
+# degree, and a max() over Python floats would drop its nan rows
+SELF_ADJOINT_NAN_CELLS = [cell for a in (-0.5, 0.0, 3.0, 50.0, 1e3)
+                          for cell in ((a, 10 ** 6.5), (10 ** 6.5, a))]
+
+
+@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_NAN_CELLS)
+def test_self_adjoint_form_fails_on_non_finite_defect(alpha, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = checks.check_self_adjoint_form(HahnParams(alpha, beta, 60))
+    assert math.isnan(result.value) and not result.passed
 
 
 # The exponent lattice of the domain scan, every family at N in {30, 60,

@@ -517,6 +517,12 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
      "error: coeff_0.0_0.0 at n=0 is not finite: inf"),
     ("compare-legendre --N 30 --m 2 --fn poly:1e308", 3,
      "error: hahn_classical at n=0 is not finite: inf"),
+    # finite rows whose bound check would pass every row: the allowance
+    # (N+1) eps ||u||_w reads ||u||_w^2, which is nan here and inf at 1e154
+    ("decay --N 30 --m 5 --fn poly:1e308", 3,
+     "error: ||u||_w^2 is not finite in double precision"),
+    ("decay --N 30 --m 5 --fn poly:1e154", 3,
+     "error: ||u||_w^2 is not finite in double precision"),
 ])
 def test_overflow_under_warnings_as_errors(command, code, line):
     # a fresh `python -W error`: the sweep, L u, the squared coefficients,
@@ -595,6 +601,7 @@ def test_out_file_equals_stdout(tmp_path, command, code, line):
     "project --N 30 --m 2 --fn poly:1e308",
     "project --N 30 --m 2 --fn poly:1e308 --pointwise --samples 3",
     "compare-legendre --N 30 --m 2 --fn poly:1e308",
+    "decay --N 30 --m 5 --fn poly:1e308",
 ])
 def test_refused_table_leaves_no_file(tmp_path, command):
     res = run(*command.split(), "--out", str(tmp_path / "t.csv"))

@@ -2,12 +2,14 @@
 parts, on small hand-checkable grids plus spectral identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hahnpoly.discrete_calculus import (
     GridFunction,
+    _l_rows,
     backward_diff,
     forward_diff,
     l_disk_apply,
@@ -104,6 +106,30 @@ def test_operator_eigenfunctions(alpha, beta):
         resid = l_disk_apply(q).values + lam * q.values
         scale = max(1.0, lam)
         assert np.max(np.abs(resid)) < 1e-10 * scale
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# the four bench families, whose grid rows reach 2e22 to 4e24 at N = 200, and (0, 1e3)
+STACK_CELLS = [(a, b, N) for a, b in ((0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (0.0, 1e3))
+               for N in (1, 30, 200)]
+
+
+@pytest.mark.parametrize("alpha,beta,N", STACK_CELLS + [(0.0, 10 ** 6.5, 60)])
+def test_stacked_operator_equals_rows_bit_for_bit(alpha, beta, N):
+    # the grid rows and seeded random rows, one stack: each row of the
+    # stacked operator has the bits of l_disk_apply on that row alone; at
+    # beta = 10^6.5 the flux passes the double range, without a warning
+    p = HahnParams(alpha, beta, N)
+    rows = np.vstack([basis(p).grid, np.random.default_rng(N).uniform(-1.0, 1.0, (3, N + 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _l_rows(p, rows)
+        one_by_one = [l_disk_apply(GridFunction(p, row)).values for row in rows]
+    assert stacked.shape == rows.shape
+    assert np.array_equal(_bits(stacked), _bits(one_by_one))
 
 
 def test_operator_power_composition():

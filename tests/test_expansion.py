@@ -193,6 +193,16 @@ def test_inner_product_mismatch():
         inner_product(GridFunction(p, np.zeros(5)), GridFunction(q, np.zeros(6)))
 
 
+def test_inner_product_mismatch_message():
+    # one grid rule for the package: discrete_calculus._same_grid
+    p = HahnParams(0.5, 0.0, 4)
+    q = HahnParams(0.0, 0.0, 4)
+    with pytest.raises(LengthMismatchError) as info:
+        inner_product(GridFunction(p, np.zeros(5)), GridFunction(q, np.zeros(5)))
+    assert str(info.value) == ("grid mismatch: HahnParams(alpha=0.5, beta=0.0, N=4) vs "
+                               "HahnParams(alpha=0.0, beta=0.0, N=4)")
+
+
 def test_project_recovers_basis_vector():
     p = HahnParams(0.5, 0.5, 12)
     qmat = normalized_grid_matrix(12, p)

@@ -68,6 +68,17 @@ def test_weight_uniform_and_binomial():
     assert exact_weight(1, 5, 0, 30) == 6
 
 
+@pytest.mark.parametrize("alpha,beta,N", [(0, 0, 6), (5, 0, 30), (HALF, HALF, 12),
+                                           (Fraction(-9, 10), Fraction(7, 3), 20),
+                                           (-0.999, 1e3, 30), (1e12, 0.5, 7)])
+def test_weight_equals_pochhammer_quotient(alpha, beta, N):
+    a, b = Fraction(alpha), Fraction(beta)
+    for x in range(N + 1):
+        want = (exact_pochhammer(a + 1, x) / exact_pochhammer(1, x)
+                * exact_pochhammer(b + 1, N - x) / exact_pochhammer(1, N - x))
+        assert exact_weight(x, alpha, beta, N) == want
+
+
 def test_weight_reflection_symmetry():
     # alpha = beta makes w symmetric about the grid midpoint, exactly
     for x in range(13):
