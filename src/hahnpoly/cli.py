@@ -42,7 +42,7 @@ from .expansion import (
     inner_product,
     project,
 )
-from .hahn import HahnParams, basis, hahn_eval_all, norm_sq_closed
+from .hahn import HahnParams, _check_degree, basis, hahn_eval_all, norm_sq_closed
 from .legendre_ref import legendre_coeffs
 
 Fn = Callable[[float], float]
@@ -178,11 +178,11 @@ def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[Coefficien
     errors = [rec - target for rec in recons]
     tags = [f"{v.params.alpha}_{v.params.beta}" for v in vectors]
     lines = ["t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)]
-    for i, t in enumerate(ts):
-        row = [_fmt(t), _fmt(target[i])]
-        for rec, err in zip(recons, errors):
-            row += [_fmt(rec[i]), _fmt(err[i])]
-        lines.append(",".join(row))
+    # one column of Python floats per field, not numpy cells one by one
+    columns = [ts.tolist(), target.tolist()]
+    for rec, err in zip(recons, errors):
+        columns += [rec.tolist(), err.tolist()]
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
     return ts, errors, lines
 
 
@@ -293,7 +293,9 @@ def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray
 @_contract
 def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
              points: str | None, normalized: bool) -> list[str]:
-    """Evaluate one polynomial at chosen points."""
+    """Evaluate one polynomial at chosen points.  Normalized, a grid node
+    reads the family's grid matrix, as `eval_expansion` does; every other
+    value comes from the dd sweep."""
     p = _vetted(HahnParams, alpha, beta, grid_n)
     if points is None:
         xs = [float(i) for i in range(p.N + 1)]
@@ -301,14 +303,21 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
         xs = _listed(points, float, f"bad point list {points!r}")
         if not all(map(math.isfinite, xs)):
             raise click.UsageError(f"points must be finite, got {points!r}")
-    vals = _finite_values(degree, xs, hahn_eval_all(degree, np.array(xs), p)[degree])
+    _check_degree(degree, p)
+    on_grid = [normalized and x.is_integer() and 0.0 <= x <= p.N for x in xs]
+    off = [x for x, node in zip(xs, on_grid) if not node]
+    vals = np.array(off)
+    if off:
+        vals = _finite_values(degree, off, hahn_eval_all(degree, vals, p)[degree])
     if normalized:
         # the norm's exact products only for a Q_n that is finite
         norm = math.sqrt(norm_sq_closed(degree, p))
         if norm == math.inf:
             raise DomainError(f"norm of Q_{degree} is not finite in double precision")
         # Python floats: a quotient past the double range is inf, silently
-        vals = _finite_values(degree, xs, np.array([v / norm for v in vals.tolist()]))
+        vals = iter(_finite_values(degree, off, np.array([v / norm for v in vals.tolist()])))
+        row = basis(p).grid[degree].tolist() if any(on_grid) else []
+        vals = [row[int(x)] if node else next(vals) for x, node in zip(xs, on_grid)]
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")

@@ -27,10 +27,19 @@ A_n + C_n, C_n, and the splits of A_n and C_n), the series rows divided
 out of them for the Clenshaw sweep of `expansion.eval_expansion`, the
 norms, the orthonormal grid matrix and the difference operator's
 eigenvalues and coefficients B(x), D(x), each computed on first read and
-read-only after.  So the grid matrix lives as long as the norms and
-steps it is made of, and off-grid sweeps never build it.  It is one
-array sweep over the grid from N = 42 up and one sweep per point below,
-where that is faster: the same kernel, so the same bits either way.
+read-only after; off-grid sweeps never build the grid matrix.
+
+The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
+of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
+integers 0..N.  From N = 42 up it is built that way: the Jacobi rows are
+integer quotients rounded once (`_jacobi_rows`), and one twisted
+factorization gives every eigenvector at once (`_twisted_grid`), right
+to a few 1e-15 in U units for every family measured, up to N = 200 and
+exponents 1e12.  Below 42 it is still one dd sweep per grid point over
+the norms, which the outputs pinned at those sizes were recorded on; the
+forward sweep is right to 1e-14 for moderate exponents, but it loses
+accuracy from N ~ 70 and for large exponents (4e-8 for (0, 1e3) and
+1.9e41 for (1e6, 0) at N = 30).
 """
 
 from __future__ import annotations
@@ -56,7 +65,10 @@ from .specfun import (
 )
 
 _MAX_N = 200
-_GRID_ARRAY_N = 42  # from here one array sweep is the faster grid build
+# from here the grid is the twisted build; below it stays one dd sweep per
+# point, with the bits that outputs at N <= 41 and the benchmark's sweep
+# count at N = 12 are pinned to, until those pins move (ROADMAP item 1)
+_GRID_ARRAY_N = 42
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -161,18 +173,17 @@ class HahnBasis:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """Orthonormal Q~_n(x), row n, column x: one array sweep over the
-        grid from N = _GRID_ARRAY_N up, one sweep per point below (the
-        faster build each side), with the same bits, up to a NaN's sign.
-        The weights are read first: a family they refuse is refused before
-        the sweeps and the exact norm products.  An entry past the double
-        range is inf or nan, silently, as `hahn_eval_all` gives it."""
+        """Orthonormal Q~_n(x), row n, column x.  From N = _GRID_ARRAY_N
+        up, the eigenvectors of the Jacobi matrix by one twisted
+        factorization (`_twisted_grid`), divided by sqrt(w); below, one dd
+        sweep per grid point divided by the norms.  The weights are read
+        first: a family they refuse is refused before either build.  An
+        entry past the double range is inf or nan, silently."""
         p = self.params
-        self.weights
+        w = self.weights
         if p.N >= _GRID_ARRAY_N:
-            mat = hahn_eval_all(p.N, p.grid(), p)
-        else:
-            mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
+            return _read_only(_twisted_grid(p, w))
+        mat = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
         mat /= self.sqrt_norms[:, None]
         return _read_only(mat)
 
@@ -211,6 +222,105 @@ def _checked_rows(parts, first: int) -> tuple[tuple[float, ...], ...]:
             raise DegenerateRecurrenceError(
                 f"step coefficient at n={n} is not finite in double precision")
     return out
+
+
+def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal recurrence x Q~_n = d_n Q~_n - sqrt(p_n) Q~_{n+1}
+    - sqrt(p_{n-1}) Q~_{n-1} as its Jacobi diagonal d_n = A_n + C_n and
+    products p_n = A_n C_{n+1}, n = 0..N, each an integer quotient over the
+    common denominator of the weights, rounded once; p_N = 0, as A_N = 0.
+    With alpha = a/D, beta = b/D and s = a + b, every D cancels:
+
+        A_n = (nD+s+D)(nD+a+D)(N-n) / ((2nD+s+D)(2nD+s+2D)),
+        C_n = n((n+N+1)D+s)(nD+b) / ((2nD+s)(2nD+s+D)),
+
+    A_0 = (a+D) N / (s+2D) with the factor (alpha+beta+1) cancelled, and
+    C_0 = 0.  Both rows lie in [0, N] and [0, N^2/4], the spectrum being
+    0..N; a row that is not finite raises DegenerateRecurrenceError
+    naming its n."""
+    N = params.N
+    a, b, D = _exact_exponents(params.alpha, params.beta)
+    s = a + b
+    A = [((a + D) * N, s + 2 * D)]
+    C = [(0, 1)]
+    for n in range(1, N + 1):
+        A.append(((n * D + s + D) * (n * D + a + D) * (N - n),
+                  (2 * n * D + s + D) * (2 * n * D + s + 2 * D)))
+        C.append((n * ((n + N + 1) * D + s) * (n * D + b), (2 * n * D + s) * (2 * n * D + s + D)))
+    d = [dd._quotient(an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(A, C)]
+    p = [dd._quotient(an * cn, ad * cd) for (an, ad), (cn, cd) in zip(A, C[1:])] + [0.0]
+    for n, row in enumerate(zip(d, p)):
+        if not all(map(math.isfinite, row)):
+            raise DegenerateRecurrenceError(f"Jacobi row at n={n} is not finite in double precision")
+    return np.array(d), np.array(p)
+
+
+def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
+    """Q~_n(x) = U[n, x] / sqrt(w(x)), with column x of the orthogonal U
+    the unit eigenvector of the Jacobi matrix J (`_jacobi_rows`) for its
+    eigenvalue x, every x = 0..N at once (Parlett & Dhillon, Linear
+    Algebra Appl. 267, 1997; Dhillon & Parlett, LAA 387, 2004).
+
+    The backward pivots D-_n and the forward pivots D+_n of J - x run
+    elementwise over all x, a zero pivot replaced by eps ||J|| = eps N;
+    the twist k minimizes |D+_k + D-_k - (d_k - x)|.  From v_k = 1 the
+    vector expands downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and
+    upwards by v_n = sqrt(p_n) / D+_n v_{n+1}; each column is scaled to
+    unit length and to a positive row 0, whose sign is the product of the
+    signs of the upward ratios, since v_0 itself can underflow to 0.
+    Elementwise numpy rounds as Python floats do, so no BLAS or LAPACK
+    build changes a bit.  The one (N+1)^2 array is the result: it holds
+    the backward pivots, then, above the twist, the forward pivots, which
+    are computed twice for that, and is overwritten with v row by row.
+    The division by sqrt(w) passes the double range to inf or nan
+    silently."""
+    N = params.N
+    d, p = _jacobi_rows(params)
+    e = np.sqrt(p)
+    x = np.arange(N + 1.0)
+    tiny = np.finfo(float).eps * N
+
+    def nonzero(pivot):
+        return np.where(pivot == 0.0, tiny, pivot)
+
+    def forward():
+        fwd = d[0] - x
+        for n in range(N + 1):
+            if n:
+                fwd = (d[n] - x) - p[n - 1] / fwd
+            fwd = nonzero(fwd)
+            yield n, fwd
+
+    v = np.empty((N + 1, N + 1))
+    v[N] = d[N] - x
+    for n in range(N - 1, -1, -1):
+        v[n + 1] = nonzero(v[n + 1])
+        v[n] = (d[n] - x) - p[n] / v[n + 1]
+    best, k = np.full(N + 1, np.inf), np.zeros(N + 1)
+    for n, fwd in forward():
+        gamma = np.abs(fwd + v[n] - (d[n] - x))
+        better = gamma < best
+        k, best = np.where(better, float(n), k), np.where(better, gamma, best)
+    # downwards from the twist over D-_n, and D+_n in its place above it
+    cur = np.ones(N + 1)
+    for n, fwd in forward():
+        if n:
+            cur = np.where(n > k, cur * (e[n - 1] / v[n]), cur)
+        v[n] = np.where(n < k, fwd, np.where(n > k, cur, v[n]))
+    # upwards from v_k = 1; e[N] = 0 closes the matrix
+    cur, sign = np.ones(N + 1), np.ones(N + 1)
+    for n in range(N, -1, -1):
+        up = n < k
+        cur = np.where(up, cur * (e[n] / np.where(up, v[n], 1.0)), cur)
+        sign = np.where(up, sign * np.where(v[n] < 0.0, -1.0, 1.0), sign)
+        v[n] = np.where(n <= k, cur, v[n])
+    norm_sq = np.zeros(N + 1)
+    for row in v:
+        norm_sq += row * row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v *= sign / np.sqrt(norm_sq)
+        v /= np.sqrt(weights)
+    return v
 
 
 @lru_cache(maxsize=64)

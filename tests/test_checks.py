@@ -178,7 +178,6 @@ def test_exact_columns_once_per_family(monkeypatch):
 
 
 SIX_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (20.0, 20.0), (-0.9, -0.9)]
-BENCHMARK_FAMILIES = SIX_FAMILIES[:4]
 # Q_12(12) = (beta+1)_12 / (alpha+1)_12 is about 1e320 here, past the double range
 PAST_DOUBLE_RANGE = HahnParams(-1.0 + 2.0 ** -53, 1e26, 12)
 
@@ -256,22 +255,26 @@ def test_verify_does_not_import_numpy_random():
 
 
 @pytest.mark.parametrize("alpha,beta", SIX_FAMILIES)
-def test_float_vs_exact_grows_with_the_defect(alpha, beta):
+def test_float_vs_exact_grows_with_the_defect(monkeypatch, alpha, beta):
     # tolerances stated before measuring: the grid matrix agrees with the
-    # exact values to 1e-9 in U units through N = 60; the known loss of
-    # accuracy above N ~ 70 shows at N = 100 and is beyond 1 at N = 200,
-    # larger there than at N = 100; the recurrence identity on exact
-    # values holds to 1e-8 at every size
-    value = {}
+    # exact values in U units to 1e-9, the check's tolerance, through
+    # N = 30, where it is the dd point loop, and to 1e-13 from N = 60 on,
+    # where it is the twisted build; the recurrence identity on exact values
+    # holds to 1e-8 at every size.  A defect planted in one grid entry at
+    # N = 200 is what the check then reads, and it fails
     for N in (12, 30, 60, 100, 200):
         p = HahnParams(alpha, beta, N)
-        value[N] = check_path_agreement(p).value
+        assert check_path_agreement(p).value <= (1e-9 if N < 42 else 1e-13), N
         assert check_recurrence_identity(p).value <= 1e-8, N
-    assert max(value[12], value[30], value[60]) <= 1e-9
-    if (alpha, beta) in BENCHMARK_FAMILIES:
-        assert value[100] > 1e-9
-    assert value[200] > 1.0
-    assert value[200] > value[100]
+    b = basis(p)
+    x = checks._exact_columns(p)[0][2]
+    for defect in (1e-8, 1e-4):
+        grid = b.grid.copy()
+        grid[150, x] += defect / math.sqrt(b.weights[x])
+        planted = SimpleNamespace(grid=grid, weights=b.weights)
+        monkeypatch.setattr(checks, "basis", lambda params: planted)
+        result = check_path_agreement(p)
+        assert result.value == pytest.approx(defect, rel=1e-3) and not result.passed
 
 
 def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
@@ -316,17 +319,32 @@ def test_operator_symmetry_fails_on_mixed_infinities():
     assert not r.passed
 
 
-# (alpha, 10^6.5) and its mirrors at N = 60: L Q~_n is not finite at any
-# degree, and a max() over Python floats would drop its nan rows
-SELF_ADJOINT_NAN_CELLS = [cell for a in (-0.5, 0.0, 3.0, 50.0, 1e3)
-                          for cell in ((a, 10 ** 6.5), (10 ** 6.5, a))]
+# (alpha, 10^6.5) and its mirrors at N = 60: the weighted flux of L Q~_n
+# passes the double range at every degree, so the defect is inf or nan
+SELF_ADJOINT_NON_FINITE_CELLS = [cell for a in (-0.5, 0.0, 3.0, 50.0, 1e3)
+                                 for cell in ((a, 10 ** 6.5), (10 ** 6.5, a))]
 
 
-@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_NAN_CELLS)
+@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_NON_FINITE_CELLS)
 def test_self_adjoint_form_fails_on_non_finite_defect(alpha, beta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = checks.check_self_adjoint_form(HahnParams(alpha, beta, 60))
+    assert not math.isfinite(result.value) and not result.passed
+
+
+def test_self_adjoint_form_keeps_a_nan_row(monkeypatch):
+    # one NaN defect among finite rows makes the value NaN; a max() over
+    # Python floats would drop it
+    l_rows = checks._l_rows
+
+    def planted(params, rows):
+        out = l_rows(params, rows)
+        out[3, 7] = math.nan
+        return out
+
+    monkeypatch.setattr(checks, "_l_rows", planted)
+    result = checks.check_self_adjoint_form(HahnParams(0.5, 0.5, 30))
     assert math.isnan(result.value) and not result.passed
 
 

@@ -592,26 +592,28 @@ def test_decay_report_refuses_overflowing_powers():
 # bound_degree_only, identity_residual) at k = 2 over degrees 1..N; recorded
 # on the code before the recurrence step was fused, and re-recorded when the
 # norms became correctly rounded (coefficients moved by at most 6.9e-16 of
-# their largest magnitude, bounds not at all).  Above N ~ 70 these
-# values are far from the true coefficients (the basis loses accuracy), so
-# they pin the bits the code computes, not the mathematics
+# their largest magnitude, bounds not at all).  Re-recorded again when the
+# grid from N = 42 up became the twisted build, after the coefficients at
+# m = N were measured against ones from exact U columns: 2.9e-16 ||u||_w or
+# less for all four, where the dd grid was off by 6.2e-9 and 1.2e-7 at
+# N = 100 and by 1.1e21 and 1.5e23 at N = 200
 GOLDEN_SPECTRA = {
     (0.0, 0.0, 100): (
-        "fab5a48337d9c5cfe7aabed3461c4cc012b5d1858f0c82a0938619e48cc9ad77",
-        "2d1334707d3319cde011aef3866028911d8932559a22e6984e5f5166c73d1b3e",
-        "1464c35ce68436cb8a0bbb4ad67b99133abaa4e28d9ed465768b07172865ce2e"),
+        "c69457eea3aabebbd32c1a1584dcf8768e1def7f9fa0e4b6c198bbf25d8d1d51",
+        "74cb90aec76e55199aa2cb46728d0784109827bf1b17fdbb07a93d71329ae4cc",
+        "00d82d588dfcf5a2156ae289a54801afb9b1a5f26519001065b70c818f83c7f2"),
     (0.0, 0.0, 200): (
-        "4ff5ec65be98466275dcf915452aa2330a6c5a28dcde5a61edb74d10cabbc433",
-        "19970522850c631d34465c2a2279fedb73a7b49a0e57ea56014286dc94a395e0",
-        "e760e570774899e5058d9c3c7538af724533fbc6d084116122bb4ffbe930c39e"),
+        "164d88437560119ee069225e291f87bfc7d0c115f18baf7032bf55bb9b504ee3",
+        "ce7ee3fc681eb545f2a5820a8cc3c999b8c6d5551402bf30c564ecccf5fdc8a8",
+        "d0093b05ab50aa7b47a44b61ee14465d40e57d383f748d09eb883eaf8e67eb94"),
     (-0.5, 3.0, 100): (
-        "f4c708880107007e6f74cc3dca2743f81359c83a9e9c5f4c3f0283855bd9c3a7",
-        "187a656bba545ac19efd4a1deb78c4417533541adb42ddb404a83b6db0fc769d",
-        "f46909ba1791e8fb5c9ff2f4dd6d79c3685dd711efb1a68c9ee5171300bcc438"),
+        "095b0ef4d01bf765a0cb39c0be470183d91240e521bb48c902b5e827aa0ca821",
+        "93589db329ef36d17fd86279a355941a44e4eff1cbc02b835240547be90ebf9c",
+        "683c69f1879fbf1fc88f6dca98551d464d9be8a5159161e921a6ec1908a82fa4"),
     (-0.5, 3.0, 200): (
-        "b321c87e5cb2d76fbcff4928532a33f242b43f1ed8cb82e0630a3db1c1f4355e",
-        "1eb51767ea27f739a7ad4e208ee1953c8a9e2727e2f1a9b865d8861ea4e8a114",
-        "fcd2ef26842467f76b24536cd5f4760eab7b105b4ae4a21055470f743cc3098b"),
+        "3a4806051985a5e3c37b47a0b4ad7706ce0a8f7ceda7ce4434b8c1443e0c53ca",
+        "aed5635987cf77df2de1d9d122741904fa0acd5f957f981d2c9d42eb5ac8bc83",
+        "aa127174749f6f0058c411b5f6b50924d342a6d9f0ecde8673b95b9986047786"),
 }
 
 
@@ -639,36 +641,41 @@ SESSION_FAMILIES = [HahnParams(alpha, beta, N) for N in (30, 100, 200)
 def test_session_builds_each_grid_once(monkeypatch):
     # a session cycling 12 families keeps every family's basis: the grid
     # matrix is built once per family, at N = 30 by one scalar sweep per
-    # grid point, at N = 100 and 200 by one sweep over all N + 1 nodes
+    # grid point, at N = 100 and 200 by one twisted build and no sweep, and
+    # no build raises a warning
     sweeps = []  # per round, the (degree, points) of each call per family
-    sweep = hahn.hahn_eval_all
+    builds = []  # per round, the families of each twisted build
+    sweep, build = hahn.hahn_eval_all, hahn._twisted_grid
 
     def counted(m, x, params):
         sweeps[-1].setdefault(params, []).append((m, np.array(x, dtype=float)))
         return sweep(m, x, params)
 
+    def counted_build(params, weights):
+        builds[-1].append(params)
+        return build(params, weights)
+
     monkeypatch.setattr(hahn, "hahn_eval_all", counted)
+    monkeypatch.setattr(hahn, "_twisted_grid", counted_build)
     basis.cache_clear()
     rounds = []
     for _ in range(2):
         sweeps.append({})
+        builds.append([])
         coeffs = []
-        for p in SESSION_FAMILIES:
-            u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
-                                           IntervalMap(-1.0, 1.0, p.N).to_interval)
-            coeffs.append(project(u, p.N).coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in SESSION_FAMILIES:
+                u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
+                                               IntervalMap(-1.0, 1.0, p.N).to_interval)
+                coeffs.append(project(u, p.N).coeffs)
         rounds.append(coeffs)
-    builds, again = sweeps
-    assert again == {}
-    assert builds.keys() == set(SESSION_FAMILIES)
-    for p, calls in builds.items():
-        nodes = np.arange(p.N + 1.0)
-        if p.N == 30:
-            assert [(m, x.shape) for m, x in calls] == [(p.N, ())] * (p.N + 1)
-            assert np.array_equal([x for _, x in calls], nodes)
-        else:
-            assert [(m, x.shape) for m, x in calls] == [(p.N, (p.N + 1,))]
-            assert np.array_equal(calls[0][1], nodes)
+    assert sweeps[1] == {} and builds[1] == []
+    assert builds[0] == [p for p in SESSION_FAMILIES if p.N >= hahn._GRID_ARRAY_N]
+    assert sweeps[0].keys() == {p for p in SESSION_FAMILIES if p.N < hahn._GRID_ARRAY_N}
+    for p, calls in sweeps[0].items():
+        assert [(m, x.shape) for m, x in calls] == [(p.N, ())] * (p.N + 1)
+        assert np.array_equal([x for _, x in calls], np.arange(p.N + 1.0))
     for first, second in zip(*rounds):
         assert np.array_equal(first.view(np.int64), second.view(np.int64))
     for p in SESSION_FAMILIES:

@@ -27,6 +27,7 @@ from hahnpoly.hahn import (
     weight_table,
 )
 from hahnpoly.oracle_exact import (
+    _exact_ratios,
     _over_one_denominator,
     _steps,
     exact_hahn_eval,
@@ -120,58 +121,154 @@ def test_eval_all_array_equals_point_loop(N, alpha, beta):
 
 
 GRID_ARRAY_N = hahn._GRID_ARRAY_N
+BENCHMARK_FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)]
 
 
-def _fresh_grid_and_point_loop(p):
-    # the cached grid built anew with warnings as errors, and the point
-    # loop it must equal: one scalar sweep per grid point over the norms
+def _fresh_grid(p):
+    # the cached grid built anew, with warnings as errors
     basis.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = basis(p).grid
+        return basis(p).grid
+
+
+def _dd_point_loop(p):
+    # one scalar dd sweep per grid point over the norms
     loop = np.array([hahn_eval_all(p.N, float(x), p) for x in range(p.N + 1)]).T
-    return got, loop / basis(p).sqrt_norms[:, None]
+    return loop / basis(p).sqrt_norms[:, None]
+
+
+def _exact_u(p, xs):
+    # exact U[n, x] = Q~_n(x) sqrt(w(x)) at the points xs, each rounded once
+    cols, h, ws = _exact_ratios(p.alpha, p.beta, p.N, xs)
+    u = [[math.sqrt(q * q * wn * hd / (r * r * wd * hn)) * (-1.0 if q < 0 else 1.0)
+          for (q, r), (hn, hd) in zip(col, h)] for col, (wn, wd) in zip(cols, ws)]
+    return np.array(u).T
+
+
+def _sampled(N):
+    return sorted({0, 1, N // 3, N // 2, N - 1, N})
 
 
 @pytest.mark.parametrize("N", [GRID_ARRAY_N - 1, GRID_ARRAY_N, 100, 200])
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0),
                                         (0.0, 1e3)])
 def test_grid_build_equals_point_loop(N, alpha, beta):
-    # below the crossover the grid is built one sweep per point, from it on
-    # in one array sweep; either way it has the bits of the point loop, and
-    # the build raises no warning
-    got, want = _fresh_grid_and_point_loop(HahnParams(alpha, beta, N))
-    assert got.shape == (N + 1, N + 1)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # below the crossover the grid is one dd sweep per point, to the bit;
+    # from it on every column is its own eigenvector solve, and agrees in U
+    # units with the exact column at that point to 1e-13.  Either way the
+    # build raises no warning and the matrix is read-only
+    p = HahnParams(alpha, beta, N)
+    got = _fresh_grid(p)
+    assert got.shape == (N + 1, N + 1) and not got.flags.writeable
+    if N < GRID_ARRAY_N:
+        want = _dd_point_loop(p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        xs = _sampled(N)
+        u = got[:, xs] * np.sqrt(basis(p).weights[xs])
+        assert np.max(np.abs(u - _exact_u(p, xs))) <= 1e-13
 
 
 @pytest.mark.parametrize("N,shapes", [(GRID_ARRAY_N - 1, [()] * GRID_ARRAY_N),
-                                      (GRID_ARRAY_N, [(GRID_ARRAY_N + 1,)])])
+                                      (GRID_ARRAY_N, [])])
 def test_grid_build_switches_batching_at_the_constant(monkeypatch, N, shapes):
-    # one scalar sweep per grid point just below the constant, one array
-    # sweep over the grid from it on
-    seen = []
-    sweep = hahn.hahn_eval_all
+    # one scalar sweep per grid point just below the constant; from it on
+    # no sweep at all, and one twisted build
+    seen, twisted = [], []
+    sweep, build = hahn.hahn_eval_all, hahn._twisted_grid
 
     def counted(m, x, params):
         seen.append(np.shape(x))
         return sweep(m, x, params)
 
+    def counted_build(params, weights):
+        twisted.append(params)
+        return build(params, weights)
+
     monkeypatch.setattr(hahn, "hahn_eval_all", counted)
+    monkeypatch.setattr(hahn, "_twisted_grid", counted_build)
     basis.cache_clear()
-    basis(HahnParams(0.5, 0.5, N)).grid
+    p = HahnParams(0.5, 0.5, N)
+    basis(p).grid
     assert seen == shapes
+    assert twisted == ([] if N < GRID_ARRAY_N else [p])
 
 
 def test_grid_build_overflow_is_silent():
-    # here the array sweep overflows to NaN at the top degrees near x = N,
-    # as the per-point sweep does: numpy would warn where Python floats do
-    # not, so the build must not.  The NaNs sit where the loop's do (their
-    # sign bit may differ); every other entry has the loop's bits
-    got, want = _fresh_grid_and_point_loop(HahnParams(0.0, 10**6.5, 60))
-    nan = np.isnan(want)
-    assert nan.any() and np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    # (0, 10^6.5) at N = 60, where a dd sweep overflows to NaN at the top
+    # degrees near x = N: the twisted build stays in range, every entry is
+    # finite, it raises no warning, and U agrees with the exact columns
+    p = HahnParams(0.0, 10**6.5, 60)
+    got = _fresh_grid(p)
+    assert np.isfinite(got).all()
+    xs = _sampled(60)
+    u = got[:, xs] * np.sqrt(basis(p).weights[xs])
+    assert np.max(np.abs(u - _exact_u(p, xs))) <= 1e-13
+
+
+# tolerance stated before measuring: 1e-13 in U units, about 100 eps,
+# against every exact column; the twisted build's error bound is a few
+# eps ||J|| / gap with gap 1, and rows rounded once
+@pytest.mark.parametrize("alpha,beta,N", [(0.0, 0.0, 200), (5.0, 0.0, 200), (20.0, 20.0, 200),
+                                          (1e6, 0.0, 60)])
+def test_twisted_grid_against_exact_columns(alpha, beta, N):
+    p = HahnParams(alpha, beta, N)
+    u = basis(p).grid * np.sqrt(basis(p).weights)
+    assert np.max(np.abs(u - _exact_u(p, list(range(N + 1))))) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha,beta", BENCHMARK_FAMILIES + [(20.0, 20.0), (0.0, 1e3)])
+def test_twisted_grid_reflection(alpha, beta):
+    # w_(a,b)(N - x) = w_(b,a)(x), so U(b,a)[n, N-x] = (-1)^n U(a,b)[n, x]
+    # at N = 100, to 1e-13, with no reference; a planted 1e-9 breaks it
+    u_ab, u_ba = (basis(HahnParams(a, b, 100)).grid * np.sqrt(basis(HahnParams(a, b, 100)).weights)
+                  for a, b in ((alpha, beta), (beta, alpha)))
+    assert _mirror_defect(u_ab, u_ba) <= 1e-13
+    u_ab[17, 4] += 1e-9
+    assert not _mirror_defect(u_ab, u_ba) <= 1e-13
+
+
+def test_twisted_sign_where_row_0_underflows():
+    # (3, 1e12) at N = 100: rho = w / h_0 underflows near x = N, so U[0, x]
+    # is 0 there, yet each column keeps its sign, from the upward ratios;
+    # with unit weights the build returns U itself
+    p = HahnParams(3.0, 1e12, 100)
+    xs = [97, 98, 99, 100]
+    u = hahn._twisted_grid(p, np.ones(101))[:, xs]
+    assert u[0].tolist() == [0.0] * 4
+    assert np.max(np.abs(u - _exact_u(p, xs))) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 200])
+def test_jacobi_rows_equal_exact_steps_rounded_once(N):
+    # d_n = (A_n + C_n) and p_n = A_n C_(n+1) are the oracle's integer rows,
+    # each rounded once; p_N = 0 closes the matrix
+    for alpha, beta in NORM_FAMILIES + [(1e6, 0.0), (-0.999, 1e12)]:
+        d, prod = hahn._jacobi_rows(HahnParams(alpha, beta, N))
+        (a, b), D = _over_one_denominator(alpha, beta)
+        rows = _steps(a, b, D, N)
+        assert d.tolist() == [float(Fraction(sig, e * D)) for _, sig, _, e in rows]
+        assert prod.tolist() == [float(Fraction(al * ga, e0 * e1 * D * D))
+                                 for (al, _, _, e0), (_, _, ga, e1) in zip(rows, rows[1:])] + [0.0]
+
+
+def test_jacobi_rows_name_a_non_finite_row(monkeypatch):
+    monkeypatch.setattr(dd, "_quotient", lambda num, den: math.inf)
+    with pytest.raises(DegenerateRecurrenceError,
+                       match=r"^Jacobi row at n=0 is not finite in double precision$"):
+        hahn._jacobi_rows(HahnParams(0.0, 0.0, 12))
+
+
+@pytest.mark.parametrize("N", [30, GRID_ARRAY_N - 1])
+@pytest.mark.parametrize("alpha,beta", BENCHMARK_FAMILIES)
+def test_twisted_build_agrees_with_dd_below_the_constant(N, alpha, beta):
+    # below the constant the grid stays the dd point loop; the twisted
+    # build called there agrees with it to 1e-14 in U units
+    p = HahnParams(alpha, beta, N)
+    sqrt_w = np.sqrt(basis(p).weights)
+    twisted = hahn._twisted_grid(p, basis(p).weights) * sqrt_w
+    assert np.max(np.abs(twisted - basis(p).grid * sqrt_w)) <= 1e-14
 
 
 def test_recurrence_scalar_returns_float():
