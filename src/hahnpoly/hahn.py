@@ -33,13 +33,14 @@ The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
 integers 0..N.  From N = 42 up it is built that way: the Jacobi rows are
 integer quotients rounded once (`_jacobi_rows`), and one twisted
-factorization gives every eigenvector at once (`_twisted_grid`), right
-to a few 1e-15 in U units for every family measured, up to N = 200 and
-exponents 1e12.  Below 42 it is still one dd sweep per grid point over
-the norms, which the outputs pinned at those sizes were recorded on; the
-forward sweep is right to 1e-14 for moderate exponents, but it loses
-accuracy from N ~ 70 and for large exponents (4e-8 for (0, 1e3) and
-1.9e41 for (1e6, 0) at N = 30).
+factorization gives every eigenvector at once (`_twisted_grid`): two pivot
+loops over n, then whole-matrix ratios and cumulative products, no BLAS.
+It is right to a few 1e-15 in U units for every family measured, up to
+N = 200 and exponents 1e12.  Below 42 it is still one dd sweep per grid
+point over the norms, which the outputs pinned at those sizes were
+recorded on; the forward sweep is right to 1e-14 for moderate exponents,
+but it loses accuracy from N ~ 70 and for large exponents (4e-8 for
+(0, 1e3) and 1.9e41 for (1e6, 0) at N = 30).
 """
 
 from __future__ import annotations
@@ -262,58 +263,60 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     Algebra Appl. 267, 1997; Dhillon & Parlett, LAA 387, 2004).
 
     The backward pivots D-_n and the forward pivots D+_n of J - x run
-    elementwise over all x, a zero pivot replaced by eps ||J|| = eps N;
-    the twist k minimizes |D+_k + D-_k - (d_k - x)|.  From v_k = 1 the
-    vector expands downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and
-    upwards by v_n = sqrt(p_n) / D+_n v_{n+1}; each column is scaled to
-    unit length and to a positive row 0, whose sign is the product of the
-    signs of the upward ratios, since v_0 itself can underflow to 0.
+    elementwise over all x, each once, in the only two loops over n; a zero
+    pivot is replaced by eps ||J|| = eps N.  The twist k is the first n that
+    minimizes |D+_n + D-_n - (d_n - x)|.  From v_k = 1 the vector expands
+    downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and upwards by
+    v_n = sqrt(p_n) / D+_n v_{n+1}: each side's ratios, 1 on the other
+    side, are multiplied outwards by one cumulative product over the rows,
+    which rounds as a loop cur = cur * ratio does, and U is the product of
+    the two sides, one factor exactly 1 at every entry.  Each column is
+    scaled to unit length and to a positive row 0, whose sign is the parity
+    of the negative D+_n for n < k, since v_0 itself can underflow to 0.
     Elementwise numpy rounds as Python floats do, so no BLAS or LAPACK
-    build changes a bit.  The one (N+1)^2 array is the result: it holds
-    the backward pivots, then, above the twist, the forward pivots, which
-    are computed twice for that, and is overwritten with v row by row.
-    The division by sqrt(w) passes the double range to inf or nan
-    silently."""
+    build changes a bit.  At its peak the build holds the result, the
+    pivots of one side and small masks.  The division by sqrt(w) passes
+    the double range to inf or nan silently."""
     N = params.N
     d, p = _jacobi_rows(params)
     e = np.sqrt(p)
     x = np.arange(N + 1.0)
     tiny = np.finfo(float).eps * N
-
-    def nonzero(pivot):
-        return np.where(pivot == 0.0, tiny, pivot)
-
-    def forward():
-        fwd = d[0] - x
-        for n in range(N + 1):
-            if n:
-                fwd = (d[n] - x) - p[n - 1] / fwd
-            fwd = nonzero(fwd)
-            yield n, fwd
-
-    v = np.empty((N + 1, N + 1))
-    v[N] = d[N] - x
-    for n in range(N - 1, -1, -1):
-        v[n + 1] = nonzero(v[n + 1])
-        v[n] = (d[n] - x) - p[n] / v[n + 1]
-    best, k = np.full(N + 1, np.inf), np.zeros(N + 1)
-    for n, fwd in forward():
-        gamma = np.abs(fwd + v[n] - (d[n] - x))
+    # fwd holds d_n - x, then D+_n, then the upward products; v holds D-_n,
+    # then the downward products, then U
+    fwd = d[:, None] - x
+    v = np.empty_like(fwd)
+    piv = d[N] - x
+    for n in range(N, 0, -1):
+        np.putmask(piv, piv == 0.0, tiny)
+        v[n] = piv
+        piv = fwd[n - 1] - p[n - 1] / piv
+    v[0] = piv
+    # the twist as int16, which holds 0.._MAX_N: numpy buffers 8192 entries
+    # of each operand of the broadcast comparison below, and int16 takes a
+    # quarter of the bytes of int64
+    best, k = np.full(N + 1, np.inf), np.zeros(N + 1, dtype=np.int16)
+    for n in range(N + 1):
+        piv = fwd[n] - p[n - 1] / piv if n else d[0] - x
+        np.putmask(piv, piv == 0.0, tiny)
+        gamma = np.abs(piv + v[n] - fwd[n])
         better = gamma < best
-        k, best = np.where(better, float(n), k), np.where(better, gamma, best)
-    # downwards from the twist over D-_n, and D+_n in its place above it
-    cur = np.ones(N + 1)
-    for n, fwd in forward():
-        if n:
-            cur = np.where(n > k, cur * (e[n - 1] / v[n]), cur)
-        v[n] = np.where(n < k, fwd, np.where(n > k, cur, v[n]))
-    # upwards from v_k = 1; e[N] = 0 closes the matrix
-    cur, sign = np.ones(N + 1), np.ones(N + 1)
-    for n in range(N, -1, -1):
-        up = n < k
-        cur = np.where(up, cur * (e[n] / np.where(up, v[n], 1.0)), cur)
-        sign = np.where(up, sign * np.where(v[n] < 0.0, -1.0, 1.0), sign)
-        v[n] = np.where(n <= k, cur, v[n])
+        np.putmask(k, better, n)
+        np.putmask(best, better, gamma)
+        fwd[n] = piv
+    up = np.arange(N + 1, dtype=np.int16)[:, None] < k
+    sign = np.where(np.logical_xor.reduce(up & (fwd < 0.0), axis=0), -1.0, 1.0)
+    # the ratios e_n / D+_n above the twist and e_(n-1) / D-_n below it,
+    # each 1 elsewhere (up[n - 1] is n <= k), multiplied outwards from v_k
+    np.divide(e[:, None], fwd, out=fwd)
+    np.putmask(fwd, ~up, 1.0)
+    np.divide(e[:-1, None], v[1:], out=v[1:])
+    np.putmask(v[1:], up[:-1], 1.0)
+    v[0] = 1.0
+    np.multiply.accumulate(fwd[::-1], axis=0, out=fwd[::-1])
+    np.multiply.accumulate(v, axis=0, out=v)
+    v *= fwd
+    del fwd
     norm_sq = np.zeros(N + 1)
     for row in v:
         norm_sq += row * row
@@ -448,7 +451,7 @@ def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:
     """Matrix of orthonormal values, shape (m+1, N+1), row n = Q~_n on 0..N.
 
     A read-only view of the family's cached `HahnBasis.grid`, so the
-    projections on one family pay its grid sweeps (see there) once.
+    projections on one family pay its grid build (see there) once.
     """
     _check_degree(m, params)
     return basis(params).grid[: m + 1]

@@ -79,6 +79,19 @@ def test_imports_only_declared_dependencies():
                 assert not name.startswith(refused), (path.name, name)
 
 
+def test_hahn_forms_no_matrix_product():
+    # `_twisted_grid` promises bits that no BLAS build changes: hahn.py has
+    # no `@` and names none of numpy's BLAS-backed products, as a function
+    # or as a method
+    refused = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+    tree = ast.parse((SRC / "hahn.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), node.lineno
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        assert name not in refused, node.lineno
+
+
 def test_fsum_is_called_only_by_exact_sum():
     # a bare math.fsum raises on -inf + inf, and on a partial sum past the
     # double range depending on term order; `_compensated.exact_sum` owns

@@ -2,8 +2,10 @@
 weights, the operator's eigenvalues and coefficients, and the parameter
 type itself."""
 
+import hashlib
 import math
 import struct
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -238,6 +240,53 @@ def test_twisted_sign_where_row_0_underflows():
     u = hahn._twisted_grid(p, np.ones(101))[:, xs]
     assert u[0].tolist() == [0.0] * 4
     assert np.max(np.abs(u - _exact_u(p, xs))) <= 1e-13
+
+
+# sha256 of _twisted_grid(p, w).tobytes() over the families
+# PINNED_EXPONENTS^2, alpha outer, recorded on the row-loop build at commit
+# a906586 that the whole-matrix build replaced; unit weights where the
+# weights are refused
+PINNED_EXPONENTS = [-0.999, 0.0, 0.5, 3.0, 1e3, 1e6, 1e12]
+PINNED_DIGESTS = {
+    1: "c3767b79481280c685830457b158985041775abf8df8e42f774c8ec9cd514c59",
+    2: "28a4b18d104f58ebd46e7fa20d42e6003c1b9d2b0bfba1959c26535437b3fa4c",
+    30: "6af747ce2290cbe349244cbc0c5804ecb5a86aea79f282c74ee09db1763c915b",
+    41: "ef075a84830ff5ac05103b4f591e0a599fd47cef3f12067faef99624f4bb6c7c",
+    42: "28af4ea9ee0201aeca2df118651f80fac21adfe18a1855cc4adefd7f72947f2f",
+    100: "7d9e8eaf75026dec360ed2c0e37659eb9ba20e6e40bfeddad05a42d1bded06ef",
+    200: "598bd880d6d1593667100db81ee510453efec0af1dce2a09f7dd09ed153068ca",
+}
+
+
+@pytest.mark.parametrize("N", sorted(PINNED_DIGESTS))
+def test_twisted_grid_bits_are_pinned(N):
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in PINNED_EXPONENTS:
+            for beta in PINNED_EXPONENTS:
+                p = HahnParams(alpha, beta, N)
+                try:
+                    w = weight_table(p)
+                except DomainError:
+                    w = np.ones(N + 1)
+                digest.update(hahn._twisted_grid(p, w).tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[N]
+
+
+def test_twisted_grid_memory_peak():
+    # the result, the pivots of one side and small masks: at most 2.5
+    # (N+1)^2 doubles traced at N = 200, after a first call fills the caches
+    p = HahnParams(0.5, 0.5, 200)
+    w = weight_table(p)
+    hahn._twisted_grid(p, w)
+    tracemalloc.start()
+    try:
+        hahn._twisted_grid(p, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 201**2 * 8
 
 
 @pytest.mark.parametrize("N", [1, 2, 30, 200])
