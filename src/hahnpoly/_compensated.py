@@ -8,11 +8,13 @@ doubles lose everything there, dd keeps ~1e-15 relative accuracy.
 
 Only the handful of operations the evaluators need are provided.  All of
 them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two fused
-kernels run whole sweeps in one loop each: `dd_three_term_sweep`, the
-upward recurrence that gives Q_0(x) .. Q_m(x), and `dd_clenshaw_sweep`,
-Clenshaw's backward recurrence that gives sum_n k_n Q_n(x) without
-forming the Q_n.  `split` and `two_prod` scale an operand above 2^996
-before splitting it; the kernels split inline and do not.
+kernels run whole sweeps in one loop each, over the same rows
+(`HahnBasis.series`, a_n, r_n and g_n in dd) and without a division:
+`dd_three_term_sweep`, the upward recurrence that gives Q_1(x) .. Q_m(x),
+and `dd_clenshaw_sweep`, Clenshaw's backward recurrence that gives
+sum_n k_n Q_n(x) without forming the Q_n.  `split` and `two_prod` scale an
+operand above 2^996 before splitting it; the kernels split inline and do
+not.
 
 Every exact sum in the package is `exact_sum`, the one owner of what a
 sum is when it has no double value: +-inf past the double range, NaN for
@@ -159,45 +161,43 @@ def split(a):
     return hi / s, (b - hi) / s
 
 
-def dd_three_term_sweep(steps, x, cur: DD, prev: DD, out) -> DD:
-    """Upward three-term recurrence y_{j+1} = ((AC - x) y_j - C y_{j-1}) / A,
-    one step per row of steps, with AC = A + C; returns the last dd level
-    and writes each new level, rounded to a double, to out[i] for row i.
-
-    A row is the flat tuple
-    (A, A_lo, A_split_hi, A_split_lo, AC, AC_lo, C, C_lo, C_split_hi, C_split_lo)
-    of double-double A, AC and C with the Dekker splits (`split`) of the
-    high parts of A and C.  cur = y_j and prev = y_{j-1} seed the sweep.
-    x, cur and prev may be float arrays of one shape.
+def dd_three_term_sweep(rows, x, out) -> DD:
+    """The upward recurrence y_{n+1} = (a_n - r_n x) y_n - g_n y_{n-1} from
+    y_0 = 1 and y_{-1} = 0, one step per row of rows; returns the last dd
+    level and writes each new level y_{i+1}, rounded to a double, to
+    out[i].  rows are the first m rows of `HahnBasis.series`, as
+    `dd_clenshaw_sweep` reads them, so the levels are Q_1(x) .. Q_m(x).
+    x may be a float array; the rows are shared by every point.
 
     Each step makes the operations of
-    dd_div(dd_sub(dd_mul(dd_sub(AC, dd_from(x)), cur), dd_mul(C, prev)), A)
+    dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y_n), dd_mul(g, y_{n-1}))
     in the same order, so every level has the bits of that composition.
-    Left out are additions of -0.0 (exact no-ops) and the unused low part
-    of the last residual.  What does not change is not redone: -x is taken
-    once, the splits of A and C come with the row, and each level's high
-    part is split once, then reused when it becomes the previous level.
-    A negation is folded only where the bits cannot change: b + (-c) is
-    b - c, signed zeros included, but (-b) - c is not -(b + c) at zero.
+    There is no division: x is split once, the splits of r and g come
+    with the row, and each level's high part is split once, then reused
+    when it becomes the previous level.  A negation is folded only where
+    the bits cannot change: b + (-c) is b - c, signed zeros included.
     """
-    nx = -x
-    c0, c1 = cur
-    p0, p1 = prev
-    t = _SPLIT * p0
-    phi = t - (t - p0)
-    plo = p0 - phi
-    for i, (d0, d1, dhi, dlo, s0, s1, k0, k1, khi, klo) in enumerate(steps):
-        # w = AC - x  (dd_sub: two_sum, then quick_two_sum)
-        s = s0 + nx
-        bb = s - s0
-        e = (s0 - (s - bb)) + (nx - bb)
-        e += s1
+    t = _SPLIT * x
+    xhi = t - (t - x)
+    xlo = x - xhi
+    c0, c1, chi, clo = 1.0, 0.0, 1.0, 0.0
+    p0 = p1 = phi = plo = 0.0
+    for i, (a0, a1, r0, r1, rhi, rlo, g0, g1, ghi, glo) in enumerate(rows):
+        # rx = r * x  (dd_mul_d)
+        m0 = r0 * x
+        e = ((rhi * xhi - m0) + rhi * xlo + rlo * xhi) + rlo * xlo
+        e += r1 * x
+        s = m0 + e
+        m1 = e - (s - m0)
+        # w = a - rx  (dd_sub)
+        nm = -s
+        s = a0 + nm
+        bb = s - a0
+        e = (a0 - (s - bb)) + (nm - bb)
+        e += a1 - m1
         w0 = s + e
         w1 = e - (w0 - s)
-        # u = w * cur  (dd_mul); the split of cur is kept for the next step
-        t = _SPLIT * c0
-        chi = t - (t - c0)
-        clo = c0 - chi
+        # u = w * y_n  (dd_mul)
         u0 = w0 * c0
         t = _SPLIT * w0
         hi = t - (t - w0)
@@ -207,67 +207,26 @@ def dd_three_term_sweep(steps, x, cur: DD, prev: DD, out) -> DD:
         s = u0 + e
         u1 = e - (s - u0)
         u0 = s
-        # v = C * prev  (dd_mul)
-        v0 = k0 * p0
-        e = ((khi * phi - v0) + khi * plo + klo * phi) + klo * plo
-        e += k0 * p1 + k1 * p0
+        # v = g * y_{n-1}  (dd_mul)
+        v0 = g0 * p0
+        e = ((ghi * phi - v0) + ghi * plo + glo * phi) + glo * plo
+        e += g0 * p1 + g1 * p0
         s = v0 + e
         v1 = e - (s - v0)
-        # q = u - v  (dd_sub)
+        # y_{n+1} = u - v  (dd_sub)
         nv = -s
         s = u0 + nv
         bb = s - u0
         e = (u0 - (s - bb)) + (nv - bb)
         e += u1 - v1
-        q0 = s + e
-        q1 = e - (q0 - s)
-        # q / A  (dd_div: three float quotients, two dd residuals)
-        y1 = q0 / d0
-        # r = q - A * y1  (dd_mul_d, then dd_sub)
-        m0 = d0 * y1
-        t = _SPLIT * y1
-        bhi = t - (t - y1)
-        blo = y1 - bhi
-        e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
-        e += d1 * y1
-        s = m0 + e
-        m1 = e - (s - m0)
-        nm = -s
-        s = q0 + nm
-        bb = s - q0
-        e = (q0 - (s - bb)) + (nm - bb)
-        e += q1 - m1
-        q0 = s + e
-        q1 = e - (q0 - s)
-        y2 = q0 / d0
-        # r = r - A * y2
-        m0 = d0 * y2
-        t = _SPLIT * y2
-        bhi = t - (t - y2)
-        blo = y2 - bhi
-        e = ((dhi * bhi - m0) + dhi * blo + dlo * bhi) + dlo * blo
-        e += d1 * y2
-        s = m0 + e
-        m1 = e - (s - m0)
-        nm = -s
-        s = q0 + nm
-        bb = s - q0
-        e = (q0 - (s - bb)) + (nm - bb)
-        e += q1 - m1
-        q0 = s + e
-        y3 = q0 / d0
-        s = y1 + y2
-        e = y2 - (s - y1)
-        # (s, e) + (y3, 0)  (dd_add)
-        s2 = s + y3
-        bb = s2 - s
-        e2 = (s - (s2 - bb)) + (y3 - bb)
-        e2 += e + 0.0
-        r0 = s2 + e2
-        r1 = e2 - (r0 - s2)
-        out[i] = r0 + r1
+        y0 = s + e
+        y1 = e - (y0 - s)
+        out[i] = y0 + y1
         p0, p1, phi, plo = c0, c1, chi, clo
-        c0, c1 = r0, r1
+        c0, c1 = y0, y1
+        t = _SPLIT * c0
+        chi = t - (t - c0)
+        clo = c0 - chi
     return c0, c1
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._compensated import _quotient, exact_sum
 from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
 from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
-from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix
+from .hahn import HahnParams, _integer_steps, basis, hahn_eval_all, normalized_grid_matrix
 
 DEFAULT_SEED = 20240901
 DEGREE_CAP = 20
@@ -46,8 +46,8 @@ class CheckResult:
 
 def check_orthonormality(params: HahnParams) -> list[CheckResult]:
     """Gram matrix of the full orthonormal family against the identity."""
-    b = basis(params)
-    gram = (b.grid * b.weights) @ b.grid.T
+    grid = normalized_grid_matrix(params.N, params)
+    gram = (grid * basis(params).weights) @ grid.T
     off = gram - np.diag(np.diag(gram))
     return [
         CheckResult("orthonormality-offdiag", float(np.abs(off).max()), 1e-7),
@@ -93,22 +93,25 @@ def check_path_agreement(params: HahnParams) -> CheckResult:
     an orthogonal matrix), against the exact values at the sampled points,
     over every degree.  A value that is not finite fails the check."""
     xs, _, u_exact = _exact_columns(params)
-    b = basis(params)
+    grid = normalized_grid_matrix(params.N, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.abs(b.grid[:, xs] * np.sqrt(b.weights[xs]) - u_exact)
+        err = np.abs(grid[:, xs] * np.sqrt(basis(params).weights[xs]) - u_exact)
     return CheckResult("float-vs-exact", float(np.max(err)), 1e-9)
 
 
 def check_recurrence_identity(params: HahnParams) -> CheckResult:
-    """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1} on the
-    exact values at the sampled points, with the step coefficients the
-    recurrence sweep runs on, each rounded to a double.  An exact value
-    past the double range makes the defect nan, which fails the check."""
+    """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1},
+    n = 1..N-1, on the exact values at the sampled points, with A_n,
+    A_n + C_n and C_n each the integer quotient of the family's rows
+    (`hahn._integer_steps`) rounded once.  An exact value or a constant
+    past the double range makes the defect inf or nan, which fails the
+    check."""
     xs, q, _ = _exact_columns(params)
     qm, q0, qp = q[:-2], q[1:-1], q[2:]
-    # the high parts of A, AC and C in the step rows (dd_three_term_sweep)
-    steps = np.array(basis(params).steps).reshape(-1, 10)
-    A, AC, C = steps[:, 0:1], steps[:, 4:5], steps[:, 6:7]
+    A, C = _integer_steps(params)
+    rows = np.array([(_quotient(an, ad), _quotient(an * cd + cn * ad, ad * cd), _quotient(cn, cd))
+                     for (an, ad), (cn, cd) in zip(A[1:-1], C[1:-1])]).reshape(-1, 3)
+    A, AC, C = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = -np.array(xs, dtype=float) * q0
         rhs = A * qp - AC * q0 + C * qm

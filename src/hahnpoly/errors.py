@@ -27,7 +27,7 @@ class ZeroDenominatorError(DomainError):
 
 
 class DegenerateRecurrenceError(HahnPolyError):
-    """A recurrence step coefficient vanished where it must not."""
+    """A recurrence coefficient is not finite in double precision."""
 
 
 class DegenerateIntervalError(DomainError):

@@ -8,12 +8,19 @@ leading digit at the grid ends, while the compensated one stays near
 operations are elementwise float arithmetic, which numpy rounds as Python
 floats do, so every point equals a call with that point alone, to the
 bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
-`_compensated.dd_three_term_sweep`, which reads the Dekker splits of the
-family's step coefficients from its `HahnBasis.steps`; it passes the
-double range to inf or nan silently, as Python floats do.  The terminating
-series `hahn_eval_series`, also in dd, stays a tested public function of
-one degree and one point, but no other code calls it: `verify`'s
-independent reference is the exact oracle (`oracle_exact`).
+`_compensated.dd_three_term_sweep` over the family's `HahnBasis.series`
+rows, the rows the Clenshaw sweep reads too; it passes the double range
+to inf or nan silently, as Python floats do.  The terminating series
+`hahn_eval_series`, also in dd, stays a tested public function of one
+degree and one point, but no other code calls it: `verify`'s independent
+reference is the exact oracle (`oracle_exact`).
+
+The recurrence constants A_n and C_n have one source, `_integer_steps`:
+integer numerator and denominator pairs over the common denominator of
+the weights.  Every float constant is an integer quotient of them rounded
+once: the series rows (each dd entry an exact quotient and its exact
+remainder), the Jacobi rows and the constants of the recurrence check.
+No dd arithmetic assembles a constant.
 
 Closed-form squared norms complete the module.  `norm_sq_closed` writes
 alpha and beta over one common denominator, as the weights do, and runs
@@ -22,10 +29,8 @@ norm is one int true division, the exact value rounded once.  It also
 takes an array of degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
-`basis(params)` cache: the weight array, the step coefficients (A_n,
-A_n + C_n, C_n, and the splits of A_n and C_n), the series rows divided
-out of them for the Clenshaw sweep of `expansion.eval_expansion`, the
-norms, the orthonormal grid matrix and the difference operator's
+`basis(params)` cache: the weight array, the series rows of both sweeps,
+the norms, the orthonormal grid matrix and the difference operator's
 eigenvalues and coefficients B(x), D(x), each computed on first read and
 read-only after; off-grid sweeps never build the grid matrix.
 
@@ -108,64 +113,26 @@ class HahnBasis:
     weights = cached_property(lambda self: weight_table(self.params))
 
     @cached_property
-    def steps(self) -> tuple[tuple[float, ...], ...]:
-        """The step coefficients of
-        -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1}, j = 1..N-1, in
-        double-double, one flat row per j as `dd_three_term_sweep` reads it:
-        (A, A_lo, A_split_hi, A_split_lo, AC, AC_lo, C, C_lo, C_split_hi,
-        C_split_lo), with AC = A + C and the Dekker splits of the high parts
-        of A and C.  The one source of the step coefficients; a degree-m
-        sweep reads the first m-1 rows.  Built over all j at once; the dd
-        operations are elementwise float arithmetic, so each entry has the
-        bits of a scalar build.  The first vanishing or non-finite row
-        raises `DegenerateRecurrenceError` naming its n."""
-        a, b, N = self.params.alpha, self.params.beta, self.params.N
-        j = np.arange(1.0, N)
-        ab = dd.two_sum(a, b)
-        # a family near the double range overflows here as Python floats
-        # would, silently; the check on the rows below refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
-            # assembled factor by factor in dd
-            f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))          # j+alpha+beta+1
-            f2 = dd.two_sum(a, j + 1.0)                      # j+alpha+1
-            num = dd.dd_mul_d(dd.dd_mul(f1, f2), N - j)
-            g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))    # 2j+alpha+beta+1
-            g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
-            A = dd.dd_div(num, dd.dd_mul(g1, g2))
-            h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))      # j+alpha+beta+N+1
-            h2 = dd.two_sum(b, j)                            # j+beta
-            num = dd.dd_mul_d(dd.dd_mul(h1, h2), j)
-            g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))          # 2j+alpha+beta
-            C = dd.dd_div(num, dd.dd_mul(g0, g1))
-            AC = dd.dd_add(A, C)
-            parts = (*A, *dd.split(A[0]), *AC, *C, *dd.split(C[0]))
-        return _checked_rows(parts, 1)
-
-    @cached_property
     def series(self) -> tuple[tuple[float, ...], ...]:
         """The recurrence Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1},
-        n = 0..N-1, in double-double, one flat row per n as
-        `dd_clenshaw_sweep` reads it: (a, a_lo, r, r_lo, r_split_hi,
-        r_split_lo, g, g_lo, g_split_hi, g_split_lo), with
-        a_n = (A_n + C_n) / A_n, r_n = 1 / A_n, g_n = C_n / A_n and the
-        Dekker splits of the high parts of r_n and g_n.  Rows 1..N-1 are
-        divided out of `steps`, in one numpy pass, so their refusals hold
-        here too.  Row 0 is the Q_1 closed form: A_0 = (alpha+1) N /
-        (alpha+beta+2) and C_0 = 0, so a_0 = 1 and g_0 = 0."""
-        a, b, N = self.params.alpha, self.params.beta, self.params.N
-        steps = np.array(self.steps, dtype=float).reshape(-1, 10).T
-        A = (steps[0], steps[1])
-        r0 = dd.dd_div(dd.dd_add(dd.two_sum(a, b), dd.dd_from(2.0)),
-                       dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            ac = dd.dd_div((steps[4], steps[5]), A)
-            r = dd.dd_div((1.0, 0.0), A)
-            g = dd.dd_div((steps[6], steps[7]), A)
-            # row 0 first: a_0 = 1, the closed form's r_0, g_0 = 0
-            ac, r, g = [tuple(np.concatenate(([h], v)) for h, v in zip(head, col))
-                        for head, col in (((1.0, 0.0), ac), (r0, r), ((0.0, 0.0), g))]
-            parts = (*ac, *r, *dd.split(r[0]), *g, *dd.split(g[0]))
-        return _checked_rows(parts, 0)
+        n = 0..N-1, in double-double, one flat row per n as both sweep
+        kernels read it: (a, a_lo, r, r_lo, r_split_hi, r_split_lo, g, g_lo,
+        g_split_hi, g_split_lo), with a_n = (A_n + C_n) / A_n, r_n = 1 / A_n,
+        g_n = C_n / A_n and the Dekker splits of the high parts of r_n and
+        g_n.  Each dd value is one exact quotient of the integer rows
+        (`_integer_steps`), rounded once to its high part, with the exact
+        remainder rounded once as its low part.  Row 0 is the Q_1 closed
+        form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first row with an entry
+        past the double range raises `DegenerateRecurrenceError` naming its
+        n; a degree-m sweep reads the first m rows."""
+        A, C = _integer_steps(self.params)
+        rows = []
+        for n, ((an, ad), (cn, cd)) in enumerate(zip(A[:-1], C)):
+            a = _dd_quotient(an * cd + cn * ad, an * cd, n)
+            r = _dd_quotient(ad, an, n)
+            g = _dd_quotient(cn * ad, cd * an, n)
+            rows.append((*a, *r, *dd.split(r[0]), *g, *dd.split(g[0])))
+        return tuple(rows)
 
     @cached_property
     def sqrt_norms(self) -> np.ndarray:
@@ -211,34 +178,32 @@ class HahnBasis:
         return _read_only(x * (x - p.beta - p.N - 1.0))
 
 
-def _checked_rows(parts, first: int) -> tuple[tuple[float, ...], ...]:
-    # rows of the column arrays parts, row i numbered n = first + i; the
-    # first row whose leading entry vanishes or with a non-finite entry is
-    # refused, in a list pass, not numpy masks (see _check_degree)
-    out = tuple(zip(*(v.tolist() for v in parts)))
-    for n, row in enumerate(out, start=first):
-        if row[0] == 0.0:
-            raise DegenerateRecurrenceError(f"vanishing step coefficient at n={n}")
-        if not all(map(math.isfinite, row)):
-            raise DegenerateRecurrenceError(
-                f"step coefficient at n={n} is not finite in double precision")
-    return out
+def _dd_quotient(num: int, den: int, n: int) -> tuple[float, float]:
+    # num / den for den > 0 as a dd pair: the quotient rounded once, then
+    # the exact remainder num/den - hi = (num q - p den) / (den q), with
+    # hi = p/q, rounded once; a quotient past the double range refuses row n
+    hi = dd._quotient(num, den)
+    if not math.isfinite(hi):
+        raise DegenerateRecurrenceError(
+            f"step coefficient at n={n} is not finite in double precision")
+    p, q = hi.as_integer_ratio()
+    return hi, dd._quotient(num * q - p * den, den * q)
 
 
-def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal recurrence x Q~_n = d_n Q~_n - sqrt(p_n) Q~_{n+1}
-    - sqrt(p_{n-1}) Q~_{n-1} as its Jacobi diagonal d_n = A_n + C_n and
-    products p_n = A_n C_{n+1}, n = 0..N, each an integer quotient over the
-    common denominator of the weights, rounded once; p_N = 0, as A_N = 0.
-    With alpha = a/D, beta = b/D and s = a + b, every D cancels:
+def _integer_steps(params: HahnParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The step coefficients of -x Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n
+    + C_n Q_{n-1}, n = 0..N, as integer (numerator, denominator) pairs, both
+    parts positive but C_0 = 0 and A_N = 0 (Koekoek, Lesky & Swarttouw,
+    Hypergeometric Orthogonal Polynomials, Springer 2010, section 9.5): the
+    one source of the family's recurrence constants.  With alpha = a/D,
+    beta = b/D over the common denominator of the weights and s = a + b,
+    every D cancels:
 
         A_n = (nD+s+D)(nD+a+D)(N-n) / ((2nD+s+D)(2nD+s+2D)),
         C_n = n((n+N+1)D+s)(nD+b) / ((2nD+s)(2nD+s+D)),
 
     A_0 = (a+D) N / (s+2D) with the factor (alpha+beta+1) cancelled, and
-    C_0 = 0.  Both rows lie in [0, N] and [0, N^2/4], the spectrum being
-    0..N; a row that is not finite raises DegenerateRecurrenceError
-    naming its n."""
+    C_0 = 0."""
     N = params.N
     a, b, D = _exact_exponents(params.alpha, params.beta)
     s = a + b
@@ -248,6 +213,17 @@ def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
         A.append(((n * D + s + D) * (n * D + a + D) * (N - n),
                   (2 * n * D + s + D) * (2 * n * D + s + 2 * D)))
         C.append((n * ((n + N + 1) * D + s) * (n * D + b), (2 * n * D + s) * (2 * n * D + s + D)))
+    return A, C
+
+
+def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal recurrence x Q~_n = d_n Q~_n - sqrt(p_n) Q~_{n+1}
+    - sqrt(p_{n-1}) Q~_{n-1} as its Jacobi diagonal d_n = A_n + C_n and
+    products p_n = A_n C_{n+1}, n = 0..N, each an integer quotient of the
+    rows of `_integer_steps`, rounded once; p_N = 0, as A_N = 0.  Both
+    rows lie in [0, N] and [0, N^2/4], the spectrum being 0..N; a row
+    that is not finite raises DegenerateRecurrenceError naming its n."""
+    A, C = _integer_steps(params)
     d = [dd._quotient(an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(A, C)]
     p = [dd._quotient(an * cn, ad * cd) for (an, ad), (cn, cd) in zip(A, C[1:])] + [0.0]
     for n, row in enumerate(zip(d, p)):
@@ -365,27 +341,18 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
     x is a float or an array of points; the result has shape
     (m+1,) + shape(x).  Every dd operation is elementwise float
     arithmetic, so each point's values equal those of a call with that
-    point alone, bit for bit.  Q_0 and Q_1 seed one call of the kernel
-    `_compensated.dd_three_term_sweep` over the family's first m-1 step
-    rows; a sweep of degree 1 or less does not read the steps.  A value
-    past the double range is inf or nan, with no warning, as Python
-    floats give it; callers refuse or fail on it.
+    point alone, bit for bit.  One call of the kernel
+    `_compensated.dd_three_term_sweep` runs over the family's first m
+    series rows, from Q_0 = 1; row 0 is the Q_1 closed form.  A value past
+    the double range is inf or nan, with no warning, as Python floats give
+    it; callers refuse or fail on it.
     """
     _check_degree(m, params)
     out = np.empty((m + 1,) + np.shape(x))
     out[0] = 1.0
-    if m == 0:
-        return out
-    a, N = params.alpha, params.N
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Q_1 = 1 - (alpha+beta+2) x / ((alpha+1) N), the n = 1 series closed form
-        ab = dd.two_sum(a, params.beta)
-        t = dd.dd_mul_d(dd.dd_add(ab, dd.dd_from(2.0)), x)
-        t = dd.dd_div(t, dd.dd_mul_d(dd.two_sum(a, 1.0), float(N)))
-        cur = dd.dd_sub(dd.dd_from(1.0), t)
-        out[1] = cur[0] + cur[1]
-        if m > 1:
-            dd.dd_three_term_sweep(basis(params).steps[: m - 1], x, cur, dd.dd_from(1.0), out[2:])
+    if m:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dd.dd_three_term_sweep(basis(params).series[:m], x, out[1:])
     return out
 
 

@@ -92,6 +92,28 @@ def test_hahn_forms_no_matrix_product():
         assert name not in refused, node.lineno
 
 
+def test_hahn_assembles_no_constant_in_dd():
+    # the recurrence constants have one source, hahn._integer_steps, and
+    # each float constant is an integer quotient rounded once: hahn.py
+    # reads from _compensated only the exact quotient, the split of a
+    # rounded constant and the sweep kernel, so no dd arithmetic can build
+    # a second copy of the constants
+    allowed = {"_quotient", "split", "dd_three_term_sweep", "dd_clenshaw_sweep"}
+    tree = ast.parse((SRC / "hahn.py").read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.name.endswith("_compensated")}
+    assert modules == {"dd"}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").endswith("_compensated"), node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            used.add(node.attr)
+    assert used and used <= allowed, used - allowed
+
+
 def test_fsum_is_called_only_by_exact_sum():
     # a bare math.fsum raises on -inf + inf, and on a partial sum past the
     # double range depending on term order; `_compensated.exact_sum` owns

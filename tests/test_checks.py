@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hahnpoly import checks, oracle_exact
+from hahnpoly import checks, hahn, oracle_exact
 from hahnpoly.checks import (
     check_eigen_equation,
     check_path_agreement,
@@ -23,7 +23,13 @@ from hahnpoly.checks import (
 )
 from hahnpoly.errors import HahnPolyError
 from hahnpoly.hahn import HahnParams, basis, hahn_eval_recurrence
-from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
+from hahnpoly.oracle_exact import (
+    _over_one_denominator,
+    _steps,
+    exact_hahn_eval,
+    exact_norm_sq,
+    exact_weight,
+)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0)])
@@ -69,14 +75,17 @@ def _loop_path_agreement(params):
 
 
 def _loop_recurrence_identity(params):
+    # A_n, A_n + C_n and C_n from the oracle's integer rows, rounded once
     a, b, N = Fraction(params.alpha), Fraction(params.beta), params.N
+    (ai, bi), D = _over_one_denominator(params.alpha, params.beta)
+    rows = _steps(ai, bi, D, N)
     worst = 0.0
     for x in sorted({0, 1, N // 2, N - 1, N}):
         xf = float(x)
         q = [float(exact_hahn_eval(n, x, a, b, N)) for n in range(N + 1)]
         for n in range(1, N):
-            row = basis(params).steps[n - 1]
-            A, AC, C = row[0], row[4], row[6]
+            al, sig, ga, e = rows[n]
+            A, AC, C = (float(Fraction(v, e * D)) for v in (al, sig, ga))
             lhs = -xf * q[n]
             rhs = A * q[n + 1] - AC * q[n] + C * q[n - 1]
             scale = max(1.0, abs(A * q[n + 1]) + abs(AC * q[n]) + abs(C * q[n - 1]))
@@ -149,6 +158,35 @@ def test_swept_checks_smallest_grid():
     assert check_path_agreement(p).value == _loop_path_agreement(p)
     assert check_recurrence_identity(p).value == 0.0 == _loop_recurrence_identity(p)
     assert check_eigen_equation(p).value == _loop_eigen_equation(p)
+
+
+def test_grid_build_runs_inside_its_own_span(monkeypatch):
+    # the two checks that read the whole grid read it through
+    # hahn.normalized_grid_matrix, so on a fresh basis the twisted build
+    # runs inside that call, which is where a trace times the grid build,
+    # and the array is the cached grid itself
+    depth, builds = [], []
+    read, build = checks.normalized_grid_matrix, hahn._twisted_grid
+
+    def counted_read(m, params):
+        depth.append(m)
+        try:
+            return read(m, params)
+        finally:
+            depth.pop()
+
+    def counted_build(params, weights):
+        builds.append(len(depth))
+        return build(params, weights)
+
+    monkeypatch.setattr(checks, "normalized_grid_matrix", counted_read)
+    monkeypatch.setattr(hahn, "_twisted_grid", counted_build)
+    p = HahnParams(0.25, 0.75, 60)
+    for check in (checks.check_orthonormality, checks.check_path_agreement):
+        basis.cache_clear()
+        check(p)
+        assert read(60, p).base is basis(p).grid
+    assert builds == [1, 1]
 
 
 def test_exact_columns_once_per_family(monkeypatch):
@@ -273,6 +311,7 @@ def test_float_vs_exact_grows_with_the_defect(monkeypatch, alpha, beta):
         grid[150, x] += defect / math.sqrt(b.weights[x])
         planted = SimpleNamespace(grid=grid, weights=b.weights)
         monkeypatch.setattr(checks, "basis", lambda params: planted)
+        monkeypatch.setattr(checks, "normalized_grid_matrix", lambda m, params: grid[: m + 1])
         result = check_path_agreement(p)
         assert result.value == pytest.approx(defect, rel=1e-3) and not result.passed
 
@@ -284,6 +323,7 @@ def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
     grid[3, 6] = float("nan")
     broken = SimpleNamespace(grid=grid, weights=basis(p).weights)
     monkeypatch.setattr(checks, "basis", lambda params: broken)
+    monkeypatch.setattr(checks, "normalized_grid_matrix", lambda m, params: grid[: m + 1])
     result = check_path_agreement(p)
     assert math.isnan(result.value) and not result.passed
 

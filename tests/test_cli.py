@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hahnpoly import cli
 from hahnpoly.cli import main
 from hahnpoly.expansion import IntervalMap, eval_expansion
 from hahnpoly.hahn import HahnParams, basis
+from hahnpoly.oracle_exact import exact_hahn_eval
 
 
 def run(*args, **kwargs):
@@ -338,23 +340,24 @@ def test_eval_overflow_is_domain_error():
 def test_eval_refuses_before_the_norm(monkeypatch):
     # off the nodes, a Q_n that is not finite is refused before its norm is
     # computed; the refusal's exit code and text are those of a refusal
-    # after the division.  For (1e305, 0.5) every step coefficient
-    # overflows, and the steps are refused before any sweep; Q_0 and Q_1
-    # read no steps, and Q_1's own closed form splits its factors near 1e305
-    # scaled, so Q_1(0) = 1 prints unnormalized.  Normalized at the nodes
-    # no sweep runs, and the norm is the first refusal
+    # after the division.  The family (-1 + 2^-52, 1.7e308) at N = 1 has an
+    # A_0 that vanishes in double precision, so its series row 0 is refused
+    # before any sweep, at every degree but 0.  For (0, 1e305) the row is
+    # finite, but Q_1(150.5) = -7.5e304 is past the range where the sweep
+    # splits its levels unscaled, and the sweep's nan is refused
     def unreachable(*args):
         raise AssertionError("norm computed for a refused Q_n")
 
+    tiny = ("--alpha", "-0.9999999999999998", "--beta", "1.7e308", "--N", "1")
     family = ("--alpha", "1e305", "--beta", "0.5", "--N", "200")
     with monkeypatch.context() as m:
         m.setattr(hahnpoly.cli, "norm_sq_closed", unreachable)
         cases = [(("--N", "30", "--n", "30", "--points", "1e300"), "Q_30(1e+300) is not finite"),
-                 ((*family, "--n", "3", "--points", "0.5"), "step coefficient at n=1 is not finite"),
-                 ((*family, "--n", "200", "--points", "0,0.5"),
-                  "step coefficient at n=1 is not finite"),
-                 ((*family, "--n", "3", "--normalized", "false"),
-                  "step coefficient at n=1 is not finite")]
+                 (("--alpha", "0", "--beta", "1e305", "--N", "200", "--n", "1", "--points",
+                   "0,150.5"), "Q_1(150.5) is not finite"),
+                 ((*tiny, "--n", "1", "--points", "0.5"), "step coefficient at n=0 is not finite"),
+                 ((*tiny, "--n", "1", "--normalized", "false"),
+                  "step coefficient at n=0 is not finite")]
         for args, why in cases:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -362,14 +365,25 @@ def test_eval_refuses_before_the_norm(monkeypatch):
             assert res.exit_code == 3
             assert res.stderr == f"error: {why} in double precision\n"
             assert res.stdout == ""
-    for points in ("0", "0,7,200"):
+        # the rows of (1e305, 0.5) are finite, so Q_3 off the nodes is too
+        # and prints unnormalized: the exact value rounded, to 1e-12
+        res = run("eval", *family, "--n", "3", "--points", "0.5", "--normalized", "false")
+        assert res.exit_code == 0
+        value = float(res.stdout.splitlines()[-1].split(",")[1])
+        exact = float(exact_hahn_eval(3, Fraction(1, 2), Fraction(1e305), Fraction(1, 2), 200))
+        assert value == pytest.approx(exact, rel=1e-12, abs=0)
+        res = run("eval", *family, "--n", "1", "--points", "0", "--normalized", "false")
+        assert res.exit_code == 0
+        assert res.stdout.endswith("x,value\n0,1\n")
+        res = run("eval", *tiny, "--n", "0", "--points", "0.5", "--normalized", "false")
+        assert res.exit_code == 0
+        assert res.stdout.endswith("x,value\n0.5,1\n")
+    # normalized, that Q_3 reaches its norm, which is the refusal; at the
+    # nodes no sweep runs, and the norm is the first refusal as well
+    for points in ("0.5", "0", "0,7,200"):
         res = run("eval", *family, "--n", "3", "--points", points)
         assert res.exit_code == 3
         assert res.stderr == "error: norm of Q_3 is not finite in double precision\n"
-    res = run("eval", *family, "--n", "1", "--points", "0", "--normalized", "false")
-    assert res.exit_code == 0
-    assert res.stdout.endswith("x,value\n0,1\n")
-    monkeypatch.undo()
     res = run("eval", *family, "--n", "0", "--points", "0,7.5", "--normalized", "false")
     assert res.exit_code == 0
     assert res.stdout.endswith("x,value\n0,1\n7.5,1\n")
@@ -686,10 +700,15 @@ def test_poly_function_spec():
 # verify pin was re-recorded when the grid from N = 42 up became the twisted
 # build, after its full grid was measured against exact columns (4.0e-16 in
 # U units): float-vs-exact went from 1.7e-15 to 3.4e-16, seven more value
-# rows moved within their tolerances, and every status stayed pass
+# rows moved within their tolerances, and every status stayed pass.  The
+# N = 30 pointwise pin was re-recorded when the forward sweep came to read
+# the series rows built from the integer recurrence constants: one cell
+# moved, u_9 (exactly 0 for exact samples), from -2.1684043449710089e-18 to
+# -2.1684043449710062e-18, 1.8e-33 of the column's largest value; both are
+# 8.5e-18 of it from the exact projection of the same samples
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
-        (0, "26b37e0eac88982ecc90727fab8e9bcda886269d4b8c39784ef2cb5edb9c00e5"),
+        (0, "ccd5199456b6f1181bdf5d6341440c582dcbb08473ba4ba18a4c759aaa3a667f"),
     "runge --N 30 --m 10 --samples 201":
         (0, "6c68eea7225a68cb014f7b39e893a5b19061e8c9f5d188505dec728b9dd8a9ca"),
     "eval --n 5 --N 30 --points 0,7.5,30 --normalized false":

@@ -18,16 +18,15 @@ from hahnpoly.hahn import HahnParams, basis, hahn_eval_all
 FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0)]
 
 
-def _composed_step(A, C, x, cur, prev):
-    # the step as the recurrence sweep made it from the primitives
-    w = dd.dd_sub(dd.dd_add(A, C), dd.dd_from(x))
-    q = dd.dd_sub(dd.dd_mul(w, cur), dd.dd_mul(C, prev))
-    return dd.dd_div(q, A)
+def _composed_step(row, x, cur, prev):
+    # the step as the primitives make it: (a - r x) y_n - g y_{n-1}
+    w = dd.dd_sub(row[0:2], dd.dd_mul_d(row[2:4], x))
+    return dd.dd_sub(dd.dd_mul(w, cur), dd.dd_mul(row[6:8], prev))
 
 
-def _row(A, C):
-    # one row of HahnBasis.steps, as dd_three_term_sweep reads it
-    return (*A, *dd.split(A[0]), *dd.dd_add(A, C), *C, *dd.split(C[0]))
+def _row(a, r, g):
+    # one row of HahnBasis.series, as both sweep kernels read it
+    return (*a, *r, *dd.split(r[0]), *g, *dd.split(g[0]))
 
 
 def _bits(v):
@@ -39,29 +38,25 @@ def _assert_same(got, want):
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
-def _sweep(steps, x, cur, prev):
-    out = np.empty((len(steps),) + np.shape(x))
-    return dd.dd_three_term_sweep(steps, x, cur, prev, out), out
+def _sweep(rows, x):
+    out = np.empty((len(rows),) + np.shape(x))
+    return dd.dd_three_term_sweep(rows, x, out), out
 
 
 def _walk(params, x, counts):
-    # the composed chain over every step of a full-degree sweep, Q_0 = 1 and
-    # Q_1 rounded to a double as the seeds; a sweep over the first k steps
-    # returns the chain's level k and writes each level rounded
-    q1 = hahn_eval_all(1, x, params)[1]
-    seeds = (dd.dd_from(q1 if np.ndim(x) else float(q1)), dd.dd_from(1.0))
-    steps = basis(params).steps
-    levels = [seeds[0]]
-    prev, cur = seeds[1], seeds[0]
-    for row in steps:
-        A, AC, C = row[0:2], row[4:6], row[6:8]
-        assert AC == dd.dd_add(A, C)
-        prev, cur = cur, _composed_step(A, C, x, cur, prev)
+    # the composed chain over every row of a full-degree sweep from
+    # y_0 = 1 and y_{-1} = 0; a sweep over the first k rows returns the
+    # chain's level k and writes each level rounded
+    rows = basis(params).series
+    levels = [dd.dd_from(1.0)]
+    prev, cur = dd.dd_from(0.0), dd.dd_from(1.0)
+    for row in rows:
+        prev, cur = cur, _composed_step(row, x, cur, prev)
         levels.append(cur)
     rounded = np.array([hi + lo for hi, lo in levels[1:]]).reshape((-1,) + np.shape(x))
     for k in counts:
-        last, out = _sweep(steps[:k], x, *seeds)
-        _assert_same(last, levels[k])
+        last, out = _sweep(rows[:k], x)
+        _assert_same(np.broadcast_arrays(*last, x)[:2], np.broadcast_arrays(*levels[k], x)[:2])
         assert np.array_equal(_bits(out), _bits(rounded[:k]))
 
 
@@ -72,29 +67,36 @@ def test_fused_step_equals_composition(N, alpha, beta):
     # values there grow far past those on the grid.  Scalar points take
     # every step count; the array, whose levels the full sweep also writes
     # out, takes the empty, one-step and full sweeps and a stride between.
+    # The sweep reads the series rows, so its Q_1 is their row 0
     p = HahnParams(alpha, beta, N)
-    assert len(basis(p).steps) == N - 1
+    assert len(basis(p).series) == N
     for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 1.0):
-        _walk(p, x, range(N))
+        _walk(p, x, range(N + 1))
     xs = np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)])
-    _walk(p, xs, sorted({0, min(1, N - 1), *range(0, N, 17), N - 1}))
+    _walk(p, xs, sorted({0, 1, *range(0, N + 1, 17), N}))
+    assert np.array_equal(hahn_eval_all(N, xs, p)[1:], _sweep(basis(p).series, xs)[1])
 
 
 def test_fused_step_keeps_signed_zeros():
-    # zero values and zero low parts come out with the composition's signs,
-    # for one step and for two, where the second reuses the first's split
-    one, zero, nzero = (1.0, 0.0), (0.0, 0.0), (-0.0, -0.0)
-    for A, C in [(one, one), (one, zero), ((2.0, 1e-17), (0.5, -1e-18))]:
-        row = _row(A, C)
-        for x in (0.0, -0.0, 1.0, 2.0):
-            for cur in (zero, nzero, one):
-                for prev in (zero, nzero, one):
-                    want = _composed_step(A, C, x, cur, prev)
-                    last, out = _sweep((row,), x, cur, prev)
-                    _assert_same(last, want)
-                    assert _bits(out[0]) == _bits(want[0] + want[1])
-                    last, out = _sweep((row, row), x, cur, prev)
-                    _assert_same(last, _composed_step(A, C, x, want, cur))
+    # rows and points holding zeros of both signs, and zero low parts, give
+    # the composition's bits, for one step and for two, where the second
+    # reuses the first level's split.  From y_0 = 1 and y_{-1} = 0 every
+    # zero level is +0 in the composition too, and the kernel must not
+    # make it -0
+    parts = [(1.0, 0.0), (1.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0),
+             (-1.0, 0.0), (2.0, 1e-17)]
+    zeros = 0
+    for a, r, g in itertools.product(parts, repeat=3):
+        row = _row(a, r, g)
+        for x in (0.0, -0.0, 1.0, -1.0):
+            one_step = _composed_step(row, x, (1.0, 0.0), (0.0, 0.0))
+            for seq, want in [((row,), one_step),
+                              ((row, row), _composed_step(row, x, one_step, (1.0, 0.0)))]:
+                last, out = _sweep(seq, x)
+                _assert_same(last, want)
+                assert _bits(out[-1]) == _bits(want[0] + want[1])
+                zeros += want[0] == 0.0
+    assert zeros > 100
 
 
 def _composed_clenshaw(rows, ks, x):

@@ -681,6 +681,6 @@ def test_session_builds_each_grid_once(monkeypatch):
     for p in SESSION_FAMILIES:
         b = basis(p)
         assert b is basis(p)
-        assert isinstance(b.steps, tuple)
+        assert isinstance(b.series, tuple)
         for arr in (b.weights, b.sqrt_norms, b.grid):
             assert not arr.flags.writeable

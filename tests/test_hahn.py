@@ -8,7 +8,6 @@ import struct
 import tracemalloc
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,117 +479,94 @@ def test_sqrt_norms_once_per_family():
 
 
 def test_step_coefficients_once_per_family():
-    # one tuple of all N - 1 step rows (A, A_lo, A's split, A + C, its lo,
-    # C, C_lo, C's split); a degree-m sweep reads a prefix of it, so a
-    # low-degree sweep is a prefix of the full one
-    from hahnpoly._compensated import dd_add
-
+    # one tuple of all N series rows (a, a_lo, r, r_lo, r's split, g, g_lo,
+    # g's split); a degree-m sweep reads a prefix of it, so a low-degree
+    # sweep is a prefix of the full one
     p = HahnParams(-0.5, 3.0, 40)
-    steps = basis(p).steps
-    assert steps is basis(p).steps
-    assert len(steps) == 39
-    # the exact A_n = al/(e D) and C_n = ga/(e D) of the oracle's integer rows
-    (a, b), D = _over_one_denominator(p.alpha, p.beta)
-    exact = _steps(a, b, D, p.N)
-    for n, row in enumerate(steps, start=1):
-        A, AC, C = row[0:2], row[4:6], row[6:8]
-        al, _, ga, e = exact[n]
-        assert AC == dd_add(A, C)
-        assert A[0] == pytest.approx(float(Fraction(al, e * D)), rel=1e-15, abs=0)
-        assert C[0] == pytest.approx(float(Fraction(ga, e * D)), rel=1e-15, abs=0)
+    rows = basis(p).series
+    assert rows is basis(p).series
+    assert len(rows) == 40
+    # a_n = 1 + g_n, each rounded once from its own exact quotient
+    for row in rows:
+        assert row[0] == pytest.approx(1.0 + row[6], rel=2**-52, abs=0)
     xs = np.array([-1.0, 0.0, 12.5, 40.0, 41.0])
     full = hahn_eval_all(40, xs, p)
-    for m in (0, 1, 2, 17, 39):
+    for m in (0, 1, 2, 17, 39, 40):
         assert np.array_equal(hahn_eval_all(m, xs, p), full[: m + 1])
 
 
 def _split(v):
-    # Dekker's split, written out
-    t = 134217729.0 * v
-    hi = t - (t - v)
-    return hi, v - hi
+    # Dekker's split, written out; above 2^996 of v scaled by 2^-28, and the
+    # parts scaled back
+    s = 2.0**-28 if abs(v) > 2.0**996 else 1.0
+    t = 134217729.0 * (v * s)
+    hi = t - (t - v * s)
+    return hi / s, (v * s - hi) / s
 
 
-def _steps_scalar(a, b, N):
-    # reference for HahnBasis.steps: the same dd operations one j at a time
-    ab = dd.two_sum(a, b)
+def _rounded_pair(exact):
+    # an exact rational as a dd pair: the value rounded once, then the
+    # remainder rounded once
+    hi = float(exact)
+    return hi, float(exact - Fraction(hi))
+
+
+def _series_scalar(alpha, beta, N):
+    # reference for HahnBasis.series: Koekoek, Lesky & Swarttouw's A_n and
+    # C_n in Fractions, one n at a time, each row entry rounded as a pair
+    a, b = Fraction(alpha), Fraction(beta)
     out = []
-    for j in range(1, N):
-        f1 = dd.dd_add(ab, dd.dd_from(j + 1.0))
-        f2 = dd.two_sum(a, j + 1.0)
-        num = dd.dd_mul_d(dd.dd_mul(f1, f2), float(N - j))
-        g1 = dd.dd_add(ab, dd.dd_from(2.0 * j + 1.0))
-        g2 = dd.dd_add(ab, dd.dd_from(2.0 * j + 2.0))
-        A = dd.dd_div(num, dd.dd_mul(g1, g2))
-        h1 = dd.dd_add(ab, dd.dd_from(j + N + 1.0))
-        h2 = dd.two_sum(b, float(j))
-        num = dd.dd_mul_d(dd.dd_mul(h1, h2), float(j))
-        g0 = dd.dd_add(ab, dd.dd_from(2.0 * j))
-        C = dd.dd_div(num, dd.dd_mul(g0, g1))
-        row = (*A, *_split(A[0]), *dd.dd_add(A, C), *C, *_split(C[0]))
-        if A[0] == 0.0:
-            raise DegenerateRecurrenceError(f"vanishing step coefficient at n={j}")
-        if not all(map(math.isfinite, row)):
-            raise DegenerateRecurrenceError(
-                f"step coefficient at n={j} is not finite in double precision")
-        out.append(row)
+    for n in range(N):
+        if n == 0:
+            A, C = (a + 1) * N / (a + b + 2), Fraction(0)
+        else:
+            A = (n + a + b + 1) * (n + a + 1) * (N - n) / ((2 * n + a + b + 1) * (2 * n + a + b + 2))
+            C = n * (n + a + b + N + 1) * (n + b) / ((2 * n + a + b) * (2 * n + a + b + 1))
+        r, g = _rounded_pair(1 / A), _rounded_pair(C / A)
+        out.append((*_rounded_pair((A + C) / A), *r, *_split(r[0]), *g, *_split(g[0])))
     return tuple(out)
 
 
-def _packed(steps):
+def _packed(rows):
     # float64 bytes of every entry
-    return b"".join(struct.pack("<d", v) for row in steps for v in row)
+    return b"".join(struct.pack("<d", v) for row in rows for v in row)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 30, 200])
 def test_steps_equal_scalar_build(N):
-    # the array build, its splits included, has the bits of a build one j
-    # at a time, without a warning
-    for alpha, beta in NORM_FAMILIES:
+    # the series rows, their splits included, have the bits of a build one
+    # n at a time from the recurrence constants in Fractions, and the build
+    # raises no warning.  (1e305, 0.5) and (0.5, 1e305) are built too: the
+    # old dd factor assembly overflowed their rows from n = 1, the integer
+    # quotients do not
+    for alpha, beta in NORM_FAMILIES + [(1e305, 0.5), (0.5, 1e305)]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _steps_scalar(alpha, beta, N)
-            got = HahnBasis(HahnParams(alpha, beta, N)).steps
-        assert len(got) == max(N - 1, 0)
+            got = HahnBasis(HahnParams(alpha, beta, N)).series
+        assert len(got) == N
         assert all(len(row) == 10 for row in got)
-        assert all(type(v) is float for row in got for v in row)
-        assert _packed(got) == _packed(want), (alpha, beta)
-    # (1e305, 0.5) overflows every step coefficient: the first row is
-    # refused, still without a warning; at N = 1 there is no row
-    fam = HahnParams(1e305, 0.5, N)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if N == 1:
-            assert HahnBasis(fam).steps == () == _steps_scalar(1e305, 0.5, N)
-        else:
-            for build in (lambda: _steps_scalar(1e305, 0.5, N), lambda: HahnBasis(fam).steps):
-                with pytest.raises(DegenerateRecurrenceError,
-                                   match=r"^step coefficient at n=1 is not finite in double precision$"):
-                    build()
+        assert all(type(v) is float and math.isfinite(v) for row in got for v in row)
+        assert _packed(got) == _packed(_series_scalar(alpha, beta, N)), (alpha, beta)
 
 
 @pytest.mark.parametrize("N", [1, 2, 30, 200])
 def test_series_rows_against_exact_steps(N):
-    # a_n = (A_n + C_n) / A_n, r_n = 1 / A_n and g_n = C_n / A_n in dd, row 0
-    # the Q_1 closed form, against the exact integer rows; the splits are
-    # those of the high parts, and the build raises no warning
+    # every dd entry of a row is the correctly rounded pair of the oracle's
+    # exact a_n = (A_n + C_n) / A_n, r_n = 1 / A_n and g_n = C_n / A_n: the
+    # high part the exact value rounded once, the low part the exact
+    # remainder rounded once.  Row 0 is the Q_1 closed form, and the splits
+    # are those of the high parts
     for alpha, beta in NORM_FAMILIES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = HahnBasis(HahnParams(alpha, beta, N)).series
+        rows = HahnBasis(HahnParams(alpha, beta, N)).series
         (a, b), D = _over_one_denominator(alpha, beta)
         assert len(rows) == N
         assert rows[0][0:2] == (1.0, 0.0) and rows[0][6:10] == (0.0, 0.0, 0.0, 0.0)
         for row, (al, sig, ga, e) in zip(rows, _steps(a, b, D, N)):
-            assert all(type(v) is float for v in row)
-            for (hi, lo), exact in [(row[0:2], Fraction(sig, al)),
-                                    (row[2:4], Fraction(e * D, al)),
-                                    (row[6:8], Fraction(ga, al))]:
-                assert hi + lo == hi
-                assert abs(Fraction(hi) + Fraction(lo) - exact) <= 2.0**-100 * abs(exact)
+            for pair, exact in [(row[0:2], Fraction(sig, al)),
+                                (row[2:4], Fraction(e * D, al)),
+                                (row[6:8], Fraction(ga, al))]:
+                assert pair == _rounded_pair(exact), (alpha, beta)
             assert row[4:6] == _split(row[2]) and row[8:10] == _split(row[6])
-    with pytest.raises(DegenerateRecurrenceError, match="n=1"):
-        HahnBasis(HahnParams(1e305, 0.5, 200)).series
 
 
 def test_q1_closed_form_past_the_split_range():
@@ -600,26 +576,33 @@ def test_q1_closed_form_past_the_split_range():
 
 
 def test_steps_name_vanishing_coefficient():
-    # outside the family domain A_n vanishes where j + alpha + 1 = 0, and
-    # the check on the built list names that n
-    for alpha, beta, n in [(-3.0, 0.5, 2), (-5.0, 0.5, 4)]:
-        fake = SimpleNamespace(alpha=alpha, beta=beta, N=8)
-        with pytest.raises(DegenerateRecurrenceError, match=f"^vanishing step coefficient at n={n}$"):
-            _steps_scalar(alpha, beta, 8)
-        with pytest.raises(DegenerateRecurrenceError, match=f"^vanishing step coefficient at n={n}$"):
-            HahnBasis(fake).steps
+    # a family whose A_0 = (alpha+1) N / (alpha+beta+2) is positive but
+    # vanishes in double precision: r_0 = 1 / A_0, an integer quotient,
+    # passes the double range, and row 0 is refused as not finite, not
+    # divided by a rounded zero
+    p = HahnParams(-1.0 + 2.0**-52, 1.7e308, 1)
+    A, _ = hahn._integer_steps(p)
+    assert A[0][0] > 0 and dd._quotient(*A[0]) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRecurrenceError,
+                           match=r"^step coefficient at n=0 is not finite in double precision$"):
+            HahnBasis(p).series
+        with pytest.raises(DegenerateRecurrenceError, match=r"n=0 is not finite"):
+            hahn_eval_all(1, 0.5, p)
 
 
 def test_refused_weights_come_before_sweeps_and_norms():
     # project reads the grid, which reads the weights first: a family they
     # refuse builds neither the sweeps nor the exact norm products
     p = HahnParams(1e305, 0.5, 200)
+    basis.cache_clear()
     u = GridFunction(p, np.ones(201))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"^weight w\(2\) is not finite"):
             project(u, 200)
-    assert {"grid", "sqrt_norms", "steps"}.isdisjoint(vars(basis(p)))
+    assert {"grid", "sqrt_norms", "series"}.isdisjoint(vars(basis(p)))
 
 
 def test_norm_flat_weight_degree_zero():
@@ -648,26 +631,32 @@ def test_normalized_matrix_shape_and_rows():
 
 
 def test_recurrence_coefficients_positive_and_bounded():
+    # 0 < A_n, C_n <= N for n = 1..N-1, as A_n + C_n is a diagonal entry of
+    # a Jacobi matrix with spectrum 0..N; so r_n = 1 / A_n >= 1 / N and
+    # g_n > 0 in the series rows
     for alpha, beta in PARAM_SETS:
-        steps = basis(HahnParams(alpha, beta, 30)).steps
-        assert len(steps) == 29
-        for row in steps:
-            assert row[0] > 0
-            assert row[6] > 0
+        p = HahnParams(alpha, beta, 30)
+        A, C = hahn._integer_steps(p)
+        assert len(A) == len(C) == 31
+        for (an, ad), (cn, cd) in zip(A[1:-1], C[1:-1]):
+            assert 0 < Fraction(an, ad) <= 30 and 0 < Fraction(cn, cd) <= 30
+        rows = basis(p).series
+        assert all(row[2] >= 1.0 / 30.0 and row[6] > 0 for row in rows[1:])
 
 
 def test_recurrence_identity_against_oracle_values():
     # -x Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n + C_n Q_{n-1} with exact Q values
+    # and A_n, C_n the integer rows rounded once, n = 0..N-1 (C_0 = 0)
     N = 8
     p = HahnParams(0.5, 0.5, N)
     half = Fraction(1, 2)
+    A, C = hahn._integer_steps(p)
     for x in range(N + 1):
         q = [float(exact_hahn_eval(n, x, half, half, N)) for n in range(N + 1)]
-        # the hi parts of the dd steps A_n and C_n
-        for n, row in enumerate(basis(p).steps, start=1):
-            A, C = row[0], row[6]
+        for n in range(N):
+            An, Cn = dd._quotient(*A[n]), dd._quotient(*C[n])
             lhs = -float(x) * q[n]
-            rhs = A * q[n + 1] - (A + C) * q[n] + C * q[n - 1]
+            rhs = An * q[n + 1] - (An + Cn) * q[n] + Cn * (q[n - 1] if n else 0.0)
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
