@@ -24,9 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._compensated import _quotient, exact_sum
+from ._compensated import _quotient, exact_row_sums, exact_sum
 from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
-from .expansion import BOUND_SLACK, IntervalMap, decay_report, inner_product, project
+from .expansion import (BOUND_SLACK, IntervalMap, _check_norms, decay_report, inner_product,
+                        project)
 from .hahn import HahnParams, _integer_steps, basis, hahn_eval_all, normalized_grid_matrix
 
 DEFAULT_SEED = 20240901
@@ -177,8 +178,13 @@ def check_operator_symmetry(params: HahnParams) -> CheckResult:
 def check_spectral_multiplier(params: HahnParams) -> CheckResult:
     """Applying L multiplies coefficient n by -lam_n, coefficient-wise."""
     (u,) = _random_grid_functions(params, 1)
-    cu = project(u, params.N).coeffs
-    clu = project(l_disk_apply(u), params.N).coeffs
+    # project's refusals come before L u is formed; both projections are
+    # then one exact_row_sums call
+    qmat = normalized_grid_matrix(params.N, params)
+    _check_norms(params, params.N)
+    w = basis(params).weights
+    wu = u.values * w
+    cu, clu = exact_row_sums(qmat, np.stack([wu, l_disk_apply(u).values * w]))
     lams = basis(params).lam
     scale = np.maximum(np.abs(lams * cu), 1e-6 * float(np.max(np.abs(lams * cu))))
     worst = float(np.max(np.abs(clu + lams * cu) / np.where(scale == 0.0, 1.0, scale)))

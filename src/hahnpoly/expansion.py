@@ -11,11 +11,14 @@ a degree whose norm ||Q_k|| is past the double range has no double
 orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
 Every exact sum here is `_compensated.exact_sum`, the package's one rule
-for a sum with no double value.
+for a sum with no double value.  A set of row sums (the coefficients of
+a projection, the values at the nodes) is one `exact_row_sums` call,
+which gives exact_sum's bits for every row.
 
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
-orthonormal coefficients.  Everywhere else the whole series is summed in
+orthonormal coefficients, all nodes of an array in one call.  Everywhere
+else the whole series is summed in
 one double-double Clenshaw sweep (`_compensated.dd_clenshaw_sweep`) over
 the family's `HahnBasis.series` rows, all points at once and without a
 table of basis values.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compensated import dd_clenshaw_sweep, dd_div, exact_sum, two_prod
+from ._compensated import dd_clenshaw_sweep, dd_div, exact_row_sums, exact_sum, two_prod
 from .discrete_calculus import GridFunction, _same_grid, l_disk_power
 from .errors import (
     DegenerateIntervalError,
@@ -93,16 +96,20 @@ class CoefficientVector:
             raise DegreeOutOfRangeError(
                 f"{len(vals)} coefficients exceed the {self.params.N + 1} basis degrees"
             )
-        # no double Q~_k = Q_k / ||Q_k|| exists past the double range; a list
-        # pass, not numpy masks (see hahn._check_degree)
-        for k, s in enumerate(basis(self.params).sqrt_norms[: len(vals)].tolist()):
-            if s == math.inf:
-                raise DomainError(f"norm of Q_{k} is not finite in double precision")
+        _check_norms(self.params, len(vals) - 1)
         self.coeffs = vals
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+
+def _check_norms(params: HahnParams, m: int) -> None:
+    # no double Q~_k = Q_k / ||Q_k|| exists past the double range; a list
+    # pass, not numpy masks (see hahn._check_degree)
+    for k, s in enumerate(basis(params).sqrt_norms[: m + 1].tolist()):
+        if s == math.inf:
+            raise DomainError(f"norm of Q_{k} is not finite in double precision")
 
 
 @dataclass(frozen=True)
@@ -145,15 +152,13 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
     """Projection coefficients of u for degrees 0..m, each the exact sum
-    (`exact_sum`) of a grid row times u w, rounded once;
-    `normalized_grid_matrix` raises DegreeOutOfRangeError for m outside
-    0..N."""
+    of a grid row times u w, rounded once (`exact_row_sums`, the bits of
+    `exact_sum`); `normalized_grid_matrix` raises DegreeOutOfRangeError
+    for m outside 0..N."""
     p = u.params
     qmat = normalized_grid_matrix(m, p)
-    wu = u.values * basis(p).weights
-    # one row at a time: a list sums far faster than numpy scalars,
-    # and a whole-matrix list would cost memory for no gain
-    coeffs = np.array([exact_sum((qmat[n] * wu).tolist()) for n in range(m + 1)])
+    # all rows in one call, which extracts a block of rows at a time
+    coeffs = exact_row_sums(qmat, u.values * basis(p).weights)
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
@@ -163,9 +168,9 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     """Value of the expansion at a real point x (off-grid allowed), or at
     each point of an array x.
 
-    A point that is an exact integer k in 0..N takes the exact sum
-    (`exact_sum`) of the products of `basis(p).grid` column k with the
-    orthonormal coefficients, rounded once; classical coefficients are
+    A point that is an exact integer k in 0..N takes the exact sum of the
+    products of `basis(p).grid` column k with the orthonormal
+    coefficients, rounded once, every node in one `exact_row_sums` call; classical coefficients are
     converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
     whose weights are refused is refused there, by the grid.  Every other
     point is summed by one double-double Clenshaw sweep
@@ -184,9 +189,9 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
         (nodes if v.is_integer() and 0.0 <= v <= N else off).append(i)
     out = np.empty(len(flat))
     if nodes:
-        grid = b.grid[: m + 1]
+        cols = b.grid.T[[int(flat[i]) for i in nodes], : m + 1]
         u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
-        out[nodes] = [exact_sum((grid[:, int(flat[i])] * u).tolist()) for i in nodes]
+        out[nodes] = exact_row_sums(cols, u)
     if off:
         k = (c.coeffs, np.zeros(m + 1))
         if c.normalized:
@@ -226,7 +231,12 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
     _check_degree(n_range, p)
-    coeffs = project(u, top).coeffs
+    # project's refusals come before L^k u is formed; both projections
+    # are then one exact_row_sums call
+    qmat = normalized_grid_matrix(top, p)
+    _check_norms(p, top)
+    w = basis(p).weights
+    wu = u.values * w
     lams = basis(p).lam.tolist()
     lku = l_disk_power(u, k)
     try:
@@ -237,7 +247,7 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
         s_k = math.nan
     if not math.isfinite(s_k):
         raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
-    lku_coeffs = project(lku, top).coeffs
+    coeffs, lku_coeffs = exact_row_sums(qmat, np.stack([wu, lku.values * w]))
     out = []
     for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers):
         resid = abs(coeffs[n] * signed_lam_k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._compensated import exact_sum
+from ._compensated import exact_row_sums
 from .errors import ConvergenceFailureError, DomainError
 
 _MAX_DEGREE = 200
@@ -115,15 +115,13 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     The extra points put the quadrature error well below the coefficient
     sizes for the smooth integrands used here.  f is called on Python
     floats, so a value past the double range is inf without a warning;
-    each coefficient is an exact sum (`exact_sum`) rounded once, so such a
-    value makes it inf or nan.
+    each coefficient is an exact sum rounded once (`exact_row_sums`, one
+    call for all degrees, with the bits of `exact_sum`), so such a value
+    makes it inf or nan.
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
         raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
     rule = _cached_rule(m + 20)
     wf = rule.weights * np.array([f(t) for t in rule.nodes.tolist()])
-    pvals = _legendre_sweep(m, rule.nodes)
-    out = np.empty(m + 1)
-    for n in range(m + 1):
-        out[n] = (2 * n + 1) / 2.0 * exact_sum((wf * pvals[n]).tolist())
-    return out
+    # (2n + 1) / 2 is exact, so each product has the bits of a scalar one
+    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(_legendre_sweep(m, rule.nodes), wf)

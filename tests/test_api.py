@@ -139,6 +139,21 @@ def test_fsum_is_called_only_by_exact_sum():
     assert [name for name, _ in calls] == ["_compensated.py"]
 
 
+def test_row_sums_go_through_the_kernel():
+    # a projection, a node value and a Legendre coefficient are row sums,
+    # and `_compensated.exact_row_sums` owns them: expansion.py and
+    # legendre_ref.py call exact_sum in no loop and no comprehension
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("expansion.py", "legendre_ref.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for loop in ast.walk(tree):
+            if isinstance(loop, loops):
+                for node in ast.walk(loop):
+                    if isinstance(node, ast.Call):
+                        func = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        assert func != "exact_sum", (name, node.lineno)
+
+
 def test_diff_is_called_only_in_discrete_calculus():
     # the grid differences and the operator built on them have one owner
     calls = []

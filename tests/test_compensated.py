@@ -219,3 +219,126 @@ def test_exact_sum_is_fsum_where_fsum_returns():
         rng.shuffle(terms)
         assert _bits(dd.exact_sum(terms)) == _bits(want), terms
     assert returned >= 1000
+
+
+def _row_sums_by_row(a, b):
+    # what every caller did before exact_row_sums: one exact_sum per row
+    rows = np.reshape(b, (-1, np.shape(b)[-1]))
+    out = [[dd.exact_sum((v * w).tolist()) for v in a] for w in rows]
+    return np.array(out).reshape(np.shape(b)[:-1] + (len(a),))
+
+
+def _assert_row_sums(a, b):
+    got, want = dd.exact_row_sums(a, b), _row_sums_by_row(a, b)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(_bits(got)[~nan], _bits(want)[~nan])
+
+
+def _adversarial_rows(rng, n):
+    # rows of n terms, enough of them to pass the cut, whose exact sums
+    # are hard to round: half-ulp ties, ties broken by a term 2^-57 ulp
+    # below, partial sums that cancel to about 1e-17 of max|p|, scales
+    # near both ends of the exponent range, subnormal terms, zeros of both
+    # signs, and non-finite terms
+    out = []
+    for kind in range(12):
+        for _ in range(max(8, dd._ROW_SUM_CUT // (12 * n) + 1)):
+            row = np.zeros(n)
+            base = rng.standard_normal(n // 2)
+            row[: n // 2] = base
+            row[n // 2: n // 2 * 2] = -base
+            scale = 2.0 ** int(rng.integers(-60, 60))
+            if kind == 0:    # exact ties at the last bit of 1, 1.5 and -3
+                row[-3:] = [rng.choice([1.0, 1.5, -3.0]), 2.0**-53, 0.0]
+            elif kind == 1:  # a tie broken by a term far below it, either way
+                row[-3:] = [1.0, 2.0**-53, rng.choice([-1.0, 1.0]) * 2.0**-110]
+            elif kind == 2:  # tau1 + tau2 cancel, the sum is tau3-sized
+                row[:] = rng.standard_normal(n)
+                row[-1] = -math.fsum(row[:-1])
+                row[-2] += rng.standard_normal() * 1e-17
+            elif kind == 3:
+                row *= 1e300
+                scale = 2.0 ** int(rng.integers(-30, 8))
+            elif kind == 4:
+                row *= 1e-300
+                scale = 2.0 ** int(rng.integers(-8, 30))
+            elif kind == 5:  # subnormal terms beside normal ones
+                row[1 - min(n, 5):] = rng.integers(-1000, 1000, min(n, 5) - 1) * 5e-324
+                row[0] = 2.0**-1000
+            elif kind == 6:  # all subnormal
+                row[:] = rng.integers(-1 << 20, 1 << 20, n) * 5e-324
+                scale = 1.0
+            elif kind == 7:  # zeros of both signs only
+                row[:] = rng.choice([0.0, -0.0], n)
+                scale = 1.0
+            elif kind == 8:
+                row[int(rng.integers(n))] = rng.choice([math.inf, -math.inf, math.nan])
+                if rng.random() < 0.5:
+                    row[0] = -row[int(rng.integers(1, n))] if row[0] else math.inf
+            elif kind == 9:  # fsum overflows: the Fraction route
+                row[:3] = [1e308, 1e308, -1e308]
+                scale = 1.0
+            elif kind == 10:  # ties in a random order, at random scales
+                row[-2:] = [1.0, -(2.0**-53)]
+                rng.shuffle(row)
+            out.append(row * scale)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [3, 7, 40, 201])
+def test_exact_row_sums_is_exact_sum_per_row(n):
+    # bit for bit against one exact_sum per row, NaN matched, on b of ones
+    # (products exact), on powers of two, and on a random b; stacked b
+    # rows too, whose block holds half as many rows of a
+    rng = np.random.default_rng(n)
+    a = _adversarial_rows(rng, n)
+    assert a.shape[0] * n > dd._ROW_SUM_CUT
+    with np.errstate(all="ignore"):
+        for b in (np.ones(n), 2.0 ** rng.integers(-3, 4, n), rng.standard_normal(n)):
+            _assert_row_sums(a, b)
+            _assert_row_sums(a, np.stack([b, np.ones(n)]))
+            _assert_row_sums(a[rng.permutation(len(a))], b)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 63, 64, 65, 129])
+def test_exact_row_sums_at_block_edges(rows):
+    # 63, 64 and 65 rows straddle the first block edge; one and two rows
+    # of long b take the array route too
+    rng = np.random.default_rng(rows)
+    n = dd._ROW_SUM_CUT // rows + 1
+    a = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-40, 40, (rows, 1))
+    a[:, -1] = -a[:, :-1].sum(axis=1)
+    for b in (rng.standard_normal(n), rng.standard_normal((2, n)), np.ones((3, n))):
+        _assert_row_sums(a, b)
+
+
+def test_exact_row_sums_around_the_cut():
+    # just below the cut each row is one exact_sum; just above it the
+    # extraction route gives the same bits, certified on these rows
+    rng = np.random.default_rng(7)
+    n = 40
+    below, above = dd._ROW_SUM_CUT // n, dd._ROW_SUM_CUT // n + 1
+    a = rng.standard_normal((above, n))
+    b = rng.standard_normal(n)
+    for rows in (below, above):
+        _assert_row_sums(a[:rows], b)
+    parts = np.empty((5, 1, above))
+    dd._extract(a * b, parts)
+    out = np.empty(above)
+    assert dd._certify(parts.reshape(5, -1), n, out).all()
+
+
+def test_projection_rows_are_certified():
+    # the extraction leaves a sum small enough to round almost every row
+    # of a projection: at most 1 in 100 falls back to exact_sum
+    for p in (HahnParams(0.5, 0.5, 200), HahnParams(-0.5, 3.0, 100), HahnParams(20.0, 20.0, 200)):
+        b = basis(p)
+        x = np.linspace(-1.0, 1.0, p.N + 1)
+        for u in (1.0 / (1.0 + 25.0 * x * x), np.sin(np.pi * x), x**3):
+            parts = np.empty((5, 1, p.N + 1))
+            dd._extract(b.grid * (u * b.weights), parts)
+            out = np.empty(p.N + 1)
+            certified = dd._certify(parts.reshape(5, -1), p.N + 1, out)
+            assert certified.sum() >= 0.99 * certified.size

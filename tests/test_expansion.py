@@ -490,6 +490,21 @@ def test_eval_expansion_memory_stays_small():
     assert peak < 1_000_000
 
 
+def test_project_memory_stays_small():
+    # exact_row_sums extracts a block of 64 rows at a time: a full-degree
+    # projection at N = 200 holds no (m+1) x (N+1) temporary
+    p = HahnParams(0.5, 0.5, 200)
+    u = _sine_sample(p)
+    project(u, 200)
+    tracemalloc.start()
+    try:
+        project(u, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
+
+
 def test_parseval_small_grid():
     p = HahnParams(5.0, 0.0, 12)
     rng = np.random.default_rng(13)
