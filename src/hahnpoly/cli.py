@@ -37,7 +37,7 @@ from .expansion import (
     BOUND_SLACK,
     CoefficientVector,
     IntervalMap,
-    decay_report,
+    _decay_pass,
     eval_expansion,
     inner_product,
     project,
@@ -393,7 +393,7 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
                     fn=label, interval=f"{imap.a},{imap.b}")
     lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
-    rows = [r for k in ks for r in decay_report(u, k, range(1, top + 1))]
+    rows = [r for report in _decay_pass(u, ks, range(1, top + 1)) for r in report]
     lines += [f"{r.k},{r.n},{_fmt(abs(r.coeff))},{_fmt(r.bound)},"
               f"{_fmt(r.bound_degree_only)},{_fmt(r.identity_residual)}" for r in rows]
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against

@@ -12,8 +12,9 @@ orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
 Every exact sum here is `_compensated.exact_sum`, the package's one rule
 for a sum with no double value.  A set of row sums (the coefficients of
-a projection, the values at the nodes) is one `exact_row_sums` call,
-which gives exact_sum's bits for every row.
+a projection, the values at the nodes, the projections of u and L^k u
+for every order of a decay pass) is one `exact_row_sums` call, which
+gives exact_sum's bits for every row.
 
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compensated import dd_clenshaw_sweep, dd_div, exact_row_sums, exact_sum, two_prod
-from .discrete_calculus import GridFunction, _same_grid, l_disk_power
+from .discrete_calculus import GridFunction, _same_grid, l_disk_apply
 from .errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -217,48 +218,77 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision;
     `l_disk_apply` passes the double range silently, and `inner_product`
     carries a non-finite value of L^k u into ||L^k u||_w, where the
-    overflow is found.
+    overflow is found.  The report is the one-order case of `_decay_pass`,
+    which serves several orders from one grid read, one operator chain and
+    one row-sum call, each row with the bits of this call.
     """
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
+    return _decay_pass(u, (k,), n_range)[0]
+
+
+def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[list[DecayEntry]]:
+    """The `decay_report` rows of each order in ks, in order, from one pass:
+    one grid read and norm check, one chain L u, L^2 u, .. up to the
+    largest order, and one `exact_row_sums` call over u and every L^k u.
+    Refusals come as from one `decay_report` call per order, in turn: the
+    first order's checks, the grid and the norms, then for each order its
+    own check and its overflow."""
     p = u.params
-    if len(n_range) == 0:
-        raise DomainError("empty degree range")
-    # a range may run either way; it is checked, and projected, by its extremes
-    top = max(n_range)
-    if min(n_range) < 1 or top > p.N:
-        if 0 in n_range and k >= 1:
-            raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
-        raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
-    _check_degree(n_range, p)
-    # project's refusals come before L^k u is formed; both projections
-    # are then one exact_row_sums call
-    qmat = normalized_grid_matrix(top, p)
-    _check_norms(p, top)
-    w = basis(p).weights
-    wu = u.values * w
     lams = basis(p).lam.tolist()
-    lku = l_disk_power(u, k)
-    try:
-        # float ** int raises past the double range, math.sqrt below zero
-        s_k = math.sqrt(inner_product(lku, lku))
-        powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
-    except (OverflowError, ValueError):
-        s_k = math.nan
-    if not math.isfinite(s_k):
-        raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
-    coeffs, lku_coeffs = exact_row_sums(qmat, np.stack([wu, lku.values * w]))
+    chain, orders = {0: u}, []
+    for k in ks:
+        if not isinstance(k, int) or k < 0:
+            raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
+        if not orders:
+            if len(n_range) == 0:
+                raise DomainError("empty degree range")
+            # a range may run either way; it is checked, and projected, by
+            # its extremes
+            top = max(n_range)
+            if min(n_range) < 1 or top > p.N:
+                if 0 in n_range and k >= 1:
+                    raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
+                raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
+            _check_degree(n_range, p)
+            # project's refusals come before L u is formed; all projections
+            # are then one exact_row_sums call
+            qmat = normalized_grid_matrix(top, p)
+            _check_norms(p, top)
+        # the chain runs on to k, keeping the powers asked for
+        last = max(chain)
+        lku = chain[last]
+        for j in range(last + 1, k + 1):
+            lku = l_disk_apply(lku)
+            if j in ks:
+                chain[j] = lku
+        lku = chain[k]
+        try:
+            # float ** int raises past the double range, math.sqrt below zero
+            s_k = math.sqrt(inner_product(lku, lku))
+            powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
+        except (OverflowError, ValueError):
+            s_k = math.nan
+        if not math.isfinite(s_k):
+            raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
+        orders.append((s_k, powers))
+    if not orders:
+        return []
+    w = basis(p).weights
+    coeffs, *lku_sums = exact_row_sums(
+        qmat, np.stack([u.values * w] + [chain[k].values * w for k in ks]))
     out = []
-    for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers):
-        resid = abs(coeffs[n] * signed_lam_k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0
-        out.append(
-            DecayEntry(
-                n=n,
-                k=k,
-                coeff=coeffs[n],
-                bound=s_k / lam_k,
-                bound_degree_only=s_k / n_2k,
-                identity_residual=resid,
+    for k, (s_k, powers), lku_coeffs in zip(ks, orders, lku_sums):
+        rows = []
+        for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers):
+            resid = abs(coeffs[n] * signed_lam_k - lku_coeffs[n]) / s_k if s_k > 0 else 0.0
+            rows.append(
+                DecayEntry(
+                    n=n,
+                    k=k,
+                    coeff=coeffs[n],
+                    bound=s_k / lam_k,
+                    bound_degree_only=s_k / n_2k,
+                    identity_residual=resid,
+                )
             )
-        )
+        out.append(rows)
     return out

@@ -154,6 +154,16 @@ def test_row_sums_go_through_the_kernel():
                         assert func != "exact_sum", (name, node.lineno)
 
 
+def test_checks_run_no_forward_sweep():
+    # the checks read node values from the grid rows and the exact
+    # oracle: checks.py calls neither forward sweep of hahn
+    tree = ast.parse((SRC / "checks.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert func not in ("hahn_eval_all", "hahn_eval_recurrence"), node.lineno
+
+
 def test_diff_is_called_only_in_discrete_calculus():
     # the grid differences and the operator built on them have one owner
     calls = []

@@ -22,7 +22,7 @@ from hahnpoly.checks import (
     run_all,
 )
 from hahnpoly.errors import HahnPolyError
-from hahnpoly.hahn import HahnParams, basis, hahn_eval_recurrence
+from hahnpoly.hahn import HahnParams, basis
 from hahnpoly.oracle_exact import (
     _over_one_denominator,
     _steps,
@@ -94,17 +94,17 @@ def _loop_recurrence_identity(params):
 
 
 def _loop_eigen_equation(params, cap=20):
-    # lam_n, B(x) and D(x) from their scalar formulas, not the basis arrays
+    # lam_n, B(x) and D(x) from their scalar formulas, not the basis arrays;
+    # Q~_n(x) from the grid row, 0 one point off either end of the grid
     a, be, N = params.alpha, params.beta, params.N
     worst = 0.0
     top = min(cap, N)
     for n in range(top + 1):
         lam = n * (n + a + be + 1.0)
+        row = [0.0] + basis(params).grid[n].tolist() + [0.0]
         for x in range(N + 1):
             xf = float(x)
-            qm = hahn_eval_recurrence(n, xf - 1.0, params)
-            q0 = hahn_eval_recurrence(n, xf, params)
-            qp = hahn_eval_recurrence(n, xf + 1.0, params)
+            qm, q0, qp = row[x], row[x + 1], row[x + 2]
             b, d = (xf + a + 1.0) * (xf - N), xf * (xf - be - N - 1.0)
             lhs = b * qp - (b + d) * q0 + d * qm
             rhs = lam * q0
@@ -130,8 +130,8 @@ def _loop_self_adjoint_form(params, cap=20):
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0)])
 def test_swept_checks_equal_scalar_loops(alpha, beta, monkeypatch):
-    # at N = 60 the recurrence sweep has begun to lose digits at the grid
-    # ends, and every last bit of the values is compared
+    # every last bit of the values is compared, the eigen-equation check
+    # on the grid rows it reads
     p = HahnParams(alpha, beta, 60)
     assert check_path_agreement(p).value == _loop_path_agreement(p)
     assert check_recurrence_identity(p).value == _loop_recurrence_identity(p)
@@ -329,12 +329,28 @@ def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
 
 
 def test_eigen_equation_fails_on_non_finite_defect():
-    # the sweep overflows, and the row fails with nan instead of skipping
-    # it, without a numpy warning
+    # the grid entry Q~_12(12) is nan here (an overflowed value over an
+    # infinite norm), and the row fails with nan instead of skipping it,
+    # without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = check_eigen_equation(PAST_DOUBLE_RANGE)
     assert math.isnan(result.value) and not result.passed
+
+
+def test_eigen_equation_reads_the_grid(monkeypatch):
+    # a fault of 1e-6 planted in one grid entry, row 7 at its largest |U|
+    # node, is what the check reads, and it fails; the planted grid reaches
+    # the check only through normalized_grid_matrix
+    p = HahnParams(0.0, 0.0, 100)
+    b = basis(p)
+    assert check_eigen_equation(p).passed
+    grid = b.grid.copy()
+    x = int(np.argmax(np.abs(grid[7] * np.sqrt(b.weights))))
+    grid[7, x] *= 1.0 + 1e-6
+    monkeypatch.setattr(checks, "normalized_grid_matrix", lambda m, params: grid[: m + 1])
+    result = check_eigen_equation(p)
+    assert result.value > 1e-7 and not result.passed
 
 
 def test_exact_values_past_double_range_fail_the_checks():

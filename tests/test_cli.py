@@ -114,14 +114,14 @@ def test_decay_constant_target_within_rounding(monkeypatch):
     _, data = parse_csv(res.stdout)
     assert [float(r[3]) for r in data] == [0.0] * 5
     # a violation planted far above rounding still exits 4
-    real = cli.decay_report
+    real = cli._decay_pass
 
-    def planted(u, k, n_range):
-        rows = real(u, k, n_range)
+    def planted(u, ks, n_range):
+        (rows,) = real(u, ks, n_range)
         rows[2] = dataclasses.replace(rows[2], coeff=2.0 * rows[2].bound)
-        return rows
+        return [rows]
 
-    monkeypatch.setattr(cli, "decay_report", planted)
+    monkeypatch.setattr(cli, "_decay_pass", planted)
     res = run("decay", "--N", "30", "--m", "5", "--k", "1")
     assert res.exit_code == 4
     assert "bound violated at k=1, n=3" in res.stderr
@@ -513,9 +513,10 @@ def test_weights_past_double_range_refused(command, first):
 
 
 def test_verify_overflowing_eigen_sweep_no_warnings():
-    # Q_12(12) is about 1e320 here: the eigen-equation sweep overflows
-    # without a numpy warning, and the norms pass the double range from
-    # n = 1, so the first projection refuses the family
+    # Q_12(12) is about 1e320 here and the norms pass the double range
+    # from n = 1, so the grid entry Q~_12(12) is nan: the eigen-equation
+    # check reads it without a numpy warning, and the first projection
+    # refuses the family
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = run("verify", "--alpha", "-0.9999999999999999", "--beta", "1e26", "--N", "12")
@@ -705,7 +706,12 @@ def test_poly_function_spec():
 # the series rows built from the integer recurrence constants: one cell
 # moved, u_9 (exactly 0 for exact samples), from -2.1684043449710089e-18 to
 # -2.1684043449710062e-18, 1.8e-33 of the column's largest value; both are
-# 8.5e-18 of it from the exact projection of the same samples
+# 8.5e-18 of it from the exact projection of the same samples.  The two
+# verify pins were re-recorded when eigen-difference-equation came to read
+# the grid rows instead of a dd sweep at -1..N+1: every other line is the
+# parent's, byte for byte, and that row went from 2.1621161755188358e-16 to
+# 2.290198637273874e-16 at N = 30 and from 1.7236050974528173e-16 to
+# 1.5578638504742588e-15 at N = 60, both pass
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
         (0, "ccd5199456b6f1181bdf5d6341440c582dcbb08473ba4ba18a4c759aaa3a667f"),
@@ -722,9 +728,9 @@ GOLDEN_STDOUT = {
     "compare-legendre --N 30 --m 10":
         (0, "21ad5ace6f052b712f68669807d4088966e9dce3f0616bafd962cc14d7518ed1"),
     "verify --alpha 0.5 --beta 0.5 --N 30":
-        (0, "5b4d4253eacc2578a43839dbf4803160d81c72212c5e2b1793dbe99420f7e914"),
+        (0, "96fda509b64da39516879c55de795a25cc8eaedf5b6fc474f2d20896e166f16e"),
     "verify --alpha -0.5 --beta 3 --N 60":
-        (0, "5268fa56110e15a7b14acd2e81af4c5c30657b4e8119f739f7f2739676be847e"),
+        (0, "936070ec209b6122275406303b090a9ead3214cdb7cb6251a186b510b14f73ac"),
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hahnpoly import _compensated as dd
-from hahnpoly import hahn
+from hahnpoly import expansion, hahn
 from hahnpoly.discrete_calculus import GridFunction
 from hahnpoly.errors import (
     DegenerateIntervalError,
@@ -600,6 +600,59 @@ def test_decay_report_refuses_overflowing_powers():
             decay_report(u, k, range(1, 4))
     with pytest.raises(DomainError, match="k=300"):
         decay_report(GridFunction(p, np.ones(31)), 300, range(1, 31))
+
+
+def _entry_bits(reports):
+    # every field of every row as int64 bits, so a NaN matches only a NaN
+    # with the same payload and -0.0 differs from 0.0
+    return [[(r.n, r.k) + tuple(np.array([r.coeff, r.bound, r.bound_degree_only,
+                                          r.identity_residual]).view(np.int64).tolist())
+             for r in rows] for rows in reports]
+
+
+DECAY_FAMILIES = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (-0.5, 3.0), (0.0, 1e3), (-0.999, 50.0),
+                  (20.0, 20.0)]
+DECAY_ORDERS = [(1, 2, 3), (3, 1), (2, 2), (0, 1), (4,)]
+
+
+@pytest.mark.parametrize("N", [1, 6, 30, 60, 200])
+@pytest.mark.parametrize("alpha,beta", DECAY_FAMILIES)
+def test_decay_pass_equals_one_report_per_order(alpha, beta, N):
+    # the shared pass gives every order the rows of its own decay_report
+    # call, bit for bit; no cell here is refused
+    p = HahnParams(alpha, beta, N)
+    imap = IntervalMap(-1.0, 1.0, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t)):
+            u = GridFunction.from_callable(fn, p, imap.to_interval)
+            for ks in DECAY_ORDERS:
+                n_range = range(1, min(20, N) + 1)
+                got = expansion._decay_pass(u, ks, n_range)
+                want = [decay_report(u, k, n_range) for k in ks]
+                assert _entry_bits(got) == _entry_bits(want), ks
+
+
+@pytest.mark.parametrize("ks,first", [((1, 60), 60), ((60, 120), 60), ((120, 1), 120),
+                                      ((1, 2, 58), 58)])
+def test_decay_pass_refuses_the_first_overflowing_order(ks, first):
+    # at N = 30 ||L^k u||_w of the sine sample passes the double range from
+    # k = 58: the pass refuses the first such order of the tuple, with the
+    # message of its decay_report call
+    p = HahnParams(0.0, 0.0, 30)
+    u = _sine_sample(p)
+    with pytest.raises(DomainError) as exc:
+        expansion._decay_pass(u, ks, range(1, 4))
+    with pytest.raises(DomainError) as ref:
+        decay_report(u, first, range(1, 4))
+    assert str(exc.value) == str(ref.value) and f"k={first}" in str(exc.value)
+    # an invalid order after a refused one: the refusal comes first, as in
+    # one call per order
+    with pytest.raises(DomainError, match=f"k={first}"):
+        expansion._decay_pass(u, ks + (-1,), range(1, 4))
+    with pytest.raises(DomainError, match="nonnegative"):
+        expansion._decay_pass(u, (1, -1, first), range(1, 4))
+    assert expansion._decay_pass(u, (), range(1, 4)) == []
 
 
 # sha256 of the float64 bytes of the sine sample's `project` coefficients at
