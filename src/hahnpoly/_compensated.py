@@ -22,9 +22,10 @@ sum is when it has no double value: +-inf past the double range, NaN for
 exact rounding, `_quotient`, also rounds the exact norms and the oracle's
 ratios.  `exact_row_sums` gives exact_sum's bits for every row of a
 product matrix at once (projections, node values, Legendre
-coefficients): it splits blocks of rows by error-free extraction and
-rounds each row where a certificate proves the rounding, and hands every
-other row to exact_sum.
+coefficients): it splits blocks of rows by error-free extraction, with
+one sigma per block and right-hand side, and rounds each row where a
+certificate proves the rounding, and hands every other row, a candidate
+of 0 among them, to exact_sum.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def exact_sum(terms: list[float]) -> float:
 # passes: near 2500 both take about 140 us, at 31 x 31 the rows take
 # 55-60 us against 110-125 us
 _ROW_SUM_CUT = 2500
-# product rows per extraction block: a whole-matrix pass would hold two
-# (m+1) x (N+1) temporaries at once
+# product rows per extraction block, which share one sigma: a whole-matrix
+# pass would hold two (m+1) x (N+1) temporaries at once, and a smaller
+# block fits sigma closer to each row but makes more passes
 _ROW_BLOCK = 64
 
 
@@ -93,10 +95,13 @@ def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Up to `_ROW_SUM_CUT` products that is how each row is summed.  Above
     it the products are split by error-free extraction (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31, 2008), a block of rows at a time, and
-    each row's sum is rounded where a certificate proves the rounding:
-    see `_extract` and `_certify`.  Every other row takes exact_sum; so
-    does a non-finite row, or one near either end of the exponent range.
+    Oishi, SIAM J. Sci. Comput. 31, 2008), a block of rows of a and one
+    right-hand side b[j] at a time, so that stacked right-hand sides of
+    different scales (u and L^3 u) each get their own sigma; each row's
+    sum is rounded where a certificate proves the rounding: see `_extract`
+    and `_certify`.  Every other row takes exact_sum; so does a row whose
+    candidate is 0, and every row of a block that is not finite or lies
+    near either end of the exponent range.
     """
     rows = b.reshape(-1, 1, b.shape[-1])
     if len(rows) * a.size <= _ROW_SUM_CUT:
@@ -106,9 +111,9 @@ def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.array(sums).reshape(b.shape[:-1] + (len(a),))
     out = np.empty((len(rows), len(a)))
     parts = np.empty((5, len(rows), len(a)))
-    step = max(1, _ROW_BLOCK // len(rows))
-    for i in range(0, len(a), step):
-        _extract(a[i: i + step] * rows, parts[:, :, i: i + step])
+    for j, row in enumerate(rows):
+        for i in range(0, len(a), _ROW_BLOCK):
+            _extract(a[i: i + _ROW_BLOCK] * row, parts[:, j, i: i + _ROW_BLOCK])
     certified = _certify(parts.reshape(5, -1), a.shape[1], out.reshape(-1))
     if not certified.all():
         # a list pass, not numpy masks (see hahn._check_degree)
@@ -120,21 +125,24 @@ def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _extract(p: np.ndarray, parts: np.ndarray) -> None:
-    """Three extraction passes over each row of the products p, which is
-    overwritten: parts receives max|p|, the exact partial sums tau1, tau2,
-    tau3 and fl(sum|R|), R the remainders left.
+    """Three extraction passes over the products p, a block of rows, which
+    is overwritten: parts receives, for each row, the block's max|p|, the
+    exact partial sums tau1, tau2, tau3 and fl(sum|R|), R the remainders
+    left.
 
-    With max|p| < 2^e and 2^M >= n + 2, sigma = 2^(e+M) and
+    With max|p| < 2^e over the block and 2^M >= n + 2, sigma = 2^(e+M) and
     q = (sigma + p) - sigma, the q are multiples of 2^-53 sigma of size at
-    most 2^e, so their sum tau is exact in any order, and so is p - q;
-    sigma then shrinks by 2^(M-53)."""
+    most 2^e, so each row's sum tau is exact in any order, and so is
+    p - q; sigma then shrinks by 2^(M-53).  The lemma holds for any sigma
+    of at least 2^M max|p|, so one scalar serves the whole block: a
+    broadcast sigma column costs about three times a scalar pass."""
     n = p.shape[-1]
     M = (n + 1).bit_length()
     scratch = np.abs(p)
-    mu = parts[0] = scratch.max(axis=-1)
+    mu = parts[0] = scratch.max()
     with np.errstate(all="ignore"):
-        # a sigma out of the double range only comes with a refused row
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + M)[..., None]
+        # a sigma out of the double range only comes with a refused block
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + M)
         for tau in parts[1:4]:
             q = np.add(p, sigma, out=scratch)
             q -= sigma
@@ -155,8 +163,11 @@ def _certify(parts: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     strictly inside the half gaps to r's neighbours: rounding is monotone,
     so a float comparison with an exact half gap cannot pass where the
     real one fails.  Ties with delta > 0 are not certified.  A row is
-    refused unless every sigma and 2^-53 sigma is a normal, finite double:
-    2^(lo-1) <= max|p| < 2^hi, which NaN, inf and 0 fail."""
+    refused unless every sigma of its block and 2^-53 sigma is a normal,
+    finite double: 2^(lo-1) <= max|p| < 2^hi over the block, which NaN,
+    inf and 0 fail.  A candidate of 0 is refused too: the passes give a
+    row of zeros +0 whatever their signs, and the sign of a zero sum is
+    exact_sum's to decide."""
     mu, tau1, tau2, tau3, rsum = parts
     M = (n + 1).bit_length()
     lo, hi = 159 - 1022 - 3 * M, 1020 - M
@@ -168,7 +179,7 @@ def _certify(parts: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
         up = (np.nextafter(r, math.inf) - r) / 2.0
         down = (r - np.nextafter(r, -math.inf)) / 2.0
         out[...] = r
-        return ((mu >= 2.0 ** (lo - 1)) & (mu < 2.0**hi)
+        return ((mu >= 2.0 ** (lo - 1)) & (mu < 2.0**hi) & (r != 0.0)
                 & ((delta == 0.0) | ((t + delta < up) & (t - delta > -down))))
 
 

@@ -39,7 +39,8 @@ of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
 integers 0..N.  From N = 42 up it is built that way: the Jacobi rows are
 integer quotients rounded once (`_jacobi_rows`), and one twisted
 factorization gives every eigenvector at once (`_twisted_grid`): two pivot
-loops over n, then whole-matrix ratios and cumulative products, no BLAS.
+loops over n with no guard, a guarded re-run of the few columns that meet
+a zero pivot, then whole-matrix ratios and cumulative products, no BLAS.
 It is right to a few 1e-15 in U units for every family measured, up to
 N = 200 and exponents 1e12.  Below 42 it is still one dd sweep per grid
 point over the norms, which the outputs pinned at those sizes were
@@ -75,6 +76,9 @@ _MAX_N = 200
 # point, with the bits that outputs at N <= 41 and the benchmark's sweep
 # count at N = 12 are pinned to, until those pins move (ROADMAP item 1)
 _GRID_ARRAY_N = 42
+# rows per block of the twist search: its temporaries beside both pivot
+# arrays stay below the build's peak at the sign stage
+_TWIST_BLOCK = 16
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -239,47 +243,60 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     Algebra Appl. 267, 1997; Dhillon & Parlett, LAA 387, 2004).
 
     The backward pivots D-_n and the forward pivots D+_n of J - x run
-    elementwise over all x, each once, in the only two loops over n; a zero
-    pivot is replaced by eps ||J|| = eps N.  The twist k is the first n that
-    minimizes |D+_n + D-_n - (d_n - x)|.  From v_k = 1 the vector expands
-    downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and upwards by
-    v_n = sqrt(p_n) / D+_n v_{n+1}: each side's ratios, 1 on the other
-    side, are multiplied outwards by one cumulative product over the rows,
-    which rounds as a loop cur = cur * ratio does, and U is the product of
-    the two sides, one factor exactly 1 at every entry.  Each column is
-    scaled to unit length and to a positive row 0, whose sign is the parity
-    of the negative D+_n for n < k, since v_0 itself can underflow to 0.
-    Elementwise numpy rounds as Python floats do, so no BLAS or LAPACK
-    build changes a bit.  At its peak the build holds the result, the
-    pivots of one side and small masks.  The division by sqrt(w) passes
-    the double range to inf or nan silently."""
+    elementwise over all x, each once, in the only two loops over n: a
+    division and a subtraction per row, with no guard.  A zero pivot, in
+    rows 1..N of D- or 0..N of D+, is replaced by eps ||J|| = eps N: each
+    column that meets one re-runs its recurrence from that pivot alone, in
+    Python floats with the guard at every step (Marques, Riedy & Vomel,
+    SIAM J. Sci. Comput. 28, 2006, run the same fast loop and guarded
+    re-run).  Then, over blocks of rows, the twist k is the first n that
+    minimizes |D+_n + D-_n - (d_n - x)|; a NaN never wins.  From v_k = 1
+    the vector expands downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and
+    upwards by v_n = sqrt(p_n) / D+_n v_{n+1}: each side's ratios, 1 on
+    the other side, are multiplied outwards by one cumulative product over
+    the rows, which rounds as a loop cur = cur * ratio does, and U is the
+    product of the two sides, one factor exactly 1 at every entry.  Each
+    column is scaled to unit length and to a positive row 0, whose sign is
+    the parity of the negative D+_n for n < k, since v_0 itself can
+    underflow to 0.  Elementwise numpy rounds as Python floats do, so the
+    re-run and the loops agree bit for bit, and no BLAS or LAPACK build
+    changes a bit.  At its peak the build holds the result, the pivots of
+    one side and small masks.  The division by sqrt(w) passes the double
+    range to inf or nan silently."""
     N = params.N
     d, p = _jacobi_rows(params)
     e = np.sqrt(p)
     x = np.arange(N + 1.0)
-    tiny = np.finfo(float).eps * N
     # fwd holds d_n - x, then D+_n, then the upward products; v holds D-_n,
     # then the downward products, then U
     fwd = d[:, None] - x
     v = np.empty_like(fwd)
-    piv = d[N] - x
-    for n in range(N, 0, -1):
-        np.putmask(piv, piv == 0.0, tiny)
-        v[n] = piv
-        piv = fwd[n - 1] - p[n - 1] / piv
-    v[0] = piv
+    v[N] = fwd[N]
+    ratio = np.empty(N + 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a zero pivot passes on inf or nan, which its column's re-run replaces
+        for n in range(N, 0, -1):
+            np.divide(p[n - 1], v[n], out=ratio)
+            np.subtract(fwd[n - 1], ratio, out=v[n - 1])
+        for n in range(1, N + 1):
+            np.divide(p[n - 1], fwd[n - 1], out=ratio)
+            np.subtract(fwd[n], ratio, out=fwd[n])
+    _rerun_zero_pivots(d, p, v, fwd)
     # the twist as int16, which holds 0.._MAX_N: numpy buffers 8192 entries
     # of each operand of the broadcast comparison below, and int16 takes a
     # quarter of the bytes of int64
     best, k = np.full(N + 1, np.inf), np.zeros(N + 1, dtype=np.int16)
-    for n in range(N + 1):
-        piv = fwd[n] - p[n - 1] / piv if n else d[0] - x
-        np.putmask(piv, piv == 0.0, tiny)
-        gamma = np.abs(piv + v[n] - fwd[n])
-        better = gamma < best
-        np.putmask(k, better, n)
-        np.putmask(best, better, gamma)
-        fwd[n] = piv
+    for r in range(0, N + 1, _TWIST_BLOCK):
+        rows = slice(r, r + _TWIST_BLOCK)
+        gamma = fwd[rows] + v[rows]
+        gamma -= d[rows, None] - x
+        np.abs(gamma, out=gamma)
+        np.fmin(gamma, np.inf, out=gamma)  # a NaN never wins
+        low = gamma.min(axis=0)
+        better = low < best
+        np.copyto(k, gamma.argmin(axis=0) + r, where=better, casting="same_kind")
+        np.copyto(best, low, where=better)
+    del gamma  # else it adds to the peak at the sign mask below
     up = np.arange(N + 1, dtype=np.int16)[:, None] < k
     sign = np.where(np.logical_xor.reduce(up & (fwd < 0.0), axis=0), -1.0, 1.0)
     # the ratios e_n / D+_n above the twist and e_(n-1) / D-_n below it,
@@ -293,13 +310,44 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     np.multiply.accumulate(v, axis=0, out=v)
     v *= fwd
     del fwd
-    norm_sq = np.zeros(N + 1)
-    for row in v:
-        norm_sq += row * row
+    # a reduction over axis 0 adds the rows in order, as a loop over them does
+    norm_sq = np.add.reduce(np.square(v), axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v *= sign / np.sqrt(norm_sq)
         v /= np.sqrt(weights)
     return v
+
+
+def _rerun_zero_pivots(d: np.ndarray, p: np.ndarray, v: np.ndarray, fwd: np.ndarray) -> None:
+    """Re-runs, in Python floats, each column of the backward pivots v and
+    the forward pivots fwd of `_twisted_grid` from its first exact-zero
+    pivot in loop order (the last of v's rows 1..N, the first of fwd's rows
+    0..N), replacing that pivot and every later zero one by eps N; v[0]
+    takes no guard.  The pivots before it are those of the guarded loop,
+    and each step makes that loop's operations, so the column gets its
+    bits.  Only a few columns of a family meet a zero pivot."""
+    N = len(d) - 1
+    tiny = float(np.finfo(float).eps * N)
+    d, p = d.tolist(), p.tolist()
+    for c in np.flatnonzero((v[1:] == 0.0).any(axis=0)).tolist():
+        top = int(np.flatnonzero(v[1:, c] == 0.0)[-1]) + 1
+        piv, col = tiny, []
+        for n in range(top, 0, -1):
+            col.append(piv)
+            piv = (d[n - 1] - c) - p[n - 1] / piv
+            if piv == 0.0 and n > 1:
+                piv = tiny
+        col.append(piv)
+        v[top::-1, c] = col
+    for c in np.flatnonzero((fwd == 0.0).any(axis=0)).tolist():
+        low = int(np.flatnonzero(fwd[:, c] == 0.0)[0])
+        piv, col = tiny, [tiny]
+        for n in range(low + 1, N + 1):
+            piv = (d[n] - c) - p[n - 1] / piv
+            if piv == 0.0:
+                piv = tiny
+            col.append(piv)
+        fwd[low:, c] = col
 
 
 @lru_cache(maxsize=64)

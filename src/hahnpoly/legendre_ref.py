@@ -6,8 +6,9 @@ Newton terms included, comes from the one upward recurrence
 their continuum analogue.
 
 `legendre_coeffs` reads its rule from a private cache, one rule per point
-count with read-only arrays, so repeated coefficient requests run Newton
-once.  `gauss_legendre_rule` itself is not cached: each call builds a
+count with read-only arrays, together with the rule's table of Legendre
+values at the nodes, so repeated coefficient requests run Newton and the
+sweep once.  `gauss_legendre_rule` itself is not cached: each call builds a
 fresh rule.
 """
 
@@ -98,19 +99,28 @@ def gauss_legendre_rule(q: int) -> QuadratureRule:
     return QuadratureRule(nodes[order], weights[order])
 
 
+@dataclass(eq=False)
+class _TabledRule(QuadratureRule):
+    """A cached rule and the table legendre_coeffs reads with it:
+    P_0 .. P_m at the nodes, m = npoints - 20 (`_legendre_sweep`)."""
+
+    table: np.ndarray
+
+
 @lru_cache(maxsize=16)
-def _cached_rule(q: int) -> QuadratureRule:
+def _cached_rule(q: int) -> _TabledRule:
     # read-only, since every legendre_coeffs call with this q shares it
     rule = gauss_legendre_rule(q)
-    rule.nodes.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
+    cached = _TabledRule(rule.nodes, rule.weights, _legendre_sweep(q - 20, rule.nodes))
+    for a in (cached.nodes, cached.weights, cached.table):
+        a.setflags(write=False)
+    return cached
 
 
 def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     """Classical Legendre coefficients a_n = (2n+1)/2 * integral of f P_n
     over [-1, 1], degrees 0..m, via an (m+20)-point Gauss rule, built once
-    per point count and cached.
+    per point count and cached with its table of P_0 .. P_m at the nodes.
 
     The extra points put the quadrature error well below the coefficient
     sizes for the smooth integrands used here.  f is called on Python
@@ -124,4 +134,4 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     rule = _cached_rule(m + 20)
     wf = rule.weights * np.array([f(t) for t in rule.nodes.tolist()])
     # (2n + 1) / 2 is exact, so each product has the bits of a scalar one
-    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(_legendre_sweep(m, rule.nodes), wf)
+    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(rule.table, wf)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hahnpoly import _compensated as dd
+from hahnpoly.discrete_calculus import GridFunction, l_disk_power
 from hahnpoly.hahn import HahnParams, basis, hahn_eval_all
 
 FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0)]
@@ -330,7 +331,7 @@ def test_exact_row_sums_around_the_cut():
     assert dd._certify(parts.reshape(5, -1), n, out).all()
 
 
-def test_projection_rows_are_certified():
+def test_projection_rows_are_certified(monkeypatch):
     # the extraction leaves a sum small enough to round almost every row
     # of a projection: at most 1 in 100 falls back to exact_sum
     for p in (HahnParams(0.5, 0.5, 200), HahnParams(-0.5, 3.0, 100), HahnParams(20.0, 20.0, 200)):
@@ -342,3 +343,18 @@ def test_projection_rows_are_certified():
             out = np.empty(p.N + 1)
             certified = dd._certify(parts.reshape(5, -1), p.N + 1, out)
             assert certified.sum() >= 0.99 * certified.size
+    # so does a decay pass's stack of u and L^3 u through exact_row_sums,
+    # though their scales differ by about lam_N^3 = 6e13: each right-hand
+    # side has its own sigma
+    seen, certify = [], dd._certify
+    monkeypatch.setattr(dd, "_certify", lambda *args: seen.append(certify(*args)) or seen[-1])
+    for p in (HahnParams(0.5, 0.5, 200), HahnParams(20.0, 20.0, 200)):
+        b = basis(p)
+        x = np.linspace(-1.0, 1.0, p.N + 1)
+        for u in (1.0 / (1.0 + 25.0 * x * x), np.sin(np.pi * x)):
+            l3u = l_disk_power(GridFunction(p, u), 3).values
+            dd.exact_row_sums(b.grid, np.stack([u * b.weights, l3u * b.weights]))
+    assert len(seen) == 4
+    for certified in seen:
+        assert certified.size == 2 * 201
+        assert certified.sum() >= 0.99 * certified.size

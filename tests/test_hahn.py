@@ -273,6 +273,70 @@ def test_twisted_grid_bits_are_pinned(N):
     assert digest.hexdigest() == PINNED_DIGESTS[N]
 
 
+def _reference_twisted_column(d, p, x, tiny):
+    # column x of _twisted_grid before the weights, one recurrence of its
+    # own in Python floats: both pivot loops guarded at every step, the
+    # twist by a first-minimum scan, the ratios multiplied outwards from
+    # v_k = 1 and the norm summed in row order; also returns how many
+    # pivots the guard replaced
+    N = len(d) - 1
+    zeros = 0
+    minus = [0.0] * (N + 1)
+    piv = d[N] - x
+    for n in range(N, 0, -1):
+        if piv == 0.0:
+            piv, zeros = tiny, zeros + 1
+        minus[n] = piv
+        piv = (d[n - 1] - x) - p[n - 1] / piv
+    minus[0] = piv
+    plus = []
+    for n in range(N + 1):
+        piv = (d[n] - x) - p[n - 1] / piv if n else d[0] - x
+        if piv == 0.0:
+            piv, zeros = tiny, zeros + 1
+        plus.append(piv)
+    best, k = math.inf, 0
+    for n in range(N + 1):
+        gamma = abs(plus[n] + minus[n] - (d[n] - x))
+        if gamma < best:
+            best, k = gamma, n
+    u = [1.0] * (N + 1)
+    cur = 1.0
+    for n in range(k + 1, N + 1):
+        cur = cur * (math.sqrt(p[n - 1]) / minus[n])
+        u[n] = cur
+    cur = 1.0
+    for n in range(k - 1, -1, -1):
+        cur = cur * (math.sqrt(p[n]) / plus[n])
+        u[n] = cur
+    norm_sq = 0.0
+    for value in u:
+        norm_sq += value * value
+    sign = -1.0 if sum(piv < 0.0 for piv in plus[:k]) % 2 else 1.0
+    return [value * (sign / math.sqrt(norm_sq)) for value in u], zeros
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 42])
+def test_twisted_grid_equals_a_guarded_column_loop(N):
+    # the unguarded pivot loops, the re-run of each column that meets an
+    # exact-zero pivot and the blocked twist search give the bits of a
+    # plain guarded loop per column, over PINNED_EXPONENTS^2; some cell
+    # meets a zero pivot, so the re-run runs here
+    tiny = float(np.finfo(float).eps * N)
+    replaced = 0
+    for alpha in PINNED_EXPONENTS:
+        for beta in PINNED_EXPONENTS:
+            p = HahnParams(alpha, beta, N)
+            d, prod = (row.tolist() for row in hahn._jacobi_rows(p))
+            got = hahn._twisted_grid(p, np.ones(N + 1))
+            for x in range(N + 1):
+                want, zeros = _reference_twisted_column(d, prod, float(x), tiny)
+                replaced += zeros
+                want = np.array(want).view(np.int64)
+                assert got[:, x].view(np.int64).tolist() == want.tolist(), (alpha, beta, x)
+    assert replaced >= 1
+
+
 def test_twisted_grid_memory_peak():
     # the result, the pivots of one side and small masks: at most 2.5
     # (N+1)^2 doubles traced at N = 200, after a first call fills the caches
