@@ -21,7 +21,9 @@ count, since B(N) = 0 and D(0) = 0.  Its scale, like that of
 `self-adjoint-form`, has a floor of 1, so on a row whose terms are below 1
 the defect is absolute: the (0, 1e3) grid at N = 60 reads 1.7e-32 with or
 without a relative fault of 1e-6 planted in the largest entry of row 7.
-The decay rows of every order come from one pass (`expansion._decay_pass`).
+The decay rows of every order come from one pass (`expansion._decay_pass`),
+and every projection here is `project` or `expansion._project_rows`, with
+their refusals.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._compensated import _quotient, exact_row_sums, exact_sum
+from ._compensated import _quotient, exact_sum
 from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
-from .expansion import (BOUND_SLACK, IntervalMap, _check_norms, _decay_pass, inner_product,
+from .expansion import (BOUND_SLACK, IntervalMap, _decay_pass, _project_rows, inner_product,
                         project)
 # hahn_eval_all is unused here; the bench tracer's rebind test names it
 from .hahn import (HahnParams, _integer_steps, basis, hahn_eval_all,  # noqa: F401
@@ -192,15 +194,12 @@ def check_operator_symmetry(params: HahnParams) -> CheckResult:
 
 
 def check_spectral_multiplier(params: HahnParams) -> CheckResult:
-    """Applying L multiplies coefficient n by -lam_n, coefficient-wise."""
+    """Applying L multiplies coefficient n by -lam_n, coefficient-wise.
+    Both projections are one `expansion._project_rows` call, and L u is
+    formed only after its refusals."""
     (u,) = _random_grid_functions(params, 1)
-    # project's refusals come before L u is formed; both projections are
-    # then one exact_row_sums call
-    qmat = normalized_grid_matrix(params.N, params)
-    _check_norms(params, params.N)
-    w = basis(params).weights
-    wu = u.values * w
-    cu, clu = exact_row_sums(qmat, np.stack([wu, l_disk_apply(u).values * w]))
+    cu, clu = _project_rows(params, params.N,
+                            (l_disk_apply(u).values if k else u.values for k in (0, 1)))
     lams = basis(params).lam
     scale = np.maximum(np.abs(lams * cu), 1e-6 * float(np.max(np.abs(lams * cu))))
     worst = float(np.max(np.abs(clu + lams * cu) / np.where(scale == 0.0, 1.0, scale)))

@@ -11,10 +11,12 @@ a degree whose norm ||Q_k|| is past the double range has no double
 orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
 Every exact sum here is `_compensated.exact_sum`, the package's one rule
-for a sum with no double value.  A set of row sums (the coefficients of
-a projection, the values at the nodes, the projections of u and L^k u
-for every order of a decay pass) is one `exact_row_sums` call, which
-gives exact_sum's bits for every row.
+for a sum with no double value.  A set of row sums (the values at the
+nodes, the coefficients of one or more stacked grid functions) is one
+`exact_row_sums` call, which gives exact_sum's bits for every row.
+Projections of grid functions have one owner, `_project_rows`: the grid
+read and the norm check, then that call; `project`, the decay pass and
+`checks.check_spectral_multiplier` use it.
 
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
@@ -28,6 +30,7 @@ table of basis values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +111,9 @@ class CoefficientVector:
 def _check_norms(params: HahnParams, m: int) -> None:
     # no double Q~_k = Q_k / ||Q_k|| exists past the double range; a list
     # pass, not numpy masks (see hahn._check_degree)
-    for k, s in enumerate(basis(params).sqrt_norms[: m + 1].tolist()):
-        if s == math.inf:
-            raise DomainError(f"norm of Q_{k} is not finite in double precision")
+    norms = basis(params).sqrt_norms[: m + 1].tolist()
+    if math.inf in norms:
+        raise DomainError(f"norm of Q_{norms.index(math.inf)} is not finite in double precision")
 
 
 @dataclass(frozen=True)
@@ -153,16 +156,28 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
     """Projection coefficients of u for degrees 0..m, each the exact sum
-    of a grid row times u w, rounded once (`exact_row_sums`, the bits of
-    `exact_sum`); `normalized_grid_matrix` raises DegreeOutOfRangeError
-    for m outside 0..N."""
+    of a grid row times u w, rounded once (`_project_rows`);
+    DegreeOutOfRangeError for m outside 0..N and DomainError for a norm
+    past the double range, as `_project_rows` refuses."""
     p = u.params
-    qmat = normalized_grid_matrix(m, p)
-    # all rows in one call, which extracts a block of rows at a time
-    coeffs = exact_row_sums(qmat, u.values * basis(p).weights)
+    (coeffs,) = _project_rows(p, m, [u.values])
     if not normalized:
         coeffs /= basis(p).sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
+
+
+def _project_rows(p: HahnParams, m: int, values: Iterable[np.ndarray]) -> np.ndarray:
+    """The orthonormal coefficients of degrees 0..m of each grid function
+    in values, one row each: every coefficient the exact sum of a grid row
+    times the values times w, rounded once, all in one `exact_row_sums`
+    call, which extracts a block of rows at a time.  The grid is read
+    (`normalized_grid_matrix` refuses m outside 0..N) and the norms are
+    checked before values is read, so a generator forms L u, or refuses
+    it, only for a family that passes both."""
+    qmat = normalized_grid_matrix(m, p)
+    _check_norms(p, m)
+    w = basis(p).weights
+    return exact_row_sums(qmat, np.array([v * w for v in values]))
 
 
 def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:
@@ -227,54 +242,48 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
 
 def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[list[DecayEntry]]:
     """The `decay_report` rows of each order in ks, in order, from one pass:
-    one grid read and norm check, one chain L u, L^2 u, .. up to the
-    largest order, and one `exact_row_sums` call over u and every L^k u.
-    Refusals come as from one `decay_report` call per order, in turn: the
-    first order's checks, the grid and the norms, then for each order its
-    own check and its overflow."""
-    p = u.params
-    lams = basis(p).lam.tolist()
-    chain, orders = {0: u}, []
-    for k in ks:
-        if not isinstance(k, int) or k < 0:
-            raise DomainError(f"order k must be a nonnegative integer, got {k!r}")
-        if not orders:
-            if len(n_range) == 0:
-                raise DomainError("empty degree range")
-            # a range may run either way; it is checked, and projected, by
-            # its extremes
-            top = max(n_range)
-            if min(n_range) < 1 or top > p.N:
-                if 0 in n_range and k >= 1:
-                    raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
-                raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
-            _check_degree(n_range, p)
-            # project's refusals come before L u is formed; all projections
-            # are then one exact_row_sums call
-            qmat = normalized_grid_matrix(top, p)
-            _check_norms(p, top)
-        # the chain runs on to k, keeping the powers asked for
-        last = max(chain)
-        lku = chain[last]
-        for j in range(last + 1, k + 1):
-            lku = l_disk_apply(lku)
-            if j in ks:
-                chain[j] = lku
-        lku = chain[k]
-        try:
-            # float ** int raises past the double range, math.sqrt below zero
-            s_k = math.sqrt(inner_product(lku, lku))
-            powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
-        except (OverflowError, ValueError):
-            s_k = math.nan
-        if not math.isfinite(s_k):
-            raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
-        orders.append((s_k, powers))
-    if not orders:
+    one chain L u, L^2 u, .. up to the largest order and one
+    `_project_rows` call over u and every L^k u.  Refusals come as from
+    one `decay_report` call per order, in turn: the first order's checks,
+    the grid and the norms, then for each order its own check and its
+    overflow, all before any row is summed."""
+    if not ks:
         return []
-    w = basis(p).weights
-    coeffs, *lku_sums = exact_row_sums(
-        qmat, np.stack([u.values * w] + [chain[k].values * w for k in ks]))
+    p = u.params
+    _check_order(ks[0])
+    if len(n_range) == 0:
+        raise DomainError("empty degree range")
+    # a range may run either way; it is checked, and projected, by its
+    # extremes
+    top = max(n_range)
+    if min(n_range) < 1 or top > p.N:
+        if 0 in n_range and ks[0] >= 1:
+            raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
+        raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
+    _check_degree(n_range, p)
+    lams = basis(p).lam.tolist()
+    chain, orders = [u], []
+
+    def values():
+        # read by _project_rows after the grid and norm refusals; every
+        # order's own refusals come before the row sums
+        yield u.values
+        for k in ks:
+            _check_order(k)
+            while len(chain) <= k:
+                chain.append(l_disk_apply(chain[-1]))
+            try:
+                # float ** int raises past the double range, math.sqrt below zero
+                s_k = math.sqrt(inner_product(chain[k], chain[k]))
+                powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
+            except (OverflowError, ValueError):
+                s_k = math.nan
+            if not math.isfinite(s_k):
+                raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
+            orders.append((s_k, powers))
+            yield chain[k].values
+
+    coeffs, *lku_sums = _project_rows(p, top, values())
     out = []
     for k, (s_k, powers), lku_coeffs in zip(ks, orders, lku_sums):
         rows = []
@@ -292,3 +301,8 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
             )
         out.append(rows)
     return out
+
+
+def _check_order(k: int) -> None:
+    if not isinstance(k, int) or k < 0:
+        raise DomainError(f"order k must be a nonnegative integer, got {k!r}")

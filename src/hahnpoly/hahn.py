@@ -38,9 +38,10 @@ The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
 integers 0..N.  From N = 42 up it is built that way: the Jacobi rows are
 integer quotients rounded once (`_jacobi_rows`), and one twisted
-factorization gives every eigenvector at once (`_twisted_grid`): two pivot
-loops over n with no guard, a guarded re-run of the few columns that meet
-a zero pivot, then whole-matrix ratios and cumulative products, no BLAS.
+factorization gives every eigenvector at once (`_twisted_grid`): one pivot
+routine, run on each side, loops over n with no guard, then re-runs with
+the guard the few columns that meet a zero pivot; then whole-matrix ratios
+and cumulative products, no BLAS.
 It is right to a few 1e-15 in U units for every family measured, up to
 N = 200 and exponents 1e12.  Below 42 it is still one dd sweep per grid
 point over the norms, which the outputs pinned at those sizes were
@@ -242,14 +243,16 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     eigenvalue x, every x = 0..N at once (Parlett & Dhillon, Linear
     Algebra Appl. 267, 1997; Dhillon & Parlett, LAA 387, 2004).
 
-    The backward pivots D-_n and the forward pivots D+_n of J - x run
-    elementwise over all x, each once, in the only two loops over n: a
-    division and a subtraction per row, with no guard.  A zero pivot, in
-    rows 1..N of D- or 0..N of D+, is replaced by eps ||J|| = eps N: each
-    column that meets one re-runs its recurrence from that pivot alone, in
-    Python floats with the guard at every step (Marques, Riedy & Vomel,
-    SIAM J. Sci. Comput. 28, 2006, run the same fast loop and guarded
-    re-run).  Then, over blocks of rows, the twist k is the first n that
+    The forward pivots D+_0 .. D+_N of J - x and the backward pivots
+    D-_N .. D-_1, which are the forward pivots of J reversed, come from one
+    routine, `_pivots`, run once on each side over all x: a division and a
+    subtraction per row with no guard, then a re-run in Python floats of
+    each column that meets an exact-zero pivot, which is replaced by
+    eps ||J|| = eps N (Marques, Riedy & Vomel, SIAM J. Sci. Comput. 28,
+    2006, run the same fast loop and guarded re-run).  D-_0 divides
+    nothing: it enters only |D+_0 + D-_0 - (d_0 - x)| = |D-_0|, where an
+    exact zero is an exact twist at n = 0, so it is one step with no
+    guard.  Then, over blocks of rows, the twist k is the first n that
     minimizes |D+_n + D-_n - (d_n - x)|; a NaN never wins.  From v_k = 1
     the vector expands downwards by v_n = sqrt(p_{n-1}) / D-_n v_{n-1} and
     upwards by v_n = sqrt(p_n) / D+_n v_{n+1}: each side's ratios, 1 on
@@ -271,17 +274,13 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     # then the downward products, then U
     fwd = d[:, None] - x
     v = np.empty_like(fwd)
-    v[N] = fwd[N]
-    ratio = np.empty(N + 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # a zero pivot passes on inf or nan, which its column's re-run replaces
-        for n in range(N, 0, -1):
-            np.divide(p[n - 1], v[n], out=ratio)
-            np.subtract(fwd[n - 1], ratio, out=v[n - 1])
-        for n in range(1, N + 1):
-            np.divide(p[n - 1], fwd[n - 1], out=ratio)
-            np.subtract(fwd[n], ratio, out=fwd[n])
-    _rerun_zero_pivots(d, p, v, fwd)
+        # D-_N .. D-_1 are the forward pivots of J reversed, read from the
+        # rows d_n - x before fwd is pivoted in place; the rows go as Python
+        # floats, which index faster than numpy scalars, with the same bits
+        _pivots(d[:0:-1].tolist(), p[-2::-1].tolist(), fwd[:0:-1], v[:0:-1])
+        v[0] = fwd[0] - p[0] / v[1]
+        _pivots(d.tolist(), p.tolist(), fwd, fwd)
     # the twist as int16, which holds 0.._MAX_N: numpy buffers 8192 entries
     # of each operand of the broadcast comparison below, and int16 takes a
     # quarter of the bytes of int64
@@ -318,36 +317,33 @@ def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
     return v
 
 
-def _rerun_zero_pivots(d: np.ndarray, p: np.ndarray, v: np.ndarray, fwd: np.ndarray) -> None:
-    """Re-runs, in Python floats, each column of the backward pivots v and
-    the forward pivots fwd of `_twisted_grid` from its first exact-zero
-    pivot in loop order (the last of v's rows 1..N, the first of fwd's rows
-    0..N), replacing that pivot and every later zero one by eps N; v[0]
-    takes no guard.  The pivots before it are those of the guarded loop,
-    and each step makes that loop's operations, so the column gets its
-    bits.  Only a few columns of a family meet a zero pivot."""
-    N = len(d) - 1
-    tiny = float(np.finfo(float).eps * N)
-    d, p = d.tolist(), p.tolist()
-    for c in np.flatnonzero((v[1:] == 0.0).any(axis=0)).tolist():
-        top = int(np.flatnonzero(v[1:, c] == 0.0)[-1]) + 1
-        piv, col = tiny, []
-        for n in range(top, 0, -1):
-            col.append(piv)
-            piv = (d[n - 1] - c) - p[n - 1] / piv
-            if piv == 0.0 and n > 1:
-                piv = tiny
-        col.append(piv)
-        v[top::-1, c] = col
-    for c in np.flatnonzero((fwd == 0.0).any(axis=0)).tolist():
-        low = int(np.flatnonzero(fwd[:, c] == 0.0)[0])
+def _pivots(d: list[float], p: list[float], dx: np.ndarray, out: np.ndarray) -> None:
+    """The pivots out[n] = dx[n] - p[n-1] / out[n-1] from out[0] = dx[0],
+    column x of the rows dx being d_n - x (out may be dx itself): one
+    division and one subtraction per row over all columns, with no guard,
+    under the caller's np.errstate, so a zero pivot passes on inf or nan.
+    Then each column that met an exact-zero pivot re-runs, in Python
+    floats, from its first one, with that pivot and every later zero one
+    replaced by eps N, N + 1 the number of columns.  The re-run takes
+    d_n - x from d, since dx may be overwritten; the pivots before it are
+    those of the guarded loop, and each step makes that loop's operations,
+    so the column gets its bits.  Only a few columns of a family meet a
+    zero pivot."""
+    tiny = float(np.finfo(float).eps * (out.shape[1] - 1))
+    out[0] = dx[0]
+    ratio = np.empty(out.shape[1])
+    for n in range(1, len(out)):
+        np.divide(p[n - 1], out[n - 1], out=ratio)
+        np.subtract(dx[n], ratio, out=out[n])
+    for c in np.flatnonzero((out == 0.0).any(axis=0)).tolist():
+        low = int(np.flatnonzero(out[:, c] == 0.0)[0])
         piv, col = tiny, [tiny]
-        for n in range(low + 1, N + 1):
+        for n in range(low + 1, len(out)):
             piv = (d[n] - c) - p[n - 1] / piv
             if piv == 0.0:
                 piv = tiny
             col.append(piv)
-        fwd[low:, c] = col
+        out[low:, c] = col
 
 
 @lru_cache(maxsize=64)

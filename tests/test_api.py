@@ -154,6 +154,17 @@ def test_row_sums_go_through_the_kernel():
                         assert func != "exact_sum", (name, node.lineno)
 
 
+def test_checks_project_through_one_owner():
+    # a projection of stacked grid rows, with project's refusals before it,
+    # is expansion._project_rows: checks.py sums no rows and checks no
+    # norms of its own
+    tree = ast.parse((SRC / "checks.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert func not in ("exact_row_sums", "_check_norms"), node.lineno
+
+
 def test_checks_run_no_forward_sweep():
     # the checks read node values from the grid rows and the exact
     # oracle: checks.py calls neither forward sweep of hahn

@@ -337,6 +337,24 @@ def test_twisted_grid_equals_a_guarded_column_loop(N):
     assert replaced >= 1
 
 
+@pytest.mark.parametrize("d,prod", [((1.0, 2.0), (2.0, 0.0)),
+                                    ((1.0, 2.0, 3.0), (2.0, 2.0, 0.0)),
+                                    ((1.0, 1.0, 2.0), (2.0**-51, 2.0, 0.0))])
+def test_twisted_grid_at_hand_made_jacobi_rows(monkeypatch, d, prod):
+    # rows whose pivots are exactly 0 at D-_0, D+_0 and D+_N, which no
+    # pinned family reaches: the guard replaces the last two and leaves
+    # D-_0, which divides nothing, as the guarded column loop does; in the
+    # last rows column 0 meets D-_1 = 0, whose replacement eps N = 2^-51
+    # makes D-_0 = 1 - 2^-51 / 2^-51 = 0 in a re-run column
+    N = len(d) - 1
+    monkeypatch.setattr(hahn, "_jacobi_rows", lambda params: (np.array(d), np.array(prod)))
+    got = hahn._twisted_grid(HahnParams(0.0, 0.0, N), np.ones(N + 1))
+    tiny = float(np.finfo(float).eps * N)
+    for x in range(N + 1):
+        want, _ = _reference_twisted_column(list(d), list(prod), float(x), tiny)
+        assert got[:, x].view(np.int64).tolist() == np.array(want).view(np.int64).tolist(), x
+
+
 def test_twisted_grid_memory_peak():
     # the result, the pivots of one side and small masks: at most 2.5
     # (N+1)^2 doubles traced at N = 200, after a first call fills the caches
