@@ -22,11 +22,12 @@ once: the series rows (each dd entry an exact quotient and its exact
 remainder), the Jacobi rows and the constants of the recurrence check.
 No dd arithmetic assembles a constant.
 
-Closed-form squared norms complete the module.  `norm_sq_closed` writes
-alpha and beta over one common denominator, as the weights do, and runs
-the ratio h_n / h_{n-1} as an integer numerator and denominator: each
-norm is one int true division, the exact value rounded once.  It also
-takes an array of degrees, so one call gives a family's N + 1 norms.
+Closed-form squared norms complete the module.  `norm_sq_closed` starts
+from the integer numerator and denominator of h_0, over the weights'
+common denominator, and multiplies them by h_n / h_{n-1} = C_n / A_{n-1},
+read from `_integer_steps` and reduced by its gcd: each norm is one int
+true division, the exact value rounded once.  It also takes an array of
+degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the series rows of both sweeps,
@@ -200,7 +201,8 @@ def _integer_steps(params: HahnParams) -> tuple[list[tuple[int, int]], list[tupl
     + C_n Q_{n-1}, n = 0..N, as integer (numerator, denominator) pairs, both
     parts positive but C_0 = 0 and A_N = 0 (Koekoek, Lesky & Swarttouw,
     Hypergeometric Orthogonal Polynomials, Springer 2010, section 9.5): the
-    one source of the family's recurrence constants.  With alpha = a/D,
+    one source of the family's recurrence constants and of the norm ratios
+    h_n / h_{n-1} = C_n / A_{n-1}.  With alpha = a/D,
     beta = b/D over the common denominator of the weights and s = a + b,
     every D cancels:
 
@@ -422,16 +424,12 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
 
     With alpha = a/D, beta = b/D exactly and s = a + b, h_0 is
     prod_{j<N} (s + (2+j)D) / (D^N N!), and each degree multiplies an
-    integer numerator and denominator by the factors of h_k / h_{k-1}:
-
-        k = 1:   (s+(N+2)D)(b+D)  /  ((s+3D)(a+D) N)
-        k >= 2:  (s+(k+N+1)D)(s+(2k-1)D)(b+kD) k
-                 /  ((s+kD)(s+(2k+1)D)(a+kD)(N-k+1))
-
-    Every factor is a positive integer.  The k = 1 ratio is the general
-    one with its factor (1 + alpha + beta) cancelled, which vanishes when
-    alpha + beta = -1.  h_k is one int true division of the running
-    products; a norm past the double range is inf.
+    integer numerator and denominator by h_k / h_{k-1} = C_k / A_{k-1},
+    the ratio of the recurrence's own integer rows (`_integer_steps`),
+    each step's ratio reduced by its gcd.  A_0 there has its factor
+    (1 + alpha + beta) cancelled, which vanishes when alpha + beta = -1;
+    every other factor is a positive integer.  h_k is one int true
+    division of the running products; a norm past the double range is inf.
 
     n may be an array of degrees: one call runs the products once, up to
     the largest degree, and returns an array of n's shape, each entry
@@ -441,17 +439,16 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     degrees = np.ravel(n).tolist() if np.ndim(n) else [n]
     N = params.N
     a, b, D = _exact_exponents(params.alpha, params.beta)
-    s = a + b
-    num = math.prod(s + (2 + j) * D for j in range(N))
+    num = math.prod(a + b + (2 + j) * D for j in range(N))
     den = D**N * math.factorial(N)
     norms = [dd._quotient(num, den)]
-    for k in range(1, max(degrees, default=0) + 1):
-        if k == 1:
-            num *= (s + (N + 2) * D) * (b + D)
-            den *= (s + 3 * D) * (a + D) * N
-        else:
-            num *= (s + (k + N + 1) * D) * (s + (2 * k - 1) * D) * (b + k * D) * k
-            den *= (s + k * D) * (s + (2 * k + 1) * D) * (a + k * D) * (N - k + 1)
+    top = max(degrees, default=0)
+    A, C = _integer_steps(params)
+    for (an, ad), (cn, cd) in zip(A[:top], C[1 : top + 1]):
+        rn, rd = cn * ad, cd * an
+        g = math.gcd(rn, rd)
+        num *= rn // g
+        den *= rd // g
         norms.append(dd._quotient(num, den))
     if np.ndim(n):
         return np.array([norms[k] for k in degrees]).reshape(np.shape(n))

@@ -58,14 +58,6 @@ def _check_weight_exponents(alpha: float, beta: float) -> None:
             raise DomainError(f"{name} must be finite and greater than -1, got {value}")
 
 
-def _rising(c: int, step: int, k: int) -> list[int]:
-    # [prod_{j=1..i} (c + j step) for i = 0..k]
-    out = [1]
-    for j in range(1, k + 1):
-        out.append(out[-1] * (c + j * step))
-    return out
-
-
 def _exact_exponents(alpha: float, beta: float) -> tuple[int, int, int]:
     """Integers a, b and the least D > 0 with alpha = a/D and beta = b/D
     exactly: the common denominator of the weights' and the norms'
@@ -76,20 +68,25 @@ def _exact_exponents(alpha: float, beta: float) -> tuple[int, int, int]:
 
 
 def _weights(alpha: float, beta: float, N: int, xs: range) -> list[float]:
-    # alpha = a/D and beta = b/D exactly, so C(alpha+x, x) = L_x / (D^x x!)
-    # with L_x = prod_{j=1..x} (a + jD), and w(x) is one integer quotient
+    # alpha = a/D and beta = b/D exactly, so w(0) = prod_{j=1..N} (b + jD)
+    # / (D^N N!) and w(x) / w(x-1) = (a + xD)(N - x + 1) / (x (b + (N-x+1) D)):
+    # one running integer ratio, divided only at the points of xs, so a
+    # point past the double range before xs refuses nothing
     a, b, D = _exact_exponents(alpha, beta)
-    left, right = _rising(a, D, xs[-1]), _rising(b, D, N - xs[0])
-    fact = _rising(0, 1, max(xs[-1], N - xs[0]))
-    scale = D**N
+    num = math.prod(b + j * D for j in range(1, N + 1))
+    den = D**N * math.factorial(N)
     out = []
-    for x in xs:
-        # int true division rounds once, correctly, and raises
-        # OverflowError past the double range
-        try:
-            out.append(left[x] * right[N - x] / (scale * fact[x] * fact[N - x]))
-        except OverflowError:
-            raise DomainError(f"weight w({x}) is not finite in double precision") from None
+    for x in range(xs[-1] + 1):
+        if x:
+            num *= (a + x * D) * (N - x + 1)
+            den *= x * (b + (N - x + 1) * D)
+        if x >= xs[0]:
+            # int true division rounds once, correctly, and raises
+            # OverflowError past the double range
+            try:
+                out.append(num / den)
+            except OverflowError:
+                raise DomainError(f"weight w({x}) is not finite in double precision") from None
     return out
 
 
@@ -113,10 +110,11 @@ def binomial_weight(x: int, alpha: float, beta: float, N: int) -> float:
 def binomial_weights(alpha: float, beta: float, N: int) -> list[float]:
     """Weights w(0) .. w(N), each equal to `binomial_weight` bit for bit.
 
-    The integer products prod (a+iD), prod (b+iD) and x! come from one
-    running prefix product each, so the grid costs O(N) integer products
-    and N + 1 correctly rounded quotients.  The first weight past the
-    double range raises DomainError naming its grid point.
+    The weights come from one running integer ratio, w(0) times
+    w(x) / w(x-1) = (a+xD)(N-x+1) / (x (b+(N-x+1)D)) at each step, so
+    the grid costs O(N) integer products and N + 1 correctly rounded
+    quotients.  The first weight past the double range raises DomainError
+    naming its grid point, before any later product is formed.
     """
     _check_weight_exponents(alpha, beta)
     if N < 0:

@@ -500,7 +500,7 @@ def test_overflowing_operator_power_refused(command):
     ("verify --alpha 1e6 --beta 0.5 --N 200", 67),
 ])
 def test_weights_past_double_range_refused(command, first):
-    # the integer (beta 0) and the dd (beta 0.5) weight route: a domain
+    # integer (beta 0) and binary-fraction (beta 0.5) exponents: a domain
     # error naming the first grid point past the double range, with no
     # nan, traceback or numpy warning
     with warnings.catch_warnings():

@@ -140,7 +140,8 @@ def test_weight_accepts_numpy_scalars():
 
 @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (-0.5, 3.0), (0.3, 7.25), (5.0, 0.0)])
 def test_weight_row_equals_scalar_weights(alpha, beta):
-    # the running prefix products give every grid point's own product
+    # the running ratio, divided only at the points asked for, gives
+    # every grid point's own quotient
     for N in (1, 30, 200):
         row = np.array(binomial_weights(alpha, beta, N))
         loop = np.array([binomial_weight(x, alpha, beta, N) for x in range(N + 1)])
@@ -150,7 +151,8 @@ def test_weight_row_equals_scalar_weights(alpha, beta):
 
 
 @pytest.mark.parametrize("alpha,beta,N,first", [(1e6, 0.0, 200, 68), (1e6, 0.5, 200, 67),
-                                                (-0.999, 1e4, 200, 0), (1e305, 0.5, 2, 2)])
+                                                (-0.999, 1e4, 200, 0), (1e305, 0.5, 2, 2),
+                                                (1e305, 0.5, 200, 2)])
 def test_weights_past_double_range_refused(alpha, beta, N, first):
     # the weights before the first grid point whose exact weight is past
     # the double range equal the oracle, up to 2.4e304 and 1.5e305 here,
