@@ -16,6 +16,21 @@ sum_n k_n Q_n(x) without forming the Q_n.  `split` and `two_prod` scale an
 operand above 2^996 before splitting it; the kernels split inline and do
 not.
 
+Off the grid nodes the package sums a series through `clenshaw_sum`,
+which runs one of two sweeps over the same rows and meets one contract,
+2 eps S(x) against the exact sum.  Where numpy's long double is x87
+extended (a 64-bit significand and a 15-bit exponent, as on x86-64
+Linux), points at least `NEAR_NODE` from every grid node take
+`ld_clenshaw_sweep`: plain Clenshaw in long double, six array
+operations a step against about ninety in dd, with the rows rounded
+once from dd and no split, so no level is NaN for its size.  Every
+other point, and every point elsewhere (a double long double on MSVC or
+macOS arm64, binary128, IBM double-double), takes `dd_clenshaw_sweep`.
+`EXTENDED` holds the platform's answer, found once at import by
+arithmetic: 1 + 2^-63 must differ from 1 and the tie 1 + 2^-64 must
+round back to 1.  Neither the platform rule nor `NEAR_NODE` is an
+option of any caller.
+
 Every exact sum in the package is `exact_sum`, the one owner of what a
 sum is when it has no double value: +-inf past the double range, NaN for
 -inf + inf or a NaN term, as Python float arithmetic gives them.  Its
@@ -425,3 +440,82 @@ def dd_clenshaw_sweep(rows, ks, x) -> DD:
         chi = t - (t - c0)
         clo = c0 - chi
     return c0, c1
+
+
+def ld_clenshaw_sweep(rows, ks, x):
+    """The backward recurrence of `dd_clenshaw_sweep`, in numpy's long
+    double: y_0 at x, a float or a float array, as a long double or an
+    array of them.  rows are the same dd rows, each of a_n, r_n and g_n
+    rounded once to long double as hi + lo; ks holds k_0 .. k_m as long
+    doubles.  Each step is one expression of six operations,
+
+        y_n = k_n + ((a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2}),
+
+    which numpy makes on a long double scalar as on each point of an
+    array, so an array point gets the bits of a one-point call.  Meant
+    for an x87 extended long double (`EXTENDED`): a 64-bit significand,
+    and a 15-bit exponent, far past the double range, so there is no
+    split to scale."""
+    ld = np.longdouble
+    s = np.array(rows, dtype=float).reshape(-1, 10)
+    a = s[:, 0].astype(ld) + s[:, 1]
+    r = s[:, 2].astype(ld) + s[:, 3]
+    g = s[:, 6].astype(ld) + s[:, 7]
+    t = ld(x)
+    # g_next is g_(n+1): the first step's y_(m+2) = 0 takes a zero g
+    y1, y2, g_next = ks[-1], ld(0.0), ld(0.0)
+    for a_n, r_n, g_n, k_n in zip(a[::-1], r[::-1], g[::-1], ks[-2::-1]):
+        y1, y2 = k_n + ((a_n - r_n * t) * y1 - g_next * y2), y1
+        g_next = g_n
+    return y1
+
+
+def _has_extended_long_double() -> bool:
+    # a 64-bit significand: 1 + 2^-63 is exact, and the tie 1 + 2^-64
+    # rounds to even, back to 1.  A long double that is a double (MSVC,
+    # macOS arm64) fails the first, binary128 and IBM double-double the
+    # second
+    one = np.longdouble(1.0)
+    return bool(one + np.longdouble(2.0**-63) != one and one + np.longdouble(2.0**-64) == one)
+
+
+# whether `clenshaw_sum` runs in long double; decided once, by arithmetic
+EXTENDED = _has_extended_long_double()
+# points nearer a grid node than this take the dd sweep on every platform:
+# there the sum is as sensitive to the last bits of the rows and steps as
+# 1 / distance, and a 64-bit significand misses 2 eps S(x) from about 1/64
+# of a node inward
+NEAR_NODE = 1.0 / 16.0
+
+
+def clenshaw_sum(rows, coeffs: np.ndarray, norms: np.ndarray | None, x, *, near_node: bool):
+    """sum_{n=0..m} k_n Q_n(x) rounded once to a double, at a float x or
+    at each point of a float array x, over the first m rows of
+    `HahnBasis.series`: k_n = coeffs[n] / norms[n], or coeffs[n] where
+    norms is None.  near_node says that every point of x lies within
+    `NEAR_NODE` of a grid node.
+
+    Where numpy's long double is x87 extended (`EXTENDED`) and x is not
+    near a node, the sweep is `ld_clenshaw_sweep`, each k_n one long
+    double division, and the sum is rounded once from long double;
+    elsewhere it is `dd_clenshaw_sweep`, k_n from `dd_div`, and the sum
+    is hi + lo.  The route is the platform's and the point's, not the
+    caller's, and either meets the same contract: within 2 eps S(x) of the exact sum of k_n Q_n(x),
+    S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|, for the k_n of the stored
+    doubles.  A sum that is not finite is NaN, with no warning: an inf
+    in a dd sweep meets inf - inf, and the rounded long double sum y
+    becomes y + y * 0, which is NaN for +-inf and y itself, signed zero
+    included, for every finite y."""
+    if EXTENDED and not near_node:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = coeffs.astype(np.longdouble)
+            if norms is not None:
+                k /= norms
+            y = ld_clenshaw_sweep(rows, k, x).astype(float)
+            return y + y * 0.0
+    k = (coeffs, np.zeros(len(coeffs)))
+    if norms is not None:
+        with np.errstate(invalid="ignore"):
+            k = dd_div(k, (norms, 0.0))
+    hi, lo = dd_clenshaw_sweep(rows, list(zip(k[0].tolist(), k[1].tolist())), x)
+    return hi + lo

@@ -182,7 +182,9 @@ def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[Coefficien
     columns = [ts.tolist(), target.tolist()]
     for rec, err in zip(recons, errors):
         columns += [rec.tolist(), err.tolist()]
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
+    # one %-format per row: "%.17g" gives each cell _fmt's bytes
+    row_fmt = ",".join(["%.17g"] * len(columns))
+    lines += [row_fmt % row for row in zip(*columns)]
     return ts, errors, lines
 
 

@@ -21,10 +21,13 @@ read and the norm check, then that call; `project`, the decay pass and
 Evaluation has two routes.  At a grid node (an exact integer in 0..N)
 the value is the exact sum of the family's cached grid column times the
 orthonormal coefficients, all nodes of an array in one call.  Everywhere
-else the whole series is summed in
-one double-double Clenshaw sweep (`_compensated.dd_clenshaw_sweep`) over
-the family's `HahnBasis.series` rows, all points at once and without a
-table of basis values.
+else the whole series is summed by one Clenshaw sweep
+(`_compensated.clenshaw_sum`) over the family's `HahnBasis.series` rows,
+all points at once and without a table of basis values.  The sweep runs
+in long double where numpy's long double is x87 extended, as on x86-64
+Linux, and in double-double on other platforms and within `NEAR_NODE` of
+a node; an import-time arithmetic probe finds the platform, and both
+sweeps meet the same 2 eps S(x) contract.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._compensated import dd_clenshaw_sweep, dd_div, exact_row_sums, exact_sum, two_prod
+from ._compensated import NEAR_NODE, clenshaw_sum, exact_row_sums, exact_sum, two_prod
 from .discrete_calculus import GridFunction, _same_grid, l_disk_apply
 from .errors import (
     DegenerateIntervalError,
@@ -189,36 +192,39 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     coefficients, rounded once, every node in one `exact_row_sums` call; classical coefficients are
     converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
     whose weights are refused is refused there, by the grid.  Every other
-    point is summed by one double-double Clenshaw sweep
-    (`_compensated.dd_clenshaw_sweep`) with k_n = c_n / ||Q_n|| in dd
-    (orthonormal) or k_n = c_n (classical), all such points of an array
-    at once, and the sum is rounded to a double.  Either way an array
-    point equals a one-point call to the bit.
+    point is summed by a Clenshaw sweep (`_compensated.clenshaw_sum`: in
+    long double on x87 at least `NEAR_NODE` from every node, in dd
+    elsewhere) with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n
+    (classical), all such points of an array in one sweep per route, and
+    the sum is rounded once to a double, or is NaN where it is not
+    finite.  Either way an array point equals a one-point call to the
+    bit.
     """
     b = basis(c.params)
     m, N = c.degree, c.params.N
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel().tolist()
     # a list pass, not numpy masks (see hahn._check_degree)
-    nodes, off = [], []
+    nodes, near, far = [], [], []
     for i, v in enumerate(flat):
-        (nodes if v.is_integer() and 0.0 <= v <= N else off).append(i)
+        if v.is_integer() and 0.0 <= v <= N:
+            nodes.append(i)
+        elif v == v and abs(v - round(min(max(v, 0.0), N))) < NEAR_NODE:
+            near.append(i)
+        else:
+            # NaN and +-inf among them
+            far.append(i)
     out = np.empty(len(flat))
     if nodes:
         cols = b.grid.T[[int(flat[i]) for i in nodes], : m + 1]
         u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
         out[nodes] = exact_row_sums(cols, u)
-    if off:
-        k = (c.coeffs, np.zeros(m + 1))
-        if c.normalized:
-            # an inf coefficient makes inf - inf in the Newton step: its
-            # term is NaN, with no warning
-            with np.errstate(invalid="ignore"):
-                k = dd_div(k, (b.sqrt_norms[: m + 1], 0.0))
-        # a scalar point sweeps as a Python float, with the same rounding
-        pts = np.array([flat[i] for i in off]) if xs.ndim else flat[0]
-        hi, lo = dd_clenshaw_sweep(b.series[:m], list(zip(k[0].tolist(), k[1].tolist())), pts)
-        out[off] = hi + lo
+    norms = b.sqrt_norms[: m + 1] if c.normalized else None
+    for off, near_node in ((far, False), (near, True)):
+        if off:
+            # a scalar point sweeps as a Python float, with the same rounding
+            pts = np.array([flat[i] for i in off]) if xs.ndim else flat[0]
+            out[off] = clenshaw_sum(b.series[:m], c.coeffs, norms, pts, near_node=near_node)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 

@@ -19,7 +19,7 @@ from click.testing import CliRunner
 import hahnpoly
 from hahnpoly import cli
 from hahnpoly.cli import main
-from hahnpoly.expansion import IntervalMap, eval_expansion
+from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion
 from hahnpoly.hahn import HahnParams, basis
 from hahnpoly.oracle_exact import exact_hahn_eval
 
@@ -411,6 +411,24 @@ def test_pointwise_samples_on_exact_nodes(N, monkeypatch):
             if k * N % (samples - 1) == 0:
                 assert xs[k] == k * N // (samples - 1)
             assert float(data[k][0]) == imap.to_interval(xs[k])
+
+
+def test_pointwise_rows_have_the_bytes_of_fmt():
+    # each CSV row is one "%.17g" format: every cell, the non-finite, the
+    # signed zero, the smallest subnormal and the largest double among
+    # them, reads as cli._fmt writes it
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, sys.float_info.max, 0.1]
+    for v in specials:
+        assert "%.17g" % v == cli._fmt(v)
+    targets = iter(specials)
+    imap = IntervalMap(-1.0, 1.0, 12)
+    c = CoefficientVector(HahnParams(0.0, 0.0, 12), np.array([1.0, 0.5]))
+    _, _, lines = cli._pointwise(lambda t: next(targets), imap, len(specials), [c])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[1] for row in rows] == [cli._fmt(v) for v in specials]
+    for row in rows:
+        assert len(row) == 4
+        assert all(cli._fmt(float(cell)) == cell for cell in row)
 
 
 def test_non_finite_targets_refused():

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import platform
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -312,6 +314,35 @@ def test_eval_expansion_classical_convention():
 BENCH_FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0)]
 
 
+@pytest.fixture(params=["long double", "dd"])
+def route(request, monkeypatch):
+    # the off-node sweep of `_compensated.clenshaw_sum`: the long double
+    # one where numpy's long double is x87 extended, the dd one forced
+    if request.param == "dd":
+        monkeypatch.setattr(dd, "EXTENDED", False)
+    elif not dd.EXTENDED:
+        pytest.skip("numpy's long double is not x87 extended here")
+    return request.param
+
+
+def test_x87_long_double_selects_the_long_double_route():
+    # the probe finds a 64-bit significand exactly where numpy reports one,
+    # and x86-64 Linux has it
+    assert dd.EXTENDED == dd._has_extended_long_double()
+    assert dd.EXTENDED == (np.finfo(np.longdouble).nmant == 63)
+    if platform.machine() == "x86_64" and sys.platform.startswith("linux"):
+        assert dd.EXTENDED
+
+
+def test_eval_expansion_sweeps_by_the_selected_route(route, monkeypatch):
+    called = []
+    for name in ("ld_clenshaw_sweep", "dd_clenshaw_sweep"):
+        kernel = getattr(dd, name)
+        monkeypatch.setattr(dd, name, lambda *a, _k=kernel, _n=name: called.append(_n) or _k(*a))
+    eval_expansion(_runge_coeffs(HahnParams(0.0, 0.0, 12), 5, True), np.array([0.5, 3.0]))
+    assert called == ["ld_clenshaw_sweep" if route == "long double" else "dd_clenshaw_sweep"]
+
+
 def _runge_coeffs(p: HahnParams, m: int, normalized: bool) -> CoefficientVector:
     imap = IntervalMap(-1.0, 1.0, p.N)
     u = GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
@@ -452,6 +483,76 @@ def test_eval_expansion_infinite_coefficient_is_nan():
     got = eval_expansion(c, np.array([0.5, 1.5]))
     assert np.isnan(got).all()
     assert math.isnan(eval_expansion(c, 0.5))
+
+
+# The off-node tests above sweep by this platform's route, the long double
+# one on x87.  Each runs again here with the dd sweep forced, the route of a
+# platform whose long double is not x87 extended, its planted row fault
+# included.
+
+@pytest.fixture
+def dd_route(monkeypatch):
+    monkeypatch.setattr(dd, "EXTENDED", False)
+
+
+@pytest.mark.parametrize("N", [30, 100, 200])
+@pytest.mark.parametrize("alpha,beta", BENCH_FAMILIES)
+def test_eval_expansion_array_equals_point_loop_on_dd(N, alpha, beta, dd_route):
+    test_eval_expansion_array_equals_point_loop(N, alpha, beta)
+
+
+def test_eval_expansion_array_longer_than_block_on_dd(dd_route):
+    test_eval_expansion_array_longer_than_block()
+
+
+def test_eval_expansion_scalar_returns_float_on_dd(dd_route):
+    test_eval_expansion_scalar_returns_float()
+
+
+@pytest.mark.parametrize("N", [30, 60])
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, 3.0), (0.0, 1e3)])
+def test_eval_expansion_against_exact_on_dd(N, alpha, beta, dd_route, monkeypatch):
+    test_eval_expansion_against_exact(N, alpha, beta, monkeypatch)
+
+
+@pytest.mark.parametrize("alpha,beta,N", [(-0.999, -0.999, 30), (0.0, 1e6, 30), (3.0, -0.999, 60)])
+def test_eval_expansion_at_the_near_node_distance(alpha, beta, N):
+    # NEAR_NODE either side of every node, the nearest points the long
+    # double sweep takes, are within 2 eps S(x) like any off-node point;
+    # on the long double sweep these families reach 2.1-5.7 eps S(x) at
+    # 1/256 of a node
+    p = HahnParams(alpha, beta, N)
+    xs = [k + s * dd.NEAR_NODE for k in range(N + 1) for s in (-1.0, 1.0)]
+    cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in xs]
+    full = _runge_coeffs(p, N, True).coeffs
+    vectors = [CoefficientVector(p, full[: m + 1]) for m in (N // 2, 7 * N // 8, N)]
+    assert _worst_clenshaw_ratio(vectors, xs, cols) <= 2.0
+
+
+def test_eval_expansion_near_a_node_takes_the_dd_sweep(monkeypatch):
+    # nearer a node than NEAR_NODE the sum is as sensitive to the last bits
+    # of the rows as 1 / distance: the dd sweep meets 2 eps S(x) there, and
+    # the long double sweep, planted in its place, does not
+    p = HahnParams(0.0, 1e3, 30)
+    xs = [1.0 + 2.0**-20, 15.0 - 2.0**-30, 29.0 + 2.0**-8, math.nextafter(30.0, 0.0)]
+    cols = [exact_hahn_column(Fraction(x), Fraction(0), Fraction(1000), 30) for x in xs]
+    full = _runge_coeffs(p, 30, True).coeffs
+    vectors = [CoefficientVector(p, full[: m + 1]) for m in (26, 30)]
+    assert _worst_clenshaw_ratio(vectors, xs, cols) <= 2.0
+    if dd.EXTENDED:
+        monkeypatch.setattr(expansion, "NEAR_NODE", 0.0)
+        assert _worst_clenshaw_ratio(vectors, xs, cols) > 2.0
+
+
+def test_eval_expansion_sum_past_double_range_is_nan(route):
+    # an inf coefficient, or a sum past the double range, is NaN off the
+    # grid on either route, with no warning: 1.5e308 (1 + Q_1(1/2)) with
+    # Q_1(1/2) = 0.9 is inf in double, finite in long double
+    p = HahnParams(0.0, 0.0, 10)
+    for coeffs, normalized in (([1.0, math.inf], True), ([1.5e308, 1.5e308], False)):
+        c = CoefficientVector(p, np.array(coeffs), normalized)
+        assert np.isnan(eval_expansion(c, np.array([0.5, 1.5]))).all()
+        assert math.isnan(eval_expansion(c, 0.5))
 
 
 # the families of the lattice alpha, beta in {-0.999, -0.5, 0, 3, 50, 1e3,
