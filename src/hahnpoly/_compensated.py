@@ -7,14 +7,17 @@ intermediate terms can exceed 1e18 while the result stays O(1); plain
 doubles lose everything there, dd keeps ~1e-15 relative accuracy.
 
 Only the handful of operations the evaluators need are provided.  All of
-them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two fused
-kernels run whole sweeps in one loop each, over the same rows
-(`HahnBasis.series`, a_n, r_n and g_n in dd) and without a division:
-`dd_three_term_sweep`, the upward recurrence that gives Q_1(x) .. Q_m(x),
-and `dd_clenshaw_sweep`, Clenshaw's backward recurrence that gives
-sum_n k_n Q_n(x) without forming the Q_n.  `split` and `two_prod` scale an
-operand above 2^996 before splitting it; the kernels split inline and do
-not.
+them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two dd
+sweeps run over the same rows (`HahnBasis.series`, a_n, r_n and g_n in
+dd), without a division.  `dd_clenshaw_sweep`, Clenshaw's backward
+recurrence that gives sum_n k_n Q_n(x) without forming the Q_n, is the
+composition of the primitives, so every product splits through `split`,
+which scales an operand above 2^996 before splitting it.  One fused
+kernel is left, `dd_three_term_sweep`, the upward recurrence that gives
+Q_1(x) .. Q_m(x) in `hahn.hahn_eval_all`: it makes the composition's
+operations in one loop, reads the rows' split columns and splits inline,
+unscaled, so its levels above about 1.3e300 are NaN.  It goes with the
+per-point grid and the forward route (ROADMAP items 1 and 2).
 
 Off the grid nodes the package sums a series through `clenshaw_sum`,
 which runs one of two sweeps over the same rows and meets one contract,
@@ -22,10 +25,10 @@ which runs one of two sweeps over the same rows and meets one contract,
 extended (a 64-bit significand and a 15-bit exponent, as on x86-64
 Linux), points at least `NEAR_NODE` from every grid node take
 `ld_clenshaw_sweep`: plain Clenshaw in long double, six array
-operations a step against about ninety in dd, with the rows rounded
-once from dd and no split, so no level is NaN for its size.  Every
-other point, and every point elsewhere (a double long double on MSVC or
-macOS arm64, binary128, IBM double-double), takes `dd_clenshaw_sweep`.
+operations a step against about 107 in dd, with the rows rounded once
+from dd and no split.  Every other point, and every point elsewhere (a
+double long double on MSVC or macOS arm64, binary128, IBM
+double-double), takes `dd_clenshaw_sweep`.
 `EXTENDED` holds the platform's answer, found once at import by
 arithmetic: 1 + 2^-63 must differ from 1 and the tie 1 + 2^-64 must
 round back to 1.  Neither the platform rule nor `NEAR_NODE` is an
@@ -363,83 +366,21 @@ def dd_clenshaw_sweep(rows, ks, x) -> DD:
         y_n = k_n + (a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2},  n = m..0,
 
     and the sum is y_0, returned as a dd pair.  ks holds the dd k_0 .. k_m
-    and rows the first m rows of `HahnBasis.series`, row n the flat tuple
-    (a, a_lo, r, r_lo, r_split_hi, r_split_lo, g, g_lo, g_split_hi,
-    g_split_lo) of dd a_n, r_n and g_n with the Dekker splits of the high
-    parts of r_n and g_n.  x may be a float array; k and the rows are
-    shared by every point.
+    and rows the first m rows of `HahnBasis.series`, of which a step reads
+    the dd a_n, r_n and g_n (row[0:2], row[2:4], row[6:8]).  x may be a
+    float array; k and the rows are shared by every point.
 
-    Each step makes the operations of
-    dd_add(k, dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y1), dd_mul(g, y2)))
-    in the same order, so every level has the bits of that composition.
-    There is no division and no table: x is split once, and each level's
-    high part is split once, then reused when it becomes y_{n+2}.  The
-    first step multiplies y_{m+1} = 0 by a zero g, which is what
-    dd_mul(g_m, 0) gives for the positive g_m.
+    Each step is the composition
+    dd_add(k, dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y1), dd_mul(g, y2))),
+    so every product splits its operands through `split`, and a level
+    above 2^996 is split scaled instead of turning NaN.  g_m multiplies
+    y_{m+1} = 0, and row m may not exist, so the first step's g is zero.
     """
-    t = _SPLIT * x
-    xhi = t - (t - x)
-    xlo = x - xhi
-    c0, c1 = ks[-1]
-    t = _SPLIT * c0
-    chi = t - (t - c0)
-    clo = c0 - chi
-    p0 = p1 = phi = plo = 0.0
-    f0 = f1 = fhi = flo = 0.0
-    for (a0, a1, r0, r1, rhi, rlo, g0, g1, ghi, glo), (k0, k1) in zip(
-            reversed(rows), reversed(ks[:-1])):
-        # rx = r * x  (dd_mul_d)
-        m0 = r0 * x
-        e = ((rhi * xhi - m0) + rhi * xlo + rlo * xhi) + rlo * xlo
-        e += r1 * x
-        s = m0 + e
-        m1 = e - (s - m0)
-        # w = a - rx  (dd_sub)
-        nm = -s
-        s = a0 + nm
-        bb = s - a0
-        e = (a0 - (s - bb)) + (nm - bb)
-        e += a1 - m1
-        w0 = s + e
-        w1 = e - (w0 - s)
-        # u = w * y_{n+1}  (dd_mul)
-        u0 = w0 * c0
-        t = _SPLIT * w0
-        hi = t - (t - w0)
-        lo = w0 - hi
-        e = ((hi * chi - u0) + hi * clo + lo * chi) + lo * clo
-        e += w0 * c1 + w1 * c0
-        s = u0 + e
-        u1 = e - (s - u0)
-        u0 = s
-        # v = g_{n+1} * y_{n+2}  (dd_mul)
-        v0 = f0 * p0
-        e = ((fhi * phi - v0) + fhi * plo + flo * phi) + flo * plo
-        e += f0 * p1 + f1 * p0
-        s = v0 + e
-        v1 = e - (s - v0)
-        # q = u - v  (dd_sub)
-        nv = -s
-        s = u0 + nv
-        bb = s - u0
-        e = (u0 - (s - bb)) + (nv - bb)
-        e += u1 - v1
-        q0 = s + e
-        q1 = e - (q0 - s)
-        # y_n = k + q  (dd_add)
-        s = k0 + q0
-        bb = s - k0
-        e = (k0 - (s - bb)) + (q0 - bb)
-        e += k1 + q1
-        y0 = s + e
-        y1 = e - (y0 - s)
-        p0, p1, phi, plo = c0, c1, chi, clo
-        f0, f1, fhi, flo = g0, g1, ghi, glo
-        c0, c1 = y0, y1
-        t = _SPLIT * c0
-        chi = t - (t - c0)
-        clo = c0 - chi
-    return c0, c1
+    y1, y2, g = ks[-1], (0.0, 0.0), (0.0, 0.0)
+    for row, k in zip(reversed(rows), reversed(ks[:-1])):
+        w = dd_sub(row[0:2], dd_mul_d(row[2:4], x))
+        y1, y2, g = dd_add(k, dd_sub(dd_mul(w, y1), dd_mul(g, y2))), y1, row[6:8]
+    return y1
 
 
 def ld_clenshaw_sweep(rows, ks, x):
@@ -500,10 +441,11 @@ def clenshaw_sum(rows, coeffs: np.ndarray, norms: np.ndarray | None, x, *, near_
     double division, and the sum is rounded once from long double;
     elsewhere it is `dd_clenshaw_sweep`, k_n from `dd_div`, and the sum
     is hi + lo.  The route is the platform's and the point's, not the
-    caller's, and either meets the same contract: within 2 eps S(x) of the exact sum of k_n Q_n(x),
-    S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|, for the k_n of the stored
-    doubles.  A sum that is not finite is NaN, with no warning: an inf
-    in a dd sweep meets inf - inf, and the rounded long double sum y
+    caller's, and either meets the same contract: within 2 eps S(x) of
+    the exact sum of k_n Q_n(x), S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|,
+    for the k_n of the stored doubles, levels past 2^996 included.  A
+    sum that is not finite is NaN, with no warning on either route: an
+    inf in a dd sweep meets inf - inf, and the rounded long double sum y
     becomes y + y * 0, which is NaN for +-inf and y itself, signed zero
     included, for every finite y."""
     if EXTENDED and not near_node:
@@ -514,8 +456,8 @@ def clenshaw_sum(rows, coeffs: np.ndarray, norms: np.ndarray | None, x, *, near_
             y = ld_clenshaw_sweep(rows, k, x).astype(float)
             return y + y * 0.0
     k = (coeffs, np.zeros(len(coeffs)))
-    if norms is not None:
-        with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norms is not None:
             k = dd_div(k, (norms, 0.0))
-    hi, lo = dd_clenshaw_sweep(rows, list(zip(k[0].tolist(), k[1].tolist())), x)
-    return hi + lo
+        hi, lo = dd_clenshaw_sweep(rows, list(zip(k[0].tolist(), k[1].tolist())), x)
+        return hi + lo

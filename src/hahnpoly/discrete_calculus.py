@@ -11,6 +11,7 @@ operator's one implementation, `_l_rows`, runs on a stack of grid rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,11 +86,18 @@ def _l_rows(p: HahnParams, rows: np.ndarray) -> np.ndarray:
 
     Flux at x = 0 vanishes because D(0) = 0, and flux at x = N+1 vanishes
     because w(N+1) = 0 by convention, so no off-grid value of u is ever
-    read.  A value past the double range is inf or nan, with no warning,
-    as Python floats give it; callers refuse or fail on it.
+    read.  L does not change when w is scaled by a constant, so where
+    max|D| max w could pass 2^1000 the weights are scaled by 2^-e to bring
+    it below: a power of two keeps every bit, and every other family takes
+    e = 0 and the plain formula.  A value past the double range is still
+    inf or nan, with no warning, as Python floats give it; callers refuse
+    or fail on it.
     """
     hb = basis(p)
     w = hb.weights
+    e = math.frexp(abs(hb.d).max())[1] + math.frexp(w.max())[1] - 1000
+    if e > 0:
+        w = np.ldexp(w, -e)
     # flux[..., i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; 0 at i = 0, N+1
     flux = np.zeros(rows.shape[:-1] + (p.N + 2,))
     with np.errstate(over="ignore", invalid="ignore"):

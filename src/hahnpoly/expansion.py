@@ -180,7 +180,10 @@ def _project_rows(p: HahnParams, m: int, values: Iterable[np.ndarray]) -> np.nda
     qmat = normalized_grid_matrix(m, p)
     _check_norms(p, m)
     w = basis(p).weights
-    return exact_row_sums(qmat, np.array([v * w for v in values]))
+    # L u from a weighted flux that was scaled into range can be finite
+    # while L u w is not: that product is inf, with no warning
+    with np.errstate(over="ignore"):
+        return exact_row_sums(qmat, np.array([v * w for v in values]))
 
 
 def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:

@@ -121,17 +121,19 @@ class HahnBasis:
     @cached_property
     def series(self) -> tuple[tuple[float, ...], ...]:
         """The recurrence Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1},
-        n = 0..N-1, in double-double, one flat row per n as the sweep
-        kernels read it: (a, a_lo, r, r_lo, r_split_hi, r_split_lo, g, g_lo,
-        g_split_hi, g_split_lo), with a_n = (A_n + C_n) / A_n, r_n = 1 / A_n,
-        g_n = C_n / A_n and the Dekker splits of the high parts of r_n and
-        g_n.  Each dd value is one exact quotient of the integer rows
-        (`_integer_steps`), rounded once to its high part, with the exact
-        remainder rounded once as its low part.  Row 0 is the Q_1 closed
-        form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first row with an entry
-        past the double range raises `DegenerateRecurrenceError` naming its
-        n; a degree-m sweep reads the first m rows, and the long double
-        Clenshaw sweep rounds each dd entry it reads once to long double."""
+        n = 0..N-1, in double-double, one flat row per n: (a, a_lo, r,
+        r_lo, r_split_hi, r_split_lo, g, g_lo, g_split_hi, g_split_lo), with
+        a_n = (A_n + C_n) / A_n, r_n = 1 / A_n, g_n = C_n / A_n and the
+        Dekker splits of the high parts of r_n and g_n.  The split columns
+        are read by the fused forward kernel only; both Clenshaw sweeps
+        read the dd a_n, r_n and g_n.  Each dd value is one exact quotient
+        of the integer rows (`_integer_steps`), rounded once to its high
+        part, with the exact remainder rounded once as its low part.  Row 0
+        is the Q_1 closed form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first
+        row with an entry past the double range raises
+        `DegenerateRecurrenceError` naming its n; a degree-m sweep reads
+        the first m rows, and the long double Clenshaw sweep rounds each dd
+        entry it reads once to long double."""
         A, C = _integer_steps(self.params)
         rows = []
         for n, ((an, ad), (cn, cd)) in enumerate(zip(A[:-1], C)):

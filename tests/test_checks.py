@@ -375,17 +375,33 @@ def test_operator_symmetry_fails_on_mixed_infinities():
     assert not r.passed
 
 
-# (alpha, 10^6.5) and its mirrors at N = 60: the weighted flux of L Q~_n
-# passes the double range at every degree, so the defect is inf or nan
-SELF_ADJOINT_NON_FINITE_CELLS = [cell for a in (-0.5, 0.0, 3.0, 50.0, 1e3)
-                                 for cell in ((a, 10 ** 6.5), (10 ** 6.5, a))]
+# (alpha, 10^6.5) and its mirrors at N = 60: max|D| max w passes the double
+# range, so the weighted flux of L Q~_n is formed with w scaled by 2^-e
+SELF_ADJOINT_SCALED_CELLS = [cell for a in (-0.5, 0.0, 3.0, 50.0, 1e3)
+                             for cell in ((a, 10 ** 6.5), (10 ** 6.5, a))]
 
 
-@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_NON_FINITE_CELLS)
-def test_self_adjoint_form_fails_on_non_finite_defect(alpha, beta):
+@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_SCALED_CELLS)
+def test_self_adjoint_form_passes_where_the_flux_is_scaled(alpha, beta):
+    # the grid is right there (for (0, 10^6.5) within 1e-13 of exact U), and
+    # L Q~_n = -lam_n Q~_n holds, with no warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = checks.check_self_adjoint_form(HahnParams(alpha, beta, 60))
+    assert math.isfinite(result.value) and result.passed
+
+
+@pytest.mark.parametrize("alpha,beta", SELF_ADJOINT_SCALED_CELLS)
+def test_self_adjoint_form_fails_on_non_finite_defect(alpha, beta, monkeypatch):
+    # an inf planted in one grid row, where the flux is scaled: the defect
+    # is not finite, and the check fails on it with no warning
+    p = HahnParams(alpha, beta, 60)
+    grid = basis(p).grid.copy()
+    grid[5, 30] = math.inf
+    monkeypatch.setattr(checks, "normalized_grid_matrix", lambda m, params: grid[: m + 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = checks.check_self_adjoint_form(p)
     assert not math.isfinite(result.value) and not result.passed
 
 

@@ -21,7 +21,7 @@ from hahnpoly import cli
 from hahnpoly.cli import main
 from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion
 from hahnpoly.hahn import HahnParams, basis
-from hahnpoly.oracle_exact import exact_hahn_eval
+from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval
 
 
 def run(*args, **kwargs):
@@ -318,6 +318,18 @@ def test_eval_at_the_nodes_prints_the_grid(alpha, beta, N, degrees):
         assert [float(x) for x, _ in data] == list(range(N + 1))
         values = np.array([float(v) for _, v in data])
         assert np.array_equal(values.view(np.int64), grid[n].view(np.int64)), n
+
+
+@pytest.mark.xfail(strict=True, reason="eval reads the dd forward sweep at a node; ROADMAP item 2")
+def test_eval_classical_at_a_node_matches_exact():
+    # Q_150(1) of (0, 0) at N = 200 is -112.25; the forward sweep there loses
+    # every digit, while the grid entry is right
+    res = run("eval", "--N", "200", "--n", "150", "--points", "1", "--normalized", "false")
+    assert res.exit_code == 0
+    _, [[_, value]] = parse_csv(res.output)
+    want = float(exact_hahn_column(1, 0, 0, 200)[150])
+    assert abs(float(value) - want) <= 1e-10 * abs(want)
+
 
 def test_eval_rejects_non_finite_points():
     for points in ("nan", "inf", "0.5,-inf"):

@@ -1,7 +1,8 @@
-"""The fused double-double sweeps against the compositions of dd
-primitives they replace, compared bit for bit on the recurrence's own
-values, the scaled split of operands past 2^996, and the one exact-sum
-rule, `exact_sum`."""
+"""The fused double-double forward sweep against the composition of dd
+primitives it replaces, and the Clenshaw sweep against the same
+composition, compared bit for bit on the recurrence's own values; the
+scaled split of operands past 2^996, and the one exact-sum rule,
+`exact_sum`."""
 
 import itertools
 import math

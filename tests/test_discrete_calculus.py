@@ -132,6 +132,21 @@ def test_stacked_operator_equals_rows_bit_for_bit(alpha, beta, N):
     assert np.array_equal(_bits(stacked), _bits(one_by_one))
 
 
+@pytest.mark.parametrize("alpha,beta,N", [(a, b, N) for a, b in ((0.5, 0.5), (-0.5, 3.0), (0.0, 1e3),
+                                                                   (5.0, 0.0))
+                                           for N in (30, 60, 100, 200)])
+def test_operator_keeps_the_plain_flux_in_range(alpha, beta, N):
+    # where max|D| max w stays below 2^1000 the weights are not scaled: the
+    # grid rows get the bits of the plain weighted flux
+    p = HahnParams(alpha, beta, N)
+    b = basis(p)
+    flux = np.zeros((N + 1, N + 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux[:, 1:-1] = -b.d[1:] * b.weights[1:] * np.diff(b.grid)
+        want = (flux[:, 1:] - flux[:, :-1]) / b.weights
+    assert np.array_equal(_bits(_l_rows(p, b.grid)), _bits(want))
+
+
 def test_operator_power_composition():
     p = HahnParams(0.5, 0.5, 12)
     rng = np.random.default_rng(7)
