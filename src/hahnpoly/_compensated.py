@@ -8,8 +8,8 @@ doubles lose everything there, dd keeps ~1e-15 relative accuracy.
 
 Only the handful of operations the evaluators need are provided.  All of
 them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two dd
-sweeps run over the same rows (`HahnBasis.series`, a_n, r_n and g_n in
-dd), without a division.  `dd_clenshaw_sweep`, Clenshaw's backward
+sweeps run over the classical rows (`HahnBasis.series`, a_n, r_n and g_n
+in dd), without a division.  `dd_clenshaw_sweep`, Clenshaw's backward
 recurrence that gives sum_n k_n Q_n(x) without forming the Q_n, is the
 composition of the primitives, so every product splits through `split`,
 which scales an operand above 2^996 before splitting it.  One fused
@@ -20,15 +20,18 @@ unscaled, so its levels above about 1.3e300 are NaN.  It goes with the
 per-point grid and the forward route (ROADMAP items 1 and 2).
 
 Off the grid nodes the package sums a series through `clenshaw_sum`,
-which runs one of two sweeps over the same rows and meets one contract,
-2 eps S(x) against the exact sum.  Where numpy's long double is x87
-extended (a 64-bit significand and a 15-bit exponent, as on x86-64
-Linux), points at least `NEAR_NODE` from every grid node take
-`ld_clenshaw_sweep`: plain Clenshaw in long double, six array
-operations a step against about 107 in dd, with the rows rounded once
-from dd and no split.  Every other point, and every point elsewhere (a
-double long double on MSVC or macOS arm64, binary128, IBM
-double-double), takes `dd_clenshaw_sweep`.
+which runs one of two sweeps and meets one contract, 2 eps S(x) against
+the exact sum.  Where numpy's long double is x87 extended (a 64-bit
+significand and a 15-bit exponent, as on x86-64 Linux), points at least
+`NEAR_NODE` from every grid node take `ld_clenshaw_sweep`: the
+orthonormal series summed in monic form over the Jacobi rows d_n, p_n
+and h_0 (`HahnBasis.monic_rows`, each rounded once to long double), five
+long double array operations a step against about 107 in dd, with no
+norm, no series row and no split.  Every other point, and every point
+elsewhere (a double long double on MSVC or macOS arm64, binary128, IBM
+double-double), takes `dd_clenshaw_sweep` over the series rows and the
+norms: the monic scales pass the double range (sqrt(h_0) S_N is 2.5e315
+for (0, 0) at N = 200), so the monic form has no dd twin.
 `EXTENDED` holds the platform's answer, found once at import by
 arithmetic: 1 + 2^-63 must differ from 1 and the tie 1 + 2^-64 must
 round back to 1.  Neither the platform rule nor `NEAR_NODE` is an
@@ -383,31 +386,36 @@ def dd_clenshaw_sweep(rows, ks, x) -> DD:
     return y1
 
 
-def ld_clenshaw_sweep(rows, ks, x):
-    """The backward recurrence of `dd_clenshaw_sweep`, in numpy's long
-    double: y_0 at x, a float or a float array, as a long double or an
-    array of them.  rows are the same dd rows, each of a_n, r_n and g_n
-    rounded once to long double as hi + lo; ks holds k_0 .. k_m as long
-    doubles.  Each step is one expression of six operations,
+def ld_clenshaw_sweep(rows, u, x):
+    """sum_{n=0..m} u_n Q~_n(x) over the orthonormal Q~_n, in numpy's
+    long double: a long double at a float x, or an array of them at a
+    float array x.  rows are `HahnBasis.monic_rows`, the long double
+    Jacobi rows d_n, p_n and h_0, and u holds u_0 .. u_m as long doubles.
 
-        y_n = k_n + ((a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2}),
+    The monic P_n = sqrt(h_0) S_n Q~_n, with S_n = prod_(j<n) sqrt(p_j),
+    obey P_(n+1) = (d_n - t) P_n - p_(n-1) P_(n-1) from P_0 = 1 (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004,
+    ch. 1).  So with k_n = u_n / (sqrt(h_0) S_n), S_n one long double
+    cumulative product, y_m = k_m and y_(m+1) = 0, each step is one
+    expression of five operations,
 
-    which numpy makes on a long double scalar as on each point of an
+        y_n = k_n + ((d_n - t) y_(n+1) - p_n y_(n+2)),  n = m-1..0,
+
+    and the sum is y_0: no norm, no square root and no division in the
+    loop.  numpy makes it on a long double scalar as on each point of an
     array, so an array point gets the bits of a one-point call.  Meant
-    for an x87 extended long double (`EXTENDED`): a 64-bit significand,
-    and a 15-bit exponent, far past the double range, so there is no
-    split to scale."""
+    for an x87 extended long double (`EXTENDED`): sqrt(h_0) S_N reaches
+    2.5e315 for (0, 0) at N = 200, which its 15-bit exponent holds and a
+    double does not."""
+    d, p, h0 = rows
+    m = len(u) - 1
     ld = np.longdouble
-    s = np.array(rows, dtype=float).reshape(-1, 10)
-    a = s[:, 0].astype(ld) + s[:, 1]
-    r = s[:, 2].astype(ld) + s[:, 3]
-    g = s[:, 6].astype(ld) + s[:, 7]
-    t = ld(x)
-    # g_next is g_(n+1): the first step's y_(m+2) = 0 takes a zero g
-    y1, y2, g_next = ks[-1], ld(0.0), ld(0.0)
-    for a_n, r_n, g_n, k_n in zip(a[::-1], r[::-1], g[::-1], ks[-2::-1]):
-        y1, y2 = k_n + ((a_n - r_n * t) * y1 - g_next * y2), y1
-        g_next = g_n
+    k = u / np.multiply.accumulate(np.sqrt(np.concatenate(([h0], p[:m]))))
+    # a point as a long double scalar: a 0-d array takes twice as long a step
+    t = ld(x) if np.ndim(x) == 0 else np.asarray(x, dtype=ld)
+    y1, y2 = k[m], ld(0.0)
+    for d_n, p_n, k_n in zip(d[:m][::-1], p[:m][::-1], k[:m][::-1]):
+        y1, y2 = k_n + ((d_n - t) * y1 - p_n * y2), y1
     return y1
 
 
@@ -424,40 +432,43 @@ def _has_extended_long_double() -> bool:
 EXTENDED = _has_extended_long_double()
 # points nearer a grid node than this take the dd sweep on every platform:
 # there the sum is as sensitive to the last bits of the rows and steps as
-# 1 / distance, and a 64-bit significand misses 2 eps S(x) from about 1/64
-# of a node inward
+# 1 / distance, and a 64-bit significand misses 2 eps S(x) closer in (the
+# long double sweep reads 1.5 eps S(x) at 1/64 of a node and 5.7 at 1/256
+# on the README's lattice scan)
 NEAR_NODE = 1.0 / 16.0
 
 
-def clenshaw_sum(rows, coeffs: np.ndarray, norms: np.ndarray | None, x, *, near_node: bool):
-    """sum_{n=0..m} k_n Q_n(x) rounded once to a double, at a float x or
-    at each point of a float array x, over the first m rows of
-    `HahnBasis.series`: k_n = coeffs[n] / norms[n], or coeffs[n] where
-    norms is None.  near_node says that every point of x lies within
-    `NEAR_NODE` of a grid node.
+def clenshaw_sum(basis, coeffs: np.ndarray, normalized: bool, x, *, near_node: bool):
+    """sum_{n=0..m} c_n Q~_n(x) (normalized) or c_n Q_n(x) (classical),
+    c = coeffs, rounded once to a double, at a float x or at each point of
+    a float array x, for the family of basis, its `hahn.HahnBasis`.
+    near_node says that every point of x lies within `NEAR_NODE` of a grid
+    node.
 
     Where numpy's long double is x87 extended (`EXTENDED`) and x is not
-    near a node, the sweep is `ld_clenshaw_sweep`, each k_n one long
-    double division, and the sum is rounded once from long double;
-    elsewhere it is `dd_clenshaw_sweep`, k_n from `dd_div`, and the sum
-    is hi + lo.  The route is the platform's and the point's, not the
-    caller's, and either meets the same contract: within 2 eps S(x) of
+    near a node, the sweep is `ld_clenshaw_sweep` over `basis.monic_rows`,
+    with u_n = c_n, or the classical c_n ||Q_n|| in long double, and the
+    sum is rounded once from long double; it reads no series row, and a
+    normalized sum no norm.  Elsewhere it is `dd_clenshaw_sweep` over
+    `basis.series`, with k_n = c_n / ||Q_n|| from `dd_div`, or c_n, and
+    the sum is hi + lo.  The route is the platform's and the point's, not
+    the caller's, and either meets the same contract: within 2 eps S(x) of
     the exact sum of k_n Q_n(x), S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|,
-    for the k_n of the stored doubles, levels past 2^996 included.  A
-    sum that is not finite is NaN, with no warning on either route: an
-    inf in a dd sweep meets inf - inf, and the rounded long double sum y
-    becomes y + y * 0, which is NaN for +-inf and y itself, signed zero
-    included, for every finite y."""
-    if EXTENDED and not near_node:
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = coeffs.astype(np.longdouble)
-            if norms is not None:
-                k /= norms
-            y = ld_clenshaw_sweep(rows, k, x).astype(float)
-            return y + y * 0.0
-    k = (coeffs, np.zeros(len(coeffs)))
+    for the k_n of the stored doubles and norms, levels past 2^996
+    included.  A sum that is not finite is NaN, with no warning on either
+    route: an inf in a dd sweep meets inf - inf, and the rounded long
+    double sum y becomes y + y * 0, which is NaN for +-inf and y itself,
+    signed zero included, for every finite y."""
+    m = len(coeffs) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if norms is not None:
-            k = dd_div(k, (norms, 0.0))
-        hi, lo = dd_clenshaw_sweep(rows, list(zip(k[0].tolist(), k[1].tolist())), x)
+        if EXTENDED and not near_node:
+            u = coeffs.astype(np.longdouble)
+            if not normalized:
+                u *= basis.sqrt_norms[: m + 1]
+            y = ld_clenshaw_sweep(basis.monic_rows, u, x).astype(float)
+            return y + y * 0.0
+        k = (coeffs, np.zeros(m + 1))
+        if normalized:
+            k = dd_div(k, (basis.sqrt_norms[: m + 1], 0.0))
+        hi, lo = dd_clenshaw_sweep(basis.series[:m], list(zip(k[0].tolist(), k[1].tolist())), x)
         return hi + lo

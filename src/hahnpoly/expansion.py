@@ -18,16 +18,20 @@ Projections of grid functions have one owner, `_project_rows`: the grid
 read and the norm check, then that call; `project`, the decay pass and
 `checks.check_spectral_multiplier` use it.
 
-Evaluation has two routes.  At a grid node (an exact integer in 0..N)
-the value is the exact sum of the family's cached grid column times the
-orthonormal coefficients, all nodes of an array in one call.  Everywhere
-else the whole series is summed by one Clenshaw sweep
-(`_compensated.clenshaw_sum`) over the family's `HahnBasis.series` rows,
-all points at once and without a table of basis values.  The sweep runs
-in long double where numpy's long double is x87 extended, as on x86-64
-Linux, and in double-double on other platforms and within `NEAR_NODE` of
-a node; an import-time arithmetic probe finds the platform, and both
-sweeps meet the same 2 eps S(x) contract.
+Evaluation has two routes, and one array pass sorts the points between
+them.  At a grid node (an exact integer in 0..N) the value is the exact
+sum of the family's cached grid column times the orthonormal
+coefficients, all nodes of an array in one call.  Everywhere else the
+whole series is summed by one Clenshaw sweep
+(`_compensated.clenshaw_sum`), all points at once and without a table of
+basis values.  Where numpy's long double is x87 extended, as on x86-64
+Linux, points at least `NEAR_NODE` from every node are summed in long
+double over the family's Jacobi rows in monic form
+(`HahnBasis.monic_rows`), orthonormal coefficients with no norm; other
+points, and every point on other platforms, in double-double over the
+family's `HahnBasis.series` rows and norms.  An import-time arithmetic
+probe finds the platform, and both sweeps meet the same 2 eps S(x)
+contract.
 """
 
 from __future__ import annotations
@@ -192,43 +196,49 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
 
     A point that is an exact integer k in 0..N takes the exact sum of the
     products of `basis(p).grid` column k with the orthonormal
-    coefficients, rounded once, every node in one `exact_row_sums` call; classical coefficients are
-    converted to orthonormal ones, u_n = c_n ||Q_n||, first.  A family
-    whose weights are refused is refused there, by the grid.  Every other
-    point is summed by a Clenshaw sweep (`_compensated.clenshaw_sum`: in
-    long double on x87 at least `NEAR_NODE` from every node, in dd
-    elsewhere) with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n
-    (classical), all such points of an array in one sweep per route, and
-    the sum is rounded once to a double, or is NaN where it is not
-    finite.  Either way an array point equals a one-point call to the
+    coefficients, rounded once, every node in one `exact_row_sums` call;
+    classical coefficients are converted to orthonormal ones,
+    u_n = c_n ||Q_n||, first.  A family whose weights are refused is
+    refused there, by the grid.  Every other point is summed by a
+    Clenshaw sweep (`_compensated.clenshaw_sum`): in long double on x87
+    at least `NEAR_NODE` from every node, over the Jacobi rows in monic
+    form with the orthonormal u_n; in dd elsewhere, over the series rows
+    with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n (classical).  All
+    such points of an array take one sweep per route, and the sum is
+    rounded once to a double, or is NaN where it is not finite.  One array
+    pass (`_split_points`) sorts the points into nodes, near and far
+    points.  Either way an array point equals a one-point call to the
     bit.
     """
     b = basis(c.params)
     m, N = c.degree, c.params.N
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel().tolist()
-    # a list pass, not numpy masks (see hahn._check_degree)
-    nodes, near, far = [], [], []
-    for i, v in enumerate(flat):
-        if v.is_integer() and 0.0 <= v <= N:
-            nodes.append(i)
-        elif v == v and abs(v - round(min(max(v, 0.0), N))) < NEAR_NODE:
-            near.append(i)
-        else:
-            # NaN and +-inf among them
-            far.append(i)
+    flat = xs.ravel()
+    nodes, near, far = _split_points(flat, N)
     out = np.empty(len(flat))
-    if nodes:
-        cols = b.grid.T[[int(flat[i]) for i in nodes], : m + 1]
+    if len(nodes):
+        cols = b.grid.T[flat[nodes].astype(int), : m + 1]
         u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
         out[nodes] = exact_row_sums(cols, u)
-    norms = b.sqrt_norms[: m + 1] if c.normalized else None
     for off, near_node in ((far, False), (near, True)):
-        if off:
+        if len(off):
             # a scalar point sweeps as a Python float, with the same rounding
-            pts = np.array([flat[i] for i in off]) if xs.ndim else flat[0]
-            out[off] = clenshaw_sum(b.series[:m], c.coeffs, norms, pts, near_node=near_node)
+            pts = flat[off] if xs.ndim else float(flat[0])
+            out[off] = clenshaw_sum(b, c.coeffs, c.normalized, pts, near_node=near_node)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def _split_points(x: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices of the nodes, the near points and the far points of
+    the float array x, in one array pass: with r = round(clip(x, 0, N)),
+    a node has x == r, a near point |x - r| < NEAR_NODE, and the rest,
+    NaN and +-inf among them, are far.  Each class is an index array from
+    np.flatnonzero, not a boolean mask to index with (see
+    hahn._check_degree)."""
+    r = np.round(np.clip(x, 0.0, N))
+    near = np.abs(x - r) < NEAR_NODE
+    on = x == r
+    return np.flatnonzero(on), np.flatnonzero(near & ~on), np.flatnonzero(~near)
 
 
 def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:

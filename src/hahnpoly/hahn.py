@@ -9,7 +9,7 @@ operations are elementwise float arithmetic, which numpy rounds as Python
 floats do, so every point equals a call with that point alone, to the
 bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
 `_compensated.dd_three_term_sweep` over the family's `HahnBasis.series`
-rows, the rows the Clenshaw sweep reads too; it passes the double range
+rows, the rows the dd Clenshaw sweep reads too; it passes the double range
 to inf or nan silently, as Python floats do.  The terminating series
 `hahn_eval_series`, also in dd, stays a tested public function of one
 degree and one point, but no other code calls it: `verify`'s independent
@@ -30,10 +30,12 @@ true division, the exact value rounded once.  It also takes an array of
 degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
-`basis(params)` cache: the weight array, the series rows of both sweeps,
-the norms, the orthonormal grid matrix and the difference operator's
-eigenvalues and coefficients B(x), D(x), each computed on first read and
-read-only after; off-grid sweeps never build the grid matrix.
+`basis(params)` cache: the weight array, the series rows of the dd
+sweeps, the long double Jacobi rows of the x87 Clenshaw sweep, the norms,
+the orthonormal grid matrix and the difference operator's eigenvalues and
+coefficients B(x), D(x), each computed on first read and read-only after;
+off-grid sweeps never build the grid matrix, and only the x87 sweep
+builds the long double rows.
 
 The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
@@ -124,24 +126,43 @@ class HahnBasis:
         n = 0..N-1, in double-double, one flat row per n: (a, a_lo, r,
         r_lo, r_split_hi, r_split_lo, g, g_lo, g_split_hi, g_split_lo), with
         a_n = (A_n + C_n) / A_n, r_n = 1 / A_n, g_n = C_n / A_n and the
-        Dekker splits of the high parts of r_n and g_n.  The split columns
-        are read by the fused forward kernel only; both Clenshaw sweeps
-        read the dd a_n, r_n and g_n.  Each dd value is one exact quotient
-        of the integer rows (`_integer_steps`), rounded once to its high
-        part, with the exact remainder rounded once as its low part.  Row 0
-        is the Q_1 closed form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first
-        row with an entry past the double range raises
-        `DegenerateRecurrenceError` naming its n; a degree-m sweep reads
-        the first m rows, and the long double Clenshaw sweep rounds each dd
-        entry it reads once to long double."""
+        Dekker splits of the high parts of r_n and g_n.  Only the forward
+        sweep and the dd Clenshaw sweep read these rows: the forward
+        kernel with the split columns, the Clenshaw sweep the dd a_n, r_n
+        and g_n.  Each dd value is one exact quotient of the integer rows
+        (`_integer_steps`), rounded once to its high part, with the exact
+        remainder rounded once as its low part.  Row 0 is the Q_1 closed
+        form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first row with an
+        entry past the double range raises `DegenerateRecurrenceError`
+        naming its n; a degree-m sweep reads the first m rows."""
         A, C = _integer_steps(self.params)
         rows = []
         for n, ((an, ad), (cn, cd)) in enumerate(zip(A[:-1], C)):
-            a = _dd_quotient(an * cd + cn * ad, an * cd, n)
-            r = _dd_quotient(ad, an, n)
-            g = _dd_quotient(cn * ad, cd * an, n)
+            row = f"step coefficient at n={n}"
+            a = _dd_quotient(an * cd + cn * ad, an * cd, row)
+            r = _dd_quotient(ad, an, row)
+            g = _dd_quotient(cn * ad, cd * an, row)
             rows.append((*a, *r, *dd.split(r[0]), *g, *dd.split(g[0])))
         return tuple(rows)
+
+    @cached_property
+    def monic_rows(self) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+        """The Jacobi rows d_n, n = 0..N, and p_n, n = 0..N-1, of
+        `_jacobi_rows`, and h_0 = ||Q_0||^2, in numpy's long double, as
+        the long double Clenshaw sweep reads them: each a dd quotient of
+        the integers of `_integer_steps` and `norm_sq_closed`, whose high
+        part has `_jacobi_rows`' bits, rounded once to long double as
+        hi + lo.  Built on first read by that sweep alone: the grid build
+        reads the double rows.  An h_0 past the double range, which every
+        coefficient vector refuses by ||Q_0||, raises
+        `DegenerateRecurrenceError` with the norm message."""
+        # the rows lie in [0, N] and [0, N^2/4]: only h_0 can be refused
+        d, p = _jacobi_quotients(self.params, lambda num, den: _dd_quotient(num, den, "Jacobi row"))
+        h0 = [_dd_quotient(*_h0_ratio(self.params), "norm of Q_0")]
+        # each double converts to long double exactly, and hi + lo rounds once
+        rows = (np.array(r).astype(np.longdouble) for r in (d, p, h0))
+        d, p, h0 = (_read_only(r[:, 0] + r[:, 1]) for r in rows)
+        return d, p, h0[0]
 
     @cached_property
     def sqrt_norms(self) -> np.ndarray:
@@ -187,14 +208,14 @@ class HahnBasis:
         return _read_only(x * (x - p.beta - p.N - 1.0))
 
 
-def _dd_quotient(num: int, den: int, n: int) -> tuple[float, float]:
+def _dd_quotient(num: int, den: int, name: str) -> tuple[float, float]:
     # num / den for den > 0 as a dd pair: the quotient rounded once, then
     # the exact remainder num/den - hi = (num q - p den) / (den q), with
-    # hi = p/q, rounded once; a quotient past the double range refuses row n
+    # hi = p/q, rounded once; a quotient past the double range is refused
+    # by name
     hi = dd._quotient(num, den)
     if not math.isfinite(hi):
-        raise DegenerateRecurrenceError(
-            f"step coefficient at n={n} is not finite in double precision")
+        raise DegenerateRecurrenceError(f"{name} is not finite in double precision")
     p, q = hi.as_integer_ratio()
     return hi, dd._quotient(num * q - p * den, den * q)
 
@@ -233,13 +254,20 @@ def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
     rows of `_integer_steps`, rounded once; p_N = 0, as A_N = 0.  Both
     rows lie in [0, N] and [0, N^2/4], the spectrum being 0..N; a row
     that is not finite raises DegenerateRecurrenceError naming its n."""
-    A, C = _integer_steps(params)
-    d = [dd._quotient(an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(A, C)]
-    p = [dd._quotient(an * cn, ad * cd) for (an, ad), (cn, cd) in zip(A, C[1:])] + [0.0]
+    d, p = _jacobi_quotients(params, dd._quotient)
+    p.append(0.0)
     for n, row in enumerate(zip(d, p)):
         if not all(map(math.isfinite, row)):
             raise DegenerateRecurrenceError(f"Jacobi row at n={n} is not finite in double precision")
     return np.array(d), np.array(p)
+
+
+def _jacobi_quotients(params: HahnParams, quotient) -> tuple[list, list]:
+    # d_n = A_n + C_n, n = 0..N, and p_n = A_n C_(n+1), n = 0..N-1, each
+    # quotient(num, den) of the integer rows of `_integer_steps`
+    A, C = _integer_steps(params)
+    return ([quotient(an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(A, C)],
+            [quotient(an * cn, ad * cd) for (an, ad), (cn, cd) in zip(A, C[1:])])
 
 
 def _twisted_grid(params: HahnParams, weights: np.ndarray) -> np.ndarray:
@@ -440,10 +468,7 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     """
     _check_degree(n, params)
     degrees = np.ravel(n).tolist() if np.ndim(n) else [n]
-    N = params.N
-    a, b, D = _exact_exponents(params.alpha, params.beta)
-    num = math.prod(a + b + (2 + j) * D for j in range(N))
-    den = D**N * math.factorial(N)
+    num, den = _h0_ratio(params)
     norms = [dd._quotient(num, den)]
     top = max(degrees, default=0)
     A, C = _integer_steps(params)
@@ -456,6 +481,14 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     if np.ndim(n):
         return np.array([norms[k] for k in degrees]).reshape(np.shape(n))
     return norms[n]
+
+
+def _h0_ratio(params: HahnParams) -> tuple[int, int]:
+    # h_0 = prod_{j<N} (s + (2+j)D) / (D^N N!), the sum of the weights, as
+    # an integer numerator and denominator (see `norm_sq_closed`)
+    N = params.N
+    a, b, D = _exact_exponents(params.alpha, params.beta)
+    return math.prod(a + b + (2 + j) * D for j in range(N)), D**N * math.factorial(N)
 
 
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:

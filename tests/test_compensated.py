@@ -1,7 +1,7 @@
 """The fused double-double forward sweep against the composition of dd
-primitives it replaces, and the Clenshaw sweep against the same
-composition, compared bit for bit on the recurrence's own values; the
-scaled split of operands past 2^996, and the one exact-sum rule,
+primitives it replaces, compared bit for bit on the recurrence's own
+values; the dd Clenshaw sweep against exact sums of the oracle's values;
+the scaled split of operands past 2^996, and the one exact-sum rule,
 `exact_sum`."""
 
 import itertools
@@ -16,6 +16,7 @@ import pytest
 from hahnpoly import _compensated as dd
 from hahnpoly.discrete_calculus import GridFunction, l_disk_power
 from hahnpoly.hahn import HahnParams, basis, hahn_eval_all
+from hahnpoly.oracle_exact import exact_hahn_column
 
 FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0)]
 
@@ -101,40 +102,42 @@ def test_fused_step_keeps_signed_zeros():
     assert zeros > 100
 
 
-def _composed_clenshaw(rows, ks, x):
-    # y_n = k_n + (a_n - r_n x) y_{n+1} - g_{n+1} y_{n+2} from the primitives;
-    # g_m multiplies y_{m+1} = 0, and row m may not exist, so it is zero
-    y1, y2, g = ks[-1], (0.0, 0.0), (0.0, 0.0)
-    for row, k in zip(reversed(rows), reversed(ks[:-1])):
-        w = dd.dd_sub(row[0:2], dd.dd_mul_d(row[2:4], x))
-        y = dd.dd_add(k, dd.dd_sub(dd.dd_mul(w, y1), dd.dd_mul(g, y2)))
-        y1, y2, g = y, y1, row[6:8]
-    return y1
-
-
 @pytest.mark.parametrize("N", [1, 2, 30, 200])
 @pytest.mark.parametrize("alpha,beta", FAMILIES)
 def test_clenshaw_equals_composition(N, alpha, beta):
-    # every truncation degree at scalar points, grid nodes and the ends
-    # included, and one array of points, against the composed chain; the
-    # sum also matches the forward sweep's terms to dd accuracy
+    # the dd Clenshaw sweep, the composition of the dd primitives, against
+    # the exact sums it composes: at every truncation degree, at scalar
+    # points off the nodes, one 2^-20 from N and two past the ends among
+    # them, hi + lo is within 2 eps S(x) of the exact sum of k_n Q_n(x),
+    # with the dd k_n and exact Q_n(x) (oracle_exact), S(x) = sum_n |k_n|
+    # max_(j<=n) |Q_j(x)|.  At a node, where the Q_n(x) are the minimal
+    # solution of the recurrence, no sweep meets it (eval_expansion reads
+    # the grid there).  An array of the same points gives each point's bits
     p = HahnParams(alpha, beta, N)
     rows = basis(p).series
     rng = np.random.default_rng(N)
     ks = [(float(v), float(v) * 2.0**-60) for v in rng.standard_normal(N + 1)]
-    xs = np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)])
-    for m in sorted({0, 1, N // 2, N - 1, N}):
-        for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 0.5):
-            _assert_same(dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], x),
-                         _composed_clenshaw(rows[:m], ks[: m + 1], x))
+    degrees = sorted({0, 1, N // 2, N - 1, N})
+    xs = [-1.0, 0.5, N / 3.0 + 0.25, N - 2.0**-20, N + 0.5]
+    bound = 2 * Fraction(np.finfo(float).eps)
+    for x in xs:
+        col = exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N)
+        exact, scale, top, sums = Fraction(0), Fraction(0), Fraction(0), []
+        for (hi, lo), q in zip(ks, col):
+            k = Fraction(hi) + Fraction(lo)
+            exact += k * q
+            top = max(top, abs(q))
+            scale += abs(k) * top
+            sums.append((exact, scale))
+        for m in degrees:
+            hi, lo = dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], x)
+            exact, scale = sums[m]
+            assert abs(Fraction(hi + lo) - exact) <= bound * scale
+    for m in degrees:
         # at m = 0 the sum is k_0, the same scalar for every point
-        got = np.broadcast_arrays(*dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], xs), xs)[:2]
-        _assert_same(got, np.broadcast_arrays(*_composed_clenshaw(rows[:m], ks[: m + 1], xs), xs)[:2])
-    x = N / 3.0
-    terms = hahn_eval_all(N, x, p)
-    value = dd.dd_clenshaw_sweep(rows, ks, x)
-    scale = math.fsum(abs(k[0] * t) for k, t in zip(ks, terms))
-    assert abs(sum(value) - math.fsum(k[0] * t for k, t in zip(ks, terms))) <= 1e-14 * scale
+        got = np.broadcast_arrays(*dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], np.array(xs)), xs)
+        want = [dd.dd_clenshaw_sweep(rows[:m], ks[: m + 1], x) for x in xs]
+        _assert_same(got[:2], np.array(want).T)
 
 
 def test_split_past_2_996_is_scaled():

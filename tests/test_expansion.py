@@ -336,12 +336,71 @@ def test_x87_long_double_selects_the_long_double_route():
 
 
 def test_eval_expansion_sweeps_by_the_selected_route(route, monkeypatch):
+    # each route calls its own kernel over its own rows: the long double
+    # sweep the Jacobi rows in monic form, and no series row is built; the
+    # dd sweep the first m series rows, and no long double row is built.
+    # From N = 42 up the grid build reads neither
+    p = HahnParams(0.0, 0.0, 50)
+    basis.cache_clear()
     called = []
     for name in ("ld_clenshaw_sweep", "dd_clenshaw_sweep"):
         kernel = getattr(dd, name)
-        monkeypatch.setattr(dd, name, lambda *a, _k=kernel, _n=name: called.append(_n) or _k(*a))
-    eval_expansion(_runge_coeffs(HahnParams(0.0, 0.0, 12), 5, True), np.array([0.5, 3.0]))
-    assert called == ["ld_clenshaw_sweep" if route == "long double" else "dd_clenshaw_sweep"]
+        monkeypatch.setattr(dd, name, lambda rows, *a, _k=kernel, _n=name:
+                            called.append((_n, rows)) or _k(rows, *a))
+    eval_expansion(_runge_coeffs(p, 5, True), np.array([0.5, 3.0, 7.25]))
+    (name, rows), = called
+    b = basis(p)
+    if route == "long double":
+        assert name == "ld_clenshaw_sweep" and rows is b.monic_rows
+        assert "series" not in vars(b)
+    else:
+        assert name == "dd_clenshaw_sweep" and rows == b.series[:5]
+        assert "monic_rows" not in vars(b)
+
+
+def test_off_node_sums_on_x87_build_no_series_rows():
+    # the samples of a pointwise request, nodes and off-node points, in
+    # the orthonormal convention: on x87 no series row is built
+    if not dd.EXTENDED:
+        pytest.skip("numpy's long double is not x87 extended here")
+    p = HahnParams(0.5, 0.5, 100)
+    basis.cache_clear()
+    c = _runge_coeffs(p, 100, True)
+    eval_expansion(c, np.arange(1001) * 100 / 1000)
+    eval_expansion(c, 0.5)
+    assert "series" not in basis(p).__dict__
+
+
+def _list_split(xs: list[float], N: int) -> tuple[list[int], list[int], list[int]]:
+    # the per-point rule that the array pass replaced
+    nodes, near, far = [], [], []
+    for i, v in enumerate(xs):
+        if v.is_integer() and 0.0 <= v <= N:
+            nodes.append(i)
+        elif v == v and abs(v - round(min(max(v, 0.0), N))) < dd.NEAR_NODE:
+            near.append(i)
+        else:
+            far.append(i)
+    return nodes, near, far
+
+
+def test_point_split_equals_the_list_rule():
+    # signed zero, integers past either end, points just past N, NEAR_NODE
+    # and one ulp inside it either side of every node, ties of the
+    # rounding, NaN, +-inf and huge values each fall in the class of the
+    # list rule
+    N = 30
+    inside = math.nextafter(dd.NEAR_NODE, 0.0)
+    xs = ([-0.0, 0.0, -1.0, N + 0.03, N + 1.0, -0.03, 2.5, 3.5, N - 0.5, math.nan, math.inf,
+           -math.inf, 1e300, -1e300, 5e-324, math.nextafter(float(N), math.inf)]
+          + [k + s for k in range(N + 1) for s in (-dd.NEAR_NODE, dd.NEAR_NODE, -inside, inside)])
+    got = expansion._split_points(np.array(xs), N)
+    assert tuple(g.tolist() for g in got) == _list_split(xs, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = _runge_coeffs(HahnParams(0.0, 0.0, N), N, True)
+        assert np.array_equal(eval_expansion(c, np.array(xs)),
+                              [eval_expansion(c, x) for x in xs], equal_nan=True)
 
 
 def _runge_coeffs(p: HahnParams, m: int, normalized: bool) -> CoefficientVector:
@@ -453,12 +512,45 @@ def test_eval_expansion_against_exact(N, alpha, beta, monkeypatch):
             for k in range(N + 1):
                 node = math.fsum((basis(p).grid[: c.degree + 1, k] * u).tolist())
                 assert eval_expansion(c, float(k)) == node
-    rows = list(basis(p).series)
+    _plant_row_fault(p, monkeypatch)
+    assert _worst_clenshaw_ratio(vectors[-1:], xs, cols) > 2.0
+
+
+def _plant_row_fault(p: HahnParams, monkeypatch) -> None:
+    # one step row that the platform's off-node sweep reads, off by 1e-12:
+    # the Jacobi d_1 on the long double sweep, the series r_1 on the dd one
+    b = basis(p)
+    if dd.EXTENDED:
+        d, prod, h0 = b.monic_rows
+        d = d.copy()
+        d[1] *= 1.0 + 1e-12
+        monkeypatch.setitem(b.__dict__, "monic_rows", (d, prod, h0))
+        return
+    rows = list(b.series)
     bad = list(rows[1])
     bad[2] *= 1.0 + 1e-12
     bad[4:6] = dd.split(bad[2])
     rows[1] = tuple(bad)
-    monkeypatch.setitem(basis(p).__dict__, "series", tuple(rows))
+    monkeypatch.setitem(b.__dict__, "series", tuple(rows))
+
+
+@pytest.mark.parametrize("alpha,beta,N", [(0.0, 0.0, 200), (5.0, 0.0, 200), (0.0, 1e3, 100)])
+def test_eval_expansion_against_exact_at_large_n(alpha, beta, N, route, monkeypatch):
+    # where the long double scales sqrt(h_0) S_n of the monic sweep pass the
+    # double range (2.5e315 and 2.4e319 at N = 200), and for (0, 1e3) up to
+    # its highest accepted degree, N: half-integers, thirds and points
+    # NEAR_NODE either side of 0, N/2 and N are within 2 eps S(x) in both
+    # conventions, and a row fault of 1e-12 fails the bound
+    p = HahnParams(alpha, beta, N)
+    xs = ([j + f for j in (0, N // 4, N // 2, N - 1) for f in (0.5, 1 / 3, 2 / 3)]
+          + [k + s * dd.NEAR_NODE for k in (0, N // 2, N) for s in (-1.0, 1.0)])
+    cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in xs]
+    for normalized in (True, False):
+        full = _runge_coeffs(p, N, normalized).coeffs
+        vectors = [CoefficientVector(p, full[: m + 1], normalized)
+                   for m in (1, N // 2, 7 * N // 8, N)]
+        assert _worst_clenshaw_ratio(vectors, xs, cols) <= 2.0
+    _plant_row_fault(p, monkeypatch)
     assert _worst_clenshaw_ratio(vectors[-1:], xs, cols) > 2.0
 
 

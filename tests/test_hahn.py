@@ -2,9 +2,11 @@
 weights, the operator's eigenvalues and coefficients, and the parameter
 type itself."""
 
+import contextlib
 import hashlib
 import math
 import struct
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -381,6 +383,39 @@ def test_jacobi_rows_equal_exact_steps_rounded_once(N):
         assert d.tolist() == [float(Fraction(sig, e * D)) for _, sig, _, e in rows]
         assert prod.tolist() == [float(Fraction(al * ga, e0 * e1 * D * D))
                                  for (al, _, _, e0), (_, _, ga, e1) in zip(rows, rows[1:])] + [0.0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 200])
+def test_monic_rows_are_exact_quotients_in_long_double(N):
+    # the long double rows of the x87 Clenshaw sweep: d_n, p_n (n < N) and
+    # h_0, each the oracle's exact value to within one rounding to long
+    # double (the dd quotient rounded once), its double rounding the
+    # twisted build's row; the grid build does not build them
+    ulp = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+    for alpha, beta in NORM_FAMILIES + [(1e6, 0.0), (-0.999, 1e12)]:
+        p = HahnParams(alpha, beta, N)
+        b = HahnBasis(p)
+        with contextlib.suppress(DomainError):
+            b.grid  # a family whose weights are refused has no grid
+        assert "monic_rows" not in vars(b)
+        h0 = exact_norms_sq(Fraction(alpha), Fraction(beta), N)[0]
+        if h0 > sys.float_info.max:
+            with pytest.raises(DegenerateRecurrenceError,
+                               match=r"^norm of Q_0 is not finite in double precision$"):
+                b.monic_rows
+            continue
+        d, prod, h0_ld = b.monic_rows
+        (a, bb), D = _over_one_denominator(alpha, beta)
+        rows = _steps(a, bb, D, N)
+        exact = ([Fraction(sig, e * D) for _, sig, _, e in rows],
+                 [Fraction(al * ga, e0 * e1 * D * D)
+                  for (al, _, _, e0), (_, _, ga, e1) in zip(rows, rows[1:])],
+                 [h0])
+        for got, want in zip((d, prod, [h0_ld]), exact):
+            assert len(got) == len(want)
+            for v, w in zip(got, want):
+                assert abs(Fraction(*v.as_integer_ratio()) - w) <= ulp * w
+        assert [float(v) for v in d] == hahn._jacobi_rows(p)[0].tolist()
 
 
 def test_jacobi_rows_name_a_non_finite_row(monkeypatch):
