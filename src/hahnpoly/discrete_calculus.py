@@ -11,7 +11,6 @@ operator's one implementation, `_l_rows`, runs on a stack of grid rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,23 +85,21 @@ def _l_rows(p: HahnParams, rows: np.ndarray) -> np.ndarray:
 
     Flux at x = 0 vanishes because D(0) = 0, and flux at x = N+1 vanishes
     because w(N+1) = 0 by convention, so no off-grid value of u is ever
-    read.  L does not change when w is scaled by a constant, so where
-    max|D| max w could pass 2^1000 the weights are scaled by 2^-e to bring
-    it below: a power of two keeps every bit, and every other family takes
-    e = 0 and the plain formula.  A value past the double range is still
+    read.  The family's constants are read once, from `HahnBasis.flux`:
+    the weights, scaled by 2^-e where max|D| max w could pass 2^1000, and
+    the flux factor -D w.  Each application is then one product, one
+    difference and one division.  A value past the double range is still
     inf or nan, with no warning, as Python floats give it; callers refuse
     or fail on it.
     """
-    hb = basis(p)
-    w = hb.weights
-    e = math.frexp(abs(hb.d).max())[1] + math.frexp(w.max())[1] - 1000
-    if e > 0:
-        w = np.ldexp(w, -e)
+    _, w, dw = basis(p).flux
     # flux[..., i] = -D(i) w(i) (u(i) - u(i-1)), i = 1..N; 0 at i = 0, N+1
     flux = np.zeros(rows.shape[:-1] + (p.N + 2,))
     with np.errstate(over="ignore", invalid="ignore"):
-        flux[..., 1:-1] = -hb.d[1:] * w[1:] * np.diff(rows)
-        return (flux[..., 1:] - flux[..., :-1]) / w
+        np.multiply(dw, np.diff(rows), out=flux[..., 1:-1])
+        out = flux[..., 1:] - flux[..., :-1]
+        out /= w
+        return out
 
 
 def l_disk_apply(u: GridFunction) -> GridFunction:

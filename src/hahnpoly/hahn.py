@@ -32,10 +32,11 @@ degrees, so one call gives a family's N + 1 norms.
 What depends on the family alone lives in its one `HahnBasis`, from the
 `basis(params)` cache: the weight array, the series rows of the dd
 sweeps, the long double Jacobi rows of the x87 Clenshaw sweep, the norms,
-the orthonormal grid matrix and the difference operator's eigenvalues and
-coefficients B(x), D(x), each computed on first read and read-only after;
-off-grid sweeps never build the grid matrix, and only the x87 sweep
-builds the long double rows.
+the orthonormal grid matrix, the difference operator's eigenvalues and
+coefficients B(x), D(x), and its flux constants (the scale exponent, the
+weights scaled by it and the flux factor -D w), each computed on first
+read and read-only after; off-grid sweeps never build the grid matrix,
+and only the x87 sweep builds the long double rows.
 
 The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
@@ -206,6 +207,22 @@ class HahnBasis:
         p = self.params
         x = p.grid()
         return _read_only(x * (x - p.beta - p.N - 1.0))
+
+    @cached_property
+    def flux(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The difference operator's family constants, as
+        `discrete_calculus._l_rows` reads them: the scale exponent e, the
+        weights scaled by 2^-e, and the flux factor -D(i) w(i) of the
+        scaled weights, i = 1..N.  L does not change when w is scaled by a
+        constant, so where max|D| max w could pass 2^1000, e brings it
+        below; a power of two keeps every bit, and every other family
+        takes e = 0 and the plain weights."""
+        w = self.weights
+        e = math.frexp(abs(self.d).max())[1] + math.frexp(w.max())[1] - 1000
+        if e > 0:
+            w = _read_only(np.ldexp(w, -e))
+        # (-D) w, then times nabla u in `_l_rows`: that order gives L its bits
+        return max(e, 0), w, _read_only(-self.d[1:] * w[1:])
 
 
 def _dd_quotient(num: int, den: int, name: str) -> tuple[float, float]:

@@ -1,7 +1,6 @@
 """CLI behaviour: output format, exit codes, determinism, and the
 no-partial-file rule."""
 
-import dataclasses
 import errno
 import hashlib
 import math
@@ -118,7 +117,7 @@ def test_decay_constant_target_within_rounding(monkeypatch):
 
     def planted(u, ks, n_range):
         (rows,) = real(u, ks, n_range)
-        rows[2] = dataclasses.replace(rows[2], coeff=2.0 * rows[2].bound)
+        rows[2] = rows[2]._replace(coeff=2.0 * rows[2].bound)
         return [rows]
 
     monkeypatch.setattr(cli, "_decay_pass", planted)

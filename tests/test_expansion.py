@@ -13,7 +13,7 @@ import pytest
 
 from hahnpoly import _compensated as dd
 from hahnpoly import expansion, hahn
-from hahnpoly.discrete_calculus import GridFunction
+from hahnpoly.discrete_calculus import GridFunction, l_disk_apply
 from hahnpoly.errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -452,44 +452,47 @@ def _route_points(N: int) -> list[float]:
             + [N / 2 + 0.25, -0.5, N + 0.5])
 
 
-_BITS = 1074 + 300  # every double is an integer times 2^-1074; Q_n kept to 2^-300
+_EPS = Fraction(np.finfo(float).eps)
 
 
-def _scaled(v: float) -> int:
-    num, den = v.as_integer_ratio()
-    return num * ((1 << _BITS) // den)
-
-
-def _exact_sums(c: CoefficientVector, col: list[Fraction]) -> tuple[list[int], list[float]]:
-    # prefix sums of k_n Q_n(x) in units of 2^-_BITS, k_n = c_n / ||Q_n|| from
-    # the stored doubles (orthonormal) or c_n, exact to (m+1) 2^-300 |c|, and
-    # the prefix scales S_m(x) = sum_{n<=m} |k_n| max_{j<=n} |Q_j(x)| of the bound
+def _exact_terms(c: CoefficientVector, col: list[Fraction]) -> tuple[list[Fraction], list[float]]:
+    # the exact terms k_n Q_n(x), k_n = c_n / ||Q_n|| from the stored doubles
+    # (orthonormal) or c_n, and the prefix scales
+    # S_m(x) = sum_{n<=m} |k_n| max_{j<=n} |Q_j(x)| of the bound
     norms = basis(c.params).sqrt_norms.tolist()
-    sums, scales, total, top, scale = [], [], 0, 0.0, 0.0
+    terms, scales, top, scale = [], [], 0.0, 0.0
     for n, cn in enumerate(c.coeffs.tolist()):
-        num, den = col[n].numerator, col[n].denominator
-        k = cn
+        k, exact_k = cn, Fraction(cn)
         if c.normalized:
-            sn, sd = norms[n].as_integer_ratio()
-            num, den, k = num * sd, den * sn, cn / norms[n]
-        total += _scaled(cn) * ((num << 300) // den) >> 300
-        sums.append(total)
+            k, exact_k = cn / norms[n], exact_k / Fraction(norms[n])
+        terms.append(exact_k * col[n])
         top = max(top, abs(float(col[n])))
         scale += abs(k) * top
         scales.append(scale)
-    return sums, scales
+    return terms, scales
+
+
+def _pairwise_sum(terms: list[Fraction]) -> Fraction:
+    # exact; in pairs, since the gcds of a running Fraction sum cost about
+    # 2.5 times as much at N = 200
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0] if terms else Fraction(0)
 
 
 def _worst_clenshaw_ratio(vectors: list[CoefficientVector], xs: list[float],
                           cols: list[list[Fraction]]) -> float:
     # largest |eval_expansion - exact| / (eps S_m(x)) over the truncations
-    # of one full vector
+    # of one full vector, in order of degree; each ratio exact, rounded once
     worst = 0.0
     for x, col in zip(xs, cols):
-        sums, scales = _exact_sums(vectors[-1], col)
+        terms, scales = _exact_terms(vectors[-1], col)
+        total, done = Fraction(0), 0
         for c in vectors:
-            err = Fraction(abs(_scaled(eval_expansion(c, x)) - sums[c.degree]), 1 << _BITS)
-            worst = max(worst, float(err) / (np.finfo(float).eps * scales[c.degree]))
+            total += _pairwise_sum(terms[done : c.degree + 1])
+            done = c.degree + 1
+            err = abs(Fraction(eval_expansion(c, x)) - total)
+            worst = max(worst, float(err / (_EPS * Fraction(scales[c.degree]))))
     return worst
 
 
@@ -608,12 +611,14 @@ def test_eval_expansion_against_exact_on_dd(N, alpha, beta, dd_route, monkeypatc
     test_eval_expansion_against_exact(N, alpha, beta, monkeypatch)
 
 
-@pytest.mark.parametrize("alpha,beta,N", [(-0.999, -0.999, 30), (0.0, 1e6, 30), (3.0, -0.999, 60)])
+@pytest.mark.parametrize("alpha,beta,N", [(-0.999, -0.999, 30), (0.0, 1e6, 30), (3.0, -0.999, 60),
+                                          (1e6, 1e6, 60)])
 def test_eval_expansion_at_the_near_node_distance(alpha, beta, N):
     # NEAR_NODE either side of every node, the nearest points the long
     # double sweep takes, are within 2 eps S(x) like any off-node point;
     # on the long double sweep these families reach 2.1-5.7 eps S(x) at
-    # 1/256 of a node
+    # 1/256 of a node.  For (1e6, 1e6) the Q~_n(x) are near 1e-148 and the
+    # coefficients near 1e148, which only exact prefix sums can judge
     p = HahnParams(alpha, beta, N)
     xs = [k + s * dd.NEAR_NODE for k in range(N + 1) for s in (-1.0, 1.0)]
     cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in xs]
@@ -897,6 +902,109 @@ def test_decay_pass_refuses_the_first_overflowing_order(ks, first):
     with pytest.raises(DomainError, match="nonnegative"):
         expansion._decay_pass(u, (1, -1, first), range(1, 4))
     assert expansion._decay_pass(u, (), range(1, 4)) == []
+
+
+def _decay_bits(p: HahnParams) -> tuple[str, str, str]:
+    # sha256 of the float64 bytes of the sine sample's L u, L^2 u and L^3 u,
+    # and of its decay rows (n, k, coeff, bound, bound_degree_only,
+    # identity_residual) of orders (1, 2, 3) over 1..N and of order 2 over
+    # N..1, or the text of their refusal
+    u = _sine_sample(p)
+    chain = [u]
+    for _ in range(3):
+        chain.append(l_disk_apply(chain[-1]))
+    out = [_digest([v.values for v in chain[1:]])]
+    for ks, n_range in (((1, 2, 3), range(1, p.N + 1)), ((2,), range(p.N, 0, -1))):
+        try:
+            reports = expansion._decay_pass(u, ks, n_range)
+        except DomainError as exc:
+            out.append(str(exc))
+            continue
+        out.append(_digest([(r.n, r.k, r.coeff, r.bound, r.bound_degree_only,
+                             r.identity_residual) for rows in reports for r in rows]))
+    return tuple(out)
+
+
+# `_decay_bits`, recorded on the code whose decay rows held numpy scalars
+# and whose operator recomputed its family constants on every call.
+# (0, 10^6.5) at N = 60 scales its weights (e > 0) and refuses the decay
+# rows by its norms; the other families refuse none.
+DECAY_BITS = {
+    (0.0, 0.0, 30): (
+        "2f6bf0ca30e9f980cd94551e1218259fcc9267ede05be9d8ffa07953a7d1d332",
+        "84b436a4b745d121c6b5e93a409256a57d1e67144e428b7bd4c52e535fa3ace6",
+        "e6aa19b67c84d439e65cb635907fe1379f5ee55bb8d601eb94c96a72284e0889"),
+    (0.5, 0.5, 100): (
+        "4951e8cba17d8047f7f187e836979a771312c6bcf09689aac5e776fd09bc6936",
+        "51017065c6639c125dd553e6088dc56a379e4129508c44b4989386f4abf7eb36",
+        "63d5f0eb0ae002b0d07dde80ed691afdfaedab9875422aa6cb4eaa34ee861f7a"),
+    (5.0, 0.0, 200): (
+        "046950f5a10b9dfb90dec129ced3bd9ad39a0d77db87e410cf95942fc344f152",
+        "3fb48beb857afd1aae85ff267fae2bc303e83a421c848087c88e8c9328f048bc",
+        "21b280b078048a65eab50a6a228c99453c5b8ab3ef0da99e5ad620124433236c"),
+    (-0.5, 3.0, 60): (
+        "7ba33117c222e6df932ba2d13a88d3daa67becbb2f90189914cf1b63044ac134",
+        "47acd09406eafe35d477e8501da8909c23dc7ed6e2c76f1aff54cf76a19da8c5",
+        "04f8c692bff68608cb07ca1c9e56119283337f66ab651b9bd8dedb05567fc248"),
+    (0.0, 10**6.5, 60): (
+        "b23ddbaa94898ab80cb3c5348736e1945744c09a7e3c0c375e50cb56669426c7",
+        "norm of Q_1 is not finite in double precision",
+        "norm of Q_1 is not finite in double precision"),
+}
+
+
+@pytest.mark.parametrize("alpha,beta,N", list(DECAY_BITS))
+def test_decay_rows_and_operator_keep_their_bits(alpha, beta, N):
+    p = HahnParams(alpha, beta, N)
+    assert (basis(p).flux[0] > 0) == (beta > 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decay_bits(p) == DECAY_BITS[alpha, beta, N]
+
+
+def test_decay_rows_are_named_tuples_of_python_floats():
+    p = HahnParams(0.5, 0.5, 30)
+    reports = expansion._decay_pass(_sine_sample(p), (1, 2, 3), range(30, 0, -1))
+    for r in (r for rows in reports for r in rows):
+        assert type(r.n) is int and type(r.k) is int
+        assert all(type(v) is float for v in r[2:])
+    r = reports[0][0]
+    with pytest.raises(AttributeError):
+        r.coeff = 0.0
+    planted = r._replace(coeff=2.0 * r.bound)
+    assert planted.coeff == 2.0 * r.bound and planted[:2] == r[:2] and planted[3:] == r[3:]
+    assert r == reports[0][0] and hash(r) == hash(tuple(r))
+
+
+def test_decay_report_takes_any_iterable_of_degrees():
+    # a range is checked by its extremes; any other iterable entry by entry
+    # (tests/test_hahn.py refuses [3, 2.5]), which takes a numpy integer
+    p = HahnParams(0.0, 0.0, 20)
+    u = _sine_sample(p)
+    rows = decay_report(u, 1, range(1, 6))
+    assert decay_report(u, 1, [3, 1, np.int64(2)]) == [rows[2], rows[0], rows[1]]
+
+
+def test_decay_residual_past_the_double_range_is_inf_without_warning(monkeypatch):
+    # a planted u_3 = 1e307 times lam_3^2 = 144 passes the double range: as
+    # Python floats the residual is inf with no warning, where numpy's
+    # float64 scalar warns of the overflow
+    p = HahnParams(0.0, 0.0, 30)
+    real = expansion._project_rows
+
+    def planted(p, m, values):
+        rows = real(p, m, values)
+        rows[0, 3] = 1e307
+        return rows
+
+    monkeypatch.setattr(expansion, "_project_rows", planted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = decay_report(_sine_sample(p), 2, range(1, 5))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            np.float64(1e307) * 144.0
+    assert rows[2].identity_residual == math.inf
+    assert all(math.isfinite(r.identity_residual) for r in rows if r.n != 3)
 
 
 # sha256 of the float64 bytes of the sine sample's `project` coefficients at
