@@ -13,6 +13,9 @@ grid points 0, 1, N//2, N-1 and N from `oracle_exact`, computed once per
 family.  Grid values are a minimal solution of the recurrence, so a
 second float route is no reference: at N = 60 the dd series and the dd
 recurrence disagreed by 4e3 while the grid matrix was right.
+`three-term-recurrence` rounds its constants from the family's integer
+rows, `basis(params).steps`, which every float constant of the library
+is read from, and holds them against the oracle's own recurrence.
 
 The operator checks read the grid rows the library projects with, and no
 check runs a forward sweep.  `eigen-difference-equation` pads rows
@@ -40,8 +43,7 @@ from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
 from .expansion import (BOUND_SLACK, IntervalMap, _decay_pass, _project_rows, inner_product,
                         project)
 # hahn_eval_all is unused here; the bench tracer's rebind test names it
-from .hahn import (HahnParams, _integer_steps, basis, hahn_eval_all,  # noqa: F401
-                   normalized_grid_matrix)
+from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix  # noqa: F401
 
 DEFAULT_SEED = 20240901
 DEGREE_CAP = 20
@@ -117,12 +119,12 @@ def check_recurrence_identity(params: HahnParams) -> CheckResult:
     """Defect of -x Q_n = A_n Q_{n+1} - (A_n+C_n) Q_n + C_n Q_{n-1},
     n = 1..N-1, on the exact values at the sampled points, with A_n,
     A_n + C_n and C_n each the integer quotient of the family's rows
-    (`hahn._integer_steps`) rounded once.  An exact value or a constant
+    (`HahnBasis.steps`) rounded once.  An exact value or a constant
     past the double range makes the defect inf or nan, which fails the
     check."""
     xs, q, _ = _exact_columns(params)
     qm, q0, qp = q[:-2], q[1:-1], q[2:]
-    A, C = _integer_steps(params)
+    A, C, _ = basis(params).steps
     rows = np.array([(_quotient(an, ad), _quotient(an * cd + cn * ad, ad * cd), _quotient(cn, cd))
                      for (an, ad), (cn, cd) in zip(A[1:-1], C[1:-1])]).reshape(-1, 3)
     A, AC, C = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]

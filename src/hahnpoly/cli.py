@@ -52,6 +52,15 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _rows(*columns) -> list[str]:
+    """The CSV lines of a numeric table given by its columns, one
+    %-format per line: "%.17g" gives each cell `_fmt`'s bytes for a float
+    and `str`'s for an int.  Columns of Python floats format faster than
+    numpy scalars."""
+    row_fmt = ",".join(["%.17g"] * len(columns))
+    return [row_fmt % row for row in zip(*columns)]
+
+
 def _parse_fn(text: str) -> tuple[str, Fn]:
     if text == "sin-pi":
         return "sin-pi", lambda t: math.sin(math.pi * t)
@@ -178,13 +187,10 @@ def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[Coefficien
     errors = [rec - target for rec in recons]
     tags = [f"{v.params.alpha}_{v.params.beta}" for v in vectors]
     lines = ["t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)]
-    # one column of Python floats per field, not numpy cells one by one
     columns = [ts.tolist(), target.tolist()]
     for rec, err in zip(recons, errors):
         columns += [rec.tolist(), err.tolist()]
-    # one %-format per row: "%.17g" gives each cell _fmt's bytes
-    row_fmt = ",".join(["%.17g"] * len(columns))
-    lines += [row_fmt % row for row in zip(*columns)]
+    lines += _rows(*columns)
     return ts, errors, lines
 
 
@@ -274,7 +280,7 @@ def weights(alpha: float, beta: float, grid_n: int) -> list[str]:
         raise DomainError("weight total is not finite in double precision")
     lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total=_fmt(total))
     lines.append("x,weight")
-    lines += [f"{x},{_fmt(w[x])}" for x in range(p.N + 1)]
+    lines += _rows(range(p.N + 1), w.tolist())
     return lines
 
 
@@ -323,7 +329,7 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
     lines.append("x,value")
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
+    lines += _rows(xs, vals)
     return lines
 
 
@@ -358,11 +364,10 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
                     normalized=normalized)
     lines.append("n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}"
                                  for p in families))
-    for n in range(top + 1):
-        row = [str(n)]
-        for v in vectors:
-            row += [_fmt(v.coeffs[n]), _fmt(abs(v.coeffs[n]))]
-        lines.append(",".join(row))
+    columns = [range(top + 1)]
+    for v in vectors:
+        columns += [v.coeffs.tolist(), np.abs(v.coeffs).tolist()]
+    lines += _rows(*columns)
     if pointwise:
         lines.append("# pointwise reconstruction")
         lines += _pointwise(fn, imap, samples, vectors)[2]
@@ -396,8 +401,8 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
                     fn=label, interval=f"{imap.a},{imap.b}")
     lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
     rows = [r for report in _decay_pass(u, ks, range(1, top + 1)) for r in report]
-    lines += [f"{r.k},{r.n},{_fmt(abs(r.coeff))},{_fmt(r.bound)},"
-              f"{_fmt(r.bound_degree_only)},{_fmt(r.identity_residual)}" for r in rows]
+    n, k, coeff, bound, degree_only, residual = zip(*rows)
+    lines += _rows(k, n, map(abs, coeff), bound, degree_only, residual)
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against
     # coefficients that carry the projection's rounding
     norm_sq = inner_product(u, u)
@@ -465,8 +470,7 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str) -> 
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
                     interval=f"{imap.a},{imap.b}")
     lines.append("n,hahn_classical,hahn_normalized,legendre_classical")
-    lines += [f"{n},{_fmt(classical[n])},{_fmt(normalized[n])},{_fmt(leg[n])}"
-              for n in range(top + 1)]
+    lines += _rows(range(top + 1), classical.tolist(), normalized.tolist(), leg.tolist())
     soft = [n for n in range(5, top + 1, 2) if abs(classical[n]) > abs(leg[n])]
     if soft:
         click.echo(

@@ -15,28 +15,28 @@ to inf or nan silently, as Python floats do.  The terminating series
 degree and one point, but no other code calls it: `verify`'s independent
 reference is the exact oracle (`oracle_exact`).
 
-The recurrence constants A_n and C_n have one source, `_integer_steps`:
-integer numerator and denominator pairs over the common denominator of
-the weights.  Every float constant is an integer quotient of them rounded
-once: the series rows (each dd entry an exact quotient and its exact
-remainder), the Jacobi rows and the constants of the recurrence check.
-No dd arithmetic assembles a constant.
+The recurrence constants A_n and C_n and the norm h_0 have one source,
+`_integer_steps`: integer numerator and denominator pairs over the common
+denominator of the weights, computed once per family as
+`HahnBasis.steps`.  Every float constant is an integer quotient of them
+rounded once: the series rows (each dd entry an exact quotient and its
+exact remainder), the Jacobi rows, the norms and the constants of the
+recurrence check.  No dd arithmetic assembles a constant.
 
 Closed-form squared norms complete the module.  `norm_sq_closed` starts
-from the integer numerator and denominator of h_0, over the weights'
-common denominator, and multiplies them by h_n / h_{n-1} = C_n / A_{n-1},
-read from `_integer_steps` and reduced by its gcd: each norm is one int
-true division, the exact value rounded once.  It also takes an array of
-degrees, so one call gives a family's N + 1 norms.
+from the integer numerator and denominator of h_0 and multiplies them by
+h_n / h_{n-1} = C_n / A_{n-1}, each ratio reduced by its gcd: each norm
+is one int true division, the exact value rounded once.  It also takes an
+array of degrees, so one call gives a family's N + 1 norms.
 
 What depends on the family alone lives in its one `HahnBasis`, from the
-`basis(params)` cache: the weight array, the series rows of the dd
-sweeps, the long double Jacobi rows of the x87 Clenshaw sweep, the norms,
-the orthonormal grid matrix, the difference operator's eigenvalues and
-coefficients B(x), D(x), and its flux constants (the scale exponent, the
-weights scaled by it and the flux factor -D w), each computed on first
-read and read-only after; off-grid sweeps never build the grid matrix,
-and only the x87 sweep builds the long double rows.
+`basis(params)` cache: the integer rows, the weight array, the series
+rows of the dd sweeps, the long double Jacobi rows of the x87 Clenshaw
+sweep, the norms, the orthonormal grid matrix, the difference operator's
+eigenvalues and coefficients B(x), D(x), and its flux constants (the
+scale exponent, the weights scaled by it and the flux factor -D w), each
+computed on first read and read-only after; off-grid sweeps never build
+the grid matrix, and only the x87 sweep builds the long double rows.
 
 The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
@@ -116,10 +116,12 @@ class HahnParams:
 
 @dataclass(frozen=True, eq=False)
 class HahnBasis:
-    """One family's shared data, each field computed on first read, then read-only."""
+    """One family's shared data, each field computed on first read, then
+    read-only; every float constant is read from `steps`."""
 
     params: HahnParams
     weights = cached_property(lambda self: weight_table(self.params))
+    steps = cached_property(lambda self: _integer_steps(self.params))
 
     @cached_property
     def series(self) -> tuple[tuple[float, ...], ...]:
@@ -131,12 +133,12 @@ class HahnBasis:
         sweep and the dd Clenshaw sweep read these rows: the forward
         kernel with the split columns, the Clenshaw sweep the dd a_n, r_n
         and g_n.  Each dd value is one exact quotient of the integer rows
-        (`_integer_steps`), rounded once to its high part, with the exact
+        (`steps`), rounded once to its high part, with the exact
         remainder rounded once as its low part.  Row 0 is the Q_1 closed
         form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first row with an
         entry past the double range raises `DegenerateRecurrenceError`
         naming its n; a degree-m sweep reads the first m rows."""
-        A, C = _integer_steps(self.params)
+        A, C, _ = self.steps
         rows = []
         for n, ((an, ad), (cn, cd)) in enumerate(zip(A[:-1], C)):
             row = f"step coefficient at n={n}"
@@ -151,15 +153,15 @@ class HahnBasis:
         """The Jacobi rows d_n, n = 0..N, and p_n, n = 0..N-1, of
         `_jacobi_rows`, and h_0 = ||Q_0||^2, in numpy's long double, as
         the long double Clenshaw sweep reads them: each a dd quotient of
-        the integers of `_integer_steps` and `norm_sq_closed`, whose high
-        part has `_jacobi_rows`' bits, rounded once to long double as
-        hi + lo.  Built on first read by that sweep alone: the grid build
-        reads the double rows.  An h_0 past the double range, which every
-        coefficient vector refuses by ||Q_0||, raises
-        `DegenerateRecurrenceError` with the norm message."""
+        the integers of `steps`, whose high part has `_jacobi_rows`' bits,
+        rounded once to long double as hi + lo.  Built on first read by
+        that sweep alone: the grid build reads the double rows.  An h_0
+        past the double range, which every coefficient vector refuses by
+        ||Q_0||, raises `DegenerateRecurrenceError` with the norm
+        message."""
         # the rows lie in [0, N] and [0, N^2/4]: only h_0 can be refused
-        d, p = _jacobi_quotients(self.params, lambda num, den: _dd_quotient(num, den, "Jacobi row"))
-        h0 = [_dd_quotient(*_h0_ratio(self.params), "norm of Q_0")]
+        d, p = _jacobi_quotients(self.steps, lambda num, den: _dd_quotient(num, den, "Jacobi row"))
+        h0 = [_dd_quotient(*self.steps[2], "norm of Q_0")]
         # each double converts to long double exactly, and hi + lo rounds once
         rows = (np.array(r).astype(np.longdouble) for r in (d, p, h0))
         d, p, h0 = (_read_only(r[:, 0] + r[:, 1]) for r in rows)
@@ -237,18 +239,21 @@ def _dd_quotient(num: int, den: int, name: str) -> tuple[float, float]:
     return hi, dd._quotient(num * q - p * den, den * q)
 
 
-def _integer_steps(params: HahnParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _integer_steps(params: HahnParams) -> tuple[list[tuple[int, int]], list[tuple[int, int]],
+                                                 tuple[int, int]]:
     """The step coefficients of -x Q_n = A_n Q_{n+1} - (A_n + C_n) Q_n
     + C_n Q_{n-1}, n = 0..N, as integer (numerator, denominator) pairs, both
     parts positive but C_0 = 0 and A_N = 0 (Koekoek, Lesky & Swarttouw,
-    Hypergeometric Orthogonal Polynomials, Springer 2010, section 9.5): the
-    one source of the family's recurrence constants and of the norm ratios
-    h_n / h_{n-1} = C_n / A_{n-1}.  With alpha = a/D,
-    beta = b/D over the common denominator of the weights and s = a + b,
-    every D cancels:
+    Hypergeometric Orthogonal Polynomials, Springer 2010, section 9.5), and
+    the pair of h_0 = ||Q_0||^2: the one source of the family's recurrence
+    constants and of its norms, whose ratios are h_n / h_{n-1} =
+    C_n / A_{n-1}.  Read it as `HahnBasis.steps`, which computes it once per
+    family.  With alpha = a/D, beta = b/D over the common denominator of
+    the weights and s = a + b, every D cancels:
 
         A_n = (nD+s+D)(nD+a+D)(N-n) / ((2nD+s+D)(2nD+s+2D)),
         C_n = n((n+N+1)D+s)(nD+b) / ((2nD+s)(2nD+s+D)),
+        h_0 = prod_{j<N} (s + (2+j)D) / (D^N N!), the sum of the weights,
 
     A_0 = (a+D) N / (s+2D) with the factor (alpha+beta+1) cancelled, and
     C_0 = 0."""
@@ -261,28 +266,25 @@ def _integer_steps(params: HahnParams) -> tuple[list[tuple[int, int]], list[tupl
         A.append(((n * D + s + D) * (n * D + a + D) * (N - n),
                   (2 * n * D + s + D) * (2 * n * D + s + 2 * D)))
         C.append((n * ((n + N + 1) * D + s) * (n * D + b), (2 * n * D + s) * (2 * n * D + s + D)))
-    return A, C
+    return A, C, (math.prod(s + (2 + j) * D for j in range(N)), D**N * math.factorial(N))
 
 
 def _jacobi_rows(params: HahnParams) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal recurrence x Q~_n = d_n Q~_n - sqrt(p_n) Q~_{n+1}
     - sqrt(p_{n-1}) Q~_{n-1} as its Jacobi diagonal d_n = A_n + C_n and
     products p_n = A_n C_{n+1}, n = 0..N, each an integer quotient of the
-    rows of `_integer_steps`, rounded once; p_N = 0, as A_N = 0.  Both
-    rows lie in [0, N] and [0, N^2/4], the spectrum being 0..N; a row
-    that is not finite raises DegenerateRecurrenceError naming its n."""
-    d, p = _jacobi_quotients(params, dd._quotient)
-    p.append(0.0)
-    for n, row in enumerate(zip(d, p)):
-        if not all(map(math.isfinite, row)):
-            raise DegenerateRecurrenceError(f"Jacobi row at n={n} is not finite in double precision")
-    return np.array(d), np.array(p)
+    family's `HahnBasis.steps`, rounded once; p_N = 0, as A_N = 0.  They
+    are the diagonal and the squared off-diagonal of a symmetric matrix
+    whose spectrum is 0..N, so d_n lies in [0, N] and p_n in [0, N^2/4]:
+    every row is finite, for every family."""
+    d, p = _jacobi_quotients(basis(params).steps, dd._quotient)
+    return np.array(d), np.array(p + [0.0])
 
 
-def _jacobi_quotients(params: HahnParams, quotient) -> tuple[list, list]:
+def _jacobi_quotients(steps, quotient) -> tuple[list, list]:
     # d_n = A_n + C_n, n = 0..N, and p_n = A_n C_(n+1), n = 0..N-1, each
-    # quotient(num, den) of the integer rows of `_integer_steps`
-    A, C = _integer_steps(params)
+    # quotient(num, den) of the integer rows `steps`
+    A, C, _ = steps
     return ([quotient(an * cd + cn * ad, ad * cd) for (an, ad), (cn, cd) in zip(A, C)],
             [quotient(an * cn, ad * cd) for (an, ad), (cn, cd) in zip(A, C[1:])])
 
@@ -471,13 +473,14 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     Springer 2010, section 9.5), rounded once and correctly.
 
     With alpha = a/D, beta = b/D exactly and s = a + b, h_0 is
-    prod_{j<N} (s + (2+j)D) / (D^N N!), and each degree multiplies an
+    prod_{j<N} (s + (2+j)D) / (D^N N!), and each degree multiplies its
     integer numerator and denominator by h_k / h_{k-1} = C_k / A_{k-1},
-    the ratio of the recurrence's own integer rows (`_integer_steps`),
-    each step's ratio reduced by its gcd.  A_0 there has its factor
-    (1 + alpha + beta) cancelled, which vanishes when alpha + beta = -1;
-    every other factor is a positive integer.  h_k is one int true
-    division of the running products; a norm past the double range is inf.
+    the ratio of the recurrence's own integer rows, each step's ratio
+    reduced by its gcd; h_0 and the rows are the family's
+    `HahnBasis.steps`.  A_0 there has its factor (1 + alpha + beta)
+    cancelled, which vanishes when alpha + beta = -1; every other factor
+    is a positive integer.  h_k is one int true division of the running
+    products; a norm past the double range is inf.
 
     n may be an array of degrees: one call runs the products once, up to
     the largest degree, and returns an array of n's shape, each entry
@@ -485,10 +488,9 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     """
     _check_degree(n, params)
     degrees = np.ravel(n).tolist() if np.ndim(n) else [n]
-    num, den = _h0_ratio(params)
+    A, C, (num, den) = basis(params).steps
     norms = [dd._quotient(num, den)]
     top = max(degrees, default=0)
-    A, C = _integer_steps(params)
     for (an, ad), (cn, cd) in zip(A[:top], C[1 : top + 1]):
         rn, rd = cn * ad, cd * an
         g = math.gcd(rn, rd)
@@ -498,14 +500,6 @@ def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarra
     if np.ndim(n):
         return np.array([norms[k] for k in degrees]).reshape(np.shape(n))
     return norms[n]
-
-
-def _h0_ratio(params: HahnParams) -> tuple[int, int]:
-    # h_0 = prod_{j<N} (s + (2+j)D) / (D^N N!), the sum of the weights, as
-    # an integer numerator and denominator (see `norm_sq_closed`)
-    N = params.N
-    a, b, D = _exact_exponents(params.alpha, params.beta)
-    return math.prod(a + b + (2 + j) * D for j in range(N)), D**N * math.factorial(N)
 
 
 def normalized_grid_matrix(m: int, params: HahnParams) -> np.ndarray:

@@ -114,17 +114,6 @@ def test_hahn_assembles_no_constant_in_dd():
     assert used and used <= allowed, used - allowed
 
 
-def test_norms_read_their_ratios_from_the_steps():
-    # h_k / h_(k-1) = C_k / A_(k-1): norm_sq_closed reads the ratios from
-    # the recurrence's integer rows, so no second formula of them can drift
-    tree = ast.parse((SRC / "hahn.py").read_text())
-    norms, = (node for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == "norm_sq_closed")
-    called = {getattr(node.func, "id", None) for node in ast.walk(norms)
-              if isinstance(node, ast.Call)}
-    assert "_integer_steps" in called
-
-
 def test_fsum_is_called_only_by_exact_sum():
     # a bare math.fsum raises on -inf + inf, and on a partial sum past the
     # double range depending on term order; `_compensated.exact_sum` owns

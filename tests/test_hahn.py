@@ -9,13 +9,15 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from hahnpoly import _compensated as dd
-from hahnpoly import hahn
+from hahnpoly import checks, cli, hahn
 from hahnpoly.errors import DegenerateRecurrenceError, DegreeOutOfRangeError, DomainError
 from hahnpoly.expansion import GridFunction, decay_report, project
 from hahnpoly.hahn import (
@@ -418,11 +420,24 @@ def test_monic_rows_are_exact_quotients_in_long_double(N):
         assert [float(v) for v in d] == hahn._jacobi_rows(p)[0].tolist()
 
 
-def test_jacobi_rows_name_a_non_finite_row(monkeypatch):
-    monkeypatch.setattr(dd, "_quotient", lambda num, den: math.inf)
-    with pytest.raises(DegenerateRecurrenceError,
-                       match=r"^Jacobi row at n=0 is not finite in double precision$"):
-        hahn._jacobi_rows(HahnParams(0.0, 0.0, 12))
+JACOBI_BOUND_EXPONENTS = [-0.999, -0.5, 0.0, 3.0, 50.0, 1e3, 1e6, 10**6.5, 1e12, 1e305,
+                          -1.0 + 2.0**-52]
+
+
+@pytest.mark.parametrize("N", [1, 2, 30, 200])
+def test_jacobi_rows_lie_in_the_spectral_bounds(N):
+    # d_n and p_n are the diagonal and the squared off-diagonal of a
+    # symmetric matrix with spectrum 0..N, so every family's rows lie in
+    # [0, N] and [0, N^2/4] and are finite: `_jacobi_rows` needs no guard
+    try:
+        for alpha in JACOBI_BOUND_EXPONENTS:
+            for beta in JACOBI_BOUND_EXPONENTS:
+                d, prod = hahn._jacobi_rows(HahnParams(alpha, beta, N))
+                assert len(d) == len(prod) == N + 1
+                assert 0.0 <= d.min() and d.max() <= N, (alpha, beta)
+                assert 0.0 <= prod.min() and prod.max() <= N * N / 4, (alpha, beta)
+    finally:
+        basis.cache_clear()
 
 
 @pytest.mark.parametrize("N", [30, GRID_ARRAY_N - 1])
@@ -698,7 +713,7 @@ def test_steps_name_vanishing_coefficient():
     # passes the double range, and row 0 is refused as not finite, not
     # divided by a rounded zero
     p = HahnParams(-1.0 + 2.0**-52, 1.7e308, 1)
-    A, _ = hahn._integer_steps(p)
+    A, _, _ = hahn._integer_steps(p)
     assert A[0][0] > 0 and dd._quotient(*A[0]) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -753,7 +768,7 @@ def test_recurrence_coefficients_positive_and_bounded():
     # g_n > 0 in the series rows
     for alpha, beta in PARAM_SETS:
         p = HahnParams(alpha, beta, 30)
-        A, C = hahn._integer_steps(p)
+        A, C, _ = hahn._integer_steps(p)
         assert len(A) == len(C) == 31
         for (an, ad), (cn, cd) in zip(A[1:-1], C[1:-1]):
             assert 0 < Fraction(an, ad) <= 30 and 0 < Fraction(cn, cd) <= 30
@@ -767,7 +782,7 @@ def test_recurrence_identity_against_oracle_values():
     N = 8
     p = HahnParams(0.5, 0.5, N)
     half = Fraction(1, 2)
-    A, C = hahn._integer_steps(p)
+    A, C, _ = hahn._integer_steps(p)
     for x in range(N + 1):
         q = [float(exact_hahn_eval(n, x, half, half, N)) for n in range(N + 1)]
         for n in range(N):
@@ -775,6 +790,68 @@ def test_recurrence_identity_against_oracle_values():
             lhs = -float(x) * q[n]
             rhs = An * q[n + 1] - (An + Cn) * q[n] + Cn * (q[n - 1] if n else 0.0)
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+def test_integer_steps_run_once_per_family(monkeypatch):
+    # every float constant is read from the family's `HahnBasis.steps`: a
+    # pointwise projection (nodes, points 1/32 from a node and far ones), a
+    # classical one, a decay report and verify on two families compute
+    # each family's integer rows once
+    calls = Counter()
+    steps = hahn._integer_steps
+
+    def counted(params):
+        calls[params] += 1
+        return steps(params)
+
+    monkeypatch.setattr(hahn, "_integer_steps", counted)
+    basis.cache_clear()
+    for N in (30, 60):
+        family = ["--alpha", "0.5", "--beta", "1.5", "--N", str(N)]
+        for args in (["project", "--m", str(N), "--fn", "runge", "--pointwise",
+                      "--samples", str(32 * N + 1)],
+                     ["project", "--m", "10", "--normalized", "false", "--pointwise"],
+                     ["decay", "--m", "10"],
+                     ["verify"]):
+            res = CliRunner().invoke(cli.main, args + family)
+            assert res.exit_code == 0, res.output
+    assert calls == {HahnParams(0.5, 1.5, N): 1 for N in (30, 60)}
+
+
+def _bits(value) -> bytes:
+    if isinstance(value, tuple) and isinstance(value[0], np.ndarray):
+        return b"".join(np.asarray(v).tobytes() for v in value)
+    return np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_planted_step_fault_moves_every_constant(row):
+    # a relative fault of 1e-6 planted in the integer pair of A_3 (row 0)
+    # or C_3 (row 1) of the cached `HahnBasis.steps` moves the series rows,
+    # the Jacobi rows, the long double rows, the norms and the value of
+    # `three-term-recurrence`: each is read from those rows, none from a
+    # copy of its own
+    p = HahnParams(0.5, 1.5, 60)
+
+    def constants():
+        hb = basis(p)
+        return [hb.series, hahn._jacobi_rows(p), hb.monic_rows, hb.sqrt_norms,
+                checks.check_recurrence_identity(p).value]
+
+    basis.cache_clear()
+    try:
+        clean = constants()
+        basis.cache_clear()
+        steps = hahn._integer_steps(p)
+        num, den = steps[row][3]
+        steps[row][3] = (num * 1_000_001, den * 1_000_000)
+        vars(basis(p))["steps"] = steps
+        moved = constants()
+    finally:
+        basis.cache_clear()
+    for got, want in zip(moved, clean):
+        assert _bits(got) != _bits(want)
+    assert checks.check_recurrence_identity(p).value == clean[-1] < 1e-14
 
 
 def test_eigen_data():
