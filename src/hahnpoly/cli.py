@@ -48,15 +48,11 @@ from .legendre_ref import legendre_coeffs
 Fn = Callable[[float], float]
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _rows(*columns) -> list[str]:
     """The CSV lines of a numeric table given by its columns, one
-    %-format per line: "%.17g" gives each cell `_fmt`'s bytes for a float
-    and `str`'s for an int.  Columns of Python floats format faster than
-    numpy scalars."""
+    %-format per line: "%.17g", the format of every number the CLI prints,
+    gives each cell a float's 17 significant digits and `str`'s bytes for
+    an int.  Columns of Python floats format faster than numpy scalars."""
     row_fmt = ",".join(["%.17g"] * len(columns))
     return [row_fmt % row for row in zip(*columns)]
 
@@ -278,7 +274,7 @@ def weights(alpha: float, beta: float, grid_n: int) -> list[str]:
     total = exact_sum(w.tolist())
     if not math.isfinite(total):
         raise DomainError("weight total is not finite in double precision")
-    lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total=_fmt(total))
+    lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total="%.17g" % total)
     lines.append("x,weight")
     lines += _rows(range(p.N + 1), w.tolist())
     return lines
@@ -413,8 +409,8 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     if not bad:
         return lines, None
     worst = max(bad, key=lambda r: abs(r.coeff) - r.bound)
-    return lines, (f"bound violated at k={worst.k}, n={worst.n}: "
-                   f"|coeff| {_fmt(abs(worst.coeff))} > bound {_fmt(worst.bound)}")
+    return lines, ("bound violated at k=%s, n=%s: |coeff| %.17g > bound %.17g"
+                   % (worst.k, worst.n, abs(worst.coeff), worst.bound))
 
 
 @main.command("runge")
@@ -439,8 +435,8 @@ def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
                     params=";".join(f"{p.alpha},{p.beta}" for p in families))
     for p, err in zip(families, errors):
         i = int(np.argmax(np.abs(err)))
-        lines.append(f"# max_error_{p.alpha}_{p.beta}: {_fmt(abs(err[i]))} "
-                     f"at t = {_fmt(ts[i])}")
+        lines.append("# max_error_%s_%s: %.17g at t = %.17g"
+                     % (p.alpha, p.beta, abs(err[i]), ts[i]))
     return lines + table
 
 
@@ -492,7 +488,7 @@ def verify_cmd(alpha: float, beta: float, grid_n: int,
     results = run_all(p, ks)
     lines = _header("verify", alpha=alpha, beta=beta, N=grid_n, k=orders)
     lines.append("check,value,tol,status")
-    lines += [f"{r.name},{_fmt(r.value)},{_fmt(r.tol)},{'pass' if r.passed else 'FAIL'}"
+    lines += ["%s,%.17g,%.17g,%s" % (r.name, r.value, r.tol, "pass" if r.passed else "FAIL")
               for r in results]
     bad = [r for r in results if not r.passed]
     return lines, f"{len(bad)} check(s) failed" if bad else None

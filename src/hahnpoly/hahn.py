@@ -72,7 +72,7 @@ from .errors import (
 from .specfun import (
     _check_weight_exponents,
     _exact_exponents,
-    binomial_weights,
+    _weights,
     terminating_3f2,
 )
 
@@ -458,8 +458,15 @@ def hahn_eval_recurrence(n: int, x: float, params: HahnParams) -> float:
 
 
 def weight_table(params: HahnParams) -> np.ndarray:
-    """Weights w(0) .. w(N) as a read-only array."""
-    return _read_only(np.array(binomial_weights(params.alpha, params.beta, params.N)))
+    """Weights w(0) .. w(N) as a read-only array, each equal to
+    `specfun.binomial_weight` bit for bit.
+
+    The weights come from one running integer ratio, so the grid costs
+    O(N) integer products and N + 1 correctly rounded quotients.  The first
+    weight past the double range raises DomainError naming its grid point,
+    before any later product is formed.
+    """
+    return _read_only(np.array(_weights(params.alpha, params.beta, params.N, range(params.N + 1))))
 
 
 def norm_sq_closed(n: int | np.ndarray, params: HahnParams) -> float | np.ndarray:

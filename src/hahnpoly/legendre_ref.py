@@ -99,22 +99,16 @@ def gauss_legendre_rule(q: int) -> QuadratureRule:
     return QuadratureRule(nodes[order], weights[order])
 
 
-@dataclass(eq=False)
-class _TabledRule(QuadratureRule):
-    """A cached rule and the table legendre_coeffs reads with it:
-    P_0 .. P_m at the nodes, m = npoints - 20 (`_legendre_sweep`)."""
-
-    table: np.ndarray
-
-
 @lru_cache(maxsize=16)
-def _cached_rule(q: int) -> _TabledRule:
-    # read-only, since every legendre_coeffs call with this q shares it
+def _cached_rule(q: int) -> tuple[QuadratureRule, np.ndarray]:
+    """The q-point rule and the table legendre_coeffs reads with it:
+    P_0 .. P_m at the nodes, m = q - 20 (`_legendre_sweep`).  Every array
+    is read-only, since every legendre_coeffs call with this q shares it."""
     rule = gauss_legendre_rule(q)
-    cached = _TabledRule(rule.nodes, rule.weights, _legendre_sweep(q - 20, rule.nodes))
-    for a in (cached.nodes, cached.weights, cached.table):
+    table = _legendre_sweep(q - 20, rule.nodes)
+    for a in (rule.nodes, rule.weights, table):
         a.setflags(write=False)
-    return cached
+    return rule, table
 
 
 def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
@@ -131,7 +125,7 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
         raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
-    rule = _cached_rule(m + 20)
+    rule, table = _cached_rule(m + 20)
     wf = rule.weights * np.array([f(t) for t in rule.nodes.tolist()])
     # (2n + 1) / 2 is exact, so each product has the bits of a scalar one
-    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(rule.table, wf)
+    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(table, wf)

@@ -1,7 +1,10 @@
 """Special-function building blocks: the terminating 3F2 series at unit
 argument for one set of scalar parameters (summed in double-double, plain
 Python floats, no numpy) and generalized-binomial weight products (in
-exact integer arithmetic, each weight rounded once).
+exact integer arithmetic, each weight rounded once).  `binomial_weight`
+gives one grid point's weight; the whole row w(0) .. w(N) is
+`hahn.weight_table`, which calls `_weights` for a family `HahnParams` has
+already checked.
 """
 
 from __future__ import annotations
@@ -106,17 +109,3 @@ def binomial_weight(x: int, alpha: float, beta: float, N: int) -> float:
         raise DomainError(f"grid point {x} outside 0..{N}")
     return _weights(alpha, beta, N, range(x, x + 1))[0]
 
-
-def binomial_weights(alpha: float, beta: float, N: int) -> list[float]:
-    """Weights w(0) .. w(N), each equal to `binomial_weight` bit for bit.
-
-    The weights come from one running integer ratio, w(0) times
-    w(x) / w(x-1) = (a+xD)(N-x+1) / (x (b+(N-x+1)D)) at each step, so
-    the grid costs O(N) integer products and N + 1 correctly rounded
-    quotients.  The first weight past the double range raises DomainError
-    naming its grid point, before any later product is formed.
-    """
-    _check_weight_exponents(alpha, beta)
-    if N < 0:
-        raise DomainError(f"grid size {N} is negative")
-    return _weights(alpha, beta, N, range(N + 1))

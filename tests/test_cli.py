@@ -5,6 +5,7 @@ import errno
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,6 +103,18 @@ def test_decay_bound_columns():
         assert float(r[5]) < 1e-6
 
 
+def _plant_bound_violation(monkeypatch):
+    # the third row of the first decay report gets twice its bound
+    real = cli._decay_pass
+
+    def planted(u, ks, n_range):
+        (rows,) = real(u, ks, n_range)
+        rows[2] = rows[2]._replace(coeff=2.0 * rows[2].bound)
+        return [rows]
+
+    monkeypatch.setattr(cli, "_decay_pass", planted)
+
+
 def test_decay_constant_target_within_rounding(monkeypatch):
     # L u = 0 for a constant, so every bound is 0, and the projected
     # coefficients carry rounding only: no violation, exit 0
@@ -113,14 +126,7 @@ def test_decay_constant_target_within_rounding(monkeypatch):
     _, data = parse_csv(res.stdout)
     assert [float(r[3]) for r in data] == [0.0] * 5
     # a violation planted far above rounding still exits 4
-    real = cli._decay_pass
-
-    def planted(u, ks, n_range):
-        (rows,) = real(u, ks, n_range)
-        rows[2] = rows[2]._replace(coeff=2.0 * rows[2].bound)
-        return [rows]
-
-    monkeypatch.setattr(cli, "_decay_pass", planted)
+    _plant_bound_violation(monkeypatch)
     res = run("decay", "--N", "30", "--m", "5", "--k", "1")
     assert res.exit_code == 4
     assert "bound violated at k=1, n=3" in res.stderr
@@ -424,22 +430,41 @@ def test_pointwise_samples_on_exact_nodes(N, monkeypatch):
             assert float(data[k][0]) == imap.to_interval(xs[k])
 
 
-def test_pointwise_rows_have_the_bytes_of_fmt():
-    # each CSV row is one "%.17g" format: every cell, the non-finite, the
+def test_printed_numbers_round_trip_at_17_digits(monkeypatch):
+    # every number the CLI prints is one "%.17g" format of a float, so it
+    # reads back to the same bytes: the table cells (the non-finite, the
     # signed zero, the smallest subnormal and the largest double among
-    # them, reads as cli._fmt writes it
+    # them), the weights total, runge's max_error and its t, verify's value
+    # and tol, and the two numbers of the decay bound message
     specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, sys.float_info.max, 0.1]
-    for v in specials:
-        assert "%.17g" % v == cli._fmt(v)
     targets = iter(specials)
     imap = IntervalMap(-1.0, 1.0, 12)
     c = CoefficientVector(HahnParams(0.0, 0.0, 12), np.array([1.0, 0.5]))
     _, _, lines = cli._pointwise(lambda t: next(targets), imap, len(specials), [c])
     rows = [line.split(",") for line in lines[1:]]
-    assert [row[1] for row in rows] == [cli._fmt(v) for v in specials]
-    for row in rows:
-        assert len(row) == 4
-        assert all(cli._fmt(float(cell)) == cell for cell in row)
+    assert [row[1] for row in rows] == ["inf", "-inf", "nan", "-0", "4.9406564584124654e-324",
+                                        "1.7976931348623157e+308", "0.10000000000000001"]
+    assert all(len(row) == 4 for row in rows)
+    printed = [cell for row in rows for cell in row]
+
+    res = run("weights", "--alpha", "0.3", "--beta", "0.7", "--N", "12")
+    (total,) = re.findall(r"^# total: (\S+)$", res.stdout, re.M)
+    printed += [total] + [cell for row in parse_csv(res.stdout)[1] for cell in row]
+    res = run("runge", "--N", "20", "--m", "8", "--samples", "81", "--interval", "-0.7,1.3")
+    maxima = re.findall(r"^# max_error_\S+: (\S+) at t = (\S+)$", res.stdout, re.M)
+    assert len(maxima) == 3
+    printed += [v for pair in maxima for v in pair]
+    printed += [cell for row in parse_csv(res.stdout)[1] for cell in row]
+    res = run("verify", "--alpha", "0.5", "--beta", "1.5", "--N", "12")
+    assert res.exit_code == 0
+    printed += [cell for row in parse_csv(res.stdout)[1] for cell in row[1:3]]
+    _plant_bound_violation(monkeypatch)
+    res = run("decay", "--N", "30", "--m", "5", "--k", "1")
+    assert res.exit_code == 4
+    (bound,) = re.findall(r"\|coeff\| (\S+) > bound (\S+)$", res.stderr, re.M)
+    printed += list(bound) + [cell for row in parse_csv(res.stdout)[1] for cell in row]
+    for s in printed:
+        assert "%.17g" % float(s) == s
 
 
 def test_non_finite_targets_refused():

@@ -185,11 +185,12 @@ def test_coeffs_build_one_rule_per_point_count(monkeypatch):
     legendre_coeffs(f, 20)
     assert builds == [57, 40]
     # the cached rule equals a fresh one and cannot be written through
-    rule = legendre_ref._cached_rule(57)
+    rule, table = legendre_ref._cached_rule(57)
     fresh = gauss_legendre_rule(57)
     for got, want in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert not got.flags.writeable
+    assert not table.flags.writeable
     assert builds == [57, 40]
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from hahnpoly.errors import DomainError, NonTerminatingError, ZeroDenominatorError
+from hahnpoly.hahn import HahnParams, weight_table
 from hahnpoly.oracle_exact import exact_weight
-from hahnpoly.specfun import binomial_weight, binomial_weights, terminating_3f2
+from hahnpoly.specfun import binomial_weight, terminating_3f2
 
 
 def test_3f2_zeroth_term_only():
@@ -93,12 +94,12 @@ def test_weights_equal_oracle_bit_for_bit(alpha, beta):
         exact = [_exact_or_none(x, alpha, beta, N) for x in range(N + 1)]
         if None in exact:
             with pytest.raises(DomainError, match=rf"w\({exact.index(None)}\) is not finite"):
-                binomial_weights(alpha, beta, N)
+                weight_table(HahnParams(alpha, beta, N))
             xs = [x for x, w in enumerate(exact) if w is not None]
             got = [binomial_weight(x, alpha, beta, N) for x in xs]
             exact = [exact[x] for x in xs]
         else:
-            got = binomial_weights(alpha, beta, N)
+            got = weight_table(HahnParams(alpha, beta, N))
         assert np.array_equal(np.array(got).view(np.int64), np.array(exact).view(np.int64))
 
 
@@ -128,13 +129,13 @@ def test_weight_exponents_refused_in_params_wording(alpha, beta, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         binomial_weight(0, alpha, beta, 4)
     with pytest.raises(DomainError, match=f"^{message}$"):
-        binomial_weights(alpha, beta, 4)
+        weight_table(HahnParams(alpha, beta, 4))
 
 
 def test_weight_accepts_numpy_scalars():
     for alpha, beta in ((np.int64(2), np.float64(0.5)), (np.float32(0.5), np.int32(0))):
-        want = binomial_weights(float(alpha), float(beta), 6)
-        assert binomial_weights(alpha, beta, 6) == want
+        want = weight_table(HahnParams(float(alpha), float(beta), 6)).tolist()
+        assert weight_table(HahnParams(alpha, beta, 6)).tolist() == want
         assert binomial_weight(np.int64(3), alpha, beta, 6) == want[3]
 
 
@@ -143,11 +144,11 @@ def test_weight_row_equals_scalar_weights(alpha, beta):
     # the running ratio, divided only at the points asked for, gives
     # every grid point's own quotient
     for N in (1, 30, 200):
-        row = np.array(binomial_weights(alpha, beta, N))
+        row = weight_table(HahnParams(alpha, beta, N))
         loop = np.array([binomial_weight(x, alpha, beta, N) for x in range(N + 1)])
         assert np.array_equal(row.view(np.int64), loop.view(np.int64))
     with pytest.raises(DomainError):
-        binomial_weights(-1.0, 0.0, 4)
+        weight_table(HahnParams(-1.0, 0.0, 4))
 
 
 @pytest.mark.parametrize("alpha,beta,N,first", [(1e6, 0.0, 200, 68), (1e6, 0.5, 200, 67),
@@ -159,7 +160,7 @@ def test_weights_past_double_range_refused(alpha, beta, N, first):
     # and that point is named: the integer quotient raises OverflowError
     # there and nowhere before
     with pytest.raises(DomainError, match=rf"w\({first}\) is not finite"):
-        binomial_weights(alpha, beta, N)
+        weight_table(HahnParams(alpha, beta, N))
     with pytest.raises(DomainError, match=rf"w\({first}\)"):
         binomial_weight(first, alpha, beta, N)
     with pytest.raises(OverflowError):
@@ -173,7 +174,7 @@ def test_weight_near_double_range_is_finite():
     # w(0) = C(1e26 + 12, 12) is about 2e303: finite and right, from
     # integer products far past the double range
     alpha, beta = -1.0 + 2.0 ** -53, 1e26
-    w = binomial_weights(alpha, beta, 12)
+    w = weight_table(HahnParams(alpha, beta, 12))
     for x in (0, 1, 6, 12):
         exact = float(exact_weight(x, Fraction(alpha), Fraction(beta), 12))
         assert w[x] == pytest.approx(exact, rel=1e-15, abs=0)
