@@ -9,10 +9,12 @@ and degree-limited checks stop at min(DEGREE_CAP, N).
 
 The independent reference is exact: `float-vs-exact` and
 `three-term-recurrence` read integer-ratio columns of every degree at the
-grid points 0, 1, N//2, N-1 and N from `oracle_exact`, computed once per
-family.  Grid values are a minimal solution of the recurrence, so a
-second float route is no reference: at N = 60 the dd series and the dd
-recurrence disagreed by 4e3 while the grid matrix was right.
+grid points 0, 1, N//2, N-1 and N from the oracle's integer route,
+`oracle_ratios`, computed once per family.  The first check to run
+imports that module alone, not the Fraction API of `oracle_exact`.  Grid
+values are a minimal solution of the recurrence, so a second float route
+is no reference: at N = 60 the dd series and the dd recurrence disagreed
+by 4e3 while the grid matrix was right.
 `three-term-recurrence` rounds its constants from the family's integer
 rows, `basis(params).steps`, which every float constant of the library
 is read from, and holds them against the oracle's own recurrence.
@@ -84,8 +86,9 @@ def _exact_columns(params: HahnParams) -> tuple[list[int], np.ndarray, np.ndarra
     is point xs[j].  Computed once per family for both checks that read it;
     the arrays are read-only."""
     # imported here, not at module level, so that starting the CLI does not
-    # pay for the oracle when no check runs
-    from .oracle_exact import _exact_ratios
+    # pay for the oracle when no check runs; only the integer route loads,
+    # not the Fraction API of `oracle_exact` with `fractions` and `decimal`
+    from .oracle_ratios import _exact_ratios
 
     N = params.N
     xs = sorted({0, 1, N // 2, N - 1, N})  # both ends, their neighbours, the middle

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hahnpoly import checks, hahn, oracle_exact
+from hahnpoly import checks, hahn, oracle_exact, oracle_ratios
 from hahnpoly.checks import (
     check_eigen_equation,
     check_path_agreement,
@@ -23,13 +23,8 @@ from hahnpoly.checks import (
 )
 from hahnpoly.errors import HahnPolyError
 from hahnpoly.hahn import HahnParams, basis
-from hahnpoly.oracle_exact import (
-    _over_one_denominator,
-    _steps,
-    exact_hahn_eval,
-    exact_norm_sq,
-    exact_weight,
-)
+from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_weight
+from hahnpoly.oracle_ratios import _over_one_denominator, _steps
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0)])
@@ -201,9 +196,11 @@ def test_exact_columns_once_per_family(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("_column", "_norms", "exact_hahn_column", "exact_norms_sq",
-                 "exact_hahn_eval", "exact_norm_sq", "exact_weight"):
-        monkeypatch.setattr(oracle_exact, name, counted(getattr(oracle_exact, name)))
+    for module, names in ((oracle_ratios, ("_column", "_norms")),
+                          (oracle_exact, ("exact_hahn_column", "exact_norms_sq", "exact_hahn_eval",
+                                          "exact_norm_sq", "exact_weight"))):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     checks._exact_columns.cache_clear()
     p = HahnParams(0.5, 0.5, 20)
     check_path_agreement(p)
@@ -271,25 +268,46 @@ def test_random_grid_functions_equal_stdlib_stream():
                 assert np.array_equal(f.values.view(np.int64), want.view(np.int64)), (N, count)
 
 
-_NO_NUMPY_RANDOM = """
+_FRESH_CLI = """
 import sys
 from hahnpoly.cli import main
 try:
-    main(["verify", "--N", "12"])
+    main(sys.argv[1:])
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-assert "numpy.random" not in sys.modules, "verify imported numpy.random"
+print(*sys.modules, file=sys.stderr)
 """
 
 
-def test_verify_does_not_import_numpy_random():
-    # a fresh interpreter, since this test session imports numpy.random
+def _fresh_cli(command):
+    # one CLI command in a fresh interpreter, since this test session
+    # imports every module; returns its stdout and the modules it loaded
     src = str(Path(checks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env,
+    out = subprocess.run([sys.executable, "-c", _FRESH_CLI, *command.split()], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert "check,value,tol,status" in out.stdout
+    return out.stdout, set(out.stderr.split())
+
+
+def test_verify_does_not_import_numpy_random():
+    stdout, modules = _fresh_cli("verify --N 12")
+    assert "numpy.random" not in modules, "verify imported numpy.random"
+    assert "check,value,tol,status" in stdout
+
+
+@pytest.mark.parametrize("command,loaded,absent", [
+    # `verify` reads the oracle's integer route alone: no Fraction API,
+    # so neither `fractions` nor the `decimal` it imports
+    ("verify --N 12", {"hahnpoly.oracle_ratios"},
+     {"fractions", "decimal", "hahnpoly.oracle_exact"}),
+    # a command that runs no check loads no oracle at all
+    ("project --pointwise --N 12", set(), {"hahnpoly.oracle_ratios", "hahnpoly.oracle_exact"}),
+])
+def test_cli_loads_only_the_oracle_route_it_reads(command, loaded, absent):
+    _, modules = _fresh_cli(command)
+    assert loaded <= modules
+    assert not absent & modules, absent & modules
 
 
 @pytest.mark.parametrize("alpha,beta", SIX_FAMILIES)

@@ -35,13 +35,8 @@ from hahnpoly.hahn import (
     normalized_grid_matrix,
     weight_table,
 )
-from hahnpoly.oracle_exact import (
-    _exact_ratios,
-    exact_hahn_column,
-    exact_hahn_eval,
-    exact_norm_sq,
-    exact_weight,
-)
+from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval, exact_norm_sq, exact_weight
+from hahnpoly.oracle_ratios import _exact_ratios
 
 
 def test_interval_map_endpoints_exact():
@@ -698,7 +693,8 @@ def _sin_pi(t):
 # known wrong outputs that exit 0: the per-point dd grid below N = 42 is off
 # for large exponents (ROADMAP item 1, which builds every grid by the
 # twisted factorization); errors today, in ||u||_w, are 1.9e41, 2.5e-6,
-# 9.91, 8.6e33, 332 and 287
+# 9.91, 8.6e33, 332, 287, 2.5e33 (u_30 = 5.87e105 where the exact value
+# is -2429) and 1.2e-4
 @pytest.mark.xfail(strict=True, reason="per-point grid below N = 42; ROADMAP item 1")
 @pytest.mark.parametrize("alpha,beta,N,fn", [
     (1e6, 0.0, 30, _runge),
@@ -707,8 +703,10 @@ def _sin_pi(t):
     (0.0, 1e6, 30, _runge),
     (1e3, 0.0, 41, _sin_pi),
     (1e12, 0.0, 6, _runge),
+    (-0.999, 1e6, 30, _runge),
+    (1e3, -0.5, 30, _runge),
 ], ids=["runge-1e6-0", "sin-pi-1e3-0", "runge-1e6--0.999-12", "runge-0-1e6-30",
-        "sin-pi-1e3-0-41", "runge-1e12-0-6"])
+        "sin-pi-1e3-0-41", "runge-1e12-0-6", "runge--0.999-1e6-30", "runge-1e3--0.5-30"])
 def test_small_grid_projection_matches_exact(alpha, beta, N, fn):
     p = HahnParams(alpha, beta, N)
     u = GridFunction.from_callable(fn, p, IntervalMap(-1.0, 1.0, N).to_interval)

@@ -31,15 +31,8 @@ from hahnpoly.hahn import (
     normalized_grid_matrix,
     weight_table,
 )
-from hahnpoly.oracle_exact import (
-    _exact_ratios,
-    _over_one_denominator,
-    _steps,
-    exact_hahn_eval,
-    exact_norm_sq,
-    exact_norms_sq,
-    exact_weight,
-)
+from hahnpoly.oracle_exact import exact_hahn_eval, exact_norm_sq, exact_norms_sq, exact_weight
+from hahnpoly.oracle_ratios import _exact_ratios, _over_one_denominator, _steps
 
 PARAM_SETS = [(0.0, 0.0), (0.5, 0.5), (5.0, 0.0), (1.25, 0.75)]
 FRACTIONS = {0.0: Fraction(0), 0.5: Fraction(1, 2), 5.0: Fraction(5),

@@ -177,11 +177,15 @@ def _package_imports(path: Path) -> set[str]:
 
 
 def test_oracle_stays_independent():
-    # the exact route is the reference the float modules are tested
-    # against: it borrows nothing from them, and of the package only the
-    # checks behind `verify` read it
+    # the exact routes are the reference the float modules are tested
+    # against: they borrow nothing from them.  Of the package only the
+    # checks behind `verify` read the integer route, and nothing reads the
+    # Fraction API built on it
     imports = {p.stem: _package_imports(p) for p in PACKAGE.glob("*.py")}
-    assert {m for m, names in imports.items() if "oracle_exact" in names} == {"checks"}
-    assert imports["oracle_exact"] == {"errors"}
+    readers = {m for m, names in imports.items() if "oracle_ratios" in names}
+    assert readers == {"checks", "oracle_exact"}
+    assert not {m for m, names in imports.items() if "oracle_exact" in names}
+    assert imports["oracle_ratios"] == {"errors"}
+    assert imports["oracle_exact"] == {"errors", "oracle_ratios"}
     # the walk does see imports
     assert imports["hahn"] >= {"_compensated", "errors", "specfun"}
