@@ -28,7 +28,11 @@ the defect is absolute: the (0, 1e3) grid at N = 60 reads 1.7e-32 with or
 without a relative fault of 1e-6 planted in the largest entry of row 7.
 The decay rows of every order come from one pass (`expansion._decay_pass`),
 and every projection here is `project` or `expansion._project_rows`, with
-their refusals.
+their refusals.  `parseval` and `interpolation` read one full-degree
+projection: at degree N the exact expansion equals the samples, so
+`interpolation` holds the values `eval_expansion` forms at the nodes to
+1e-10 max|u|, the rows that `project --pointwise` prints there; on (0, 50)
+at N = 200 they miss by 5.4e8 max|u| while `parseval` passes.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ import numpy as np
 
 from ._compensated import _quotient, exact_sum
 from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
-from .expansion import (BOUND_SLACK, IntervalMap, _decay_pass, _project_rows, inner_product,
-                        project)
+from .expansion import (BOUND_SLACK, IntervalMap, _decay_pass, _project_rows, eval_expansion,
+                        inner_product, project)
 # hahn_eval_all is unused here; the bench tracer's rebind test names it
 from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix  # noqa: F401
 
@@ -211,14 +215,21 @@ def check_spectral_multiplier(params: HahnParams) -> CheckResult:
     return CheckResult("spectral-multiplier", worst, 1e-7)
 
 
-def check_parseval(params: HahnParams) -> CheckResult:
-    """Full-degree coefficient energy equals the weighted norm of u."""
+def check_parseval(params: HahnParams) -> list[CheckResult]:
+    """From one full-degree projection c of a seeded random u: the
+    coefficient energy equals the weighted norm of u (`parseval`), and the
+    expansion takes u's values at every node (`interpolation`, the largest
+    |eval_expansion(c, x) - u(x)| over max|u|), since at degree N the
+    exact expansion equals the samples.  A value that is not finite fails
+    the row."""
     (u,) = _random_grid_functions(params, 1)
-    c = project(u, params.N).coeffs
+    c = project(u, params.N)
     # squares of Python floats pass the double range to inf silently
-    lhs = exact_sum([v * v for v in c.tolist()])
+    lhs = exact_sum([v * v for v in c.coeffs.tolist()])
     rhs = inner_product(u, u)
-    return CheckResult("parseval", abs(lhs - rhs) / rhs, 1e-8)
+    miss = np.abs(eval_expansion(c, np.arange(params.N + 1.0)) - u.values)
+    return [CheckResult("parseval", abs(lhs - rhs) / rhs, 1e-8),
+            CheckResult("interpolation", _worst(miss) / float(np.max(np.abs(u.values))), 1e-10)]
 
 
 def check_sbp(params: HahnParams) -> CheckResult:
@@ -262,7 +273,7 @@ def run_all(params: HahnParams, ks: tuple[int, ...] = (1, 2, 3)) -> list[CheckRe
     out.append(check_self_adjoint_form(params))
     out.append(check_operator_symmetry(params))
     out.append(check_spectral_multiplier(params))
-    out.append(check_parseval(params))
+    out += check_parseval(params)
     out.append(check_sbp(params))
     out += check_decay_bound(params, ks)
     return out

@@ -14,8 +14,10 @@ computation; 4 when a verified invariant fails.
 
 Every command is registered through one contract (`_contract`): its body
 returns the table, and the contract owns --out and exit codes 3 and 4.
-A table that would exit 0 with an inf or nan cell exits 3 instead, with
-one line naming the cell's column and row, and nothing is written.
+Every numeric table is written by one helper (`_rows`), which refuses an
+inf or nan cell: the command exits 3 with one line naming the cell's
+column and row, and nothing is written.  `verify` writes its own rows; a
+failing check may read nan there, and exits 4.
 """
 
 from __future__ import annotations
@@ -48,13 +50,23 @@ from .legendre_ref import legendre_coeffs
 Fn = Callable[[float], float]
 
 
-def _rows(*columns) -> list[str]:
-    """The CSV lines of a numeric table given by its columns, one
-    %-format per line: "%.17g", the format of every number the CLI prints,
-    gives each cell a float's 17 significant digits and `str`'s bytes for
-    an int.  Columns of Python floats format faster than numpy scalars."""
+def _rows(names: str, *columns) -> list[str]:
+    """The column line `names` and the CSV lines of a numeric table given
+    by its columns, one %-format per line: "%.17g", the format of every
+    number the CLI prints, gives each cell a float's 17 significant digits
+    and `str`'s bytes for an int.  Columns of Python floats format faster
+    than numpy scalars.  The first cell, in row order, that reads inf or
+    nan is refused (DomainError), naming its column and its row's first
+    cell, so no table prints a number that is not finite."""
     row_fmt = ",".join(["%.17g"] * len(columns))
-    return [row_fmt % row for row in zip(*columns)]
+    lines = [row_fmt % row for row in zip(*columns)]
+    # of the "%.17g" bytes of a number, only inf and nan spell an n
+    bad = next((line.split(",") for line in lines if "n" in line), None)
+    if bad:
+        header = names.split(",")
+        name, cell = next((name, cell) for name, cell in zip(header, bad) if "n" in cell)
+        raise DomainError(f"{name} at {header[0]}={bad[0]} is not finite: {cell}")
+    return [names, *lines]
 
 
 def _parse_fn(text: str) -> tuple[str, Fn]:
@@ -182,12 +194,11 @@ def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[Coefficien
     recons = [eval_expansion(v, xs) for v in vectors]
     errors = [rec - target for rec in recons]
     tags = [f"{v.params.alpha}_{v.params.beta}" for v in vectors]
-    lines = ["t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)]
     columns = [ts.tolist(), target.tolist()]
     for rec, err in zip(recons, errors):
         columns += [rec.tolist(), err.tolist()]
-    lines += _rows(*columns)
-    return ts, errors, lines
+    names = "t,target," + ",".join(f"approx_{t},error_{t}" for t in tags)
+    return ts, errors, _rows(names, *columns)
 
 
 # each option that several commands take is declared once, here
@@ -218,34 +229,17 @@ def _family_options(f):
     return _grid_option(f)
 
 
-def _require_finite(lines: list[str]) -> None:
-    """Refuse a table cell that reads inf or nan, naming its column and its
-    row's first cell; a column line follows each run of comment lines."""
-    names = None
-    for line in lines:
-        if line.startswith("#"):
-            names = None
-        elif names is None:
-            names = line.split(",")
-        elif "inf" in line or "nan" in line:
-            cells = line.split(",")
-            for name, cell in zip(names, cells):
-                if cell in ("inf", "-inf", "nan"):
-                    raise DomainError(f"{name} at {names[0]}={cells[0]} is not finite: {cell}")
-
-
 def _contract(body):
     """Add --out to a command whose body returns its table lines, or
     (lines, failure line) where it verifies an invariant; exit 3 on a
-    HahnPolyError or a non-finite cell, and 4 after the table on a failure."""
+    HahnPolyError, which `_rows` raises for a non-finite cell, and 4 after
+    the table on a failure."""
 
     @functools.wraps(body)
     def command(*args, out: str, **kwargs) -> None:
         try:
             result = body(*args, **kwargs)
             lines, failure = result if isinstance(result, tuple) else (result, None)
-            if failure is None:
-                _require_finite(lines)
         except HahnPolyError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
@@ -275,9 +269,7 @@ def weights(alpha: float, beta: float, grid_n: int) -> list[str]:
     if not math.isfinite(total):
         raise DomainError("weight total is not finite in double precision")
     lines = _header("weights", alpha=alpha, beta=beta, N=grid_n, total="%.17g" % total)
-    lines.append("x,weight")
-    lines += _rows(range(p.N + 1), w.tolist())
-    return lines
+    return lines + _rows("x,weight", range(p.N + 1), w.tolist())
 
 
 def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray:
@@ -324,9 +316,7 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
         vals = [row[int(x)] if node else next(vals) for x, node in zip(xs, on_grid)]
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
-    lines.append("x,value")
-    lines += _rows(xs, vals)
-    return lines
+    return lines + _rows("x,value", xs, vals)
 
 
 @main.command("project")
@@ -358,12 +348,11 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{imap.a},{imap.b}",
                     params=";".join(f"{p.alpha},{p.beta}" for p in families),
                     normalized=normalized)
-    lines.append("n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}"
-                                 for p in families))
     columns = [range(top + 1)]
     for v in vectors:
         columns += [v.coeffs.tolist(), np.abs(v.coeffs).tolist()]
-    lines += _rows(*columns)
+    names = "n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}" for p in families)
+    lines += _rows(names, *columns)
     if pointwise:
         lines.append("# pointwise reconstruction")
         lines += _pointwise(fn, imap, samples, vectors)[2]
@@ -395,16 +384,16 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     u = GridFunction.from_callable(fn, p, imap.to_interval)
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
                     fn=label, interval=f"{imap.a},{imap.b}")
-    lines.append("k,n,abs_coeff,bound,bound_degree_only,identity_residual")
     rows = [r for report in _decay_pass(u, ks, range(1, top + 1)) for r in report]
-    n, k, coeff, bound, degree_only, residual = zip(*rows)
-    lines += _rows(k, n, map(abs, coeff), bound, degree_only, residual)
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against
     # coefficients that carry the projection's rounding
     norm_sq = inner_product(u, u)
     if not math.isfinite(norm_sq):
         raise DomainError("||u||_w^2 is not finite in double precision")
     floor = (p.N + 1) * sys.float_info.epsilon * math.sqrt(norm_sq)
+    n, k, coeff, bound, degree_only, residual = zip(*rows)
+    lines += _rows("k,n,abs_coeff,bound,bound_degree_only,identity_residual",
+                   k, n, map(abs, coeff), bound, degree_only, residual)
     bad = [r for r in rows if abs(r.coeff) > r.bound * (1.0 + BOUND_SLACK) + floor]
     if not bad:
         return lines, None
@@ -465,15 +454,14 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str) -> 
     classical = normalized / basis(p).sqrt_norms[: top + 1]
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
                     interval=f"{imap.a},{imap.b}")
-    lines.append("n,hahn_classical,hahn_normalized,legendre_classical")
-    lines += _rows(range(top + 1), classical.tolist(), normalized.tolist(), leg.tolist())
     soft = [n for n in range(5, top + 1, 2) if abs(classical[n]) > abs(leg[n])]
     if soft:
         click.echo(
             f"warning: Hahn coefficient above Legendre at odd degrees {soft}",
             err=True,
         )
-    return lines
+    return lines + _rows("n,hahn_classical,hahn_normalized,legendre_classical",
+                         range(top + 1), classical.tolist(), normalized.tolist(), leg.tolist())
 
 
 @main.command("verify")

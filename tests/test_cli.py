@@ -19,6 +19,7 @@ from click.testing import CliRunner
 import hahnpoly
 from hahnpoly import cli
 from hahnpoly.cli import main
+from hahnpoly.errors import DomainError
 from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion
 from hahnpoly.hahn import HahnParams, basis
 from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval
@@ -181,6 +182,84 @@ def test_verify_passes_at_sixty(alpha, beta):
     res = run("verify", "--alpha", alpha, "--beta", beta, "--N", "60")
     assert res.exit_code == 0
     assert "FAIL" not in res.stdout
+
+
+def test_verify_passes_at_two_hundred():
+    res = run("verify", "--N", "200")
+    assert res.exit_code == 0
+    assert "\ninterpolation," in res.stdout
+    assert "FAIL" not in res.stdout
+
+
+@pytest.mark.parametrize("N", ["30", "200"])
+def test_verify_fails_interpolation_where_node_values_miss(N):
+    # on (0, 50) the full-degree expansion misses its own samples at the
+    # nodes, by 2.9e-8 max|u| at N = 30 and 5.4e8 at N = 200, while every
+    # other check passes
+    res = run("verify", "--alpha", "0", "--beta", "50", "--N", N)
+    assert res.exit_code == 4
+    assert res.stderr == "1 check(s) failed\n"
+    _, data = parse_csv(res.stdout)
+    assert [r[0] for r in data if r[3] == "FAIL"] == ["interpolation"]
+
+
+def test_rows_refuse_the_first_non_finite_cell_in_row_order():
+    assert cli._rows("n,a", range(2), [0.1, -0.0]) == ["n,a", "0,0.10000000000000001", "1,-0"]
+    # the nan of column c in row 0 is refused before the inf of column b in
+    # row 1, though b comes first in column order
+    with pytest.raises(DomainError, match=r"^c at n=0 is not finite: nan$"):
+        cli._rows("n,b,c", range(2), [0.5, math.inf], [math.nan, 0.5])
+    with pytest.raises(DomainError, match=r"^b at n=1 is not finite: -inf$"):
+        cli._rows("n,b,c", range(2), [0.5, -math.inf], [0.5, math.nan])
+
+
+# one command per table builder: weights, eval, project, _pointwise (runge),
+# decay and compare-legendre
+WRITER_TABLES = ["weights --N 6", "eval --N 6 --n 2", "project --N 6 --m 3",
+                 "runge --N 6 --m 3 --samples 5 --params 0,0", "decay --N 6 --m 3 --k 1",
+                 "compare-legendre --N 6 --m 3"]
+
+
+@pytest.mark.parametrize("command", WRITER_TABLES)
+def test_writer_refuses_a_non_finite_cell_in_any_column(monkeypatch, command):
+    # every builder hands its column line and columns to cli._rows; a value
+    # that is not finite in any column, planted in row 1, exits 3 with one
+    # stderr line naming the column and the row's first cell, and no table
+    header, data = parse_csv(run(*command.split()).stdout)
+    real = cli._rows
+    for j, name in enumerate(header):
+        bad = (math.inf, -math.inf, math.nan)[j % 3]
+
+        def planted(names, *columns, j=j, bad=bad):
+            columns = [list(c) for c in columns]
+            columns[j][1] = bad
+            return real(names, *columns)
+
+        monkeypatch.setattr(cli, "_rows", planted)
+        res = run(*command.split())
+        cell = "%.17g" % bad
+        first = cell if j == 0 else data[1][0]
+        assert res.exit_code == 3, (command, name)
+        assert res.stdout == ""
+        assert res.stderr == f"error: {name} at {header[0]}={first} is not finite: {cell}\n"
+
+
+def test_decay_refuses_a_non_finite_cell_before_its_bound_verdict(monkeypatch):
+    # a violated bound would exit 4 after the table; a nan cell in the same
+    # table is refused first, where the table is formatted
+    _plant_bound_violation(monkeypatch)
+    violated = cli._decay_pass
+
+    def planted(u, ks, n_range):
+        (rows,) = violated(u, ks, n_range)
+        rows[3] = rows[3]._replace(identity_residual=math.nan)
+        return [rows]
+
+    monkeypatch.setattr(cli, "_decay_pass", planted)
+    res = run("decay", "--N", "30", "--m", "5", "--k", "1")
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "error: identity_residual at k=1 is not finite: nan\n"
 
 
 def test_exit_code_usage_error():
@@ -432,17 +511,22 @@ def test_pointwise_samples_on_exact_nodes(N, monkeypatch):
 
 def test_printed_numbers_round_trip_at_17_digits(monkeypatch):
     # every number the CLI prints is one "%.17g" format of a float, so it
-    # reads back to the same bytes: the table cells (the non-finite, the
-    # signed zero, the smallest subnormal and the largest double among
-    # them), the weights total, runge's max_error and its t, verify's value
-    # and tol, and the two numbers of the decay bound message
-    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, sys.float_info.max, 0.1]
-    targets = iter(specials)
+    # reads back to the same bytes: the table cells (the signed zero, the
+    # smallest subnormal and the largest double among them), the weights
+    # total, runge's max_error and its t, verify's value and tol, and the
+    # two numbers of the decay bound message; the writer refuses a
+    # non-finite cell instead of printing it
     imap = IntervalMap(-1.0, 1.0, 12)
     c = CoefficientVector(HahnParams(0.0, 0.0, 12), np.array([1.0, 0.5]))
+    for special in (math.inf, -math.inf, math.nan):
+        targets = iter([special, 0.0, 0.0])
+        with pytest.raises(DomainError, match=f"^target at t=-1 is not finite: {special}$"):
+            cli._pointwise(lambda t: next(targets), imap, 3, [c])
+    specials = [-0.0, 5e-324, sys.float_info.max, 0.1]
+    targets = iter(specials)
     _, _, lines = cli._pointwise(lambda t: next(targets), imap, len(specials), [c])
     rows = [line.split(",") for line in lines[1:]]
-    assert [row[1] for row in rows] == ["inf", "-inf", "nan", "-0", "4.9406564584124654e-324",
+    assert [row[1] for row in rows] == ["-0", "4.9406564584124654e-324",
                                         "1.7976931348623157e+308", "0.10000000000000001"]
     assert all(len(row) == 4 for row in rows)
     printed = [cell for row in rows for cell in row]
@@ -580,10 +664,12 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
 
 
 @pytest.mark.parametrize("command,code,line", [
-    # the twisted grid is right here; the dd grid at N = 30 is not
-    ("verify --alpha 1e6 --beta 0 --N 60", 0, ""),
-    ("verify --alpha 1000 --beta 3 --N 200", 0, ""),
-    ("verify --alpha 1e6 --beta 0 --N 30", 4, "11 check(s) failed"),
+    # the twisted grid is right here, and the dd grid at N = 30 is not; the
+    # node values of the full-degree expansion miss the samples at all three
+    # (interpolation reads 1.5e11, 2.9e64 and 4.4e114 max|u|)
+    ("verify --alpha 1e6 --beta 0 --N 60", 4, "1 check(s) failed"),
+    ("verify --alpha 1000 --beta 3 --N 200", 4, "1 check(s) failed"),
+    ("verify --alpha 1e6 --beta 0 --N 30", 4, "12 check(s) failed"),
     ("verify --alpha 0 --beta 3162277.6601683795 --N 60", 3,
      "error: norm of Q_1 is not finite in double precision"),
     # the division by the norm overflows: quietly, and the value is refused
@@ -670,8 +756,8 @@ def test_out_file_roundtrip(tmp_path):
     ("compare-legendre --N 6 --m 3", 0, ""),
     ("verify --N 6", 0, ""),
     ("decay --N 200 --m 200", 0, ""),
-    ("verify --alpha 1e6 --beta 0 --N 60", 0, ""),
-    ("verify --alpha 1e6 --beta 0 --N 30", 4, "11 check(s) failed"),
+    ("verify --alpha 1e6 --beta 0 --N 60", 4, "1 check(s) failed"),
+    ("verify --alpha 1e6 --beta 0 --N 30", 4, "12 check(s) failed"),
 ])
 def test_out_file_equals_stdout(tmp_path, command, code, line):
     # every command writes its table through one path: --out holds the
@@ -772,7 +858,9 @@ def test_poly_function_spec():
 # all approx and error cells off the nodes, and no header, coefficient or
 # node line did; every moved value is within 0.19 eps S(x) of the exact sum
 # over the stored norms (0.12 before), and closer than before to the exact
-# orthonormal sum at every one of them (the values are listed in CHANGES.md)
+# orthonormal sum at every one of them (the values are listed in CHANGES.md).
+# The two verify pins were re-recorded when verify gained the interpolation
+# row, printed after parseval: every other line is the parent's, byte for byte
 GOLDEN_STDOUT = {
     "project --N 30 --m 10 --fn runge --pointwise --samples 201":
         (0, "a7df5ca97935ecc00852f9bd0050fddaf648691f302879a74ecd3b26cdb8a6d8"),
@@ -789,9 +877,9 @@ GOLDEN_STDOUT = {
     "compare-legendre --N 30 --m 10":
         (0, "21ad5ace6f052b712f68669807d4088966e9dce3f0616bafd962cc14d7518ed1"),
     "verify --alpha 0.5 --beta 0.5 --N 30":
-        (0, "96fda509b64da39516879c55de795a25cc8eaedf5b6fc474f2d20896e166f16e"),
+        (0, "3b07496019605358305526e6f1c20f8d9e688032036edb318059a2b16bffafd3"),
     "verify --alpha -0.5 --beta 3 --N 60":
-        (0, "936070ec209b6122275406303b090a9ead3214cdb7cb6251a186b510b14f73ac"),
+        (0, "250638f8125797ad4f7607f46107267b91cd0f2d4f9f04084155d69d26a0e66e"),
 }
 
 

@@ -717,7 +717,8 @@ def test_small_grid_projection_matches_exact(alpha, beta, N, fn):
 
 # at degree N the exact expansion equals its samples at every node; on
 # (0,50,200) 48 of 201 printed node values are off by more than 1e-6, the
-# last by 1.16e8, while the checks pass (ROADMAP item 14)
+# last by 1.16e8.  verify's interpolation row fails there (ROADMAP item 14
+# step 1); mending the values is step 2
 @pytest.mark.parametrize("alpha,beta,N", [
     (0.0, 0.0, 200),
     (0.5, 0.5, 100),
