@@ -31,7 +31,9 @@ norm, no series row and no split.  Every other point, and every point
 elsewhere (a double long double on MSVC or macOS arm64, binary128, IBM
 double-double), takes `dd_clenshaw_sweep` over the series rows and the
 norms: the monic scales pass the double range (sqrt(h_0) S_N is 2.5e315
-for (0, 0) at N = 200), so the monic form has no dd twin.
+for (0, 0) at N = 200), so the monic form has no dd twin.  Within
+`NEAR_NODE` of node 0 the dd sum is anchored on that node, whose
+Q_n(0) = 1 are known exactly.
 `EXTENDED` holds the platform's answer, found once at import by
 arithmetic: 1 + 2^-63 must differ from 1 and the tie 1 + 2^-64 must
 round back to 1.  Neither the platform rule nor `NEAR_NODE` is an
@@ -51,6 +53,7 @@ of 0 among them, to exact_sum.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -109,6 +112,7 @@ _ROW_SUM_CUT = 2500
 _ROW_BLOCK = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """exact_sum of each row's products, for a of shape (r, n) and b of
     shape (n,) or (k, n): entry i, or (j, i), is exact_sum((a[i] *
@@ -122,7 +126,8 @@ def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum is rounded where a certificate proves the rounding: see `_extract`
     and `_certify`.  Every other row takes exact_sum; so does a row whose
     candidate is 0, and every row of a block that is not finite or lies
-    near either end of the exponent range.
+    near either end of the exponent range.  A product past the double
+    range is inf or nan, with no warning, and so is its row's sum.
     """
     rows = b.reshape(-1, 1, b.shape[-1])
     if len(rows) * a.size <= _ROW_SUM_CUT:
@@ -361,7 +366,7 @@ def dd_three_term_sweep(rows, x, out) -> DD:
     return c0, c1
 
 
-def dd_clenshaw_sweep(rows, ks, x) -> DD:
+def dd_clenshaw_sweep(rows, ks, x, from_zero=False) -> DD:
     """Clenshaw's backward recurrence for sum_{n=0..m} k_n Q_n(x), where
     Q_0 = 1 and Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1}: with
     y_{m+1} = y_{m+2} = 0,
@@ -378,12 +383,26 @@ def dd_clenshaw_sweep(rows, ks, x) -> DD:
     so every product splits its operands through `split`, and a level
     above 2^996 is split scaled instead of turning NaN.  g_m multiplies
     y_{m+1} = 0, and row m may not exist, so the first step's g is zero.
+
+    At a point where from_zero (a bool, or a bool array shaped like x) is
+    true, the sum is anchored on node 0 instead: it is
+    sum_n k_n - x sum_{n<m} r_n y_{n+1}, exact algebra for rows with
+    Q_n(0) = 1, as the Hahn rows are, since e_n = Q_n(x) - Q_n(0) obeys
+    the recurrence with the source -r_n x.  Near node 0, where Q_n(x) is
+    the minimal solution, y_0 is a cancelling sum of levels far above it;
+    the anchored form multiplies their rounding by |x|.
     """
-    y1, y2, g = ks[-1], (0.0, 0.0), (0.0, 0.0)
+    anchored = bool(np.any(from_zero))
+    y1, y2, g, slope = ks[-1], (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)
     for row, k in zip(reversed(rows), reversed(ks[:-1])):
+        if anchored:
+            slope = dd_add(slope, dd_mul(row[2:4], y1))
         w = dd_sub(row[0:2], dd_mul_d(row[2:4], x))
         y1, y2, g = dd_add(k, dd_sub(dd_mul(w, y1), dd_mul(g, y2))), y1, row[6:8]
-    return y1
+    if not anchored:
+        return y1
+    at_zero = dd_sub(functools.reduce(dd_add, ks), dd_mul_d(slope, x))
+    return np.where(from_zero, at_zero[0], y1[0]), np.where(from_zero, at_zero[1], y1[1])
 
 
 def ld_clenshaw_sweep(rows, u, x):
@@ -451,11 +470,12 @@ def clenshaw_sum(basis, coeffs: np.ndarray, normalized: bool, x, *, near_node: b
     sum is rounded once from long double; it reads no series row, and a
     normalized sum no norm.  Elsewhere it is `dd_clenshaw_sweep` over
     `basis.series`, with k_n = c_n / ||Q_n|| from `dd_div`, or c_n, and
-    the sum is hi + lo.  The route is the platform's and the point's, not
-    the caller's, and either meets the same contract: within 2 eps S(x) of
-    the exact sum of k_n Q_n(x), S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|,
-    for the k_n of the stored doubles and norms, levels past 2^996
-    included.  A sum that is not finite is NaN, with no warning on either
+    the sum is hi + lo; near node 0 (near_node and x < 0.5) the dd sum is
+    anchored on the node (`dd_clenshaw_sweep`'s from_zero).  The route is
+    the platform's and the point's, not the caller's, and either meets
+    the same contract: within 2 eps S(x) of the exact sum of k_n Q_n(x),
+    S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|, for the k_n of the stored
+    doubles and norms, levels past 2^996 included.  A sum that is not finite is NaN, with no warning on either
     route: an inf in a dd sweep meets inf - inf, and the rounded long
     double sum y becomes y + y * 0, which is NaN for +-inf and y itself,
     signed zero included, for every finite y."""
@@ -470,5 +490,6 @@ def clenshaw_sum(basis, coeffs: np.ndarray, normalized: bool, x, *, near_node: b
         k = (coeffs, np.zeros(m + 1))
         if normalized:
             k = dd_div(k, (basis.sqrt_norms[: m + 1], 0.0))
-        hi, lo = dd_clenshaw_sweep(basis.series[:m], list(zip(k[0].tolist(), k[1].tolist())), x)
+        hi, lo = dd_clenshaw_sweep(basis.series[:m], list(zip(k[0].tolist(), k[1].tolist())), x,
+                                   near_node and np.less(x, 0.5))
         return hi + lo

@@ -18,6 +18,11 @@ Every numeric table is written by one helper (`_rows`), which refuses an
 inf or nan cell: the command exits 3 with one line naming the cell's
 column and row, and nothing is written.  `verify` writes its own rows; a
 failing check may read nan there, and exits 4.
+
+Every value of a polynomial or an expansion that a command prints comes
+from `expansion.eval_expansion`: `eval` is the expansion of one unit
+coefficient vector, on the route of `project --pointwise` and `runge`,
+and the coefficient vector refuses a norm past the double range.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .expansion import (
     inner_product,
     project,
 )
-from .hahn import HahnParams, _check_degree, basis, hahn_eval_all, norm_sq_closed
+from .hahn import HahnParams, _check_degree, basis
 from .legendre_ref import legendre_coeffs
 
 Fn = Callable[[float], float]
@@ -272,13 +277,6 @@ def weights(alpha: float, beta: float, grid_n: int) -> list[str]:
     return lines + _rows("x,weight", range(p.N + 1), w.tolist())
 
 
-def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise DomainError(f"Q_{degree}({xs[bad[0]]!r}) is not finite in double precision")
-    return vals
-
-
 @main.command("eval")
 @_family_options
 @click.option("--n", "degree", type=int, required=True, help="polynomial degree")
@@ -289,9 +287,12 @@ def _finite_values(degree: int, xs: list[float], vals: np.ndarray) -> np.ndarray
 @_contract
 def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
              points: str | None, normalized: bool) -> list[str]:
-    """Evaluate one polynomial at chosen points.  Normalized, a grid node
-    reads the family's grid matrix, as `eval_expansion` does; every other
-    value comes from the dd sweep."""
+    """Evaluate one polynomial at chosen points: `eval_expansion` of the
+    unit vector e_n, so a node reads the family's grid column (times
+    ||Q_n|| with --normalized false) and every other point the Clenshaw
+    sweep, as `project --pointwise` does.  The coefficient vector refuses
+    the first k <= n whose norm is past the double range, in either
+    convention, and `_rows` a value that is not finite."""
     p = _vetted(HahnParams, alpha, beta, grid_n)
     if points is None:
         xs = [float(i) for i in range(p.N + 1)]
@@ -300,23 +301,12 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
         if not all(map(math.isfinite, xs)):
             raise click.UsageError(f"points must be finite, got {points!r}")
     _check_degree(degree, p)
-    on_grid = [normalized and x.is_integer() and 0.0 <= x <= p.N for x in xs]
-    off = [x for x, node in zip(xs, on_grid) if not node]
-    vals = np.array(off)
-    if off:
-        vals = _finite_values(degree, off, hahn_eval_all(degree, vals, p)[degree])
-    if normalized:
-        # the norm's exact products only for a Q_n that is finite
-        norm = math.sqrt(norm_sq_closed(degree, p))
-        if norm == math.inf:
-            raise DomainError(f"norm of Q_{degree} is not finite in double precision")
-        # Python floats: a quotient past the double range is inf, silently
-        vals = iter(_finite_values(degree, off, np.array([v / norm for v in vals.tolist()])))
-        row = basis(p).grid[degree].tolist() if any(on_grid) else []
-        vals = [row[int(x)] if node else next(vals) for x, node in zip(xs, on_grid)]
+    unit = np.zeros(degree + 1)
+    unit[degree] = 1.0
+    vals = eval_expansion(CoefficientVector(p, unit, normalized), np.array(xs))
     lines = _header("eval", alpha=alpha, beta=beta, N=grid_n, n=degree,
                     normalized=normalized)
-    return lines + _rows("x,value", xs, vals)
+    return lines + _rows("x,value", xs, vals.tolist())
 
 
 @main.command("project")

@@ -29,9 +29,9 @@ Linux, points at least `NEAR_NODE` from every node are summed in long
 double over the family's Jacobi rows in monic form
 (`HahnBasis.monic_rows`), orthonormal coefficients with no norm; other
 points, and every point on other platforms, in double-double over the
-family's `HahnBasis.series` rows and norms.  An import-time arithmetic
-probe finds the platform, and both sweeps meet the same 2 eps S(x)
-contract.
+family's `HahnBasis.series` rows and norms, anchored on node 0 near it.
+An import-time arithmetic probe finds the platform, and both sweeps meet
+the same 2 eps S(x) contract.
 """
 
 from __future__ import annotations
@@ -205,7 +205,8 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     Clenshaw sweep (`_compensated.clenshaw_sum`): in long double on x87
     at least `NEAR_NODE` from every node, over the Jacobi rows in monic
     form with the orthonormal u_n; in dd elsewhere, over the series rows
-    with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n (classical).  All
+    with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n (classical),
+    anchored on the exact Q_n(0) = 1 within `NEAR_NODE` of node 0.  All
     such points of an array take one sweep per route, and the sum is
     rounded once to a double, or is NaN where it is not finite.  One array
     pass (`_split_points`) sorts the points into nodes, near and far

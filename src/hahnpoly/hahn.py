@@ -10,10 +10,13 @@ floats do, so every point equals a call with that point alone, to the
 bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
 `_compensated.dd_three_term_sweep` over the family's `HahnBasis.series`
 rows, the rows the dd Clenshaw sweep reads too; it passes the double range
-to inf or nan silently, as Python floats do.  The terminating series
-`hahn_eval_series`, also in dd, stays a tested public function of one
-degree and one point, but no other code calls it: `verify`'s independent
-reference is the exact oracle (`oracle_exact`).
+to inf or nan silently, as Python floats do.  Its callers are the grid
+below N = 42 and `hahn_eval_recurrence`; the CLI's `eval` prints
+`expansion.eval_expansion` of a unit vector, with no sweep of its own.
+The terminating series `hahn_eval_series`, also in dd, stays a tested
+public function of one degree and one point, but no other code calls
+it: `verify`'s independent reference is the exact oracle
+(`oracle_exact`).
 
 The recurrence constants A_n and C_n and the norm h_0 have one source,
 `_integer_steps`: integer numerator and denominator pairs over the common
@@ -432,7 +435,8 @@ def hahn_eval_series(n: int, x: float, params: HahnParams) -> float:
 def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
     """Q_0(x) .. Q_m(x) from one upward double-double recurrence sweep,
     each rounded to a double (cheaper than m+1 calls); the one forward
-    sweep of the package.
+    sweep of the package, read by the grid below N = 42 and by
+    `hahn_eval_recurrence`.
 
     x is a float or an array of points; the result has shape
     (m+1,) + shape(x).  Every dd operation is elementwise float

@@ -166,13 +166,15 @@ def test_checks_project_through_one_owner():
 
 
 def test_checks_run_no_forward_sweep():
-    # the checks read node values from the grid rows and the exact
-    # oracle: checks.py calls neither forward sweep of hahn
-    tree = ast.parse((SRC / "checks.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = getattr(node.func, "attr", getattr(node.func, "id", None))
-            assert func not in ("hahn_eval_all", "hahn_eval_recurrence"), node.lineno
+    # the checks read node values from the grid rows and the exact oracle,
+    # and `eval` reads `eval_expansion`: neither checks.py nor cli.py calls
+    # a forward sweep of hahn
+    for module in ("checks.py", "cli.py"):
+        tree = ast.parse((SRC / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert func not in ("hahn_eval_all", "hahn_eval_recurrence"), (module, node.lineno)
 
 
 def test_diff_is_called_only_in_discrete_calculus():

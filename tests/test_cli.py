@@ -22,7 +22,9 @@ from hahnpoly.cli import main
 from hahnpoly.errors import DomainError
 from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion
 from hahnpoly.hahn import HahnParams, basis
-from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval
+from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval, exact_norms_sq
+# the Clenshaw contract 2 eps S(x), as the expansion tests state it
+from test_expansion import _worst_clenshaw_ratio
 
 
 def run(*args, **kwargs):
@@ -404,15 +406,68 @@ def test_eval_at_the_nodes_prints_the_grid(alpha, beta, N, degrees):
         assert np.array_equal(values.view(np.int64), grid[n].view(np.int64)), n
 
 
-@pytest.mark.xfail(strict=True, reason="eval reads the dd forward sweep at a node; ROADMAP item 2")
 def test_eval_classical_at_a_node_matches_exact():
-    # Q_150(1) of (0, 0) at N = 200 is -112.25; the forward sweep there loses
-    # every digit, while the grid entry is right
+    # Q_150(1) of (0, 0) at N = 200 is -112.25; the forward sweep there lost
+    # every digit, while the grid entry times the norm is right
     res = run("eval", "--N", "200", "--n", "150", "--points", "1", "--normalized", "false")
     assert res.exit_code == 0
     _, [[_, value]] = parse_csv(res.output)
     want = float(exact_hahn_column(1, 0, 0, 200)[150])
     assert abs(float(value) - want) <= 1e-10 * abs(want)
+
+
+def _exact_hahn(n, x, alpha, beta, N):
+    # Q_n(x) as a Fraction: the terminating series of exact_hahn_eval,
+    # summed by Horner over one integer numerator and denominator, so the
+    # 2^-1074 of x = 5e-324 meets one gcd, not one per term
+    a, b, x = Fraction(alpha), Fraction(beta), Fraction(x)
+    num = den = 1
+    for k in reversed(range(n)):
+        step = (-n + k) * (n + a + b + 1 + k) * (k - x) / ((a + 1 + k) * (-N + k) * (k + 1))
+        num, den = step.denominator * den + step.numerator * num, step.denominator * den
+    return Fraction(num, den)
+
+
+@pytest.mark.parametrize("alpha,beta,degrees", [
+    # even degrees: for alpha = beta an odd Q_n(N/2) is exactly 0, where no
+    # relative bound applies
+    (0.0, 0.0, (2, 150, 200)),
+    (-0.5, 3.0, (1, 100, 200)),
+    # its norms are finite through degree 83
+    (0.0, 1e3, (1, 50, 83)),
+])
+def test_eval_matches_exact_at_two_hundred(alpha, beta, degrees):
+    # `eval` at N = 200, both conventions: at the nodes 0, 1, N/2, N-1, N
+    # and their 1-ulp neighbours within 1e-10 relative of the exact value,
+    # and at half-nodes within the Clenshaw contract 2 eps S(x).  Every
+    # printed value is `eval_expansion` of the unit vector e_n, to the bit,
+    # so `eval` has no route of its own
+    N = 200
+    p = HahnParams(alpha, beta, N)
+    nodes = [0.0, 1.0, N / 2, N - 1.0, float(N)]
+    near = nodes + [math.nextafter(x, s) for x in nodes for s in (-math.inf, math.inf)]
+    halves = [0.5, N / 2 + 0.5, N - 0.5]
+    xs = near + halves
+    cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in halves]
+    for n in degrees:
+        exact = [_exact_hahn(n, x, alpha, beta, N) for x in near]
+        assert exact[:5] == [exact_hahn_eval(n, x, Fraction(alpha), Fraction(beta), N)
+                             for x in nodes]
+        norm = Fraction(math.sqrt(float(exact_norms_sq(alpha, beta, N)[n])))
+        for normalized in (True, False):
+            res = run("eval", "--alpha", str(alpha), "--beta", str(beta), "--N", str(N),
+                      "--n", str(n), "--points", ",".join(map(repr, xs)),
+                      "--normalized", str(normalized).lower())
+            assert res.exit_code == 0, (n, normalized, res.output)
+            _, data = parse_csv(res.stdout)
+            assert [float(x) for x, _ in data] == xs
+            values = [float(v) for _, v in data]
+            unit = CoefficientVector(p, np.eye(n + 1)[n], normalized)
+            assert values == eval_expansion(unit, np.array(xs)).tolist()
+            for x, value, want in zip(near, values, exact):
+                want = float(want / norm if normalized else want)
+                assert abs(value - want) <= 1e-10 * abs(want), (n, normalized, x, value, want)
+            assert _worst_clenshaw_ratio([unit], halves, cols) <= 2.0, (n, normalized)
 
 
 def test_eval_rejects_non_finite_points():
@@ -429,60 +484,44 @@ def test_eval_overflow_is_domain_error():
         warnings.simplefilter("error")
         res = run("eval", "--n", "30", "--N", "30", "--points", "2.5,1e300")
     assert res.exit_code == 3
-    assert "1e+300" in res.stderr
-    assert "nan" not in res.output
+    assert res.stderr == "error: value at x=1.0000000000000001e+300 is not finite: nan\n"
+    assert res.stdout == ""
 
 
-def test_eval_refuses_before_the_norm(monkeypatch):
-    # off the nodes, a Q_n that is not finite is refused before its norm is
-    # computed; the refusal's exit code and text are those of a refusal
-    # after the division.  The family (-1 + 2^-52, 1.7e308) at N = 1 has an
-    # A_0 that vanishes in double precision, so its series row 0 is refused
-    # before any sweep, at every degree but 0.  For (0, 1e305) the row is
-    # finite, but Q_1(150.5) = -7.5e304 is past the range where the sweep
-    # splits its levels unscaled, and the sweep's nan is refused
-    def unreachable(*args):
-        raise AssertionError("norm computed for a refused Q_n")
-
+def test_eval_refuses_in_one_line():
+    # `eval` refuses as `eval_expansion`'s callers do: a norm past the double
+    # range by the coefficient vector, naming the first degree k <= n that
+    # reaches it, in either convention, and a value that is not finite by
+    # the table writer.  Each refusal is one stderr line, with no table and
+    # no numpy warning.  The family (-1 + 2^-52, 1.7e308) at N = 1 has a
+    # finite ||Q_0|| and an infinite ||Q_1||; (1e305, 0.5) and (0, 1e305)
+    # at N = 200 have an infinite ||Q_0||, so even their Q_0 is refused
     tiny = ("--alpha", "-0.9999999999999998", "--beta", "1.7e308", "--N", "1")
     family = ("--alpha", "1e305", "--beta", "0.5", "--N", "200")
-    with monkeypatch.context() as m:
-        m.setattr(hahnpoly.cli, "norm_sq_closed", unreachable)
-        cases = [(("--N", "30", "--n", "30", "--points", "1e300"), "Q_30(1e+300) is not finite"),
-                 (("--alpha", "0", "--beta", "1e305", "--N", "200", "--n", "1", "--points",
-                   "0,150.5"), "Q_1(150.5) is not finite"),
-                 ((*tiny, "--n", "1", "--points", "0.5"), "step coefficient at n=0 is not finite"),
-                 ((*tiny, "--n", "1", "--normalized", "false"),
-                  "step coefficient at n=0 is not finite")]
-        for args, why in cases:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                res = run("eval", *args)
-            assert res.exit_code == 3
-            assert res.stderr == f"error: {why} in double precision\n"
-            assert res.stdout == ""
-        # the rows of (1e305, 0.5) are finite, so Q_3 off the nodes is too
-        # and prints unnormalized: the exact value rounded, to 1e-12
-        res = run("eval", *family, "--n", "3", "--points", "0.5", "--normalized", "false")
-        assert res.exit_code == 0
-        value = float(res.stdout.splitlines()[-1].split(",")[1])
-        exact = float(exact_hahn_eval(3, Fraction(1, 2), Fraction(1e305), Fraction(1, 2), 200))
-        assert value == pytest.approx(exact, rel=1e-12, abs=0)
-        res = run("eval", *family, "--n", "1", "--points", "0", "--normalized", "false")
-        assert res.exit_code == 0
-        assert res.stdout.endswith("x,value\n0,1\n")
-        res = run("eval", *tiny, "--n", "0", "--points", "0.5", "--normalized", "false")
-        assert res.exit_code == 0
-        assert res.stdout.endswith("x,value\n0.5,1\n")
-    # normalized, that Q_3 reaches its norm, which is the refusal; at the
-    # nodes no sweep runs, and the norm is the first refusal as well
-    for points in ("0.5", "0", "0,7,200"):
-        res = run("eval", *family, "--n", "3", "--points", points)
-        assert res.exit_code == 3
-        assert res.stderr == "error: norm of Q_3 is not finite in double precision\n"
-    res = run("eval", *family, "--n", "0", "--points", "0,7.5", "--normalized", "false")
+    cases = [(("--N", "30", "--n", "30", "--points", "1e300"),
+              "value at x=1.0000000000000001e+300 is not finite: nan"),
+             (("--alpha", "0", "--beta", "1e305", "--N", "200", "--n", "1", "--points",
+               "0,150.5"), "norm of Q_0 is not finite in double precision"),
+             ((*tiny, "--n", "1", "--points", "0.5"),
+              "norm of Q_1 is not finite in double precision"),
+             ((*tiny, "--n", "1", "--normalized", "false"),
+              "norm of Q_1 is not finite in double precision")]
+    cases += [((*family, "--n", n, "--points", points, *convention),
+               "norm of Q_0 is not finite in double precision")
+              for n, points in (("3", "0.5"), ("3", "0"), ("3", "0,7,200"), ("1", "0"),
+                                ("0", "0,7.5"))
+              for convention in ((), ("--normalized", "false"))]
+    for args, why in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run("eval", *args)
+        assert res.exit_code == 3, args
+        assert res.stderr == f"error: {why}\n", args
+        assert res.stdout == ""
+    # below the degree whose norm is refused, the family prints
+    res = run("eval", *tiny, "--n", "0", "--points", "0.5", "--normalized", "false")
     assert res.exit_code == 0
-    assert res.stdout.endswith("x,value\n0,1\n7.5,1\n")
+    assert res.stdout.endswith("x,value\n0.5,1\n")
 
 
 @pytest.mark.parametrize("N", [30, 100, 200])
@@ -672,9 +711,14 @@ def test_verify_overflowing_eigen_sweep_no_warnings():
     ("verify --alpha 1e6 --beta 0 --N 30", 4, "12 check(s) failed"),
     ("verify --alpha 0 --beta 3162277.6601683795 --N 60", 3,
      "error: norm of Q_1 is not finite in double precision"),
-    # the division by the norm overflows: quietly, and the value is refused
+    # the sweep passes the double range quietly, and the writer refuses
+    # the value
     ("eval --alpha -0.999 --beta -0.999 --N 30 --n 1 --points 1e308", 3,
-     "error: Q_1(1e+308) is not finite in double precision"),
+     "error: value at x=1e+308 is not finite: nan"),
+    # the products of the node sums overflow quietly, and the writer
+    # refuses the reconstruction
+    ("project --alpha -0.999 --beta -0.999 --N 6 --m 6 --fn poly:1.7976931348623157e308 "
+     "--pointwise --samples 13", 3, "error: approx_-0.999_-0.999 at t=-1 is not finite: inf"),
     # L u overflows to both infinities: its projection is NaN, and the
     # decay check refuses ||L u||
     ("verify --alpha 3162277.6601683795 --beta 0 --N 60", 3,
@@ -717,13 +761,14 @@ def test_overflow_under_warnings_as_errors(command, code, line):
 
 @pytest.mark.parametrize("command,k", [
     ("project --alpha 0 --beta 1000 --N 200 --m 84", 84),
-    ("eval --alpha 0 --beta 1000 --N 200 --n 150 --points 0.5,3", 150),
-    ("eval --alpha 1e6 --beta 0 --N 200 --n 100", 100),
+    ("eval --alpha 0 --beta 1000 --N 200 --n 150 --points 0.5,3", 84),
+    ("eval --alpha 1e6 --beta 0 --N 200 --n 100", 0),
     ("project --alpha 0 --beta 3162277.6601683795 --N 60 --m 60", 1),
 ])
 def test_norm_past_double_range_refused(command, k):
     # a degree whose norm ||Q_k|| leaves the double range has no orthonormal
-    # Q~_k: refused in one line naming k, not printed as 0, -0 or nan
+    # Q~_k: refused in one line naming the first such k <= m (or n), not
+    # printed as 0, -0 or nan
     res = run(*command.split())
     assert res.exit_code == 3
     assert res.stdout == ""

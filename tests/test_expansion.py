@@ -637,6 +637,27 @@ def test_eval_expansion_near_a_node_takes_the_dd_sweep(monkeypatch):
         assert _worst_clenshaw_ratio(vectors, xs, cols) > 2.0
 
 
+@pytest.mark.parametrize("alpha,beta,top", [(0.0, 0.0, 200), (-0.5, 3.0, 200), (0.0, 1e3, 83)])
+def test_eval_expansion_near_node_zero_is_anchored(alpha, beta, top, monkeypatch):
+    # within NEAR_NODE of node 0 the sum is F(0) - x sum_n r_n y_(n+1),
+    # which holds Q_n(0) = 1 fixed: within 2 eps S(x) at N = 200 for runge
+    # truncations and unit vectors, where the plain dd sum y_0, planted
+    # back, reads up to 14, 1900 and 2400 eps S(x) on the three families
+    # (the rounding of levels far above a sum near Q_n(0) = 1)
+    p = HahnParams(alpha, beta, 200)
+    xs = [2.0**-60, -(2.0**-60), 2.0**-53, 2.0**-30, 1 / 32, -1 / 32]
+    cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), 200) for x in xs]
+    vectors = []
+    for normalized in (True, False):
+        full = _runge_coeffs(p, top, normalized).coeffs
+        vectors += [[CoefficientVector(p, full[: m + 1], normalized) for m in (top // 2, top)]]
+        vectors += [[CoefficientVector(p, np.eye(m + 1)[m], normalized)] for m in (top // 2, top)]
+    assert max(_worst_clenshaw_ratio(v, xs, cols) for v in vectors) <= 2.0
+    sweep = dd.dd_clenshaw_sweep
+    monkeypatch.setattr(dd, "dd_clenshaw_sweep", lambda rows, ks, x, from_zero: sweep(rows, ks, x))
+    assert max(_worst_clenshaw_ratio(v, xs, cols) for v in vectors) > 2.0
+
+
 def test_eval_expansion_sum_past_double_range_is_nan(route):
     # an inf coefficient, or a sum past the double range, is NaN off the
     # grid on either route, with no warning: 1.5e308 (1 + Q_1(1/2)) with
