@@ -20,8 +20,9 @@ unscaled, so its levels above about 1.3e300 are NaN.  It goes with the
 per-point grid and the forward route (ROADMAP items 1 and 2).
 
 Off the grid nodes the package sums a series through `clenshaw_sum`,
-which runs one of two sweeps and meets one contract, 2 eps S(x) against
-the exact sum.  Where numpy's long double is x87 extended (a 64-bit
+which reads orthonormal coefficients only (its caller converts a
+classical vector once), runs one of two sweeps and meets one contract,
+2 eps S(x) against the exact sum.  Where numpy's long double is x87 extended (a 64-bit
 significand and a 15-bit exponent, as on x86-64 Linux), points at least
 `NEAR_NODE` from every grid node take `ld_clenshaw_sweep`: the
 orthonormal series summed in monic form over the Jacobi rows d_n, p_n
@@ -457,39 +458,32 @@ EXTENDED = _has_extended_long_double()
 NEAR_NODE = 1.0 / 16.0
 
 
-def clenshaw_sum(basis, coeffs: np.ndarray, normalized: bool, x, *, near_node: bool):
-    """sum_{n=0..m} c_n Q~_n(x) (normalized) or c_n Q_n(x) (classical),
-    c = coeffs, rounded once to a double, at a float x or at each point of
-    a float array x, for the family of basis, its `hahn.HahnBasis`.
-    near_node says that every point of x lies within `NEAR_NODE` of a grid
-    node.
+def clenshaw_sum(basis, u: np.ndarray, x, *, near_node: bool):
+    """sum_{n=0..m} u_n Q~_n(x) over the orthonormal coefficients u,
+    rounded once to a double, at a float x or at each point of a float
+    array x, for the family of basis, its `hahn.HahnBasis`.  near_node
+    says that every point of x lies within `NEAR_NODE` of a grid node.
 
     Where numpy's long double is x87 extended (`EXTENDED`) and x is not
-    near a node, the sweep is `ld_clenshaw_sweep` over `basis.monic_rows`,
-    with u_n = c_n, or the classical c_n ||Q_n|| in long double, and the
-    sum is rounded once from long double; it reads no series row, and a
-    normalized sum no norm.  Elsewhere it is `dd_clenshaw_sweep` over
-    `basis.series`, with k_n = c_n / ||Q_n|| from `dd_div`, or c_n, and
-    the sum is hi + lo; near node 0 (near_node and x < 0.5) the dd sum is
-    anchored on the node (`dd_clenshaw_sweep`'s from_zero).  The route is
-    the platform's and the point's, not the caller's, and either meets
-    the same contract: within 2 eps S(x) of the exact sum of k_n Q_n(x),
+    near a node, the sweep is `ld_clenshaw_sweep` over `basis.monic_rows`
+    and the sum is rounded once from long double; it reads no series row
+    and no norm.  Elsewhere it is `dd_clenshaw_sweep` over `basis.series`,
+    with k_n = u_n / ||Q_n|| from `dd_div`, and the sum is hi + lo; near
+    node 0 (near_node and x < 0.5) the dd sum is anchored on the node
+    (`dd_clenshaw_sweep`'s from_zero).  The route is the platform's and
+    the point's, not the caller's, and either meets the same contract:
+    within 2 eps S(x) of the exact sum of k_n Q_n(x),
     S(x) = sum_n |k_n| max_(j<=n) |Q_j(x)|, for the k_n of the stored
-    doubles and norms, levels past 2^996 included.  A sum that is not finite is NaN, with no warning on either
-    route: an inf in a dd sweep meets inf - inf, and the rounded long
-    double sum y becomes y + y * 0, which is NaN for +-inf and y itself,
-    signed zero included, for every finite y."""
-    m = len(coeffs) - 1
+    doubles and norms, levels past 2^996 included.  A sum that is not
+    finite is NaN, with no warning on either route: an inf in a dd sweep
+    meets inf - inf, and the rounded long double sum y becomes y + y * 0,
+    which is NaN for +-inf and y itself, signed zero included, for every
+    finite y."""
     with np.errstate(over="ignore", invalid="ignore"):
         if EXTENDED and not near_node:
-            u = coeffs.astype(np.longdouble)
-            if not normalized:
-                u *= basis.sqrt_norms[: m + 1]
-            y = ld_clenshaw_sweep(basis.monic_rows, u, x).astype(float)
+            y = ld_clenshaw_sweep(basis.monic_rows, u.astype(np.longdouble), x).astype(float)
             return y + y * 0.0
-        k = (coeffs, np.zeros(m + 1))
-        if normalized:
-            k = dd_div(k, (basis.sqrt_norms[: m + 1], 0.0))
-        hi, lo = dd_clenshaw_sweep(basis.series[:m], list(zip(k[0].tolist(), k[1].tolist())), x,
-                                   near_node and np.less(x, 0.5))
+        k = dd_div((u, np.zeros_like(u)), (basis.sqrt_norms[: len(u)], 0.0))
+        ks = list(zip(k[0].tolist(), k[1].tolist()))
+        hi, lo = dd_clenshaw_sweep(basis.series[: len(u) - 1], ks, x, near_node and np.less(x, 0.5))
         return hi + lo

@@ -179,9 +179,15 @@ def _header(command: str, **fields: object) -> list[str]:
 
 
 def _project_sets(fn: Fn, imap: IntervalMap, families: list[HahnParams],
-                  top: int, normalized: bool = True) -> list[CoefficientVector]:
+                  top: int) -> list[CoefficientVector]:
     grids = [GridFunction.from_callable(fn, p, imap.to_interval) for p in families]
-    return [project(u, top, normalized=normalized) for u in grids]
+    return [project(u, top) for u in grids]
+
+
+def _classical(v: CoefficientVector) -> np.ndarray:
+    # the classical coefficients u_n / ||Q_n|| of an orthonormal vector: the
+    # division project(normalized=False) makes
+    return v.coeffs / basis(v.params).sqrt_norms[: v.degree + 1]
 
 
 def _pointwise(fn: Fn, imap: IntervalMap, samples: int, vectors: list[CoefficientVector]
@@ -325,7 +331,9 @@ def eval_cmd(alpha: float, beta: float, grid_n: int, degree: int,
 def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
                 interval: str, param_sets: str | None, normalized: bool,
                 pointwise: bool, samples: int) -> list[str]:
-    """Projection coefficients of a sampled function."""
+    """Projection coefficients of a sampled function.  The projection is
+    orthonormal, and --pointwise evaluates it; --normalized false prints
+    its coefficients divided by ||Q_n||."""
     label, fn = _parse_fn(fn_spec)
     if param_sets:
         families = _checked_families(param_sets, grid_n)
@@ -334,13 +342,14 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     imap = _checked_interval(interval, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
-    vectors = _project_sets(fn, imap, families, top, normalized)
+    vectors = _project_sets(fn, imap, families, top)
     lines = _header("project", N=grid_n, m=top, fn=label, interval=f"{imap.a},{imap.b}",
                     params=";".join(f"{p.alpha},{p.beta}" for p in families),
                     normalized=normalized)
     columns = [range(top + 1)]
     for v in vectors:
-        columns += [v.coeffs.tolist(), np.abs(v.coeffs).tolist()]
+        coeffs = v.coeffs if normalized else _classical(v)
+        columns += [coeffs.tolist(), np.abs(coeffs).tolist()]
     names = "n," + ",".join(f"coeff_{p.alpha}_{p.beta},abs_{p.alpha}_{p.beta}" for p in families)
     lines += _rows(names, *columns)
     if pointwise:
@@ -439,9 +448,8 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str) -> 
     # its degree cap is a flag rule too, so it runs before any basis is built
     leg = _vetted(legendre_coeffs, fn, top)
     u = GridFunction.from_callable(fn, p, imap.to_interval)
-    normalized = project(u, top).coeffs
-    # the division project(normalized=False) makes, on the one projection
-    classical = normalized / basis(p).sqrt_norms[: top + 1]
+    v = project(u, top)
+    normalized, classical = v.coeffs, _classical(v)
     lines = _header("compare-legendre", N=grid_n, m=top, fn=label,
                     interval=f"{imap.a},{imap.b}")
     soft = [n for n in range(5, top + 1, 2) if abs(classical[n]) > abs(leg[n])]

@@ -18,19 +18,20 @@ Projections of grid functions have one owner, `_project_rows`: the grid
 read and the norm check, then that call; `project`, the decay pass and
 `checks.check_spectral_multiplier` use it.
 
-Evaluation has two routes, and one array pass sorts the points between
-them.  At a grid node (an exact integer in 0..N) the value is the exact
-sum of the family's cached grid column times the orthonormal
-coefficients, all nodes of an array in one call.  Everywhere else the
-whole series is summed by one Clenshaw sweep
-(`_compensated.clenshaw_sum`), all points at once and without a table of
-basis values.  Where numpy's long double is x87 extended, as on x86-64
-Linux, points at least `NEAR_NODE` from every node are summed in long
-double over the family's Jacobi rows in monic form
-(`HahnBasis.monic_rows`), orthonormal coefficients with no norm; other
-points, and every point on other platforms, in double-double over the
-family's `HahnBasis.series` rows and norms, anchored on node 0 near it.
-An import-time arithmetic probe finds the platform, and both sweeps meet
+Evaluation reads one convention: `eval_expansion` makes a classical
+vector orthonormal once, u_n = c_n ||Q_n|| rounded in double, and hands
+the same u to both of its routes, which one array pass sorts the points
+between.  At a grid node (an exact integer in 0..N) the value is the
+exact sum of the family's cached grid column times u, all nodes of an
+array in one call.  Everywhere else the whole series is summed by one
+Clenshaw sweep (`_compensated.clenshaw_sum`), all points at once and
+without a table of basis values.  Where numpy's long double is x87
+extended, as on x86-64 Linux, points at least `NEAR_NODE` from every
+node are summed in long double over the family's Jacobi rows in monic
+form (`HahnBasis.monic_rows`), with no norm; other points, and every
+point on other platforms, in double-double over the family's
+`HahnBasis.series` rows and norms, anchored on node 0 near it.  An
+import-time arithmetic probe finds the platform, and both sweeps meet
 the same 2 eps S(x) contract.
 """
 
@@ -196,38 +197,37 @@ def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.nd
     """Value of the expansion at a real point x (off-grid allowed), or at
     each point of an array x.
 
-    A point that is an exact integer k in 0..N takes the exact sum of the
-    products of `basis(p).grid` column k with the orthonormal
-    coefficients, rounded once, every node in one `exact_row_sums` call;
-    classical coefficients are converted to orthonormal ones,
-    u_n = c_n ||Q_n||, first.  A family whose weights are refused is
-    refused there, by the grid.  Every other point is summed by a
-    Clenshaw sweep (`_compensated.clenshaw_sum`): in long double on x87
-    at least `NEAR_NODE` from every node, over the Jacobi rows in monic
-    form with the orthonormal u_n; in dd elsewhere, over the series rows
-    with k_n = c_n / ||Q_n|| (orthonormal) or k_n = c_n (classical),
-    anchored on the exact Q_n(0) = 1 within `NEAR_NODE` of node 0.  All
-    such points of an array take one sweep per route, and the sum is
-    rounded once to a double, or is NaN where it is not finite.  One array
-    pass (`_split_points`) sorts the points into nodes, near and far
-    points.  Either way an array point equals a one-point call to the
-    bit.
+    The orthonormal coefficients u are formed once, for every point:
+    u = c, or the classical c_n ||Q_n|| rounded once in double, inf where
+    that product passes the double range.  A point that is an exact
+    integer k in 0..N takes the exact sum of the products of
+    `basis(p).grid` column k with u, rounded once, every node in one
+    `exact_row_sums` call.  A family whose weights are refused is refused
+    there, by the grid.  Every other point is summed by a Clenshaw sweep
+    of u (`_compensated.clenshaw_sum`): in long double on x87 at least
+    `NEAR_NODE` from every node, over the Jacobi rows in monic form; in
+    dd elsewhere, over the series rows with k_n = u_n / ||Q_n||, anchored
+    on the exact Q_n(0) = 1 within `NEAR_NODE` of node 0.  All such
+    points of an array take one sweep per route, and the sum is rounded
+    once to a double, or is NaN where it is not finite.  One array pass
+    (`_split_points`) sorts the points into nodes, near and far points.
+    Either way an array point equals a one-point call to the bit.
     """
     b = basis(c.params)
     m, N = c.degree, c.params.N
+    with np.errstate(over="ignore"):
+        u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     nodes, near, far = _split_points(flat, N)
     out = np.empty(len(flat))
     if len(nodes):
-        cols = b.grid.T[flat[nodes].astype(int), : m + 1]
-        u = c.coeffs if c.normalized else c.coeffs * b.sqrt_norms[: m + 1]
-        out[nodes] = exact_row_sums(cols, u)
+        out[nodes] = exact_row_sums(b.grid.T[flat[nodes].astype(int), : m + 1], u)
     for off, near_node in ((far, False), (near, True)):
         if len(off):
             # a scalar point sweeps as a Python float, with the same rounding
             pts = flat[off] if xs.ndim else float(flat[0])
-            out[off] = clenshaw_sum(b, c.coeffs, c.normalized, pts, near_node=near_node)
+            out[off] = clenshaw_sum(b, u, pts, near_node=near_node)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -248,10 +248,12 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     """Per-degree decay diagnostics for the normalized coefficients of u.
 
     For each n in n_range the report carries |u_n|, the operator bound
-    ||L^k u||_w / lam_n^k, the weaker degree-only bound ||L^k u||_w / n^(2k),
-    and the defect of the identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled
-    by ||L^k u||_w.  The operator bound is a hard inequality; the
-    degree-only bound is reported for reference and not asserted here.
+    ||L^k u||_w / lam_n^k, the weaker degree-only bound
+    ||L^k u||_w / (low n^2)^k, with low = min(1, alpha + beta + 2) so that
+    lam_n >= low n^2 for every accepted family, and the defect of the
+    identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled by ||L^k u||_w.  The
+    operator bound is a hard inequality; the degree-only bound is
+    reported for reference and not asserted here.
     DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision;
     `l_disk_apply` passes the double range silently, and `inner_product`
     carries a non-finite value of L^k u into ||L^k u||_w, where the
@@ -290,6 +292,9 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
     if not isinstance(n_range, range):
         _check_degree(n_range, p)
     lams = basis(p).lam.tolist()
+    # lam_n = n (n + alpha + beta + 1) >= low n^2 for n >= 1: low is 1
+    # where alpha + beta >= -1, and alpha + beta + 2 below
+    low = min(1.0, p.alpha + p.beta + 2.0)
     chain, orders = [u], []
 
     def values():
@@ -303,7 +308,8 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
             try:
                 # float ** int raises past the double range, math.sqrt below zero
                 s_k = math.sqrt(inner_product(chain[k], chain[k]))
-                powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k)) for n in n_range]
+                powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k) * low**k)
+                          for n in n_range]
             except (OverflowError, ValueError):
                 s_k = math.nan
             if not math.isfinite(s_k):

@@ -120,7 +120,11 @@ class HahnParams:
 @dataclass(frozen=True, eq=False)
 class HahnBasis:
     """One family's shared data, each field computed on first read, then
-    read-only; every float constant is read from `steps`."""
+    read-only.  The recurrence constants (`series`, `monic_rows`, the
+    Jacobi rows of the grid build) and the norms are integer quotients of
+    `steps`, each rounded once; the operator's `lam`, `b`, `d` and `flux`
+    are float formulas of alpha, beta and N, and the weights come from
+    `weight_table`."""
 
     params: HahnParams
     weights = cached_property(lambda self: weight_table(self.params))

@@ -211,3 +211,19 @@ def test_cli_exits_only_through_the_contract():
     wrapper = cli._contract(lambda: []).__code__
     for command in cli.main.commands.values():
         assert command.callback.__code__ is wrapper, command.name
+
+
+def test_clenshaw_sum_reads_one_convention():
+    # `expansion.eval_expansion` makes a classical vector orthonormal once,
+    # for the nodes and the sweeps alike: `clenshaw_sum` takes no convention
+    # argument, and no name in _compensated.py is `normalized`
+    tree = ast.parse((SRC / "_compensated.py").read_text())
+    (sweep,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "clenshaw_sum"]
+    args = sweep.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    assert "normalized" not in params, params
+    # a variable, a parameter or keyword argument, or an attribute
+    uses = [node.lineno for node in ast.walk(tree) if "normalized" in
+            (getattr(node, "id", None), getattr(node, "arg", None), getattr(node, "attr", None))]
+    assert uses == []

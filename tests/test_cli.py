@@ -20,7 +20,8 @@ import hahnpoly
 from hahnpoly import cli
 from hahnpoly.cli import main
 from hahnpoly.errors import DomainError
-from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion
+from hahnpoly.discrete_calculus import GridFunction
+from hahnpoly.expansion import CoefficientVector, IntervalMap, eval_expansion, project
 from hahnpoly.hahn import HahnParams, basis
 from hahnpoly.oracle_exact import exact_hahn_column, exact_hahn_eval, exact_norms_sq
 # the Clenshaw contract 2 eps S(x), as the expansion tests state it
@@ -92,6 +93,30 @@ def test_project_pointwise_polynomial_exact():
     assert header == ["t", "target", "approx_0.0_0.0", "error_0.0_0.0"]
     assert len(data) == 101
     assert max(abs(float(r[3])) for r in data) <= 1e-9
+
+
+@pytest.mark.parametrize("fn,N,m,params", [
+    ("runge", 30, 10, "0,0"),
+    ("runge", 100, 100, "0,0;0.5,0.5;-0.5,3;5,0;0,50"),
+    ("sin-pi", 200, 150, "0,0;-0.5,3"),
+])
+def test_project_pointwise_reconstructs_the_projection(fn, N, m, params):
+    # either convention projects orthonormal, and --pointwise evaluates that
+    # projection: the pointwise rows are the same bytes.  --normalized false
+    # prints the library's classical projection, u_n / ||Q_n||
+    args = ["project", "--fn", fn, "--N", str(N), "--m", str(m), "--params", params,
+            "--pointwise", "--samples", "401"]
+    normal, classical = run(*args), run(*args, "--normalized", "false")
+    assert normal.exit_code == classical.exit_code == 0
+    head, rows = classical.stdout.split("# pointwise reconstruction\n")
+    assert rows == normal.stdout.split("# pointwise reconstruction\n")[1]
+    _, data = parse_csv(head)
+    imap = IntervalMap(-1.0, 1.0, N)
+    for j, family in enumerate(params.split(";")):
+        p = HahnParams(*map(float, family.split(",")), N)
+        u = GridFunction.from_callable(cli._parse_fn(fn)[1], p, imap.to_interval)
+        want = project(u, m, normalized=False).coeffs.tolist()
+        assert [float(r[1 + 2 * j]) for r in data] == want, family
 
 
 def test_decay_bound_columns():
@@ -416,18 +441,6 @@ def test_eval_classical_at_a_node_matches_exact():
     assert abs(float(value) - want) <= 1e-10 * abs(want)
 
 
-def _exact_hahn(n, x, alpha, beta, N):
-    # Q_n(x) as a Fraction: the terminating series of exact_hahn_eval,
-    # summed by Horner over one integer numerator and denominator, so the
-    # 2^-1074 of x = 5e-324 meets one gcd, not one per term
-    a, b, x = Fraction(alpha), Fraction(beta), Fraction(x)
-    num = den = 1
-    for k in reversed(range(n)):
-        step = (-n + k) * (n + a + b + 1 + k) * (k - x) / ((a + 1 + k) * (-N + k) * (k + 1))
-        num, den = step.denominator * den + step.numerator * num, step.denominator * den
-    return Fraction(num, den)
-
-
 @pytest.mark.parametrize("alpha,beta,degrees", [
     # even degrees: for alpha = beta an odd Q_n(N/2) is exactly 0, where no
     # relative bound applies
@@ -450,9 +463,7 @@ def test_eval_matches_exact_at_two_hundred(alpha, beta, degrees):
     xs = near + halves
     cols = [exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N) for x in halves]
     for n in degrees:
-        exact = [_exact_hahn(n, x, alpha, beta, N) for x in near]
-        assert exact[:5] == [exact_hahn_eval(n, x, Fraction(alpha), Fraction(beta), N)
-                             for x in nodes]
+        exact = [exact_hahn_eval(n, x, alpha, beta, N) for x in near]
         norm = Fraction(math.sqrt(float(exact_norms_sq(alpha, beta, N)[n])))
         for normalized in (True, False):
             res = run("eval", "--alpha", str(alpha), "--beta", str(beta), "--N", str(N),

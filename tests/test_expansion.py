@@ -22,6 +22,7 @@ from hahnpoly.errors import (
     ZeroLambdaError,
 )
 from hahnpoly.expansion import (
+    BOUND_SLACK,
     CoefficientVector,
     IntervalMap,
     decay_report,
@@ -931,6 +932,23 @@ def test_decay_pass_equals_one_report_per_order(alpha, beta, N):
                 got = expansion._decay_pass(u, ks, n_range)
                 want = [decay_report(u, k, n_range) for k in ks]
                 assert _entry_bits(got) == _entry_bits(want), ks
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.999, -0.999), (-0.9, -0.5)] + DECAY_FAMILIES)
+def test_degree_only_bound_holds(alpha, beta):
+    # lam_n >= min(1, alpha + beta + 2) n^2 for n >= 1, so the degree-only
+    # bound is a bound for every accepted family, within the slack and the
+    # projection's rounding that `decay` allows the operator bound.  With
+    # n^(2k) in its place, as where alpha + beta >= -1, (-0.999, -0.999)
+    # fails at k = 1, n = 3 (|u_3| = 3.2e-4 against 2.4e-4)
+    p = HahnParams(alpha, beta, 30)
+    imap = IntervalMap(-1.0, 1.0, 30)
+    for fn in (lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t)):
+        u = GridFunction.from_callable(fn, p, imap.to_interval)
+        floor = 31 * np.finfo(float).eps * math.sqrt(inner_product(u, u))
+        for rows in expansion._decay_pass(u, (1, 2, 3), range(1, 31)):
+            for r in rows:
+                assert abs(r.coeff) <= r.bound_degree_only * (1.0 + BOUND_SLACK) + floor, r
 
 
 @pytest.mark.parametrize("ks,first", [((1, 60), 60), ((60, 120), 60), ((120, 1), 120),

@@ -227,6 +227,23 @@ def test_twisted_grid_reflection(alpha, beta):
     assert not _mirror_defect(u_ab, u_ba) <= 1e-13
 
 
+TWISTED_LATTICE = [-0.999, -0.5, 0.0, 3.0, 50.0, 1e3, 1e6]
+
+
+# tolerance stated before measuring: 1e-14 in U units, the bound the
+# twisted build must meet below N = 42 to serve every N, on the lattice
+# where the per-point grid prints wrong coefficients
+@pytest.mark.parametrize("N", [1, 2, 5, 6, 12, 30, 41])
+def test_twisted_grid_below_the_crossover(N):
+    # the twisted build, with unit weights so that it returns U itself,
+    # against every exact column of every lattice family
+    for alpha in TWISTED_LATTICE:
+        for beta in TWISTED_LATTICE:
+            p = HahnParams(alpha, beta, N)
+            u = hahn._twisted_grid(p, np.ones(N + 1))
+            assert np.max(np.abs(u - _exact_u(p, list(range(N + 1))))) <= 1e-14, (alpha, beta)
+
+
 def test_twisted_sign_where_row_0_underflows():
     # (3, 1e12) at N = 100: rho = w / h_0 underflows near x = N, so U[0, x]
     # is 0 there, yet each column keeps its sign, from the upward ratios;
