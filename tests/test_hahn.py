@@ -148,14 +148,15 @@ def _sampled(N):
     return sorted({0, 1, N // 3, N // 2, N - 1, N})
 
 
-@pytest.mark.parametrize("N", [GRID_ARRAY_N - 1, GRID_ARRAY_N, 100, 200])
+@pytest.mark.parametrize("N", [GRID_ARRAY_N - 1, GRID_ARRAY_N, 41, 42, 100, 200])
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0),
                                         (0.0, 1e3)])
 def test_grid_build_equals_point_loop(N, alpha, beta):
     # below the crossover the grid is one dd sweep per point, to the bit;
-    # from it on every column is its own eigenvector solve, and agrees in U
-    # units with the exact column at that point to 1e-13.  Either way the
-    # build raises no warning and the matrix is read-only
+    # from it on (41 and 42 are either side of where it was) every column
+    # is its own eigenvector solve, and agrees in U units with the exact
+    # column at that point to 1e-13.  Either way the build raises no
+    # warning and the matrix is read-only
     p = HahnParams(alpha, beta, N)
     got = _fresh_grid(p)
     assert got.shape == (N + 1, N + 1) and not got.flags.writeable
@@ -168,11 +169,12 @@ def test_grid_build_equals_point_loop(N, alpha, beta):
         assert np.max(np.abs(u - _exact_u(p, xs))) <= 1e-13
 
 
-@pytest.mark.parametrize("N,shapes", [(GRID_ARRAY_N - 1, [()] * GRID_ARRAY_N),
+@pytest.mark.parametrize("N,shapes", [(41, []), (42, []), (GRID_ARRAY_N - 1, [()] * GRID_ARRAY_N),
                                       (GRID_ARRAY_N, [])])
 def test_grid_build_switches_batching_at_the_constant(monkeypatch, N, shapes):
     # one scalar sweep per grid point just below the constant; from it on
-    # no sweep at all, and one twisted build
+    # no sweep at all, and one twisted build, also either side of 42, where
+    # the constant was
     seen, twisted = [], []
     sweep, build = hahn.hahn_eval_all, hahn._twisted_grid
 
@@ -231,8 +233,10 @@ TWISTED_LATTICE = [-0.999, -0.5, 0.0, 3.0, 50.0, 1e3, 1e6]
 
 
 # tolerance stated before measuring: 1e-14 in U units, the bound the
-# twisted build must meet below N = 42 to serve every N, on the lattice
-# where the per-point grid prints wrong coefficients
+# twisted build must meet below the crossover to serve every N, on the
+# lattice where the per-point grid prints wrong coefficients.  The grid
+# takes it from hahn._GRID_ARRAY_N = 13, so N = 30 and 41 here are sizes it
+# already serves, and N <= 12 the sizes it would take over
 @pytest.mark.parametrize("N", [1, 2, 5, 6, 12, 30, 41])
 def test_twisted_grid_below_the_crossover(N):
     # the twisted build, with unit weights so that it returns U itself,
@@ -450,15 +454,17 @@ def test_jacobi_rows_lie_in_the_spectral_bounds(N):
         basis.cache_clear()
 
 
-@pytest.mark.parametrize("N", [30, GRID_ARRAY_N - 1])
+@pytest.mark.parametrize("N", [30, 41, GRID_ARRAY_N - 1])
 @pytest.mark.parametrize("alpha,beta", BENCHMARK_FAMILIES)
 def test_twisted_build_agrees_with_dd_below_the_constant(N, alpha, beta):
-    # below the constant the grid stays the dd point loop; the twisted
-    # build called there agrees with it to 1e-14 in U units
+    # on the benchmark families the twisted build agrees with the dd point
+    # loop to 1e-14 in U units: just below the constant, where the grid is
+    # still that loop, and at N = 30 and 41, where it was until the
+    # constant moved from 42 to 13
     p = HahnParams(alpha, beta, N)
     sqrt_w = np.sqrt(basis(p).weights)
     twisted = hahn._twisted_grid(p, basis(p).weights) * sqrt_w
-    assert np.max(np.abs(twisted - basis(p).grid * sqrt_w)) <= 1e-14
+    assert np.max(np.abs(twisted - _dd_point_loop(p) * sqrt_w)) <= 1e-14
 
 
 def test_recurrence_scalar_returns_float():
