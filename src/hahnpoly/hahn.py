@@ -1,22 +1,19 @@
 """Hahn polynomials Q_n(x) on the integer grid 0..N with weight
 w(x) = C(alpha+x, x) C(beta+N-x, N-x).
 
-Values come from a three-term recurrence sweep in double-double
-arithmetic: at N = 30 the plain-double recurrence can be wrong in the
-leading digit at the grid ends, while the compensated one stays near
-1e-14 relative.  The recurrence takes an array of points; its dd
-operations are elementwise float arithmetic, which numpy rounds as Python
-floats do, so every point equals a call with that point alone, to the
-bit.  A sweep, `hahn_eval_all`, is one call of the fused kernel
-`_compensated.dd_three_term_sweep` over the family's `HahnBasis.series`
-rows, the rows the dd Clenshaw sweep reads too; it passes the double range
-to inf or nan silently, as Python floats do.  Its callers are the grid
-at N <= 12 and `hahn_eval_recurrence`; the CLI's `eval` prints
+From N = 13 up the grid values come from one twisted factorization of
+the Jacobi matrix (`_twisted_grid`).  The three-term recurrence
+sweep in double-double arithmetic, `hahn_eval_all`, has two callers: the
+grid at N <= 12 and `hahn_eval_recurrence`.  It is one call of the fused
+kernel `_compensated.dd_three_term_sweep` over the `HahnBasis.series`
+rows, which the dd Clenshaw sweep reads too, on an array of points; its
+operations are elementwise float arithmetic, rounded by numpy as by
+Python floats, so each point has the bits of a call with it alone, and
+it passes the double range to inf or nan silently.  `eval` prints
 `expansion.eval_expansion` of a unit vector, with no sweep of its own.
-The terminating series `hahn_eval_series`, also in dd, stays a tested
-public function of one degree and one point, but no other code calls
-it: `verify`'s independent reference is the exact oracle
-(`oracle_exact`).
+The dd terminating series `hahn_eval_series` stays a tested function of
+one degree and one point that no other code calls: `verify`'s reference
+is the exact oracle.
 
 The recurrence constants A_n and C_n and the norm h_0 have one source,
 `_integer_steps`: integer numerator and denominator pairs over the common

@@ -165,6 +165,23 @@ def test_checks_project_through_one_owner():
             assert func not in ("exact_row_sums", "_check_norms"), node.lineno
 
 
+def test_checks_measure_defects_through_one_owner():
+    # a check's value, the worst |lhs - rhs| / scale, is checks._defect:
+    # outside it checks.py takes no |a - b| or |a + b|, subtracts through no
+    # numpy call and reduces no defect with _worst
+    tree = ast.parse((SRC / "checks.py").read_text())
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_defect")
+    inside = {id(node) for node in ast.walk(owner)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert func not in ("_worst", "subtract"), node.lineno
+            if func in ("abs", "fabs", "absolute"):
+                assert not any(isinstance(a, ast.BinOp) and isinstance(a.op, (ast.Sub, ast.Add))
+                               for a in node.args), node.lineno
+
+
 def test_checks_run_no_forward_sweep():
     # the checks read node values from the grid rows and the exact oracle,
     # and `eval` reads `eval_expansion`: neither checks.py nor cli.py calls

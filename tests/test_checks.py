@@ -61,6 +61,64 @@ def test_interpolation_row_fails_on_a_planted_fault(monkeypatch):
     assert interpolation.value > 5e-10
 
 
+# verify's rows in the README's order, each check's rows as it returns them
+VERIFY_ROWS = ["orthonormality-offdiag", "orthonormality-diag", "float-vs-exact",
+               "three-term-recurrence", "eigen-difference-equation", "self-adjoint-form",
+               "operator-symmetry", "spectral-multiplier", "parseval", "interpolation",
+               "summation-by-parts"] + [f"decay-{row}-k{k}" for k in (1, 2, 3)
+                                        for row in ("bound", "identity")]
+
+
+def _row_bits(rows):
+    return [(r.name, np.float64(r.value).view(np.int64), np.float64(r.tol).view(np.int64))
+            for r in rows]
+
+
+def _nan_l_row(monkeypatch):
+    # one nan entry in L Q~_3, so self-adjoint-form reads nan
+    l_rows = checks._l_rows
+
+    def planted(params, rows):
+        out = l_rows(params, rows)
+        out[3, 7] = math.nan
+        return out
+
+    monkeypatch.setattr(checks, "_l_rows", planted)
+
+
+@pytest.mark.parametrize("alpha,beta,N,plant", [(0.5, 0.5, 12, None), (0.0, 1e3, 30, None),
+                                                 (0.5, 0.5, 30, _nan_l_row)])
+def test_run_all_returns_the_rows_of_each_check_alone(alpha, beta, N, plant, monkeypatch):
+    if plant:
+        plant(monkeypatch)
+    p = HahnParams(alpha, beta, N)
+    alone = [*checks.check_orthonormality(p), check_path_agreement(p),
+             check_recurrence_identity(p), check_eigen_equation(p),
+             checks.check_self_adjoint_form(p), checks.check_operator_symmetry(p),
+             checks.check_spectral_multiplier(p), *check_parseval(p), checks.check_sbp(p),
+             *checks.check_decay_bound(p, (1, 2, 3))]
+    assert [r.name for r in alone] == VERIFY_ROWS
+    assert _row_bits(run_all(p)) == _row_bits(alone)
+    if plant:
+        assert math.isnan(alone[VERIFY_ROWS.index("self-adjoint-form")].value)
+
+
+def test_run_all_calls_each_check_by_its_name_at_call_time(monkeypatch):
+    # run_all reads the module's names when it runs, so a rebound check (a
+    # trace span, a spy) is the one it calls
+    calls, real = [], checks.check_sbp
+
+    def spy(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(checks, "check_sbp", spy)
+    p = HahnParams(0.5, 0.5, 12)
+    rows = run_all(p)
+    assert calls == [p]
+    assert rows[VERIFY_ROWS.index("summation-by-parts")] == real(p)
+
+
 def test_deterministic():
     a = run_all(HahnParams(0.5, 0.5, 12))
     b = run_all(HahnParams(0.5, 0.5, 12))
@@ -447,14 +505,7 @@ def test_self_adjoint_form_fails_on_non_finite_defect(alpha, beta, monkeypatch):
 def test_self_adjoint_form_keeps_a_nan_row(monkeypatch):
     # one NaN defect among finite rows makes the value NaN; a max() over
     # Python floats would drop it
-    l_rows = checks._l_rows
-
-    def planted(params, rows):
-        out = l_rows(params, rows)
-        out[3, 7] = math.nan
-        return out
-
-    monkeypatch.setattr(checks, "_l_rows", planted)
+    _nan_l_row(monkeypatch)
     result = checks.check_self_adjoint_form(HahnParams(0.5, 0.5, 30))
     assert math.isnan(result.value) and not result.passed
 

@@ -1,0 +1,66 @@
+"""Print one digest line per command of a fixed list of CLI commands, so
+two source trees can be compared command by command.
+
+    python tools/cli_digests.py [src-dir]
+
+imports `hahnpoly` from `src-dir` (by default the `src` beside this
+script), runs every command of `COMMANDS` through `hahnpoly.cli.main` in
+this one process and prints `<sha256 of exit code, stdout and stderr>
+<command>` for each, in list order.  To compare two trees, run it on each
+(`git archive` one of them into a directory of its own) and `diff` the
+outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import traceback
+import warnings
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LATTICE = ("-0.999", "-0.5", "0", "3", "50", "1e3", "1e6")
+# the golden stdout pins of tests/test_cli.py
+GOLDEN = (
+    "project --N 30 --m 10 --fn runge --pointwise --samples 201",
+    "runge --N 30 --m 10 --samples 201",
+    "eval --n 5 --N 30 --points 0,7.5,30 --normalized false",
+    "weights --alpha 0.5 --beta 0.5 --N 30",
+    "project --N 30 --m 10 --fn sin-pi --params 0,0;0.5,0.5;5,0",
+    "decay --N 30 --m 20 --k 1,2,3 --fn sin-pi",
+    "compare-legendre --N 30 --m 10",
+    "verify --alpha 0.5 --beta 0.5 --N 30",
+    "verify --alpha -0.5 --beta 3 --N 60",
+)
+COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
+                 for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN
+
+
+def digest_line(command: str) -> str:
+    """`<sha256>  <command>` for one run of `command`; an exception that
+    escapes the CLI adds its last traceback line to stderr, as the
+    interpreter would print it."""
+    from click.testing import CliRunner
+
+    from hahnpoly.cli import main
+
+    # a fresh warnings registry, so each command shows its own warnings
+    with warnings.catch_warnings():
+        res = CliRunner().invoke(main, command.split())
+    err = res.stderr
+    if res.exception is not None and not isinstance(res.exception, SystemExit):
+        err += "".join(traceback.format_exception_only(res.exception))
+    blob = "\0".join((str(res.exit_code), res.stdout, err))
+    return f"{hashlib.sha256(blob.encode()).hexdigest()}  {command}"
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else SRC))
+    for command in COMMANDS:
+        print(digest_line(command), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
