@@ -9,16 +9,12 @@ doubles lose everything there, dd keeps ~1e-15 relative accuracy.
 Only the handful of operations the evaluators need are provided.  All of
 them rely on round-to-nearest IEEE doubles; no fma is assumed.  Two dd
 sweeps run over the classical rows (`HahnBasis.series`, a_n, r_n and g_n
-in dd), without a division.  `dd_clenshaw_sweep`, Clenshaw's backward
-recurrence that gives sum_n k_n Q_n(x) without forming the Q_n, is the
-composition of the primitives, so every product splits through `split`,
-which scales an operand above 2^996 before splitting it.  One fused
-kernel is left, `dd_three_term_sweep`, the upward recurrence that gives
-Q_1(x) .. Q_m(x) in `hahn.hahn_eval_all`: it makes the composition's
-operations in one loop, reads the rows' split columns and splits inline,
-unscaled, so its levels above about 1.3e300 are NaN.  It goes with the
-per-point grid, which is left at N <= 12 only (ROADMAP item 17), and the
-forward route (ROADMAP item 2).
+in dd), without a division, and both are compositions of the primitives:
+`dd_three_term_sweep`, the upward recurrence that gives Q_1(x) .. Q_m(x)
+in `hahn.hahn_eval_all`, and `dd_clenshaw_sweep`, Clenshaw's backward
+recurrence that gives sum_n k_n Q_n(x) without forming the Q_n.  So every
+product splits through `split`, which scales an operand above 2^996
+before splitting it, and a level in the double range stays finite.
 
 Off the grid nodes the package sums a series through `clenshaw_sum`,
 which reads orthonormal coefficients only (its caller converts a
@@ -307,65 +303,18 @@ def dd_three_term_sweep(rows, x, out) -> DD:
     `dd_clenshaw_sweep` reads them, so the levels are Q_1(x) .. Q_m(x).
     x may be a float array; the rows are shared by every point.
 
-    Each step makes the operations of
-    dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y_n), dd_mul(g, y_{n-1}))
-    in the same order, so every level has the bits of that composition.
-    There is no division: x is split once, the splits of r and g come
-    with the row, and each level's high part is split once, then reused
-    when it becomes the previous level.  A negation is folded only where
-    the bits cannot change: b + (-c) is b - c, signed zeros included.
+    Each step is the composition
+    dd_sub(dd_mul(dd_sub(a, dd_mul_d(r, x)), y_n), dd_mul(g, y_{n-1})),
+    with no division, so every product splits its operands through
+    `split`, and a level above 2^996 is split scaled instead of turning
+    NaN.
     """
-    t = _SPLIT * x
-    xhi = t - (t - x)
-    xlo = x - xhi
-    c0, c1, chi, clo = 1.0, 0.0, 1.0, 0.0
-    p0 = p1 = phi = plo = 0.0
-    for i, (a0, a1, r0, r1, rhi, rlo, g0, g1, ghi, glo) in enumerate(rows):
-        # rx = r * x  (dd_mul_d)
-        m0 = r0 * x
-        e = ((rhi * xhi - m0) + rhi * xlo + rlo * xhi) + rlo * xlo
-        e += r1 * x
-        s = m0 + e
-        m1 = e - (s - m0)
-        # w = a - rx  (dd_sub)
-        nm = -s
-        s = a0 + nm
-        bb = s - a0
-        e = (a0 - (s - bb)) + (nm - bb)
-        e += a1 - m1
-        w0 = s + e
-        w1 = e - (w0 - s)
-        # u = w * y_n  (dd_mul)
-        u0 = w0 * c0
-        t = _SPLIT * w0
-        hi = t - (t - w0)
-        lo = w0 - hi
-        e = ((hi * chi - u0) + hi * clo + lo * chi) + lo * clo
-        e += w0 * c1 + w1 * c0
-        s = u0 + e
-        u1 = e - (s - u0)
-        u0 = s
-        # v = g * y_{n-1}  (dd_mul)
-        v0 = g0 * p0
-        e = ((ghi * phi - v0) + ghi * plo + glo * phi) + glo * plo
-        e += g0 * p1 + g1 * p0
-        s = v0 + e
-        v1 = e - (s - v0)
-        # y_{n+1} = u - v  (dd_sub)
-        nv = -s
-        s = u0 + nv
-        bb = s - u0
-        e = (u0 - (s - bb)) + (nv - bb)
-        e += u1 - v1
-        y0 = s + e
-        y1 = e - (y0 - s)
-        out[i] = y0 + y1
-        p0, p1, phi, plo = c0, c1, chi, clo
-        c0, c1 = y0, y1
-        t = _SPLIT * c0
-        chi = t - (t - c0)
-        clo = c0 - chi
-    return c0, c1
+    y1, y2 = (1.0, 0.0), (0.0, 0.0)
+    for i, row in enumerate(rows):
+        w = dd_sub(row[0:2], dd_mul_d(row[2:4], x))
+        y1, y2 = dd_sub(dd_mul(w, y1), dd_mul(row[4:6], y2)), y1
+        out[i] = y1[0] + y1[1]
+    return y1
 
 
 def dd_clenshaw_sweep(rows, ks, x, from_zero=False) -> DD:
@@ -377,7 +326,7 @@ def dd_clenshaw_sweep(rows, ks, x, from_zero=False) -> DD:
 
     and the sum is y_0, returned as a dd pair.  ks holds the dd k_0 .. k_m
     and rows the first m rows of `HahnBasis.series`, of which a step reads
-    the dd a_n, r_n and g_n (row[0:2], row[2:4], row[6:8]).  x may be a
+    the dd a_n, r_n and g_n (row[0:2], row[2:4], row[4:6]).  x may be a
     float array; k and the rows are shared by every point.
 
     Each step is the composition
@@ -400,7 +349,7 @@ def dd_clenshaw_sweep(rows, ks, x, from_zero=False) -> DD:
         if anchored:
             slope = dd_add(slope, dd_mul(row[2:4], y1))
         w = dd_sub(row[0:2], dd_mul_d(row[2:4], x))
-        y1, y2, g = dd_add(k, dd_sub(dd_mul(w, y1), dd_mul(g, y2))), y1, row[6:8]
+        y1, y2, g = dd_add(k, dd_sub(dd_mul(w, y1), dd_mul(g, y2))), y1, row[4:6]
     if not anchored:
         return y1
     at_zero = dd_sub(functools.reduce(dd_add, ks), dd_mul_d(slope, x))

@@ -4,13 +4,14 @@ w(x) = C(alpha+x, x) C(beta+N-x, N-x).
 From N = 13 up the grid values come from one twisted factorization of
 the Jacobi matrix (`_twisted_grid`).  The three-term recurrence
 sweep in double-double arithmetic, `hahn_eval_all`, has two callers: the
-grid at N <= 12 and `hahn_eval_recurrence`.  It is one call of the fused
-kernel `_compensated.dd_three_term_sweep` over the `HahnBasis.series`
-rows, which the dd Clenshaw sweep reads too, on an array of points; its
-operations are elementwise float arithmetic, rounded by numpy as by
-Python floats, so each point has the bits of a call with it alone, and
-it passes the double range to inf or nan silently.  `eval` prints
-`expansion.eval_expansion` of a unit vector, with no sweep of its own.
+grid at N <= 12 and `hahn_eval_recurrence`.  It is one call of
+`_compensated.dd_three_term_sweep`, the composition of the dd primitives
+over the `HahnBasis.series` rows, which the dd Clenshaw sweep reads too,
+on an array of points; its operations are elementwise float arithmetic,
+rounded by numpy as by Python floats, so each point has the bits of a
+call with it alone, and it passes the double range to inf or nan
+silently.  `eval` prints `expansion.eval_expansion` of a unit vector,
+with no sweep of its own.
 The dd terminating series `hahn_eval_series` stays a tested function of
 one degree and one point that no other code calls: `verify`'s reference
 is the exact oracle.
@@ -133,12 +134,11 @@ class HahnBasis:
     def series(self) -> tuple[tuple[float, ...], ...]:
         """The recurrence Q_{n+1} = (a_n - r_n x) Q_n - g_n Q_{n-1},
         n = 0..N-1, in double-double, one flat row per n: (a, a_lo, r,
-        r_lo, r_split_hi, r_split_lo, g, g_lo, g_split_hi, g_split_lo), with
-        a_n = (A_n + C_n) / A_n, r_n = 1 / A_n, g_n = C_n / A_n and the
-        Dekker splits of the high parts of r_n and g_n.  Only the forward
-        sweep and the dd Clenshaw sweep read these rows: the forward
-        kernel with the split columns, the Clenshaw sweep the dd a_n, r_n
-        and g_n.  Each dd value is one exact quotient of the integer rows
+        r_lo, g, g_lo), with a_n = (A_n + C_n) / A_n, r_n = 1 / A_n and
+        g_n = C_n / A_n.  Only the two dd sweeps read these rows, the
+        forward `_compensated.dd_three_term_sweep` and
+        `_compensated.dd_clenshaw_sweep`, both at row[0:2], row[2:4] and
+        row[4:6].  Each dd value is one exact quotient of the integer rows
         (`steps`), rounded once to its high part, with the exact
         remainder rounded once as its low part.  Row 0 is the Q_1 closed
         form, as C_0 = 0: a_0 = 1 and g_0 = 0.  The first row with an
@@ -151,7 +151,7 @@ class HahnBasis:
             a = _dd_quotient(an * cd + cn * ad, an * cd, row)
             r = _dd_quotient(ad, an, row)
             g = _dd_quotient(cn * ad, cd * an, row)
-            rows.append((*a, *r, *dd.split(r[0]), *g, *dd.split(g[0])))
+            rows.append((*a, *r, *g))
         return tuple(rows)
 
     @cached_property
@@ -445,10 +445,12 @@ def hahn_eval_all(m: int, x: float | np.ndarray, params: HahnParams) -> np.ndarr
     x is a float or an array of points; the result has shape
     (m+1,) + shape(x).  Every dd operation is elementwise float
     arithmetic, so each point's values equal those of a call with that
-    point alone, bit for bit.  One call of the kernel
-    `_compensated.dd_three_term_sweep` runs over the family's first m
-    series rows, from Q_0 = 1; row 0 is the Q_1 closed form.  A value past
-    the double range is inf or nan, with no warning, as Python floats give
+    point alone, bit for bit.  One call of
+    `_compensated.dd_three_term_sweep`, the composition of the dd
+    primitives, runs over the family's first m series rows, from
+    Q_0 = 1; row 0 is the Q_1 closed form.  Its products split a level
+    above 2^996 scaled, so a value in the double range stays finite; a
+    value past it is inf or nan, with no warning, as Python floats give
     it; callers refuse or fail on it.
     """
     _check_degree(m, params)

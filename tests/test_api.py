@@ -95,10 +95,9 @@ def test_hahn_forms_no_matrix_product():
 def test_hahn_assembles_no_constant_in_dd():
     # the recurrence constants have one source, hahn._integer_steps, and
     # each float constant is an integer quotient rounded once: hahn.py
-    # reads from _compensated only the exact quotient, the split of a
-    # rounded constant and the sweep kernel, so no dd arithmetic can build
-    # a second copy of the constants
-    allowed = {"_quotient", "split", "dd_three_term_sweep", "dd_clenshaw_sweep"}
+    # reads from _compensated only the exact quotient and the sweeps, so
+    # no dd arithmetic can build a second copy of the constants
+    allowed = {"_quotient", "dd_three_term_sweep", "dd_clenshaw_sweep"}
     tree = ast.parse((SRC / "hahn.py").read_text())
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -112,6 +111,20 @@ def test_hahn_assembles_no_constant_in_dd():
                 and node.value.id in modules:
             used.add(node.attr)
     assert used and used <= allowed, used - allowed
+
+
+def test_dd_products_split_only_through_split():
+    # Dekker's constant is read by `_compensated.split` alone, which scales
+    # an operand above 2^996 before splitting it: no sweep of _compensated.py
+    # splits inline, unscaled, where a level past 1e300 would turn NaN
+    tree = ast.parse((SRC / "_compensated.py").read_text())
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "split")
+    inside = {id(node) for node in ast.walk(owner)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "_SPLIT" and isinstance(node.ctx, ast.Load)]
+    assert reads
+    assert [node.lineno for node in reads if id(node) not in inside] == []
 
 
 def test_fsum_is_called_only_by_exact_sum():

@@ -425,6 +425,21 @@ def test_float_vs_exact_fails_on_non_finite_values(monkeypatch):
     assert math.isnan(result.value) and not result.passed
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e300])
+def test_orthonormality_fails_on_a_planted_entry(monkeypatch, value):
+    # one entry of grid row 5 that is not finite, or whose Gram products
+    # pass the double range: both rows fail, with no numpy warning
+    p = HahnParams(0.5, 0.5, 12)
+    grid = basis(p).grid.copy()
+    grid[5, 6] = value
+    monkeypatch.setattr(checks, "normalized_grid_matrix", lambda m, params: grid[: m + 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        offdiag, diag = checks.check_orthonormality(p)
+    assert (offdiag.name, diag.name) == ("orthonormality-offdiag", "orthonormality-diag")
+    assert not offdiag.passed and not diag.passed
+
+
 def test_eigen_equation_fails_on_non_finite_defect():
     # the grid entry Q~_12(12) is nan here (an overflowed value over an
     # infinite norm), and the row fails with nan instead of skipping it,

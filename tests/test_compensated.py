@@ -1,6 +1,5 @@
-"""The fused double-double forward sweep against the composition of dd
-primitives it replaces, compared bit for bit on the recurrence's own
-values; the dd Clenshaw sweep against exact sums of the oracle's values;
+"""The double-double forward sweep against the oracle's exact values off
+the grid; the dd Clenshaw sweep against exact sums of the oracle's values;
 the scaled split of operands past 2^996, and the one exact-sum rule,
 `exact_sum`."""
 
@@ -21,17 +20,6 @@ from hahnpoly.oracle_exact import exact_hahn_column
 FAMILIES = [(0.0, 0.0), (5.0, 0.0), (0.5, 0.5), (-0.5, 3.0), (20.0, 20.0)]
 
 
-def _composed_step(row, x, cur, prev):
-    # the step as the primitives make it: (a - r x) y_n - g y_{n-1}
-    w = dd.dd_sub(row[0:2], dd.dd_mul_d(row[2:4], x))
-    return dd.dd_sub(dd.dd_mul(w, cur), dd.dd_mul(row[6:8], prev))
-
-
-def _row(a, r, g):
-    # one row of HahnBasis.series, as both sweep kernels read it
-    return (*a, *r, *dd.split(r[0]), *g, *dd.split(g[0]))
-
-
 def _bits(v):
     return np.asarray(v, dtype=float).view(np.int64)
 
@@ -41,65 +29,25 @@ def _assert_same(got, want):
     assert np.array_equal(_bits(got[1]), _bits(want[1]))
 
 
-def _sweep(rows, x):
-    out = np.empty((len(rows),) + np.shape(x))
-    return dd.dd_three_term_sweep(rows, x, out), out
-
-
-def _walk(params, x, counts):
-    # the composed chain over every row of a full-degree sweep from
-    # y_0 = 1 and y_{-1} = 0; a sweep over the first k rows returns the
-    # chain's level k and writes each level rounded
-    rows = basis(params).series
-    levels = [dd.dd_from(1.0)]
-    prev, cur = dd.dd_from(0.0), dd.dd_from(1.0)
-    for row in rows:
-        prev, cur = cur, _composed_step(row, x, cur, prev)
-        levels.append(cur)
-    rounded = np.array([hi + lo for hi, lo in levels[1:]]).reshape((-1,) + np.shape(x))
-    for k in counts:
-        last, out = _sweep(rows[:k], x)
-        _assert_same(np.broadcast_arrays(*last, x)[:2], np.broadcast_arrays(*levels[k], x)[:2])
-        assert np.array_equal(_bits(out), _bits(rounded[:k]))
-
-
 @pytest.mark.parametrize("N", [1, 2, 30, 100, 200])
 @pytest.mark.parametrize("alpha,beta", FAMILIES)
-def test_fused_step_equals_composition(N, alpha, beta):
-    # x = -1 and x = N + 1 are read by the eigen-equation check; the sweep
-    # values there grow far past those on the grid.  Scalar points take
-    # every step count; the array, whose levels the full sweep also writes
-    # out, takes the empty, one-step and full sweeps and a stride between.
-    # The sweep reads the series rows, so its Q_1 is their row 0
+def test_forward_sweep_matches_exact_columns(N, alpha, beta):
+    # hahn_eval_all, the dd forward sweep, against the exact Q_n(x) of the
+    # oracle at points off [0, N], where the levels grow far past those on
+    # the grid (x = -1 and N + 1 are read by the eigen-equation check): a
+    # value whose exact value is in the double range is finite and within
+    # 1e-14 of it, relative, levels past 1e300 included, where an unscaled
+    # Dekker split overflows.  An array of the points gives each point's bits
     p = HahnParams(alpha, beta, N)
-    assert len(basis(p).series) == N
-    for x in (-1.0, 0.0, 0.5, N / 3.0, float(N), N + 1.0):
-        _walk(p, x, range(N + 1))
-    xs = np.concatenate([np.arange(-1.0, N + 2.0), np.linspace(-1.0, N + 1.0, 37)])
-    _walk(p, xs, sorted({0, 1, *range(0, N + 1, 17), N}))
-    assert np.array_equal(hahn_eval_all(N, xs, p)[1:], _sweep(basis(p).series, xs)[1])
-
-
-def test_fused_step_keeps_signed_zeros():
-    # rows and points holding zeros of both signs, and zero low parts, give
-    # the composition's bits, for one step and for two, where the second
-    # reuses the first level's split.  From y_0 = 1 and y_{-1} = 0 every
-    # zero level is +0 in the composition too, and the kernel must not
-    # make it -0
-    parts = [(1.0, 0.0), (1.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0),
-             (-1.0, 0.0), (2.0, 1e-17)]
-    zeros = 0
-    for a, r, g in itertools.product(parts, repeat=3):
-        row = _row(a, r, g)
-        for x in (0.0, -0.0, 1.0, -1.0):
-            one_step = _composed_step(row, x, (1.0, 0.0), (0.0, 0.0))
-            for seq, want in [((row,), one_step),
-                              ((row, row), _composed_step(row, x, one_step, (1.0, 0.0)))]:
-                last, out = _sweep(seq, x)
-                _assert_same(last, want)
-                assert _bits(out[-1]) == _bits(want[0] + want[1])
-                zeros += want[0] == 0.0
-    assert zeros > 100
+    xs = [-1.0, -0.5, N + 0.5, N + 1.0, 2.0 * N, 5.0 * N, 1000.0]
+    got = hahn_eval_all(N, np.array(xs), p)
+    for j, x in enumerate(xs):
+        assert np.array_equal(_bits(got[:, j]), _bits(hahn_eval_all(N, x, p)))
+        col = exact_hahn_column(Fraction(x), Fraction(alpha), Fraction(beta), N)
+        for q, exact in zip(got[:, j].tolist(), col):
+            if abs(exact) <= Fraction(sys.float_info.max):
+                assert math.isfinite(q), (x, exact)
+                assert abs(Fraction(q) - exact) <= Fraction(1e-14) * abs(exact), (x, q)
 
 
 @pytest.mark.parametrize("N", [1, 2, 30, 200])

@@ -528,7 +528,6 @@ def _plant_row_fault(p: HahnParams, monkeypatch) -> None:
     rows = list(b.series)
     bad = list(rows[1])
     bad[2] *= 1.0 + 1e-12
-    bad[4:6] = dd.split(bad[2])
     rows[1] = tuple(bad)
     monkeypatch.setitem(b.__dict__, "series", tuple(rows))
 

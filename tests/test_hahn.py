@@ -627,29 +627,20 @@ def test_sqrt_norms_once_per_family():
 
 
 def test_step_coefficients_once_per_family():
-    # one tuple of all N series rows (a, a_lo, r, r_lo, r's split, g, g_lo,
-    # g's split); a degree-m sweep reads a prefix of it, so a low-degree
-    # sweep is a prefix of the full one
+    # one tuple of all N series rows (a, a_lo, r, r_lo, g, g_lo); a
+    # degree-m sweep reads a prefix of it, so a low-degree sweep is a
+    # prefix of the full one
     p = HahnParams(-0.5, 3.0, 40)
     rows = basis(p).series
     assert rows is basis(p).series
     assert len(rows) == 40
     # a_n = 1 + g_n, each rounded once from its own exact quotient
     for row in rows:
-        assert row[0] == pytest.approx(1.0 + row[6], rel=2**-52, abs=0)
+        assert row[0] == pytest.approx(1.0 + row[4], rel=2**-52, abs=0)
     xs = np.array([-1.0, 0.0, 12.5, 40.0, 41.0])
     full = hahn_eval_all(40, xs, p)
     for m in (0, 1, 2, 17, 39, 40):
         assert np.array_equal(hahn_eval_all(m, xs, p), full[: m + 1])
-
-
-def _split(v):
-    # Dekker's split, written out; above 2^996 of v scaled by 2^-28, and the
-    # parts scaled back
-    s = 2.0**-28 if abs(v) > 2.0**996 else 1.0
-    t = 134217729.0 * (v * s)
-    hi = t - (t - v * s)
-    return hi / s, (v * s - hi) / s
 
 
 def _rounded_pair(exact):
@@ -671,7 +662,7 @@ def _series_scalar(alpha, beta, N):
             A = (n + a + b + 1) * (n + a + 1) * (N - n) / ((2 * n + a + b + 1) * (2 * n + a + b + 2))
             C = n * (n + a + b + N + 1) * (n + b) / ((2 * n + a + b) * (2 * n + a + b + 1))
         r, g = _rounded_pair(1 / A), _rounded_pair(C / A)
-        out.append((*_rounded_pair((A + C) / A), *r, *_split(r[0]), *g, *_split(g[0])))
+        out.append((*_rounded_pair((A + C) / A), *r, *g))
     return tuple(out)
 
 
@@ -682,17 +673,17 @@ def _packed(rows):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 30, 200])
 def test_steps_equal_scalar_build(N):
-    # the series rows, their splits included, have the bits of a build one
-    # n at a time from the recurrence constants in Fractions, and the build
-    # raises no warning.  (1e305, 0.5) and (0.5, 1e305) are built too: the
-    # old dd factor assembly overflowed their rows from n = 1, the integer
-    # quotients do not
+    # the series rows have the bits of a build one n at a time from the
+    # recurrence constants in Fractions, and the build raises no warning.
+    # (1e305, 0.5) and (0.5, 1e305) are built too: the old dd factor
+    # assembly overflowed their rows from n = 1, the integer quotients do
+    # not
     for alpha, beta in NORM_FAMILIES + [(1e305, 0.5), (0.5, 1e305)]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = HahnBasis(HahnParams(alpha, beta, N)).series
         assert len(got) == N
-        assert all(len(row) == 10 for row in got)
+        assert all(len(row) == 6 for row in got)
         assert all(type(v) is float and math.isfinite(v) for row in got for v in row)
         assert _packed(got) == _packed(_series_scalar(alpha, beta, N)), (alpha, beta)
 
@@ -702,19 +693,18 @@ def test_series_rows_against_exact_steps(N):
     # every dd entry of a row is the correctly rounded pair of the oracle's
     # exact a_n = (A_n + C_n) / A_n, r_n = 1 / A_n and g_n = C_n / A_n: the
     # high part the exact value rounded once, the low part the exact
-    # remainder rounded once.  Row 0 is the Q_1 closed form, and the splits
-    # are those of the high parts
+    # remainder rounded once.  Row 0 is the Q_1 closed form
     for alpha, beta in NORM_FAMILIES:
         rows = HahnBasis(HahnParams(alpha, beta, N)).series
         (a, b), D = _over_one_denominator(alpha, beta)
         assert len(rows) == N
-        assert rows[0][0:2] == (1.0, 0.0) and rows[0][6:10] == (0.0, 0.0, 0.0, 0.0)
+        assert all(len(row) == 6 for row in rows)
+        assert rows[0][0:2] == (1.0, 0.0) and rows[0][4:6] == (0.0, 0.0)
         for row, (al, sig, ga, e) in zip(rows, _steps(a, b, D, N)):
             for pair, exact in [(row[0:2], Fraction(sig, al)),
                                 (row[2:4], Fraction(e * D, al)),
-                                (row[6:8], Fraction(ga, al))]:
+                                (row[4:6], Fraction(ga, al))]:
                 assert pair == _rounded_pair(exact), (alpha, beta)
-            assert row[4:6] == _split(row[2]) and row[8:10] == _split(row[6])
 
 
 def test_q1_closed_form_past_the_split_range():
@@ -789,7 +779,7 @@ def test_recurrence_coefficients_positive_and_bounded():
         for (an, ad), (cn, cd) in zip(A[1:-1], C[1:-1]):
             assert 0 < Fraction(an, ad) <= 30 and 0 < Fraction(cn, cd) <= 30
         rows = basis(p).series
-        assert all(row[2] >= 1.0 / 30.0 and row[6] > 0 for row in rows[1:])
+        assert all(row[2] >= 1.0 / 30.0 and row[4] > 0 for row in rows[1:])
 
 
 def test_recurrence_identity_against_oracle_values():

@@ -33,8 +33,13 @@ GOLDEN = (
     "verify --alpha 0.5 --beta 0.5 --N 30",
     "verify --alpha -0.5 --beta 3 --N 60",
 )
+# the per-point grid at N <= 12, the CLI's one route into the forward sweep
+GRID_SWEEP = ("project --N 6 --m 6 --fn runge", "project --N 12 --m 12 --fn runge",
+              "eval --N 12 --n 12")
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
-                 for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN
+                 for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
+    f"{command} --alpha {a} --beta {b}" for command in GRID_SWEEP
+    for a in LATTICE for b in LATTICE)
 
 
 def digest_line(command: str) -> str:
