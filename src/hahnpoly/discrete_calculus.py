@@ -11,6 +11,7 @@ operator's one implementation, `_l_rows`, runs on a stack of grid rows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,10 +109,18 @@ def l_disk_apply(u: GridFunction) -> GridFunction:
     return GridFunction(u.params, _l_rows(u.params, u.values))
 
 
+def _check_power(k: int, name: str) -> int:
+    """k as an int, where k is an integer in the sense of operator.index,
+    as a degree is (`hahn._check_degree`): np.int64(2) is accepted, and
+    2.0, 2.5 or a negative k is refused with DomainError."""
+    if not hasattr(type(k), "__index__") or operator.index(k) < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {k!r}")
+    return operator.index(k)
+
+
 def l_disk_power(u: GridFunction, k: int) -> GridFunction:
     """k-fold application of the operator; k = 0 returns a copy of u."""
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"power must be a nonnegative integer, got {k!r}")
+    k = _check_power(k, "power")
     out = GridFunction(u.params, u.values.copy())
     for _ in range(k):
         out = l_disk_apply(out)

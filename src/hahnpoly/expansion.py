@@ -12,11 +12,15 @@ orthonormal Q~_k, so a `CoefficientVector` reaching it is refused.
 
 Every exact sum here is `_compensated.exact_sum`, the package's one rule
 for a sum with no double value.  A set of row sums (the values at the
-nodes, the coefficients of one or more stacked grid functions) is one
-`exact_row_sums` call, which gives exact_sum's bits for every row.
-Projections of grid functions have one owner, `_project_rows`: the grid
-read and the norm check, then that call; `project`, the decay pass and
-`checks.check_spectral_multiplier` use it.
+nodes, the coefficients of a grid function) is one `exact_row_sums`
+call, which gives exact_sum's bits for every row.  Projections of grid
+functions have one owner, `_project_rows`: the grid read and the norm
+check, then the row sums; `project`, the decay pass and
+`checks.check_spectral_multiplier` use it.  Each coefficient is the
+exact sum rounded once, whatever other rows are summed with it, so the
+family's `HahnBasis.projections` keeps the rows summed for each weighted
+sample vector, and a later projection of the same vector sums only the
+rows it does not hold yet.
 
 Evaluation reads one convention: `eval_expansion` makes a classical
 vector orthonormal once, u_n = c_n ||Q_n|| rounded in double, and hands
@@ -45,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._compensated import NEAR_NODE, clenshaw_sum, exact_row_sums, exact_sum, two_prod
-from .discrete_calculus import GridFunction, _same_grid, l_disk_apply
+from .discrete_calculus import GridFunction, _check_power, _same_grid, l_disk_apply
 from .errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -144,6 +148,8 @@ class DecayEntry(NamedTuple):
 # allowance (N+1) eps ||u||_w, the rounding level of a projected
 # coefficient, so that a bound of 0 is not failed by rounding alone.
 BOUND_SLACK = 1e-8
+# weighted sample vectors whose coefficients a family's basis keeps
+_HELD_VECTORS = 16
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
@@ -179,18 +185,38 @@ def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientV
 def _project_rows(p: HahnParams, m: int, values: Iterable[np.ndarray]) -> np.ndarray:
     """The orthonormal coefficients of degrees 0..m of each grid function
     in values, one row each: every coefficient the exact sum of a grid row
-    times the values times w, rounded once, all in one `exact_row_sums`
-    call, which extracts a block of rows at a time.  The grid is read
+    times the values times w, rounded once (`exact_row_sums`, which
+    extracts a block of rows at a time).  The grid is read
     (`normalized_grid_matrix` refuses m outside 0..N) and the norms are
     checked before values is read, so a generator forms L u, or refuses
-    it, only for a family that passes both."""
+    it, only for a family that passes both, and every vector is formed
+    before any row is summed.  The family's `HahnBasis.projections` keeps,
+    for the last `_HELD_VECTORS` weighted vectors v w by their bytes, the
+    rows 0..done - 1 summed over the array that holds the grid rows; a
+    vector held for that array sums only rows done..m, any other sums
+    0..m.  The result is a fresh array."""
     qmat = normalized_grid_matrix(m, p)
     _check_norms(p, m)
-    w = basis(p).weights
+    b = basis(p)
+    # a grid planted or rebuilt since an entry was summed is another array
+    grid = qmat if qmat.base is None else qmat.base
     # L u from a weighted flux that was scaled into range can be finite
     # while L u w is not: that product is inf, with no warning
     with np.errstate(over="ignore"):
-        return exact_row_sums(qmat, np.array([v * w for v in values]))
+        vws = [v * b.weights for v in values]
+    out = np.empty((len(vws), m + 1))
+    for row, vw in zip(out, vws):
+        key = vw.tobytes()
+        summed_over, held = b.projections.pop(key, (None, None))
+        held = held if summed_over is grid else np.empty(0)
+        if len(held) <= m:
+            held = np.concatenate((held, exact_row_sums(qmat[len(held):], vw)))
+        # re-inserted last: the first key is the least recently used
+        b.projections[key] = (grid, held)
+        row[:] = held[: m + 1]
+    while len(b.projections) > _HELD_VECTORS:
+        del b.projections[next(iter(b.projections))]
+    return out
 
 
 def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:
@@ -244,7 +270,7 @@ def _split_points(x: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.flatnonzero(on), np.flatnonzero(near & ~on), np.flatnonzero(~near)
 
 
-def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
+def decay_report(u: GridFunction, k: int, n_range: Iterable[int]) -> list[DecayEntry]:
     """Per-degree decay diagnostics for the normalized coefficients of u.
 
     For each n in n_range the report carries |u_n|, the operator bound
@@ -260,34 +286,42 @@ def decay_report(u: GridFunction, k: int, n_range: range) -> list[DecayEntry]:
     carries a non-finite value of L^k u into ||L^k u||_w, where the
     overflow is found.  The report is the one-order case of `_decay_pass`,
     which serves several orders from one grid read, one operator chain and
-    one row-sum call, each row with the bits of this call.
+    one `_project_rows` call, each row with the bits of this call.  The
+    degrees n_range may be any iterable of integers, a generator among
+    them.
     """
     return _decay_pass(u, (k,), n_range)[0]
 
 
-def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[list[DecayEntry]]:
+def _decay_pass(u: GridFunction, ks: tuple[int, ...],
+                n_range: Iterable[int]) -> list[list[DecayEntry]]:
     """The `decay_report` rows of each order in ks, in order, from one pass:
     one chain L u, L^2 u, .. up to the largest order and one
-    `_project_rows` call over u and every L^k u.  Refusals come as from
-    one `decay_report` call per order, in turn: the first order's checks,
-    the grid and the norms, then for each order its own check and its
-    overflow, all before any row is summed.  A `range` is checked by its
-    extremes; any other iterable of degrees is also checked entry by entry
-    (`_check_degree`), which refuses 2.5.  The summed rows are read once
-    as Python lists, and every row is made of Python floats: the same IEEE
-    operations, in the same order, as on numpy's scalars, so the same
-    bits, at a fraction of the cost per row."""
+    `_project_rows` call over u and every L^k u, which sums only the rows
+    the family's basis does not hold yet.  Refusals come as from one
+    `decay_report` call per order, in turn: the first order's checks, the
+    grid and the norms, then for each order its own check and its
+    overflow, all before any row is summed.  An order is an integer in the
+    sense of operator.index, as a degree is.  A `range` is checked by its
+    extremes; any other iterable of degrees is read once into a tuple and
+    also checked entry by entry (`_check_degree`), which refuses 2.5.  The
+    summed rows are read once as Python lists, and every row is made of
+    Python floats: the same IEEE operations, in the same order, as on
+    numpy's scalars, so the same bits, at a fraction of the cost per row."""
     if not ks:
         return []
     p = u.params
-    _check_order(ks[0])
+    first = _check_power(ks[0], "order k")
+    if not isinstance(n_range, range):
+        # a generator has no len, and max would use it up before min
+        n_range = tuple(n_range)
     if len(n_range) == 0:
         raise DomainError("empty degree range")
     # a range may run either way; it is checked, and projected, by its
     # extremes
     top = max(n_range)
     if min(n_range) < 1 or top > p.N:
-        if 0 in n_range and ks[0] >= 1:
+        if 0 in n_range and first >= 1:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
     if not isinstance(n_range, range):
@@ -303,7 +337,7 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
         # order's own refusals come before the row sums
         yield u.values
         for k in ks:
-            _check_order(k)
+            k = _check_power(k, "order k")
             while len(chain) <= k:
                 chain.append(l_disk_apply(chain[-1]))
             try:
@@ -318,21 +352,16 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...], n_range: range) -> list[li
             # float ** int underflows to 0 silently, and the rows divide by it
             if any(lam_k == 0.0 or n_2k == 0.0 for lam_k, _, n_2k in powers):
                 raise DomainError(f"lam_n^k or n^(2k) low^k underflows double precision at k={k}")
-            orders.append((s_k, powers))
+            orders.append((k, s_k, powers))
             yield chain[k].values
 
     # as Python floats, a product past the double range is inf with no warning
     coeffs, *lku_sums = _project_rows(p, top, values()).tolist()
     out = []
-    for k, (s_k, powers), lku in zip(ks, orders, lku_sums):
+    for (k, s_k, powers), lku in zip(orders, lku_sums):
         rows = ((n, k, coeffs[n], s_k / lam_k, s_k / n_2k,
                  abs(coeffs[n] * signed_lam_k - lku[n]) / s_k if s_k > 0 else 0.0)
                 for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers))
         # _make wraps each tuple as it is, at half the cost of DecayEntry(...)
         out.append(list(map(DecayEntry._make, rows)))
     return out
-
-
-def _check_order(k: int) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"order k must be a nonnegative integer, got {k!r}")

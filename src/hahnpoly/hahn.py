@@ -120,15 +120,21 @@ class HahnParams:
 @dataclass(frozen=True, eq=False)
 class HahnBasis:
     """One family's shared data, each field computed on first read, then
-    read-only.  The recurrence constants (`series`, `monic_rows`, the
-    Jacobi rows of the grid build) and the norms are integer quotients of
-    `steps`, each rounded once; the operator's `lam`, `b`, `d` and `flux`
-    are float formulas of alpha, beta and N, and the weights come from
-    `weight_table`."""
+    read-only, but for `projections`.  The recurrence constants (`series`,
+    `monic_rows`, the Jacobi rows of the grid build) and the norms are
+    integer quotients of `steps`, each rounded once; the operator's `lam`,
+    `b`, `d` and `flux` are float formulas of alpha, beta and N, and the
+    weights come from `weight_table`.  `projections` is the one field that
+    grows: `expansion._project_rows` keeps there, by the bytes of each
+    weighted sample vector v w, the grid array it summed over and the
+    coefficients of degrees 0..done - 1, for at most
+    `expansion._HELD_VECTORS` (16) vectors, in the order of their last
+    use."""
 
     params: HahnParams
     weights = cached_property(lambda self: weight_table(self.params))
     steps = cached_property(lambda self: _integer_steps(self.params))
+    projections = cached_property(lambda self: {})
 
     @cached_property
     def series(self) -> tuple[tuple[float, ...], ...]:

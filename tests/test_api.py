@@ -168,7 +168,7 @@ def test_row_sums_go_through_the_kernel():
 
 
 def test_checks_project_through_one_owner():
-    # a projection of stacked grid rows, with project's refusals before it,
+    # a projection of grid functions, with project's refusals before it,
     # is expansion._project_rows: checks.py sums no rows and checks no
     # norms of its own
     tree = ast.parse((SRC / "checks.py").read_text())

@@ -295,7 +295,7 @@ def test_projection_rows_are_certified(monkeypatch):
             out = np.empty(p.N + 1)
             certified = dd._certify(parts.reshape(5, -1), p.N + 1, out)
             assert certified.sum() >= 0.99 * certified.size
-    # so does a decay pass's stack of u and L^3 u through exact_row_sums,
+    # so does a stacked b of u and L^3 u through exact_row_sums,
     # though their scales differ by about lam_N^3 = 6e13: each right-hand
     # side has its own sigma
     seen, certify = [], dd._certify

@@ -166,6 +166,16 @@ def test_operator_power_validation():
         l_disk_power(u, -1)
 
 
+def test_operator_power_is_an_integer_in_the_sense_of_operator_index():
+    # as a degree is: np.int64(2) is a power, 2.0 and 2.5 are not
+    p = HahnParams(0.5, 0.5, 12)
+    u = GridFunction(p, np.random.default_rng(7).standard_normal(13))
+    assert np.array_equal(l_disk_power(u, np.int64(2)).values, l_disk_power(u, 2).values)
+    for k in (2.0, 2.5, -1):
+        with pytest.raises(DomainError, match="power must be a nonnegative integer"):
+            l_disk_power(u, k)
+
+
 def test_sbp_zero_end_values():
     p = HahnParams(0.0, 0.0, 20)
     rng = np.random.default_rng(11)

@@ -1087,6 +1087,30 @@ def test_decay_report_takes_any_iterable_of_degrees():
     assert decay_report(u, 1, [3, 1, np.int64(2)]) == [rows[2], rows[0], rows[1]]
 
 
+def test_decay_report_reads_a_generator_once():
+    # a generator has no len, and max would use it up before min
+    p = HahnParams(0.0, 0.0, 20)
+    u = _sine_sample(p)
+    want = decay_report(u, 2, range(1, 5))
+    got = decay_report(u, 2, (n for n in range(1, 5)))
+    assert _entry_bits([got]) == _entry_bits([want])
+
+
+def test_decay_orders_are_integers_in_the_sense_of_operator_index():
+    # as a degree is: np.int64(2) is an order, 2.0, 2.5 and -1 are not
+    p = HahnParams(0.0, 0.0, 20)
+    u = _sine_sample(p)
+    want = decay_report(u, 2, range(1, 5))
+    got = decay_report(u, np.int64(2), range(1, 5))
+    assert _entry_bits([got]) == _entry_bits([want])
+    assert all(type(r.k) is int for r in got)
+    (got,) = expansion._decay_pass(u, (np.int64(2),), range(1, 5))
+    assert _entry_bits([got]) == _entry_bits([want])
+    for k in (2.0, 2.5, -1):
+        with pytest.raises(DomainError, match="order k must be a nonnegative integer"):
+            decay_report(u, k, range(1, 5))
+
+
 @pytest.mark.parametrize("k,n_range", [(200, range(1, 3)), (150, range(2, 3))])
 def test_decay_report_refuses_a_power_that_underflows(k, n_range):
     # lam_1 = alpha + beta + 2 = 0.002 = low: 0.002^200 and 0.002^150 are 0
@@ -1216,3 +1240,132 @@ def test_session_builds_each_grid_once(monkeypatch):
         assert isinstance(b.series, tuple)
         for arr in (b.weights, b.sqrt_norms, b.grid):
             assert not arr.flags.writeable
+
+
+MEMO_FAMILIES = [(alpha, beta, N) for N in (30, 100, 200)
+                 for alpha, beta in BENCH_FAMILIES] + [(0.0, 1e3, 100)]
+
+
+def _runge_sample(p: HahnParams) -> GridFunction:
+    return GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
+                                      IntervalMap(-1.0, 1.0, p.N).to_interval)
+
+
+def _memo_calls(p: HahnParams) -> list:
+    # projections of one u in a seeded mixed order: three degrees, three
+    # decay orders and a classical vector
+    calls = [("project", m, True) for m in (p.N // 4, p.N // 2, p.N)]
+    calls += [("decay", k, m) for k, m in zip((1, 2, 3), (p.N, p.N // 4, p.N // 2))]
+    calls.append(("project", 20, False))
+    np.random.default_rng(p.N).shuffle(calls)
+    return calls
+
+
+def _memo_outcome(u: GridFunction, call) -> tuple:
+    # the result's bits, or the refusal's type and message
+    op, a, b = call
+    try:
+        if op == "project":
+            return ("coeffs", project(u, a, normalized=b).coeffs.view(np.int64).tolist())
+        return ("rows", _entry_bits([decay_report(u, a, range(1, b + 1))]))
+    except DomainError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("alpha,beta,N", MEMO_FAMILIES)
+def test_held_projections_keep_their_bits(alpha, beta, N):
+    # each call served from the family's held rows equals the same call on
+    # a fresh basis, bit for bit; (0, 1e3) at N = 100 takes exact_sum for
+    # rows the certificate refuses
+    p = HahnParams(alpha, beta, N)
+    u = _runge_sample(p)
+    calls = _memo_calls(p)
+    cold = []
+    for call in calls:
+        basis.cache_clear()
+        cold.append(_memo_outcome(u, call))
+    basis.cache_clear()
+    assert [_memo_outcome(u, call) for call in calls] == cold
+    assert [_memo_outcome(u, call) for call in calls[::-1]] == cold[::-1]
+
+
+def _counted_row_sums(monkeypatch) -> list:
+    # the number of rows of each exact_row_sums call of a projection
+    rows, real = [], expansion.exact_row_sums
+    monkeypatch.setattr(expansion, "exact_row_sums",
+                        lambda a, b: rows.append(len(a)) or real(a, b))
+    return rows
+
+
+def test_held_projections_sum_only_the_rows_not_held(monkeypatch):
+    p = HahnParams(0.5, 0.5, 100)
+    u = GridFunction(p, np.random.default_rng(50).standard_normal(101))
+    rows = _counted_row_sums(monkeypatch)
+    project(u, 25)
+    project(u, 100)
+    project(u, 60)
+    assert rows == [26, 75]
+    # u's rows are held; L u and L^2 u are summed once each
+    decay_report(u, 2, range(1, 101))
+    assert rows == [26, 75, 101]
+    expansion._decay_pass(u, (1, 2), range(1, 101))
+    assert rows == [26, 75, 101, 101]
+
+
+def test_held_projections_refuse_before_any_row_sum(monkeypatch):
+    # the order 58 passes the double range: its refusal comes before any
+    # vector of the pass is summed, u's included
+    p = HahnParams(0.0, 0.0, 30)
+    u = GridFunction(p, np.sin(np.pi * np.linspace(-1.0, 1.0, 31)) * (1.0 + 2.0**-40))
+    rows = _counted_row_sums(monkeypatch)
+    with pytest.raises(DomainError, match="k=58"):
+        expansion._decay_pass(u, (1, 2, 58), range(1, 4))
+    assert rows == []
+    expansion._decay_pass(u, (1, 2), range(1, 4))
+    assert rows == [4, 4, 4]
+
+
+@pytest.mark.parametrize("N", [30, 100])
+def test_held_projections_see_a_planted_grid(N, monkeypatch):
+    # an entry is served only for the grid array it was summed over: a
+    # fault planted in row 7 after a projection shows in coefficient 7
+    p = HahnParams(0.5, 0.5, N)
+    u = _runge_sample(p)
+    before = project(u, N).coeffs
+    b = basis(p)
+    grid = b.grid.copy()
+    grid[7] *= 1.0 + 1e-6
+    monkeypatch.setitem(b.__dict__, "grid", grid)
+    after = project(u, N).coeffs
+    assert after[7] != before[7]
+    assert np.array_equal(np.delete(after, 7), np.delete(before, 7))
+
+
+def test_held_projections_are_not_aliased():
+    # writing into a returned vector leaves the held rows as they were
+    p = HahnParams(0.0, 0.0, 30)
+    u = _runge_sample(p)
+    want = project(u, 30).coeffs.copy()
+    project(u, 30).coeffs[:] = 0.0
+    project(u, 10, normalized=False).coeffs[:] = 0.0
+    expansion._project_rows(p, 30, [u.values])[0][:] = 0.0
+    assert np.array_equal(project(u, 30).coeffs, want)
+
+
+def test_held_projections_are_bounded(monkeypatch):
+    # 40 distinct vectors leave the last 16 held; a vector used again is
+    # kept over older ones, and the least recently used one is dropped
+    p = HahnParams(5.0, 0.0, 30)
+    basis.cache_clear()
+    vectors = np.random.default_rng(40).standard_normal((40, 31))
+    for v in vectors:
+        project(GridFunction(p, v), 30)
+    held = basis(p).projections
+    assert len(held) == expansion._HELD_VECTORS == 16
+    rows = _counted_row_sums(monkeypatch)
+    project(GridFunction(p, vectors[24]), 30)
+    project(GridFunction(p, vectors[0]), 30)
+    assert rows == [31] and len(held) == 16
+    project(GridFunction(p, vectors[24]), 30)
+    project(GridFunction(p, vectors[25]), 30)
+    assert rows == [31, 31]

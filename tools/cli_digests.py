@@ -36,10 +36,18 @@ GOLDEN = (
 # the per-point grid at N <= 12, the CLI's one route into the forward sweep
 GRID_SWEEP = ("project --N 6 --m 6 --fn runge", "project --N 12 --m 12 --fn runge",
               "eval --N 12 --n 12")
+# the benchmark's families, each projected again on the same samples in
+# this one process: the later commands of a group reuse the rows the
+# family's basis holds
+REPEATS = ("project --m {q} --fn runge", "project --m {N} --fn runge",
+           "decay --m {N} --k 1,2,3 --fn runge", "project --m 20 --fn runge --normalized false")
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
                  for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
     f"{command} --alpha {a} --beta {b}" for command in GRID_SWEEP
-    for a in LATTICE for b in LATTICE)
+    for a in LATTICE for b in LATTICE) + tuple(
+    f"{command.format(q=N // 4, N=N)} --N {N} --alpha {a} --beta {b}"
+    for a, b in (("0", "0"), ("0.5", "0.5"), ("-0.5", "3"), ("5", "0")) for N in (30, 100, 200)
+    for command in REPEATS)
 
 
 def digest_line(command: str) -> str:
