@@ -42,11 +42,11 @@ sum is when it has no double value: +-inf past the double range, NaN for
 -inf + inf or a NaN term, as Python float arithmetic gives them.  Its
 exact rounding, `_quotient`, also rounds the exact norms and the oracle's
 ratios.  `exact_row_sums` gives exact_sum's bits for every row of a
-product matrix at once (projections, node values, Legendre
-coefficients): it splits blocks of rows by error-free extraction, with
-one sigma per block and right-hand side, and rounds each row where a
-certificate proves the rounding, and hands every other row, a candidate
-of 0 among them, to exact_sum.
+product matrix times one vector at once (projections, node values,
+Legendre coefficients): it splits blocks of rows by error-free
+extraction, with one sigma per block, rounds each row where a
+certificate proves the rounding, and sums every other row, a candidate
+of 0 among them, in the one exact_sum loop that small matrices take.
 """
 
 from __future__ import annotations
@@ -113,39 +113,29 @@ _ROW_BLOCK = 64
 @np.errstate(over="ignore", invalid="ignore")
 def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """exact_sum of each row's products, for a of shape (r, n) and b of
-    shape (n,) or (k, n): entry i, or (j, i), is exact_sum((a[i] *
-    b[j]).tolist()), to the bit.
+    shape (n,): entry i is exact_sum((a[i] * b).tolist()), to the bit.
 
-    Up to `_ROW_SUM_CUT` products that is how each row is summed.  Above
+    Up to `_ROW_SUM_CUT` products that is how every row is summed.  Above
     it the products are split by error-free extraction (Rump, Ogita &
-    Oishi, SIAM J. Sci. Comput. 31, 2008), a block of rows of a and one
-    right-hand side b[j] at a time, so that stacked right-hand sides of
-    different scales (u and L^3 u) each get their own sigma; each row's
-    sum is rounded where a certificate proves the rounding: see `_extract`
-    and `_certify`.  Every other row takes exact_sum; so does a row whose
-    candidate is 0, and every row of a block that is not finite or lies
-    near either end of the exponent range.  A product past the double
-    range is inf or nan, with no warning, and so is its row's sum.
+    Oishi, SIAM J. Sci. Comput. 31, 2008), a block of rows of a at a time
+    with one sigma per block, and each row's sum is rounded where a
+    certificate proves the rounding: see `_extract` and `_certify`.  The
+    rows it refuses, a candidate of 0 among them and every row of a block
+    that is not finite or lies near either end of the exponent range, are
+    summed as the small matrices are.  A product past the double range is
+    inf or nan, with no warning, and so is its row's sum.
     """
-    rows = b.reshape(-1, 1, b.shape[-1])
-    if len(rows) * a.size <= _ROW_SUM_CUT:
-        # one product array and one list pass: numpy rows one at a time
-        # cost more than the sums
-        sums = [exact_sum(row) for row in (a * rows).reshape(-1, a.shape[1]).tolist()]
-        return np.array(sums).reshape(b.shape[:-1] + (len(a),))
-    out = np.empty((len(rows), len(a)))
-    parts = np.empty((5, len(rows), len(a)))
-    for j, row in enumerate(rows):
+    out = np.empty(len(a))
+    todo = slice(None)
+    if a.size > _ROW_SUM_CUT:
+        parts = np.empty((5, len(a)))
         for i in range(0, len(a), _ROW_BLOCK):
-            _extract(a[i: i + _ROW_BLOCK] * row, parts[:, j, i: i + _ROW_BLOCK])
-    certified = _certify(parts.reshape(5, -1), a.shape[1], out.reshape(-1))
-    if not certified.all():
-        # a list pass, not numpy masks (see hahn._check_degree)
-        for f, good in enumerate(certified.tolist()):
-            if not good:
-                j, i = divmod(f, len(a))
-                out[j, i] = exact_sum((a[i] * rows[j, 0]).tolist())
-    return out.reshape(b.shape[:-1] + (len(a),))
+            _extract(a[i: i + _ROW_BLOCK] * b, parts[:, i: i + _ROW_BLOCK])
+        todo = np.flatnonzero(~_certify(parts, a.shape[1], out))
+    # one product array and one list pass: numpy rows one at a time cost
+    # more than the sums
+    out[todo] = [exact_sum(row) for row in (a[todo] * b).tolist()]
+    return out
 
 
 def _extract(p: np.ndarray, parts: np.ndarray) -> None:

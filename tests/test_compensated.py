@@ -14,6 +14,7 @@ import pytest
 
 from hahnpoly import _compensated as dd
 from hahnpoly.discrete_calculus import GridFunction, l_disk_power
+from hahnpoly.expansion import project
 from hahnpoly.hahn import HahnParams, basis, hahn_eval_all
 from hahnpoly.oracle_exact import exact_hahn_column
 
@@ -176,9 +177,7 @@ def test_exact_sum_is_fsum_where_fsum_returns():
 
 def _row_sums_by_row(a, b):
     # what every caller did before exact_row_sums: one exact_sum per row
-    rows = np.reshape(b, (-1, np.shape(b)[-1]))
-    out = [[dd.exact_sum((v * w).tolist()) for v in a] for w in rows]
-    return np.array(out).reshape(np.shape(b)[:-1] + (len(a),))
+    return np.array([dd.exact_sum((v * b).tolist()) for v in a])
 
 
 def _assert_row_sums(a, b):
@@ -243,15 +242,14 @@ def _adversarial_rows(rng, n):
 @pytest.mark.parametrize("n", [3, 7, 40, 201])
 def test_exact_row_sums_is_exact_sum_per_row(n):
     # bit for bit against one exact_sum per row, NaN matched, on b of ones
-    # (products exact), on powers of two, and on a random b; stacked b
-    # rows too, whose block holds half as many rows of a
+    # (products exact), on powers of two, and on a random b, rows of a
+    # permuted too
     rng = np.random.default_rng(n)
     a = _adversarial_rows(rng, n)
     assert a.shape[0] * n > dd._ROW_SUM_CUT
     with np.errstate(all="ignore"):
         for b in (np.ones(n), 2.0 ** rng.integers(-3, 4, n), rng.standard_normal(n)):
             _assert_row_sums(a, b)
-            _assert_row_sums(a, np.stack([b, np.ones(n)]))
             _assert_row_sums(a[rng.permutation(len(a))], b)
 
 
@@ -263,8 +261,7 @@ def test_exact_row_sums_at_block_edges(rows):
     n = dd._ROW_SUM_CUT // rows + 1
     a = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-40, 40, (rows, 1))
     a[:, -1] = -a[:, :-1].sum(axis=1)
-    for b in (rng.standard_normal(n), rng.standard_normal((2, n)), np.ones((3, n))):
-        _assert_row_sums(a, b)
+    _assert_row_sums(a, rng.standard_normal(n))
 
 
 def test_exact_row_sums_around_the_cut():
@@ -295,18 +292,19 @@ def test_projection_rows_are_certified(monkeypatch):
             out = np.empty(p.N + 1)
             certified = dd._certify(parts.reshape(5, -1), p.N + 1, out)
             assert certified.sum() >= 0.99 * certified.size
-    # so does a stacked b of u and L^3 u through exact_row_sums,
-    # though their scales differ by about lam_N^3 = 6e13: each right-hand
-    # side has its own sigma
+    # so do the projections of u and L^3 u, though their scales differ by
+    # about lam_N^3 = 6e13: each vector is its own exact_row_sums call,
+    # with its own sigma, once the family's basis holds no rows of either
     seen, certify = [], dd._certify
     monkeypatch.setattr(dd, "_certify", lambda *args: seen.append(certify(*args)) or seen[-1])
     for p in (HahnParams(0.5, 0.5, 200), HahnParams(20.0, 20.0, 200)):
-        b = basis(p)
         x = np.linspace(-1.0, 1.0, p.N + 1)
         for u in (1.0 / (1.0 + 25.0 * x * x), np.sin(np.pi * x)):
-            l3u = l_disk_power(GridFunction(p, u), 3).values
-            dd.exact_row_sums(b.grid, np.stack([u * b.weights, l3u * b.weights]))
-    assert len(seen) == 4
+            basis(p).projections.clear()
+            v = GridFunction(p, u)
+            project(v, p.N)
+            project(l_disk_power(v, 3), p.N)
+    assert len(seen) == 8
     for certified in seen:
-        assert certified.size == 2 * 201
+        assert certified.size == 201
         assert certified.sum() >= 0.99 * certified.size

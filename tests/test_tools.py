@@ -73,4 +73,4 @@ def test_digest_list_holds_the_golden_pins():
     from test_cli import GOLDEN_STDOUT
 
     assert set(GOLDEN_STDOUT) <= set(cli_digests.COMMANDS)
-    assert len(cli_digests.COMMANDS) == len(set(cli_digests.COMMANDS)) == 7 * 7 * 7 + 9 + 4 * 3 * 4
+    assert len(cli_digests.COMMANDS) == len(set(cli_digests.COMMANDS)) == 7 * 7 * 7 + 9 + 4 * 3 * 4 + 3

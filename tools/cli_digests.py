@@ -41,13 +41,18 @@ GRID_SWEEP = ("project --N 6 --m 6 --fn runge", "project --N 12 --m 12 --fn rung
 # family's basis holds
 REPEATS = ("project --m {q} --fn runge", "project --m {N} --fn runge",
            "decay --m {N} --k 1,2,3 --fn runge", "project --m 20 --fn runge --normalized false")
+# one call of each exact_row_sums caller above its cut: 49 of the 101
+# projection rows of (0, 1e3) take exact_sum, then Legendre coefficients
+# and 201 node values
+ABOVE_CUT = ("project --alpha 0 --beta 1e3 --N 100 --m 100 --fn runge",
+             "compare-legendre --N 200 --m 100", "runge --N 200 --m 200 --samples 201 --params 0,0")
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
                  for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
     f"{command} --alpha {a} --beta {b}" for command in GRID_SWEEP
     for a in LATTICE for b in LATTICE) + tuple(
     f"{command.format(q=N // 4, N=N)} --N {N} --alpha {a} --beta {b}"
     for a, b in (("0", "0"), ("0.5", "0.5"), ("-0.5", "3"), ("5", "0")) for N in (30, 100, 200)
-    for command in REPEATS)
+    for command in REPEATS) + ABOVE_CUT
 
 
 def digest_line(command: str) -> str:
