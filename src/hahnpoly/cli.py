@@ -10,7 +10,11 @@ flag values outside their documented ranges, reported with the offending
 field named, before any computation starts; an --out path that cannot be
 written is found only after computing, and is reported in one line with
 the OS reason); 3 for domain errors raised by the library during
-computation; 4 when a verified invariant fails.
+computation; 4 when a verified invariant fails.  Of several bad flags,
+the first one vetted is named: the four commands that sample a target
+(`project`, `runge`, `decay`, `compare-legendre`) vet --fn, then the
+families, then --interval, in one helper (`_checked_target`), and their
+own flags after that.
 
 Every command is registered through one contract (`_contract`): its body
 returns the table, and the contract owns --out and exit codes 3 and 4.
@@ -123,12 +127,21 @@ def _vetted(make: Callable, *args: object):
         raise click.UsageError(str(exc))
 
 
-def _checked_families(text: str, grid_n: int) -> list[HahnParams]:
-    families = []
-    for chunk in text.split(";"):
-        a, b = _listed(chunk, float, f"bad parameter list {text!r}, expected a,b[;a,b...]", 2)
-        families.append(_vetted(HahnParams, a, b, grid_n))
-    return families
+def _checked_target(fn_spec: str, param_sets: str | None, interval: str, grid_n: int,
+                    family: tuple[float, float] | None = None
+                    ) -> tuple[str, Fn, list[HahnParams], IntervalMap]:
+    """The label, function, families and interval map of a sampled target,
+    vetted in this order: --fn, the families, --interval.  The families are
+    --params a,b[;a,b...] when it is given and non-empty, else the one
+    `family`; with no `family`, --params is always read, so an empty list
+    is refused.  Each family is vetted before the next chunk is read."""
+    label, fn = _parse_fn(fn_spec)
+    error = f"bad parameter list {param_sets!r}, expected a,b[;a,b...]"
+    pairs = ((_listed(chunk, float, error, 2) for chunk in param_sets.split(";"))
+             if param_sets or family is None else [family])
+    families = [_vetted(HahnParams, a, b, grid_n) for a, b in pairs]
+    a, b = _listed(interval, float, f"bad interval {interval!r}, expected a,b", 2)
+    return label, fn, families, _vetted(IntervalMap, a, b, grid_n)
 
 
 def _checked_degree(m: int, grid_n: int) -> None:
@@ -136,11 +149,6 @@ def _checked_degree(m: int, grid_n: int) -> None:
         raise click.UsageError(f"m must be nonnegative, got {m}")
     if m > grid_n:
         raise click.UsageError(f"m must not exceed N = {grid_n}, got {m}")
-
-
-def _checked_interval(text: str, grid_n: int) -> IntervalMap:
-    a, b = _listed(text, float, f"bad interval {text!r}, expected a,b", 2)
-    return _vetted(IntervalMap, a, b, grid_n)
 
 
 def _checked_samples(samples: int) -> None:
@@ -334,12 +342,8 @@ def project_cmd(alpha: float, beta: float, grid_n: int, top: int, fn_spec: str,
     """Projection coefficients of a sampled function.  The projection is
     orthonormal, and --pointwise evaluates it; --normalized false prints
     its coefficients divided by ||Q_n||."""
-    label, fn = _parse_fn(fn_spec)
-    if param_sets:
-        families = _checked_families(param_sets, grid_n)
-    else:
-        families = [_vetted(HahnParams, alpha, beta, grid_n)]
-    imap = _checked_interval(interval, grid_n)
+    label, fn, families, imap = _checked_target(fn_spec, param_sets, interval, grid_n,
+                                                (alpha, beta))
     _checked_degree(top, grid_n)
     _checked_samples(samples)
     vectors = _project_sets(fn, imap, families, top)
@@ -373,9 +377,7 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     it on every reported row and exits with code 4 if any row violates
     it beyond rounding slack (the full table is still written first).
     """
-    label, fn = _parse_fn(fn_spec)
-    p = _vetted(HahnParams, alpha, beta, grid_n)
-    imap = _checked_interval(interval, grid_n)
+    label, fn, (p,), imap = _checked_target(fn_spec, None, interval, grid_n, (alpha, beta))
     ks = _checked_orders(orders)
     if top < 1:
         raise click.UsageError(f"m must be at least 1, got {top}")
@@ -412,11 +414,9 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
 def runge_cmd(grid_n: int, top: int, samples: int, interval: str,
               param_sets: str) -> list[str]:
     """Pointwise error of projections of 1/(1+25 t^2)."""
-    families = _checked_families(param_sets, grid_n)
-    imap = _checked_interval(interval, grid_n)
+    _, fn, families, imap = _checked_target("runge", param_sets, interval, grid_n)
     _checked_degree(top, grid_n)
     _checked_samples(samples)
-    _, fn = _parse_fn("runge")
     ts, errors, table = _pointwise(fn, imap, samples, _project_sets(fn, imap, families, top))
     lines = _header("runge", N=grid_n, m=top, samples=samples,
                     interval=f"{imap.a},{imap.b}",
@@ -441,9 +441,7 @@ def compare_legendre_cmd(grid_n: int, top: int, fn_spec: str, interval: str) -> 
     share (basis value 1 at the reference endpoint); the orthonormal
     Hahn coefficients are included alongside.
     """
-    label, fn = _parse_fn(fn_spec)
-    p = _vetted(HahnParams, 0.0, 0.0, grid_n)
-    imap = _checked_interval(interval, grid_n)
+    label, fn, (p,), imap = _checked_target(fn_spec, None, interval, grid_n, (0.0, 0.0))
     _checked_degree(top, grid_n)
     # its degree cap is a flag rule too, so it runs before any basis is built
     leg = _vetted(legendre_coeffs, fn, top)

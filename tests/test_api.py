@@ -257,3 +257,34 @@ def test_clenshaw_sum_reads_one_convention():
     uses = [node.lineno for node in ast.walk(tree) if "normalized" in
             (getattr(node, "id", None), getattr(node, "arg", None), getattr(node, "attr", None))]
     assert uses == []
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    # a second `def` or `class` of a name silently replaces the first, so a
+    # test or helper that reads the first would run the second
+    root = SRC.parents[1]
+    files = sorted([*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "tools").glob("*.py")])
+    assert len(files) > len(list(SRC.glob("*.py")))
+    for path in files:
+        seen = {}
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name not in seen, (path.name, node.name, seen.get(node.name), node.lineno)
+                seen[node.name] = node.lineno
+
+
+def test_cli_parses_a_target_only_through_checked_target():
+    # the four commands that sample a target vet --fn, the families and
+    # --interval in one helper, so each names the first bad flag alike
+    from hahnpoly import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, []).append(getattr(top, "name", None))
+    assert callers["_parse_fn"] == ["_checked_target"]
+    targets = {cli.main.commands[name].callback.__wrapped__.__name__
+               for name in ("project", "runge", "decay", "compare-legendre")}
+    assert sorted(callers["_checked_target"]) == sorted(targets)

@@ -359,14 +359,57 @@ CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CONFIG_ERRORS))
-def test_config_error_messages(command):
+def _assert_config_error(command, message):
     name = command.split()[0]
     res = run(*command.split())
-    assert res.exit_code == 2
-    assert res.stdout == ""
+    assert res.exit_code == 2, command
+    assert res.stdout == "", command
     assert res.stderr == (f"Usage: main {name} [OPTIONS]\nTry 'main {name} --help' for help."
-                          f"\n\nError: {CONFIG_ERRORS[command]}\n")
+                          f"\n\nError: {message}\n")
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_ERRORS))
+def test_config_error_messages(command):
+    _assert_config_error(command, CONFIG_ERRORS[command])
+
+
+_INTERVAL = "interval must satisfy a < b with N (b - a) finite, got "
+# two bad flags per command, each recorded on the code that vetted a
+# command's target flags in the command's own body: the first one vetted
+# is named, --fn, then the families, then --interval, then the command's
+# own flags
+FIRST_BAD_FLAG = {
+    "project --fn poly:a --params 0,0;1": "bad polynomial spec 'poly:a'",
+    "project --fn poly:a --alpha -1": "bad polynomial spec 'poly:a'",
+    "project --params 0,0;-2,0 --interval 1,1":
+        "alpha must be finite and greater than -1, got -2.0",
+    "project --alpha -1 --interval 1,1": "alpha must be finite and greater than -1, got -1.0",
+    "project --interval 1,1 --m -1": _INTERVAL + "1.0,1.0",
+    "project --m 31 --samples 1": "m must not exceed N = 30, got 31",
+    "runge --params 0,a --interval 2,1": "bad parameter list '0,a', expected a,b[;a,b...]",
+    "runge --interval 2,1 --m -1": _INTERVAL + "2.0,1.0",
+    "runge --m -1 --samples 1": "m must be nonnegative, got -1",
+    # an empty --params is refused here; project falls back to --alpha/--beta
+    "runge --params=": "bad parameter list '', expected a,b[;a,b...]",
+    "decay --fn poly: --beta nan": "bad polynomial spec 'poly:'",
+    "decay --beta nan --interval 1,1": "beta must be finite and greater than -1, got nan",
+    "decay --interval 1,1 --k one": _INTERVAL + "1.0,1.0",
+    "decay --k one --m 0": "bad order list 'one', expected k[,k...]",
+    "decay --k 1,-1 --m 31": "k must be nonnegative, got -1",
+    "compare-legendre --fn poly:a --interval 3,3": "bad polynomial spec 'poly:a'",
+    "compare-legendre --N 0 --fn poly:a": "bad polynomial spec 'poly:a'",
+    "compare-legendre --interval 3,3 --m -1": _INTERVAL + "3.0,3.0",
+    # the Legendre degree cap is vetted after --interval and --m
+    "compare-legendre --N 200 --m 181 --interval 3,3": _INTERVAL + "3.0,3.0",
+}
+
+
+def test_config_errors_name_the_first_bad_flag():
+    for command, message in FIRST_BAD_FLAG.items():
+        _assert_config_error(command, message)
+    res = run("project", "--params=", "--N", "6", "--m", "2")
+    assert res.exit_code == 0
+    assert "# params: 0.0,0.0\n" in res.stdout
 
 
 def test_compare_legendre_degree_cap_is_config_error():

@@ -1256,11 +1256,6 @@ MEMO_FAMILIES = [(alpha, beta, N) for N in (30, 100, 200)
                  for alpha, beta in BENCH_FAMILIES] + [(0.0, 1e3, 100)]
 
 
-def _runge_sample(p: HahnParams) -> GridFunction:
-    return GridFunction.from_callable(lambda t: 1.0 / (1.0 + 25.0 * t * t), p,
-                                      IntervalMap(-1.0, 1.0, p.N).to_interval)
-
-
 def _memo_calls(p: HahnParams) -> list:
     # projections of one u in a seeded mixed order: three degrees, three
     # decay orders and a classical vector

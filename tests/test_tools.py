@@ -70,7 +70,9 @@ def test_digest_lines_name_their_command_and_repeat():
 
 
 def test_digest_list_holds_the_golden_pins():
-    from test_cli import GOLDEN_STDOUT
+    from test_cli import CONFIG_ERRORS, GOLDEN_STDOUT
 
     assert set(GOLDEN_STDOUT) <= set(cli_digests.COMMANDS)
-    assert len(cli_digests.COMMANDS) == len(set(cli_digests.COMMANDS)) == 7 * 7 * 7 + 9 + 4 * 3 * 4 + 3
+    assert set(CONFIG_ERRORS) <= set(cli_digests.COMMANDS)
+    assert (len(cli_digests.COMMANDS) == len(set(cli_digests.COMMANDS))
+            == 7 * 7 * 7 + 9 + 4 * 3 * 4 + 3 + 44)

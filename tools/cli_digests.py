@@ -46,13 +46,35 @@ REPEATS = ("project --m {q} --fn runge", "project --m {N} --fn runge",
 # and 201 node values
 ABOVE_CUT = ("project --alpha 0 --beta 1e3 --N 100 --m 100 --fn runge",
              "compare-legendre --N 200 --m 100", "runge --N 200 --m 200 --samples 201 --params 0,0")
+# the flag vetting paths: one bad flag per command (the keys of
+# tests/test_cli.py CONFIG_ERRORS), then two bad flags per command, of
+# which the first one vetted is named, and an empty --params
+VETTING = (
+    "project --N 0", "project --alpha -1", "project --beta nan", "project --params 0,0;-2,0",
+    "project --interval 1,1", "project --interval=-1e308,1e308 --N 200", "project --m -1",
+    "decay --m 0", "runge --N 0", "runge --interval 2,1", "compare-legendre --N 0",
+    "compare-legendre --interval 3,3", "weights --N 0", "verify --alpha -1.5",
+    "eval --n 3 --points 1,x", "project --params 0,0;1", "runge --params 0,a",
+    "project --interval nope", "runge --interval 1,2,3", "decay --k one", "decay --k 1,-1",
+    "project --fn poly:", "project --fn poly:a", "runge --samples 1",
+    "project --fn poly:a --params 0,0;1", "project --fn poly:a --alpha -1",
+    "project --params 0,0;-2,0 --interval 1,1", "project --alpha -1 --interval 1,1",
+    "project --interval 1,1 --m -1", "project --m 31 --samples 1",
+    "runge --params 0,a --interval 2,1", "runge --interval 2,1 --m -1",
+    "runge --m -1 --samples 1", "runge --params=",
+    "decay --fn poly: --beta nan", "decay --beta nan --interval 1,1",
+    "decay --interval 1,1 --k one", "decay --k one --m 0", "decay --k 1,-1 --m 31",
+    "compare-legendre --fn poly:a --interval 3,3", "compare-legendre --N 0 --fn poly:a",
+    "compare-legendre --interval 3,3 --m -1", "compare-legendre --N 200 --m 181 --interval 3,3",
+    "project --params= --N 6 --m 2",
+)
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
                  for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
     f"{command} --alpha {a} --beta {b}" for command in GRID_SWEEP
     for a in LATTICE for b in LATTICE) + tuple(
     f"{command.format(q=N // 4, N=N)} --N {N} --alpha {a} --beta {b}"
     for a, b in (("0", "0"), ("0.5", "0.5"), ("-0.5", "3"), ("5", "0")) for N in (30, 100, 200)
-    for command in REPEATS) + ABOVE_CUT
+    for command in REPEATS) + ABOVE_CUT + VETTING
 
 
 def digest_line(command: str) -> str:
