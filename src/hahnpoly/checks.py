@@ -22,9 +22,9 @@ is read from, and holds them against the oracle's own recurrence.
 The operator checks read the grid rows the library projects with, and no
 check runs a forward sweep.  `eigen-difference-equation` pads rows
 0..min(DEGREE_CAP, N) with 0 at x = -1 and x = N + 1, points that never
-count, since B(N) = 0 and D(0) = 0.  The decay rows of every order come
-from one pass (`expansion._decay_pass`), and every projection here is
-`project` or `expansion._project_rows`, with their refusals.  `parseval`
+count, since B(N) = 0 and D(0) = 0.  The decay rows are one
+`decay_report` call per order, and every other projection here is a
+`project` call, with its refusals.  `parseval`
 and `interpolation` read one full-degree projection: at degree N the
 exact expansion equals the samples, so `interpolation` holds the node
 values of `eval_expansion`, which `project --pointwise` prints, to 1e-10
@@ -52,8 +52,8 @@ import numpy as np
 
 from ._compensated import _quotient, exact_sum
 from .discrete_calculus import GridFunction, _l_rows, l_disk_apply, sbp_residual
-from .expansion import (BOUND_SLACK, IntervalMap, _decay_pass, _project_rows, eval_expansion,
-                        inner_product, project)
+from .expansion import (BOUND_SLACK, IntervalMap, decay_report, eval_expansion, inner_product,
+                        project)
 # hahn_eval_all is unused here; the bench tracer's rebind test names it
 from .hahn import HahnParams, basis, hahn_eval_all, normalized_grid_matrix  # noqa: F401
 
@@ -208,11 +208,11 @@ def check_operator_symmetry(params: HahnParams) -> CheckResult:
 
 def check_spectral_multiplier(params: HahnParams) -> CheckResult:
     """Applying L multiplies coefficient n by -lam_n, coefficient-wise.
-    Both projections are one `expansion._project_rows` call, and L u is
-    formed only after its refusals."""
+    u is projected first, so L u is formed only after the refusals of
+    `project`."""
     (u,) = _random_grid_functions(params, 1)
-    cu, clu = _project_rows(params, params.N,
-                            (l_disk_apply(u).values if k else u.values for k in (0, 1)))
+    cu = project(u, params.N).coeffs
+    clu = project(l_disk_apply(u), params.N).coeffs
     lc = basis(params).lam * cu
     scale = np.maximum(np.abs(lc), 1e-6 * np.max(np.abs(lc)))
     return CheckResult("spectral-multiplier",
@@ -248,16 +248,16 @@ def check_decay_bound(params: HahnParams, ks: tuple[int, ...] = (1, 2, 3)) -> li
     """Coefficient bound |u_n| <= bound * (1 + slack) and the spectral
     identity behind it, for a sine sample on [-1, 1].  The bound holds
     exactly in real arithmetic, so the measured value is the worst
-    relative overshoot (clamped at zero when there is margin).  One decay
-    pass (`expansion._decay_pass`) serves every order, with the rows of one
-    `decay_report` call per order."""
+    relative overshoot (clamped at zero when there is margin).  Each order
+    is one `decay_report` call, in turn."""
     imap = IntervalMap(-1.0, 1.0, params.N)
     u = GridFunction.from_callable(
         lambda t: math.sin(math.pi * t), params, imap.to_interval
     )
     top = min(DEGREE_CAP, params.N)
     out = []
-    for k, rows in zip(ks, _decay_pass(u, ks, range(1, top + 1))):
+    for k in ks:
+        rows = decay_report(u, k, range(1, top + 1))
         overshoot = max((abs(r.coeff) - r.bound) / r.bound for r in rows)
         out += [CheckResult(f"decay-bound-k{k}", max(overshoot, 0.0), BOUND_SLACK),
                 CheckResult(f"decay-identity-k{k}", max(r.identity_residual for r in rows), 1e-6)]

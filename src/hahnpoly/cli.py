@@ -48,7 +48,7 @@ from .expansion import (
     BOUND_SLACK,
     CoefficientVector,
     IntervalMap,
-    _decay_pass,
+    decay_report,
     eval_expansion,
     inner_product,
     project,
@@ -154,6 +154,10 @@ def _checked_degree(m: int, grid_n: int) -> None:
 def _checked_samples(samples: int) -> None:
     if samples < 2:
         raise click.UsageError(f"samples must be at least 2, got {samples}")
+    # 100001 samples at N = m = 200 take a few seconds and about 100 MB;
+    # far more would end in numpy's allocation error
+    if samples > 100001:
+        raise click.UsageError(f"samples must be at most 100001, got {samples}")
 
 
 def _checked_orders(text: str) -> tuple[int, ...]:
@@ -228,7 +232,7 @@ _fn_option = click.option("--fn", "fn_spec", type=str, default="sin-pi", show_de
 _interval_option = click.option("--interval", type=str, default="-1,1", show_default=True,
                                 help="interval the grid is mapped onto")
 _samples_option = click.option("--samples", type=int, default=201, show_default=True,
-                               help="equispaced sample count across the interval")
+                               help="equispaced sample count across the interval, 2..100001")
 _orders_option = click.option("--k", "orders", type=str, default="1,2,3", show_default=True,
                               help="operator powers, comma separated")
 _out_option = click.option("--out", type=str, default="-", show_default=True,
@@ -385,7 +389,7 @@ def decay_cmd(alpha: float, beta: float, grid_n: int, top: int, orders: str,
     u = GridFunction.from_callable(fn, p, imap.to_interval)
     lines = _header("decay", alpha=alpha, beta=beta, N=grid_n, m=top, k=orders,
                     fn=label, interval=f"{imap.a},{imap.b}")
-    rows = [r for report in _decay_pass(u, ks, range(1, top + 1)) for r in report]
+    rows = [r for k in ks for r in decay_report(u, k, range(1, top + 1))]
     # the absolute allowance covers a bound of 0 (L^k u = 0 exactly) against
     # coefficients that carry the projection's rounding
     norm_sq = inner_product(u, u)

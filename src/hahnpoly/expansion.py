@@ -14,13 +14,13 @@ Every exact sum here is `_compensated.exact_sum`, the package's one rule
 for a sum with no double value.  A set of row sums (the values at the
 nodes, the coefficients of a grid function) is one `exact_row_sums`
 call, which gives exact_sum's bits for every row.  Projections of grid
-functions have one owner, `_project_rows`: the grid read and the norm
-check, then the row sums; `project`, the decay pass and
-`checks.check_spectral_multiplier` use it.  Each coefficient is the
-exact sum rounded once, whatever other rows are summed with it, so the
-family's `HahnBasis.projections` keeps the rows summed for each weighted
-sample vector, and a later projection of the same vector sums only the
-rows it does not hold yet.
+functions have one owner, `project`: the grid read and the norm check,
+then the row sums.  `decay_report` is two `project` calls, of u and of
+L^k u, and `checks.check_spectral_multiplier` two more, of u and of L u.
+Each coefficient is the exact sum rounded once, whatever other rows are
+summed with it, so the family's `HahnBasis.projections` keeps the rows
+summed for each weighted sample vector, and a later projection of the
+same vector sums only the rows it does not hold yet.
 
 Evaluation reads one convention: `eval_expansion` makes a classical
 vector orthonormal once, u_n = c_n ||Q_n|| rounded in double, and hands
@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._compensated import NEAR_NODE, clenshaw_sum, exact_row_sums, exact_sum, two_prod
-from .discrete_calculus import GridFunction, _check_power, _same_grid, l_disk_apply
+from .discrete_calculus import GridFunction, _check_power, _same_grid, l_disk_power
 from .errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -171,30 +171,17 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
 
 
 def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientVector:
-    """Projection coefficients of u for degrees 0..m, each the exact sum
-    of a grid row times u w, rounded once (`_project_rows`);
-    DegreeOutOfRangeError for m outside 0..N and DomainError for a norm
-    past the double range, as `_project_rows` refuses."""
+    """Projection coefficients of u for degrees 0..m: every orthonormal
+    coefficient the exact sum of a grid row times u w, rounded once
+    (`exact_row_sums`, which extracts a block of rows at a time).  The grid
+    is read first (`normalized_grid_matrix` refuses m outside 0..N with
+    DegreeOutOfRangeError), then the norms are checked (DomainError for a
+    norm past the double range), then u is read.  The family's
+    `HahnBasis.projections` keeps, for the last `_HELD_VECTORS` weighted
+    vectors u w by their bytes, the rows 0..done - 1 summed over the array
+    that holds the grid rows; a vector held for that array sums only rows
+    done..m, any other sums 0..m.  The coefficients are a fresh array."""
     p = u.params
-    (coeffs,) = _project_rows(p, m, [u.values])
-    if not normalized:
-        coeffs /= basis(p).sqrt_norms[: m + 1]
-    return CoefficientVector(p, coeffs, normalized)
-
-
-def _project_rows(p: HahnParams, m: int, values: Iterable[np.ndarray]) -> np.ndarray:
-    """The orthonormal coefficients of degrees 0..m of each grid function
-    in values, one row each: every coefficient the exact sum of a grid row
-    times the values times w, rounded once (`exact_row_sums`, which
-    extracts a block of rows at a time).  The grid is read
-    (`normalized_grid_matrix` refuses m outside 0..N) and the norms are
-    checked before values is read, so a generator forms L u, or refuses
-    it, only for a family that passes both, and every vector is formed
-    before any row is summed.  The family's `HahnBasis.projections` keeps,
-    for the last `_HELD_VECTORS` weighted vectors v w by their bytes, the
-    rows 0..done - 1 summed over the array that holds the grid rows; a
-    vector held for that array sums only rows done..m, any other sums
-    0..m.  The result is a fresh array."""
     qmat = normalized_grid_matrix(m, p)
     _check_norms(p, m)
     b = basis(p)
@@ -203,20 +190,20 @@ def _project_rows(p: HahnParams, m: int, values: Iterable[np.ndarray]) -> np.nda
     # L u from a weighted flux that was scaled into range can be finite
     # while L u w is not: that product is inf, with no warning
     with np.errstate(over="ignore"):
-        vws = [v * b.weights for v in values]
-    out = np.empty((len(vws), m + 1))
-    for row, vw in zip(out, vws):
-        key = vw.tobytes()
-        summed_over, held = b.projections.pop(key, (None, None))
-        held = held if summed_over is grid else np.empty(0)
-        if len(held) <= m:
-            held = np.concatenate((held, exact_row_sums(qmat[len(held):], vw)))
-        # re-inserted last: the first key is the least recently used
-        b.projections[key] = (grid, held)
-        row[:] = held[: m + 1]
-    while len(b.projections) > _HELD_VECTORS:
+        vw = u.values * b.weights
+    key = vw.tobytes()
+    summed_over, held = b.projections.pop(key, (None, None))
+    held = held if summed_over is grid else np.empty(0)
+    if len(held) <= m:
+        held = np.concatenate((held, exact_row_sums(qmat[len(held):], vw)))
+    # re-inserted last: the first key is the least recently used
+    b.projections[key] = (grid, held)
+    if len(b.projections) > _HELD_VECTORS:
         del b.projections[next(iter(b.projections))]
-    return out
+    coeffs = held[: m + 1].copy()
+    if not normalized:
+        coeffs /= b.sqrt_norms[: m + 1]
+    return CoefficientVector(p, coeffs, normalized)
 
 
 def eval_expansion(c: CoefficientVector, x: float | np.ndarray) -> float | np.ndarray:
@@ -280,38 +267,23 @@ def decay_report(u: GridFunction, k: int, n_range: Iterable[int]) -> list[DecayE
     identity u_n (-lam_n)^k = <Q~_n, L^k u>_w scaled by ||L^k u||_w.  The
     operator bound is a hard inequality; the degree-only bound is
     reported for reference and not asserted here.
-    DomainError if L^k u, ||L^k u||_w or lam_n^k overflows double precision,
-    or if lam_n^k or n^(2k) low^k underflows to 0, which the bounds divide
-    by; `l_disk_apply` passes the double range silently, and `inner_product`
-    carries a non-finite value of L^k u into ||L^k u||_w, where the
-    overflow is found.  The report is the one-order case of `_decay_pass`,
-    which serves several orders from one grid read, one operator chain and
-    one `_project_rows` call, each row with the bits of this call.  The
-    degrees n_range may be any iterable of integers, a generator among
-    them.
+
+    The order k is an integer in the sense of operator.index, as a degree
+    is.  A `range` of degrees is checked by its extremes; any other
+    iterable, a generator among them, is read once into a tuple and also
+    checked entry by entry (`_check_degree`), which refuses 2.5.  Then u
+    is projected (`project`, with its grid and norm refusals).
+    DomainError if lam_n^k overflows double precision, before L^k u is
+    formed; if L^k u or ||L^k u||_w does (`l_disk_apply` passes the double
+    range silently, and `inner_product` carries a non-finite value of
+    L^k u into ||L^k u||_w, where the overflow is found); or if lam_n^k or
+    n^(2k) low^k underflows to 0, which the bounds divide by.  L^k u is
+    projected last.  Every row is made of Python floats: the same IEEE
+    operations, in the same order, as on numpy's scalars, so the same
+    bits, at a fraction of the cost per row.
     """
-    return _decay_pass(u, (k,), n_range)[0]
-
-
-def _decay_pass(u: GridFunction, ks: tuple[int, ...],
-                n_range: Iterable[int]) -> list[list[DecayEntry]]:
-    """The `decay_report` rows of each order in ks, in order, from one pass:
-    one chain L u, L^2 u, .. up to the largest order and one
-    `_project_rows` call over u and every L^k u, which sums only the rows
-    the family's basis does not hold yet.  Refusals come as from one
-    `decay_report` call per order, in turn: the first order's checks, the
-    grid and the norms, then for each order its own check and its
-    overflow, all before any row is summed.  An order is an integer in the
-    sense of operator.index, as a degree is.  A `range` is checked by its
-    extremes; any other iterable of degrees is read once into a tuple and
-    also checked entry by entry (`_check_degree`), which refuses 2.5.  The
-    summed rows are read once as Python lists, and every row is made of
-    Python floats: the same IEEE operations, in the same order, as on
-    numpy's scalars, so the same bits, at a fraction of the cost per row."""
-    if not ks:
-        return []
     p = u.params
-    first = _check_power(ks[0], "order k")
+    k = _check_power(k, "order k")
     if not isinstance(n_range, range):
         # a generator has no len, and max would use it up before min
         n_range = tuple(n_range)
@@ -321,47 +293,34 @@ def _decay_pass(u: GridFunction, ks: tuple[int, ...],
     # extremes
     top = max(n_range)
     if min(n_range) < 1 or top > p.N:
-        if 0 in n_range and first >= 1:
+        if 0 in n_range and k >= 1:
             raise ZeroLambdaError("degree 0 has eigenvalue 0; no order-k bound exists")
         raise DegreeOutOfRangeError(f"degree range {n_range} outside 1..{p.N}")
     if not isinstance(n_range, range):
         _check_degree(n_range, p)
+    coeffs = project(u, top).coeffs.tolist()
     lams = basis(p).lam.tolist()
     # lam_n = n (n + alpha + beta + 1) >= low n^2 for n >= 1: low is 1
     # where alpha + beta >= -1, and alpha + beta + 2 below
     low = min(1.0, p.alpha + p.beta + 2.0)
-    chain, orders = [u], []
-
-    def values():
-        # read by _project_rows after the grid and norm refusals; every
-        # order's own refusals come before the row sums
-        yield u.values
-        for k in ks:
-            k = _check_power(k, "order k")
-            while len(chain) <= k:
-                chain.append(l_disk_apply(chain[-1]))
-            try:
-                # float ** int raises past the double range, math.sqrt below zero
-                s_k = math.sqrt(inner_product(chain[k], chain[k]))
-                powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k) * low**k)
-                          for n in n_range]
-            except (OverflowError, ValueError):
-                s_k = math.nan
-            if not math.isfinite(s_k):
-                raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
-            # float ** int underflows to 0 silently, and the rows divide by it
-            if any(lam_k == 0.0 or n_2k == 0.0 for lam_k, _, n_2k in powers):
-                raise DomainError(f"lam_n^k or n^(2k) low^k underflows double precision at k={k}")
-            orders.append((k, s_k, powers))
-            yield chain[k].values
-
+    try:
+        # float ** int raises past the double range, before L^k u is
+        # formed; math.sqrt raises below zero
+        powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k) * low**k)
+                  for n in n_range]
+        lku = l_disk_power(u, k)
+        s_k = math.sqrt(inner_product(lku, lku))
+    except (OverflowError, ValueError):
+        s_k = math.nan
+    if not math.isfinite(s_k):
+        raise DomainError(f"L^k u, ||L^k u||_w or lam_n^k overflows double precision at k={k}")
+    # float ** int underflows to 0 silently, and the rows divide by it
+    if any(lam_k == 0.0 or n_2k == 0.0 for lam_k, _, n_2k in powers):
+        raise DomainError(f"lam_n^k or n^(2k) low^k underflows double precision at k={k}")
+    lk_coeffs = project(lku, top).coeffs.tolist()
     # as Python floats, a product past the double range is inf with no warning
-    coeffs, *lku_sums = _project_rows(p, top, values()).tolist()
-    out = []
-    for (k, s_k, powers), lku in zip(orders, lku_sums):
-        rows = ((n, k, coeffs[n], s_k / lam_k, s_k / n_2k,
-                 abs(coeffs[n] * signed_lam_k - lku[n]) / s_k if s_k > 0 else 0.0)
-                for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers))
-        # _make wraps each tuple as it is, at half the cost of DecayEntry(...)
-        out.append(list(map(DecayEntry._make, rows)))
-    return out
+    rows = ((n, k, coeffs[n], s_k / lam_k, s_k / n_2k,
+             abs(coeffs[n] * signed_lam_k - lk_coeffs[n]) / s_k if s_k > 0 else 0.0)
+            for n, (lam_k, signed_lam_k, n_2k) in zip(n_range, powers))
+    # _make wraps each tuple as it is, at half the cost of DecayEntry(...)
+    return list(map(DecayEntry._make, rows))

@@ -168,14 +168,28 @@ def test_row_sums_go_through_the_kernel():
 
 
 def test_checks_project_through_one_owner():
-    # a projection of grid functions, with project's refusals before it,
-    # is expansion._project_rows: checks.py sums no rows and checks no
-    # norms of its own
+    # a projection of grid functions, with its refusals before it, is
+    # expansion.project: checks.py sums no rows and checks no norms of its
+    # own
     tree = ast.parse((SRC / "checks.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = getattr(node.func, "attr", getattr(node.func, "id", None))
             assert func not in ("exact_row_sums", "_check_norms"), node.lineno
+
+
+def test_checks_and_cli_import_only_public_projection_names():
+    # checks.py and cli.py reach the projections through expansion's
+    # public names (project, decay_report), and import none of its private
+    # helpers
+    for name in ("checks.py", "cli.py"):
+        tree = ast.parse((SRC / name).read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.rpartition(".")[2] == "expansion"
+                    for alias in node.names]
+        assert "project" in imported, name
+        assert not [n for n in imported if n.startswith("_")], name
 
 
 def test_checks_measure_defects_through_one_owner():

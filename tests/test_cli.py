@@ -132,15 +132,15 @@ def test_decay_bound_columns():
 
 
 def _plant_bound_violation(monkeypatch):
-    # the third row of the first decay report gets twice its bound
-    real = cli._decay_pass
+    # the third row of each decay report gets twice its bound
+    real = cli.decay_report
 
-    def planted(u, ks, n_range):
-        (rows,) = real(u, ks, n_range)
+    def planted(u, k, n_range):
+        rows = real(u, k, n_range)
         rows[2] = rows[2]._replace(coeff=2.0 * rows[2].bound)
-        return [rows]
+        return rows
 
-    monkeypatch.setattr(cli, "_decay_pass", planted)
+    monkeypatch.setattr(cli, "decay_report", planted)
 
 
 def test_decay_constant_target_within_rounding(monkeypatch):
@@ -275,14 +275,14 @@ def test_decay_refuses_a_non_finite_cell_before_its_bound_verdict(monkeypatch):
     # a violated bound would exit 4 after the table; a nan cell in the same
     # table is refused first, where the table is formatted
     _plant_bound_violation(monkeypatch)
-    violated = cli._decay_pass
+    violated = cli.decay_report
 
-    def planted(u, ks, n_range):
-        (rows,) = violated(u, ks, n_range)
+    def planted(u, k, n_range):
+        rows = violated(u, k, n_range)
         rows[3] = rows[3]._replace(identity_residual=math.nan)
-        return [rows]
+        return rows
 
-    monkeypatch.setattr(cli, "_decay_pass", planted)
+    monkeypatch.setattr(cli, "decay_report", planted)
     res = run("decay", "--N", "30", "--m", "5", "--k", "1")
     assert res.exit_code == 3
     assert res.stdout == ""
@@ -294,6 +294,14 @@ def test_exit_code_usage_error():
     assert run("project", "--interval", "nope").exit_code == 2
     assert run("decay", "--k", "one").exit_code == 2
     assert run("runge", "--samples", "1").exit_code == 2
+
+
+def test_samples_bound_is_inclusive():
+    # 100001 samples are taken; 100002 are refused (CONFIG_ERRORS), before
+    # numpy is asked for an array of that many
+    res = run("runge", "--N", "6", "--m", "2", "--samples", "100001", "--params", "0,0")
+    assert res.exit_code == 0
+    assert len(parse_csv(res.stdout)[1]) == 100001
 
 
 def test_exit_code_config_validation():
@@ -356,6 +364,7 @@ CONFIG_ERRORS = {
     "project --fn poly:": "bad polynomial spec 'poly:'",
     "project --fn poly:a": "bad polynomial spec 'poly:a'",
     "runge --samples 1": "samples must be at least 2, got 1",
+    "runge --samples 100002": "samples must be at most 100001, got 100002",
 }
 
 

@@ -942,6 +942,28 @@ def test_decay_report_refuses_overflowing_powers():
         decay_report(GridFunction(p, np.ones(31)), 300, range(1, 31))
 
 
+def test_decay_report_refuses_an_overflowing_power_before_forming_l_k_u(monkeypatch):
+    # lam_5^k = 30^k passes the double range from k = 209: such an order is
+    # refused before any application of L, where L^200000 u took the whole
+    # chain.  At k = 58 every lam_n^k is finite and ||L^58 u||_w is not, so
+    # L is applied 58 times before the refusal, with the same message
+    from hahnpoly import discrete_calculus
+
+    applied, real = [], discrete_calculus._l_rows
+    monkeypatch.setattr(discrete_calculus, "_l_rows",
+                        lambda p, rows: applied.append(1) or real(p, rows))
+    u = _sine_sample(HahnParams(0.0, 0.0, 30))
+    for k, count in ((200000, 0), (209, 0), (58, 58)):
+        applied.clear()
+        with pytest.raises(DomainError, match=rf"^L\^k u, \|\|L\^k u\|\|_w or lam_n\^k overflows "
+                                              rf"double precision at k={k}$"):
+            decay_report(u, k, range(1, 6))
+        assert len(applied) == count, k
+    applied.clear()
+    decay_report(u, 3, range(1, 6))
+    assert len(applied) == 3
+
+
 def _entry_bits(reports):
     # every field of every row as int64 bits, so a NaN matches only a NaN
     # with the same payload and -0.0 differs from 0.0
@@ -958,19 +980,22 @@ DECAY_ORDERS = [(1, 2, 3), (3, 1), (2, 2), (0, 1), (4,)]
 @pytest.mark.parametrize("N", [1, 6, 30, 60, 200])
 @pytest.mark.parametrize("alpha,beta", DECAY_FAMILIES)
 def test_decay_pass_equals_one_report_per_order(alpha, beta, N):
-    # the shared pass gives every order the rows of its own decay_report
-    # call, bit for bit; no cell here is refused
+    # a decay pass, as `decay` and `verify` run it, is one decay_report
+    # call per order in turn, each order served from the rows the family's
+    # basis holds for u: every row is finite and no call warns; no cell
+    # here is refused
     p = HahnParams(alpha, beta, N)
     imap = IntervalMap(-1.0, 1.0, N)
+    n_range = range(1, min(20, N) + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t)):
             u = GridFunction.from_callable(fn, p, imap.to_interval)
             for ks in DECAY_ORDERS:
-                n_range = range(1, min(20, N) + 1)
-                got = expansion._decay_pass(u, ks, n_range)
-                want = [decay_report(u, k, n_range) for k in ks]
-                assert _entry_bits(got) == _entry_bits(want), ks
+                reports = [decay_report(u, k, n_range) for k in ks]
+                assert [[(r.n, r.k) for r in rows] for rows in reports] == [
+                    [(n, k) for n in n_range] for k in ks]
+                assert all(math.isfinite(v) for rows in reports for r in rows for v in r[2:]), ks
 
 
 @pytest.mark.parametrize("alpha,beta", [(-0.999, -0.999), (-0.9, -0.5)] + DECAY_FAMILIES)
@@ -985,8 +1010,8 @@ def test_degree_only_bound_holds(alpha, beta):
     for fn in (lambda t: math.sin(math.pi * t), lambda t: 1.0 / (1.0 + 25.0 * t * t)):
         u = GridFunction.from_callable(fn, p, imap.to_interval)
         floor = 31 * np.finfo(float).eps * math.sqrt(inner_product(u, u))
-        for rows in expansion._decay_pass(u, (1, 2, 3), range(1, 31)):
-            for r in rows:
+        for k in (1, 2, 3):
+            for r in decay_report(u, k, range(1, 31)):
                 assert abs(r.coeff) <= r.bound_degree_only * (1.0 + BOUND_SLACK) + floor, r
 
 
@@ -994,22 +1019,25 @@ def test_degree_only_bound_holds(alpha, beta):
                                       ((1, 2, 58), 58)])
 def test_decay_pass_refuses_the_first_overflowing_order(ks, first):
     # at N = 30 ||L^k u||_w of the sine sample passes the double range from
-    # k = 58: the pass refuses the first such order of the tuple, with the
-    # message of its decay_report call
-    p = HahnParams(0.0, 0.0, 30)
-    u = _sine_sample(p)
-    with pytest.raises(DomainError) as exc:
-        expansion._decay_pass(u, ks, range(1, 4))
+    # k = 58: `decay` refuses the first such order of its --k list (exit
+    # 3), with the message of that order's decay_report call, and prints
+    # no row of the orders before it
+    from click.testing import CliRunner
+
+    from hahnpoly.cli import main
+
+    u = _sine_sample(HahnParams(0.0, 0.0, 30))
     with pytest.raises(DomainError) as ref:
         decay_report(u, first, range(1, 4))
-    assert str(exc.value) == str(ref.value) and f"k={first}" in str(exc.value)
-    # an invalid order after a refused one: the refusal comes first, as in
-    # one call per order
-    with pytest.raises(DomainError, match=f"k={first}"):
-        expansion._decay_pass(u, ks + (-1,), range(1, 4))
-    with pytest.raises(DomainError, match="nonnegative"):
-        expansion._decay_pass(u, (1, -1, first), range(1, 4))
-    assert expansion._decay_pass(u, (), range(1, 4)) == []
+    assert f"k={first}" in str(ref.value)
+    orders = ",".join(map(str, ks))
+    for flags in ([], ["--fn", "sin-pi", "--interval", "-1,1"], ["--alpha", "0", "--beta", "0"]):
+        res = CliRunner().invoke(main, ["decay", "--N", "30", "--m", "3", "--k", orders, *flags])
+        assert (res.exit_code, res.stdout, res.stderr) == (3, "", f"error: {ref.value}\n")
+    # an invalid order is a flag value, vetted before any order is computed
+    for bad in (f"{orders},-1", f"1,-1,{first}"):
+        res = CliRunner().invoke(main, ["decay", "--N", "30", "--m", "3", "--k", bad])
+        assert res.exit_code == 2 and res.stderr.endswith("k must be nonnegative, got -1\n")
 
 
 def _decay_bits(p: HahnParams) -> tuple[str, str, str]:
@@ -1024,7 +1052,7 @@ def _decay_bits(p: HahnParams) -> tuple[str, str, str]:
     out = [_digest([v.values for v in chain[1:]])]
     for ks, n_range in (((1, 2, 3), range(1, p.N + 1)), ((2,), range(p.N, 0, -1))):
         try:
-            reports = expansion._decay_pass(u, ks, n_range)
+            reports = [decay_report(u, k, n_range) for k in ks]
         except DomainError as exc:
             out.append(str(exc))
             continue
@@ -1076,7 +1104,7 @@ def test_decay_rows_and_operator_keep_their_bits(alpha, beta, N):
 
 def test_decay_rows_are_named_tuples_of_python_floats():
     p = HahnParams(0.5, 0.5, 30)
-    reports = expansion._decay_pass(_sine_sample(p), (1, 2, 3), range(30, 0, -1))
+    reports = [decay_report(_sine_sample(p), k, range(30, 0, -1)) for k in (1, 2, 3)]
     for r in (r for rows in reports for r in rows):
         assert type(r.n) is int and type(r.k) is int
         assert all(type(v) is float for v in r[2:])
@@ -1114,8 +1142,6 @@ def test_decay_orders_are_integers_in_the_sense_of_operator_index():
     got = decay_report(u, np.int64(2), range(1, 5))
     assert _entry_bits([got]) == _entry_bits([want])
     assert all(type(r.k) is int for r in got)
-    (got,) = expansion._decay_pass(u, (np.int64(2),), range(1, 5))
-    assert _entry_bits([got]) == _entry_bits([want])
     for k in (2.0, 2.5, -1):
         with pytest.raises(DomainError, match="order k must be a nonnegative integer"):
             decay_report(u, k, range(1, 5))
@@ -1141,18 +1167,19 @@ def test_decay_residual_past_the_double_range_is_inf_without_warning(monkeypatch
     # a planted u_3 = 1e307 times lam_3^2 = 144 passes the double range: as
     # Python floats the residual is inf with no warning, where numpy's
     # float64 scalar warns of the overflow
-    p = HahnParams(0.0, 0.0, 30)
-    real = expansion._project_rows
+    u = _sine_sample(HahnParams(0.0, 0.0, 30))
+    real = expansion.project
 
-    def planted(p, m, values):
-        rows = real(p, m, values)
-        rows[0, 3] = 1e307
-        return rows
+    def planted(v, m):
+        c = real(v, m)
+        if v is u:
+            c.coeffs[3] = 1e307
+        return c
 
-    monkeypatch.setattr(expansion, "_project_rows", planted)
+    monkeypatch.setattr(expansion, "project", planted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = decay_report(_sine_sample(p), 2, range(1, 5))
+        rows = decay_report(u, 2, range(1, 5))
         with pytest.raises(RuntimeWarning, match="overflow"):
             np.float64(1e307) * 144.0
     assert rows[2].identity_residual == math.inf
@@ -1313,20 +1340,24 @@ def test_held_projections_sum_only_the_rows_not_held(monkeypatch):
     # u's rows are held; L u and L^2 u are summed once each
     decay_report(u, 2, range(1, 101))
     assert rows == [26, 75, 101]
-    expansion._decay_pass(u, (1, 2), range(1, 101))
+    for k in (1, 2):
+        decay_report(u, k, range(1, 101))
     assert rows == [26, 75, 101, 101]
 
 
 def test_held_projections_refuse_before_any_row_sum(monkeypatch):
-    # the order 58 passes the double range: its refusal comes before any
-    # vector of the pass is summed, u's included
+    # the order 58 passes the double range: a refused order sums no row of
+    # L^k u, and the valid orders after it sum only their own vectors, u's
+    # rows being held: three vectors in all
     p = HahnParams(0.0, 0.0, 30)
     u = GridFunction(p, np.sin(np.pi * np.linspace(-1.0, 1.0, 31)) * (1.0 + 2.0**-40))
     rows = _counted_row_sums(monkeypatch)
+    decay_report(u, 1, range(1, 4))
+    assert rows == [4, 4]
     with pytest.raises(DomainError, match="k=58"):
-        expansion._decay_pass(u, (1, 2, 58), range(1, 4))
-    assert rows == []
-    expansion._decay_pass(u, (1, 2), range(1, 4))
+        decay_report(u, 58, range(1, 4))
+    assert rows == [4, 4]
+    decay_report(u, 2, range(1, 4))
     assert rows == [4, 4, 4]
 
 
@@ -1353,7 +1384,6 @@ def test_held_projections_are_not_aliased():
     want = project(u, 30).coeffs.copy()
     project(u, 30).coeffs[:] = 0.0
     project(u, 10, normalized=False).coeffs[:] = 0.0
-    expansion._project_rows(p, 30, [u.values])[0][:] = 0.0
     assert np.array_equal(project(u, 30).coeffs, want)
 
 

@@ -48,7 +48,8 @@ ABOVE_CUT = ("project --alpha 0 --beta 1e3 --N 100 --m 100 --fn runge",
              "compare-legendre --N 200 --m 100", "runge --N 200 --m 200 --samples 201 --params 0,0")
 # the flag vetting paths: one bad flag per command (the keys of
 # tests/test_cli.py CONFIG_ERRORS), then two bad flags per command, of
-# which the first one vetted is named, and an empty --params
+# which the first one vetted is named, an empty --params, and a sample
+# count past the bound
 VETTING = (
     "project --N 0", "project --alpha -1", "project --beta nan", "project --params 0,0;-2,0",
     "project --interval 1,1", "project --interval=-1e308,1e308 --N 200", "project --m -1",
@@ -66,7 +67,17 @@ VETTING = (
     "decay --interval 1,1 --k one", "decay --k one --m 0", "decay --k 1,-1 --m 31",
     "compare-legendre --fn poly:a --interval 3,3", "compare-legendre --N 0 --fn poly:a",
     "compare-legendre --interval 3,3 --m -1", "compare-legendre --N 200 --m 181 --interval 3,3",
-    "project --params= --N 6 --m 2",
+    "project --params= --N 6 --m 2", "runge --samples 100002",
+)
+# the refusal precedence of decay: the norms before any order, an order's
+# overflow before its underflow, the first refused order of a list, and
+# an order whose lam_n^k overflows before L^k u is formed
+DECAY_REFUSALS = (
+    "decay --alpha 0 --beta 1e3 --N 200 --m 100 --k 60",
+    "decay --alpha 0 --beta 1e3 --N 200 --m 90 --k 1,60",
+    "decay --alpha -0.999 --beta -0.999 --N 30 --m 1 --k 200",
+    "decay --N 30 --m 3 --k 1,2,58",
+    "decay --N 30 --m 5 --k 200000",
 )
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
                  for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
@@ -74,7 +85,7 @@ COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
     for a in LATTICE for b in LATTICE) + tuple(
     f"{command.format(q=N // 4, N=N)} --N {N} --alpha {a} --beta {b}"
     for a, b in (("0", "0"), ("0.5", "0.5"), ("-0.5", "3"), ("5", "0")) for N in (30, 100, 200)
-    for command in REPEATS) + ABOVE_CUT + VETTING
+    for command in REPEATS) + ABOVE_CUT + VETTING + DECAY_REFUSALS
 
 
 def digest_line(command: str) -> str:
