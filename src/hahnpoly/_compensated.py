@@ -47,6 +47,11 @@ Legendre coefficients): it splits blocks of rows by error-free
 extraction, with one sigma per block, rounds each row where a
 certificate proves the rounding, and sums every other row, a candidate
 of 0 among them, in the one exact_sum loop that small matrices take.
+`held_row_sums` is the one memo of such sums: a caller's store keeps, by
+the bytes of the vector, the rows already summed over one array, for at
+most `_HELD_VECTORS` vectors.  `expansion.project` passes the family's
+`HahnBasis.projections`, and `legendre_ref.legendre_coeffs` the store
+cached beside its rule and table.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ _ROW_SUM_CUT = 2500
 # pass would hold two (m+1) x (N+1) temporaries at once, and a smaller
 # block fits sigma closer to each row but makes more passes
 _ROW_BLOCK = 64
+# right-hand sides whose row sums a `held_row_sums` store keeps
+_HELD_VECTORS = 16
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -136,6 +143,30 @@ def exact_row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # more than the sums
     out[todo] = [exact_sum(row) for row in (a[todo] * b).tolist()]
     return out
+
+
+def held_row_sums(store: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`exact_row_sums(a, b)` as a fresh array, with the rows already
+    summed for b held in store.
+
+    store keeps, by the bytes of b, the array the sums were summed over
+    (a.base, or a itself) and the sums of its rows 0..done - 1.  An entry
+    for that array sums only rows done..len(a) - 1; any other, a grid
+    planted or rebuilt since, sums every row again.  Each sum is
+    exact_sum's rounding, whatever other rows it was summed with, so the
+    bits do not depend on what was held.  store keeps at most
+    `_HELD_VECTORS` vectors and drops the least recently used first."""
+    owner = a if a.base is None else a.base
+    key = b.tobytes()
+    summed_over, held = store.pop(key, (None, None))
+    held = held if summed_over is owner else np.empty(0)
+    if len(held) < len(a):
+        held = np.concatenate((held, exact_row_sums(a[len(held):], b)))
+    # re-inserted last: the first key is the least recently used
+    store[key] = (owner, held)
+    if len(store) > _HELD_VECTORS:
+        del store[next(iter(store))]
+    return held[: len(a)].copy()
 
 
 def _extract(p: np.ndarray, parts: np.ndarray) -> None:

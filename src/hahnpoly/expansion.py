@@ -20,7 +20,9 @@ L^k u, and `checks.check_spectral_multiplier` two more, of u and of L u.
 Each coefficient is the exact sum rounded once, whatever other rows are
 summed with it, so the family's `HahnBasis.projections` keeps the rows
 summed for each weighted sample vector, and a later projection of the
-same vector sums only the rows it does not hold yet.
+same vector sums only the rows it does not hold yet: `project` hands
+that store to `_compensated.held_row_sums`, the package's one memo of
+row sums, which `legendre_ref.legendre_coeffs` shares.
 
 Evaluation reads one convention: `eval_expansion` makes a classical
 vector orthonormal once, u_n = c_n ||Q_n|| rounded in double, and hands
@@ -48,8 +50,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._compensated import NEAR_NODE, clenshaw_sum, exact_row_sums, exact_sum, two_prod
-from .discrete_calculus import GridFunction, _check_power, _same_grid, l_disk_power
+from ._compensated import (NEAR_NODE, clenshaw_sum, exact_row_sums, exact_sum, held_row_sums,
+                           two_prod)
+from .discrete_calculus import GridFunction, _check_power, _same_grid, l_disk_apply
 from .errors import (
     DegenerateIntervalError,
     DegreeOutOfRangeError,
@@ -148,8 +151,6 @@ class DecayEntry(NamedTuple):
 # allowance (N+1) eps ||u||_w, the rounding level of a projected
 # coefficient, so that a bound of 0 is not failed by rounding alone.
 BOUND_SLACK = 1e-8
-# weighted sample vectors whose coefficients a family's basis keeps
-_HELD_VECTORS = 16
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:
@@ -176,31 +177,20 @@ def project(u: GridFunction, m: int, *, normalized: bool = True) -> CoefficientV
     (`exact_row_sums`, which extracts a block of rows at a time).  The grid
     is read first (`normalized_grid_matrix` refuses m outside 0..N with
     DegreeOutOfRangeError), then the norms are checked (DomainError for a
-    norm past the double range), then u is read.  The family's
-    `HahnBasis.projections` keeps, for the last `_HELD_VECTORS` weighted
-    vectors u w by their bytes, the rows 0..done - 1 summed over the array
-    that holds the grid rows; a vector held for that array sums only rows
-    done..m, any other sums 0..m.  The coefficients are a fresh array."""
+    norm past the double range), then u is read.  The row sums are
+    `_compensated.held_row_sums` over the family's `HahnBasis.projections`:
+    a weighted vector u w held there for the array that holds the grid
+    rows sums only the rows 0..m not held yet, any other sums 0..m.  The
+    coefficients are a fresh array."""
     p = u.params
     qmat = normalized_grid_matrix(m, p)
     _check_norms(p, m)
     b = basis(p)
-    # a grid planted or rebuilt since an entry was summed is another array
-    grid = qmat if qmat.base is None else qmat.base
     # L u from a weighted flux that was scaled into range can be finite
     # while L u w is not: that product is inf, with no warning
     with np.errstate(over="ignore"):
         vw = u.values * b.weights
-    key = vw.tobytes()
-    summed_over, held = b.projections.pop(key, (None, None))
-    held = held if summed_over is grid else np.empty(0)
-    if len(held) <= m:
-        held = np.concatenate((held, exact_row_sums(qmat[len(held):], vw)))
-    # re-inserted last: the first key is the least recently used
-    b.projections[key] = (grid, held)
-    if len(b.projections) > _HELD_VECTORS:
-        del b.projections[next(iter(b.projections))]
-    coeffs = held[: m + 1].copy()
+    coeffs = held_row_sums(b.projections, qmat, vw)
     if not normalized:
         coeffs /= b.sqrt_norms[: m + 1]
     return CoefficientVector(p, coeffs, normalized)
@@ -276,7 +266,9 @@ def decay_report(u: GridFunction, k: int, n_range: Iterable[int]) -> list[DecayE
     DomainError if lam_n^k overflows double precision, before L^k u is
     formed; if L^k u or ||L^k u||_w does (`l_disk_apply` passes the double
     range silently, and `inner_product` carries a non-finite value of
-    L^k u into ||L^k u||_w, where the overflow is found); or if lam_n^k or
+    L^k u into ||L^k u||_w, where the overflow is found), where L^k u is
+    formed one power at a time and refused at the first L^j u that is not
+    finite, since L keeps a non-finite entry non-finite; or if lam_n^k or
     n^(2k) low^k underflows to 0, which the bounds divide by.  L^k u is
     projected last.  Every row is made of Python floats: the same IEEE
     operations, in the same order, as on numpy's scalars, so the same
@@ -308,7 +300,13 @@ def decay_report(u: GridFunction, k: int, n_range: Iterable[int]) -> list[DecayE
         # formed; math.sqrt raises below zero
         powers = [(lams[n] ** k, (-lams[n]) ** k, float(n) ** (2 * k) * low**k)
                   for n in n_range]
-        lku = l_disk_power(u, k)
+        lku = u
+        for _ in range(k):
+            lku = l_disk_apply(lku)
+            # L keeps a non-finite entry non-finite, and so does ||.||_w:
+            # the first such power decides the refusal
+            if not np.isfinite(lku.values).all():
+                raise OverflowError
         s_k = math.sqrt(inner_product(lku, lku))
     except (OverflowError, ValueError):
         s_k = math.nan

@@ -125,10 +125,11 @@ class HahnBasis:
     integer quotients of `steps`, each rounded once; the operator's `lam`,
     `b`, `d` and `flux` are float formulas of alpha, beta and N, and the
     weights come from `weight_table`.  `projections` is the one field that
-    grows: `expansion.project` keeps there, by the bytes of each
+    grows: it is the store that `expansion.project` hands to
+    `_compensated.held_row_sums`, which keeps there, by the bytes of each
     weighted sample vector v w, the grid array it summed over and the
     coefficients of degrees 0..done - 1, for at most
-    `expansion._HELD_VECTORS` (16) vectors, in the order of their last
+    `_compensated._HELD_VECTORS` (16) vectors, in the order of their last
     use."""
 
     params: HahnParams

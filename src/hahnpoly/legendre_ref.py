@@ -7,9 +7,12 @@ their continuum analogue.
 
 `legendre_coeffs` reads its rule from a private cache, one rule per point
 count with read-only arrays, together with the rule's table of Legendre
-values at the nodes, so repeated coefficient requests run Newton and the
-sweep once.  `gauss_legendre_rule` itself is not cached: each call builds a
-fresh rule.
+values at the nodes and the coefficient sums held for it, so repeated
+coefficient requests run Newton and the sweep once, and a request for a
+target whose weighted node values are held sums no row.  The sums are
+held by `_compensated.held_row_sums`, the routine that also holds the
+Hahn projections.  `gauss_legendre_rule` itself is not cached: each call
+builds a fresh rule.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._compensated import exact_row_sums
+from ._compensated import held_row_sums
 from .errors import ConvergenceFailureError, DomainError
 
 _MAX_DEGREE = 200
@@ -100,15 +103,17 @@ def gauss_legendre_rule(q: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=16)
-def _cached_rule(q: int) -> tuple[QuadratureRule, np.ndarray]:
-    """The q-point rule and the table legendre_coeffs reads with it:
-    P_0 .. P_m at the nodes, m = q - 20 (`_legendre_sweep`).  Every array
-    is read-only, since every legendre_coeffs call with this q shares it."""
+def _cached_rule(q: int) -> tuple[QuadratureRule, np.ndarray, dict]:
+    """The q-point rule and what legendre_coeffs reads with it: the table
+    of P_0 .. P_m at the nodes, m = q - 20 (`_legendre_sweep`), and the
+    store of its held row sums (`held_row_sums`), which lives and dies
+    with the table.  Every array is read-only, since every
+    legendre_coeffs call with this q shares it."""
     rule = gauss_legendre_rule(q)
     table = _legendre_sweep(q - 20, rule.nodes)
     for a in (rule.nodes, rule.weights, table):
         a.setflags(write=False)
-    return rule, table
+    return rule, table, {}
 
 
 def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
@@ -121,11 +126,13 @@ def legendre_coeffs(f: Callable[[float], float], m: int) -> np.ndarray:
     floats, so a value past the double range is inf without a warning;
     each coefficient is an exact sum rounded once (`exact_row_sums`, one
     call for all degrees, with the bits of `exact_sum`), so such a value
-    makes it inf or nan.
+    makes it inf or nan.  The sums are held with the rule
+    (`_compensated.held_row_sums`): f called again on the same degree, or
+    any f with the same values at the nodes, sums no row.
     """
     if not 0 <= m <= _MAX_DEGREE - 20:
         raise DomainError(f"m must be in 0..{_MAX_DEGREE - 20}, got {m}")
-    rule, table = _cached_rule(m + 20)
+    rule, table, held = _cached_rule(m + 20)
     wf = rule.weights * np.array([f(t) for t in rule.nodes.tolist()])
     # (2n + 1) / 2 is exact, so each product has the bits of a scalar one
-    return np.arange(1, 2 * m + 2, 2) / 2.0 * exact_row_sums(table, wf)
+    return np.arange(1, 2 * m + 2, 2) / 2.0 * held_row_sums(held, table, wf)

@@ -964,6 +964,27 @@ def test_decay_report_refuses_an_overflowing_power_before_forming_l_k_u(monkeypa
     assert len(applied) == 3
 
 
+def test_decay_report_stops_at_the_first_power_past_the_double_range(monkeypatch):
+    # lam_1 = 1 on (-0.5, -0.5), so no lam_n^k overflows, while L^j u has
+    # a non-finite entry from j = 111 on, which every later power keeps:
+    # orders 2000 and 10^9 are refused after 111 applications of L, and
+    # the test for a non-finite entry raises no warning
+    from hahnpoly import discrete_calculus
+
+    applied, real = [], discrete_calculus._l_rows
+    monkeypatch.setattr(discrete_calculus, "_l_rows",
+                        lambda p, rows: applied.append(1) or real(p, rows))
+    u = _sine_sample(HahnParams(-0.5, -0.5, 30))
+    for k in (2000, 10**9, 111):
+        applied.clear()
+        with warnings.catch_warnings(), pytest.raises(
+                DomainError, match=rf"^L\^k u, \|\|L\^k u\|\|_w or lam_n\^k overflows "
+                                   rf"double precision at k={k}$"):
+            warnings.simplefilter("error")
+            decay_report(u, k, range(1, 2))
+        assert len(applied) == 111, k
+
+
 def _entry_bits(reports):
     # every field of every row as int64 bits, so a NaN matches only a NaN
     # with the same payload and -0.0 differs from 0.0
@@ -1322,9 +1343,10 @@ def test_held_projections_keep_their_bits(alpha, beta, N):
 
 
 def _counted_row_sums(monkeypatch) -> list:
-    # the number of rows of each exact_row_sums call of a projection
-    rows, real = [], expansion.exact_row_sums
-    monkeypatch.setattr(expansion, "exact_row_sums",
+    # the number of rows of each exact_row_sums call of a projection, all
+    # of which held_row_sums makes
+    rows, real = [], dd.exact_row_sums
+    monkeypatch.setattr(dd, "exact_row_sums",
                         lambda a, b: rows.append(len(a)) or real(a, b))
     return rows
 
@@ -1396,7 +1418,7 @@ def test_held_projections_are_bounded(monkeypatch):
     for v in vectors:
         project(GridFunction(p, v), 30)
     held = basis(p).projections
-    assert len(held) == expansion._HELD_VECTORS == 16
+    assert len(held) == dd._HELD_VECTORS == 16
     rows = _counted_row_sums(monkeypatch)
     project(GridFunction(p, vectors[24]), 30)
     project(GridFunction(p, vectors[0]), 30)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hahnpoly import legendre_ref
+from hahnpoly import _compensated, legendre_ref
 from hahnpoly.errors import ConvergenceFailureError, DomainError
 from hahnpoly.legendre_ref import gauss_legendre_rule, legendre_coeffs, legendre_eval
 
@@ -185,13 +185,83 @@ def test_coeffs_build_one_rule_per_point_count(monkeypatch):
     legendre_coeffs(f, 20)
     assert builds == [57, 40]
     # the cached rule equals a fresh one and cannot be written through
-    rule, table = legendre_ref._cached_rule(57)
+    rule, table, _ = legendre_ref._cached_rule(57)
     fresh = gauss_legendre_rule(57)
     for got, want in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert not got.flags.writeable
     assert not table.flags.writeable
     assert builds == [57, 40]
+
+
+def _poly_1e308(t):
+    # poly:1e308,0,1e308 in the CLI's Horner form: inf at the outer nodes,
+    # so inf and nan coefficients
+    return (1e308 * t + 0.0) * t + 1e308
+
+
+HELD_TARGETS = [lambda t: 1.0 / (1.0 + 25.0 * t * t), lambda t: math.sin(math.pi * t),
+                _poly_1e308]
+
+
+def _counted_row_sums(monkeypatch) -> list:
+    # the number of rows of each exact_row_sums call, all of which
+    # held_row_sums makes
+    rows, real = [], _compensated.exact_row_sums
+    monkeypatch.setattr(_compensated, "exact_row_sums",
+                        lambda a, b: rows.append(len(a)) or real(a, b))
+    return rows
+
+
+def test_held_legendre_sums_keep_their_bits():
+    # each call served from the sums held with its rule equals the same
+    # call on a fresh rule, bit for bit, nan payloads and signs included
+    calls = [(f, m) for f in HELD_TARGETS for m in (0, 20, 180)]
+    cold = []
+    for f, m in calls:
+        legendre_ref._cached_rule.cache_clear()
+        cold.append(legendre_coeffs(f, m).view(np.int64).tolist())
+    assert not all(map(math.isfinite, legendre_coeffs(_poly_1e308, 20)))
+    legendre_ref._cached_rule.cache_clear()
+    for order in (calls, calls, calls[::-1]):
+        warm = [legendre_coeffs(f, m).view(np.int64).tolist() for f, m in order]
+        assert warm == (cold if order is calls else cold[::-1])
+
+
+def test_held_legendre_sums_sum_no_row(monkeypatch):
+    legendre_ref._cached_rule.cache_clear()
+    rows = _counted_row_sums(monkeypatch)
+    f = HELD_TARGETS[0]
+    legendre_coeffs(f, 20)
+    legendre_coeffs(f, 20)
+    legendre_coeffs(f, 37)
+    legendre_coeffs(f, 37)
+    # another target with the same values at the nodes is the same vector
+    legendre_coeffs(lambda t: 1.0 / (1.0 + 25.0 * t * t), 20)
+    assert rows == [21, 38]
+
+
+def test_held_legendre_sums_are_not_aliased():
+    # writing into a returned vector changes no later call
+    f = HELD_TARGETS[1]
+    want = legendre_coeffs(f, 20).copy()
+    legendre_coeffs(f, 20)[:] = 0.0
+    assert np.array_equal(legendre_coeffs(f, 20), want)
+
+
+def test_held_legendre_sums_are_bounded(monkeypatch):
+    # 17 distinct node vectors leave the last 16 held: the first one is
+    # summed again, the last one is not
+    legendre_ref._cached_rule.cache_clear()
+    targets = [lambda t, c=c: c * t for c in range(1, 18)]
+    for f in targets:
+        legendre_coeffs(f, 20)
+    held = legendre_ref._cached_rule(40)[2]
+    assert len(held) == _compensated._HELD_VECTORS == 16
+    rows = _counted_row_sums(monkeypatch)
+    legendre_coeffs(targets[-1], 20)
+    legendre_coeffs(targets[0], 20)
+    assert rows == [21] and len(held) == 16
 
 
 # The per-(degree, node) route legendre_coeffs took before it read one

@@ -75,4 +75,4 @@ def test_digest_list_holds_the_golden_pins():
     assert set(GOLDEN_STDOUT) <= set(cli_digests.COMMANDS)
     assert set(CONFIG_ERRORS) <= set(cli_digests.COMMANDS)
     assert (len(cli_digests.COMMANDS) == len(set(cli_digests.COMMANDS))
-            == 7 * 7 * 7 + 9 + 4 * 3 * 4 + 3 + 45 + 5)
+            == 7 * 7 * 7 + 9 + 4 * 3 * 4 + 3 + 45 + 6 + 2 * 8)

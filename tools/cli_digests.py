@@ -46,6 +46,15 @@ REPEATS = ("project --m {q} --fn runge", "project --m {N} --fn runge",
 # and 201 node values
 ABOVE_CUT = ("project --alpha 0 --beta 1e3 --N 100 --m 100 --fn runge",
              "compare-legendre --N 200 --m 100", "runge --N 200 --m 200 --samples 201 --params 0,0")
+# Legendre coefficients, each asked for twice in this one process (the
+# second time with its flags in another order): the later command is
+# served from the sums held with the rule, and the coefficients do not
+# depend on N, so the N = 200 command is too
+LEGENDRE_REPEATS = tuple(
+    command.format(N=N, m=m, fn=fn)
+    for command in ("compare-legendre --N {N} --m {m} --fn {fn}",
+                    "compare-legendre --fn {fn} --m {m} --N {N}")
+    for N in (30, 200) for m in (10, 20) for fn in ("runge", "sin-pi"))
 # the flag vetting paths: one bad flag per command (the keys of
 # tests/test_cli.py CONFIG_ERRORS), then two bad flags per command, of
 # which the first one vetted is named, an empty --params, and a sample
@@ -70,14 +79,17 @@ VETTING = (
     "project --params= --N 6 --m 2", "runge --samples 100002",
 )
 # the refusal precedence of decay: the norms before any order, an order's
-# overflow before its underflow, the first refused order of a list, and
-# an order whose lam_n^k overflows before L^k u is formed
+# overflow before its underflow, the first refused order of a list, an
+# order whose lam_n^k overflows before L^k u is formed, and an order
+# whose lam_n^k stay finite (lam_1 = 1) while L^j u leaves the double
+# range from j = 111
 DECAY_REFUSALS = (
     "decay --alpha 0 --beta 1e3 --N 200 --m 100 --k 60",
     "decay --alpha 0 --beta 1e3 --N 200 --m 90 --k 1,60",
     "decay --alpha -0.999 --beta -0.999 --N 30 --m 1 --k 200",
     "decay --N 30 --m 3 --k 1,2,58",
     "decay --N 30 --m 5 --k 200000",
+    "decay --alpha -0.5 --beta -0.5 --N 30 --m 1 --k 200000",
 )
 COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
                  for N in (1, 6, 12, 30) for a in LATTICE for b in LATTICE) + GOLDEN + tuple(
@@ -85,7 +97,7 @@ COMMANDS = tuple(f"verify --alpha {a} --beta {b} --N {N}"
     for a in LATTICE for b in LATTICE) + tuple(
     f"{command.format(q=N // 4, N=N)} --N {N} --alpha {a} --beta {b}"
     for a, b in (("0", "0"), ("0.5", "0.5"), ("-0.5", "3"), ("5", "0")) for N in (30, 100, 200)
-    for command in REPEATS) + ABOVE_CUT + VETTING + DECAY_REFUSALS
+    for command in REPEATS) + ABOVE_CUT + VETTING + DECAY_REFUSALS + LEGENDRE_REPEATS
 
 
 def digest_line(command: str) -> str:
